@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSolution, ShapeMismatch, SpecMismatch
+from .errors import InvalidParameter, NoSolution, ShapeMismatch, SpecMismatch
 from .rings import RingMap, RingSpec, RingTowerElement, coefficient_ring
 
 
@@ -148,6 +148,14 @@ def _as_array(rows, cols_hint=0) -> np.ndarray:
     return a
 
 
+def _modulus(p: int, m: int) -> int:
+    """p^m, refused when int64 products of two residues could overflow."""
+    N = p**m
+    if (N - 1) ** 2 >= 2**63:
+        raise InvalidParameter(f"modulus {p}^{m} is too large for int64 elimination")
+    return N
+
+
 def _valuations(col: np.ndarray, p: int, m: int) -> np.ndarray:
     """p-adic valuation of each entry, with val(0) = m."""
     val = np.zeros(col.shape, dtype=np.int64)
@@ -225,7 +233,7 @@ class HowellCore:
 
     def __init__(self, a: np.ndarray, p: int, m: int, carry: bool = True):
         self.p, self.m = p, m
-        self.N = p**m
+        self.N = _modulus(p, m)
         a = _as_array(a)
         self.active = a.shape[1]
         self.orig_rows = a.shape[0]
@@ -344,41 +352,10 @@ def elementary_divisors(rel: np.ndarray, ambient: int, p: int, m: int) -> tuple[
     Returned as a sorted tuple of prime powers p^e, 1 <= e <= m, one per
     nontrivial cyclic summand.
     """
-    N = p**m
-    a = _as_array(rel, cols_hint=0) % N
+    a = _as_array(rel, cols_hint=0)
     if a.size == 0:
-        return tuple(sorted([N] * ambient))
-    a = a.copy()
-    divisors = []
-    pivot_vals = []
-    while a.size and a.any():
-        vals = _valuations(a.reshape(-1), p, m)
-        k = int(np.argmin(vals))
-        v = int(vals[k])
-        i, j = divmod(k, a.shape[1])
-        a[[0, i]] = a[[i, 0]]
-        a[:, [0, j]] = a[:, [j, 0]]
-        pv = p**v
-        unit = int(a[0, 0]) // pv
-        a[0] = (a[0] * pow(unit % N, -1, N)) % N
-        while True:
-            colv = a[1:, 0]
-            if colv.any():
-                t = colv // pv
-                a[1:] = (a[1:] - np.outer(t, a[0])) % N
-            roww = a[0, 1:]
-            if roww.any():
-                t = roww // pv
-                a[:, 1:] = (a[:, 1:] - np.outer(a[:, 0], t)) % N
-            if not a[1:, 0].any() and not a[0, 1:].any():
-                break
-        pivot_vals.append(v)
-        a = a[1:, 1:]
-    for v in pivot_vals:
-        if v > 0:
-            divisors.append(p**v)
-    divisors.extend([N] * (ambient - len(pivot_vals)))
-    return tuple(sorted(divisors))
+        return (p**m,) * ambient
+    return smith_transforms(a, ambient, p, m).quotient().divisors()
 
 
 @dataclass(frozen=True)
@@ -460,15 +437,31 @@ class SmithData:
 def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v: bool = False) -> SmithData:
     """Diagonalize over Z/p^m, tracking the row (and optionally column) transform.
 
-    Pivots are taken by increasing valuation layer, so every division is
-    exact; clears touch only the nonzero rows and columns.
+    Pivots are taken by increasing valuation layer v, so every division is
+    exact: the pivot of step k is the row-major first entry of the
+    trailing block ``a[k:, k:]`` that p^(v+1) does not divide.  Two
+    invariants keep each step proportional to the rows and columns it
+    touches rather than to the trailing block:
+
+    * ``live[r]`` says whether row r has an entry of valuation <= v in
+      columns >= k (rows above k are zero there).  It is computed once per layer, swapped with
+      its row, and recomputed only for the rows a row clear changes:
+      column swaps stay inside columns >= k, and every other row is
+      already zero in column k, so advancing k leaves it as it was.  The
+      pivot is the first live row and its first qualifying column.
+    * After the row clear, column k is zero off row k, a[k, k] = p^v and
+      p^v divides row k, so the column clear ``a -= outer(a[:, k], t)``
+      amounts to zeroing ``a[k, k+1:]``; only V has to record it.
+
+    Transform updates touch only the nonzero columns of ``U[k]`` and the
+    nonzero rows of ``V[:, k]``.
     """
-    N = p**m
+    N = _modulus(p, m)
     a = _as_array(rel_cols, cols_hint=0) % N
     if a.ndim != 2 or a.shape[1] == 0:
         a = np.zeros((ambient, 0), dtype=np.int64)
-    a = a.copy()
-    ncols = a.shape[1]
+    nrows, ncols = a.shape
+    size = min(nrows, ncols)
     U = np.eye(ambient, dtype=np.int64)
     V = np.eye(ncols, dtype=np.int64) if track_v else None
     pivot_vals: list[int] = []
@@ -476,39 +469,40 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
     for v in range(m):
         pv = p**v
         pmod = p ** (v + 1)
-        while k < min(a.shape):
-            sub = a[k:, k:]
-            hits = np.argwhere(sub % pmod != 0)
-            if hits.size == 0:
+        live = (a[:, k:] % pmod != 0).any(axis=1)
+        while k < size:
+            i = k + int(np.argmax(live[k:]))
+            if not live[i]:
                 break
-            i, j = int(hits[0][0]) + k, int(hits[0][1]) + k
+            j = k + int(np.flatnonzero(a[i, k:] % pmod)[0])
             if i != k:
                 a[[k, i]] = a[[i, k]]
                 U[[k, i]] = U[[i, k]]
+                live[i] = live[k]
             if j != k:
                 a[:, [k, j]] = a[:, [j, k]]
                 if V is not None:
                     V[:, [k, j]] = V[:, [j, k]]
             unit = int(a[k, k]) // pv
-            if unit % N != 1:
-                uinv = pow(unit % N, -1, N)
+            if unit != 1:
+                uinv = pow(unit, -1, N)
                 a[k, k:] = (a[k, k:] * uinv) % N
                 U[k] = (U[k] * uinv) % N
-            colnz = np.nonzero(a[k + 1 :, k])[0]
-            if colnz.size:
-                rows = colnz + k + 1
+            rows = k + 1 + np.flatnonzero(a[k + 1 :, k])
+            if rows.size:
                 t = a[rows, k] // pv
-                a[rows[:, None], np.arange(k, a.shape[1])[None, :]] = (
-                    a[rows][:, k:] - np.outer(t, a[k, k:])
-                ) % N
-                U[rows] = (U[rows] - np.outer(t, U[k])) % N
-            rownz = np.nonzero(a[k, k + 1 :])[0]
-            if rownz.size:
-                cols = rownz + k + 1
-                t = a[k, cols] // pv
-                a[:, cols] = (a[:, cols] - np.outer(a[:, k], t)) % N
+                nz = k + np.flatnonzero(a[k, k:])
+                a[np.ix_(rows, nz)] = (a[np.ix_(rows, nz)] - np.outer(t, a[k, nz])) % N
+                nz = np.flatnonzero(U[k])
+                U[np.ix_(rows, nz)] = (U[np.ix_(rows, nz)] - np.outer(t, U[k, nz])) % N
+                live[rows] = (a[rows, k + 1 :] % pmod != 0).any(axis=1)
+            cols = k + 1 + np.flatnonzero(a[k, k + 1 :])
+            if cols.size:
                 if V is not None:
-                    V[:, cols] = (V[:, cols] - np.outer(V[:, k], t)) % N
+                    t = a[k, cols] // pv
+                    nz = np.flatnonzero(V[:, k])
+                    V[np.ix_(nz, cols)] = (V[np.ix_(nz, cols)] - np.outer(V[nz, k], t)) % N
+                a[k, cols] = 0
             pivot_vals.append(v)
             k += 1
     return SmithData(p, m, ambient, ncols, tuple(pivot_vals), U, V)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -122,3 +123,27 @@ class TestGenPatch:
         tower = serialize.tower_from_obj(obj)
         again = serialize.canonical_dumps(serialize.tower_to_obj(tower))
         assert again == (tmp_path / "tower.json").read_text()
+
+
+# sha256 of the canonical bytes of one padded q=1 tower: the "tower-dense"
+# item "0:none" recorded in perfbench/data/reference.json
+DENSE_SEED0_SHA256 = {
+    "tower": "488c851dc7aa4cbb3267a44beec2e59dffd8184782fa4851c94bc5470e5497aa",
+    "expected": "a12a51aac443880895cb80bac8dc06f0b80b0234c6748d135445eb1f2addc27e",
+    "output": "366c35a26770d83fbe51a91ec4b07cf6cf09f4584c6614cca9f21f4a1a53369c",
+}
+
+
+def test_padded_tower_round_trip_bytes_are_pinned(capsys, tmp_path):
+    argv = ["gen", "--p", "3", "--q", "1", "--r", "1", "--precisions", "1", "2", "2", "2", "2",
+            "--seed", "0", "--out-dir", str(tmp_path)]
+    code, _ = run(capsys, argv)
+    assert code == 0
+    code, out = run(capsys, ["patch", str(tmp_path / "tower.json"), "--format", "json"])
+    assert code == 0
+    got = {
+        "tower": hashlib.sha256((tmp_path / "tower.json").read_bytes()).hexdigest(),
+        "expected": hashlib.sha256((tmp_path / "expected.json").read_bytes()).hexdigest(),
+        "output": hashlib.sha256(out.encode("utf-8")).hexdigest(),
+    }
+    assert got == DENSE_SEED0_SHA256

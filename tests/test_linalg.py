@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchtower.errors import NoSolution, SpecMismatch
+from patchtower.errors import InvalidParameter, NoSolution, SpecMismatch
 from patchtower.linalg import (
+    HowellCore,
     Matrix,
     elementary_divisors,
     expand_scalars,
@@ -16,6 +17,7 @@ from patchtower.linalg import (
     kernel_and_solve,
     multiplication_matrix,
     smith_quotient,
+    smith_transforms,
     to_int_array,
 )
 from patchtower.rings import RingTowerElement, coefficient_ring, make_patch_ring
@@ -198,7 +200,7 @@ class TestDivisors:
                 [[rng.randrange(p**m) for _ in range(s)] for _ in range(t)]
             ).reshape(t, s)
             qs = smith_quotient(rel, t, p, m)
-            assert qs.divisors() == elementary_divisors(rel, t, p, m)
+            assert qs.divisors() == elementary_divisors(rel, t, p, m) == reference_divisors(rel, t, p, m)
             for col in rel.T:
                 c = qs.coords(col)
                 assert not c.any()
@@ -209,3 +211,186 @@ class TestDivisors:
         mt = multiplication_matrix(t)
         # T^2 = 2T over this ring
         assert ((mt @ mt) % 4 == multiplication_matrix(t * t)).all()
+
+
+def reference_smith(a: np.ndarray, ambient: int, p: int, m: int):
+    """The rescanning Smith loop: first hit of a[k:, k:] % p^(v+1), full-height clears.
+
+    Returns (pivot_vals, U, V) for comparison with ``smith_transforms``,
+    whose transforms must match it bit for bit.
+    """
+    N = p**m
+    a = a.astype(np.int64) % N
+    U = np.eye(ambient, dtype=np.int64)
+    V = np.eye(a.shape[1], dtype=np.int64)
+    pivot_vals = []
+    k = 0
+    for v in range(m):
+        pv = p**v
+        while k < min(a.shape):
+            hits = np.argwhere(a[k:, k:] % p ** (v + 1) != 0)
+            if hits.size == 0:
+                break
+            i, j = int(hits[0][0]) + k, int(hits[0][1]) + k
+            a[[k, i]] = a[[i, k]]
+            U[[k, i]] = U[[i, k]]
+            a[:, [k, j]] = a[:, [j, k]]
+            V[:, [k, j]] = V[:, [j, k]]
+            uinv = pow(int(a[k, k]) // pv, -1, N)
+            a[k] = (a[k] * uinv) % N
+            U[k] = (U[k] * uinv) % N
+            t = a[k + 1 :, k] // pv
+            a[k + 1 :] = (a[k + 1 :] - np.outer(t, a[k])) % N
+            U[k + 1 :] = (U[k + 1 :] - np.outer(t, U[k])) % N
+            t = a[k, k + 1 :] // pv
+            a[:, k + 1 :] = (a[:, k + 1 :] - np.outer(a[:, k], t)) % N
+            V[:, k + 1 :] = (V[:, k + 1 :] - np.outer(V[:, k], t)) % N
+            pivot_vals.append(v)
+            k += 1
+    return tuple(pivot_vals), U, V
+
+
+def reference_divisors(a: np.ndarray, ambient: int, p: int, m: int) -> tuple[int, ...]:
+    """Divisor profile in Python integers, pivoting on a global minimum valuation.
+
+    Such a pivot divides every entry, so clearing its column by row
+    operations leaves a column clear that touches no other row: the
+    quotient continues on the matrix without the pivot row and column.
+    """
+    N = p**m
+    rows = [[int(x) % N for x in row] for row in a.tolist()]
+
+    def val(x):
+        return next(e for e in range(m) if x % p ** (e + 1))
+
+    vals = []
+    while True:
+        hits = [(val(x), i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+        if not hits:
+            break
+        v, i, j = min(hits)
+        uinv = pow(rows[i][j] // p**v, -1, N)
+        for r, row in enumerate(rows):
+            if r != i and row[j]:
+                c = (row[j] // p**v) * uinv
+                rows[r] = [(x - c * y) % N for x, y in zip(row, rows[i])]
+        rows = [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(rows) if r != i]
+        vals.append(v)
+    return tuple(sorted([p**v for v in vals if v > 0] + [N] * (ambient - len(vals))))
+
+
+def exact_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y in Python integers, one column update per nonzero entry of y."""
+    out = np.zeros((x.shape[0], y.shape[1]), dtype=object)
+    xo = x.astype(object)
+    for k, j in zip(*np.nonzero(y)):
+        out[:, j] += xo[:, k] * int(y[k, j])
+    return out
+
+
+def rank_mod_p(a: np.ndarray, p: int) -> int:
+    """Rank over F_p, by elimination in Python integers."""
+    a = a.astype(object) % p
+    rank = 0
+    for c in range(a.shape[1]):
+        nz = [i for i in range(rank, a.shape[0]) if a[i, c]]
+        if not nz:
+            continue
+        a[[rank, nz[0]]] = a[[nz[0], rank]]
+        a[rank] = (a[rank] * pow(int(a[rank, c]), -1, p)) % p
+        for i in np.nonzero(a[:, c])[0]:
+            if i != rank:
+                a[i] = (a[i] - a[i, c] * a[rank]) % p
+        rank += 1
+    return rank
+
+
+def assert_smith_witness(a: np.ndarray, p: int, m: int) -> None:
+    """U A V = diag(p^pivot_vals) mod p^m, U and V units, exponents non-decreasing."""
+    N = p**m
+    rows, cols = a.shape
+    sd = smith_transforms(a, rows, p, m, track_v=True)
+    d = np.zeros((rows, cols), dtype=object)
+    for i, v in enumerate(sd.pivot_vals):
+        d[i, i] = p**v
+    assert ((exact_product(exact_product(sd.U, a), sd.V) - d) % N == 0).all()
+    assert rank_mod_p(sd.U, p) == rows
+    assert rank_mod_p(sd.V, p) == cols
+    assert list(sd.pivot_vals) == sorted(sd.pivot_vals)
+
+
+@st.composite
+def smith_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 3))
+    N = p**m
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(0, 7))
+    entries = st.integers(0, N - 1)
+    kind = draw(st.sampled_from(["dense", "sparse", "scaled"]))
+    if kind == "sparse":
+        entries = st.one_of(st.just(0), st.just(0), st.just(0), entries)
+    a = np.array(
+        draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)),
+        dtype=np.int64,
+    ).reshape(rows, cols)
+    if kind == "scaled":
+        scales = draw(st.lists(st.integers(0, m), min_size=rows * cols, max_size=rows * cols))
+        a = (a * p ** np.array(scales, dtype=np.int64).reshape(rows, cols)) % N
+    return a, p, m
+
+
+class TestSmithTransforms:
+    @given(smith_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_witness_identity(self, case):
+        a, p, m = case
+        assert_smith_witness(a, p, m)
+
+    @given(smith_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_loop(self, case):
+        a, p, m = case
+        rows = a.shape[0]
+        pivot_vals, U, V = reference_smith(a, rows, p, m)
+        sd = smith_transforms(a, rows, p, m, track_v=True)
+        assert sd.pivot_vals == pivot_vals
+        assert np.array_equal(sd.U, U)
+        assert np.array_equal(sd.V, V)
+        assert elementary_divisors(a, rows, p, m) == reference_divisors(a, rows, p, m)
+
+    def test_padded_level_five_differential(self):
+        # diag(T, 1) over (Z/9)[T]/((1+T)^243 - 1) expands to 486 x 486
+        spec = make_patch_ring(3, 2, 5, 1)
+        t = RingTowerElement.variable(spec, 0)
+        one, zero = RingTowerElement.one(spec), RingTowerElement.zero(spec)
+        a = expand_scalars(Matrix(spec, [[t, zero], [zero, one]]))
+        assert a.shape == (486, 486)
+        assert_smith_witness(a, 3, 2)
+
+
+class TestOverflowGuard:
+    @pytest.mark.parametrize("p, m", [(3, 25), (65521, 2)], ids=["3^25", "65521^2"])
+    def test_refuses_moduli_past_int64(self, p, m):
+        a = np.array([[1, 2], [3, 4]], dtype=np.int64)
+        with pytest.raises(InvalidParameter):
+            HowellCore(a, p, m)
+        with pytest.raises(InvalidParameter):
+            smith_transforms(a, 2, p, m)
+        with pytest.raises(InvalidParameter):
+            elementary_divisors(a, 2, p, m)
+
+    @pytest.mark.parametrize("p, m", [(3, 19), (2, 31)], ids=["3^19", "2^31"])
+    def test_largest_moduli_keep_witness_identities(self, p, m):
+        N = p**m
+        rng = random.Random(19)
+        for _ in range(20):
+            rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+            a = np.array(
+                [[rng.randrange(N) * p ** rng.randrange(3) % N for _ in range(cols)] for _ in range(rows)],
+                dtype=np.int64,
+            )
+            core = HowellCore(a, p, m)
+            h = core.howell_rows().astype(object)
+            assert ((exact_product(core.transform_rows(), a) - h) % N == 0).all()
+            assert_smith_witness(a, p, m)
