@@ -23,6 +23,7 @@ from .errors import (
 from .linalg import (
     HowellCore,
     Matrix,
+    _echelon,
     elementary_divisors,
     expand_scalars,
     multiplication_matrix,
@@ -144,12 +145,6 @@ def direct_sum(a: FreeComplex, b: FreeComplex) -> FreeComplex:
             m = Matrix.zero(a.spec, 0, cols)
         diffs.append(m)
     return FreeComplex(a.spec, lo, ranks, diffs, _checked=True)
-
-
-def shift(c: FreeComplex, by: int) -> FreeComplex:
-    if c.is_empty():
-        return c
-    return FreeComplex(c.spec, c.lo + by, c.ranks, c.diffs, _checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +425,24 @@ def _empty_presentation(spec: RingSpec) -> FiniteModulePresentation:
     )
 
 
+def _nakayama_choice(ek2: np.ndarray, p: int, m: int) -> list[int]:
+    """Indices of the columns of ``ek2`` that form its first basis.
+
+    Every column of ``ek2`` is killed by p: it holds coordinates of
+    span(kernel) modulo p * span(kernel), or p * kernel is already zero.
+    So each entry is p^(m-1) times a residue mod p, and the Z/p^m-span of
+    the columns is the F_p-span of ``ek2 // p^(m-1)``.  Keeping each
+    column that lies outside the span of the columns before it gives the
+    lexicographically first basis: the pivot columns of a row echelon
+    form over F_p.
+    """
+    top = p ** (m - 1)
+    if (ek2 % top).any():
+        raise AssertionError("Nakayama coordinates are not killed by p")
+    work = (ek2 // top) % p
+    return [j for _, j, _ in _echelon(work, work.shape[1], p, 1)]
+
+
 def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModulePresentation]:
     spec = c.spec
     p, m = spec.p, spec.m
@@ -477,25 +490,15 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModulePresentation]:
         ek = embed(kernel)
         base = (p * ek) % N
         if base.any():
-            # residue coordinates modulo p * span(kernel) as well: the
-            # Nakayama test then needs only a tiny incremental echelon
+            # residue coordinates modulo p * span(kernel) as well, so that
+            # every column of ek2 is killed by p (Nakayama)
             qs2 = smith_quotient(base, len(exponents), p, m)
             ek2 = (qs2.projection @ ek) % N
             for i, e in enumerate(qs2.exponents):
                 ek2[i] = (ek2[i] * p ** (m - e)) % N
         else:
             ek2 = ek
-        chosen: list[int] = []
-        rows: list[np.ndarray] = []
-        core = None
-        for l in range(kernel.shape[1]):
-            w = ek2[:, l]
-            rem = core.reduce(w) if core is not None else w
-            if not rem.any():
-                continue
-            chosen.append(l)
-            rows.append(w)
-            core = HowellCore(np.array(rows), p, m, carry=False)
+        chosen = _nakayama_choice(ek2, p, m)
         gens = kernel[:, chosen] if chosen else np.zeros((amb, 0), dtype=np.int64)
         g = gens.shape[1]
 

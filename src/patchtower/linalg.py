@@ -321,29 +321,9 @@ class HowellCore:
             return None
         return acc
 
-    def contains(self, b: np.ndarray) -> bool:
-        return not self.reduce(b).any()
-
     def span_log_size(self) -> int:
         """log_p of the cardinality of the row span."""
         return sum(self.m - v for _, _, v in self.pivots)
-
-
-def row_kernel(a: np.ndarray, p: int, m: int, nrows_hint: int | None = None) -> np.ndarray:
-    a = _as_array(a)
-    if a.shape[0] == 0:
-        return np.zeros((0, nrows_hint or 0), dtype=np.int64)
-    return HowellCore(a, p, m).kernel_rows()
-
-
-def column_kernel(a: np.ndarray, p: int, m: int, ncols: int) -> np.ndarray:
-    """Generators of {v : A v = 0} as columns."""
-    a = _as_array(a, cols_hint=ncols)
-    if a.shape[1] == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1], dtype=np.int64)
-    return row_kernel(a.T, p, m).T
 
 
 def elementary_divisors(rel: np.ndarray, ambient: int, p: int, m: int) -> tuple[int, ...]:

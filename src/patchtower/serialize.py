@@ -210,54 +210,59 @@ def tower_from_obj(obj) -> PatchingTower:
         base_precision = int(prm["base_precision"])
         base_obj = obj["base"]
         raw_levels = obj["levels"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed tower file: {exc}") from exc
-    g = q - r
-    mod_obj = base_obj["module"]
-    gens = int(mod_obj["gens"])
-    module = FiniteModuleData(
-        p,
-        base_precision,
-        gens,
-        int_matrix_from_obj(mod_obj["relations"], rows=gens),
-        tuple(int_matrix_from_obj(a) for a in mod_obj["x_actions"]),
-    )
-    if len(module.actions) != g:
-        raise InvalidInput(f"base module needs {g} action matrices")
-    base = TowerBase(
-        ideal=[rinf_from_obj(x) for x in base_obj["ring_ideal"]],
-        module=module,
-    )
-    levels = []
-    for raw in raw_levels:
-        i_images = [rinf_from_obj(x) for x in raw["i_images"]]
-        phi_images = [rinf_from_obj(x) for x in raw["phi_images"]]
-        if len(i_images) != q:
-            raise InvalidInput(f"level {raw.get('level')} needs {q} structure images")
-        if len(phi_images) != g:
-            raise InvalidInput(f"level {raw.get('level')} needs {g} quotient images")
-        levels.append(
-            TowerLevel(
-                level=int(raw["level"]),
-                precision=int(raw["precision"]),
-                complex=complex_from_obj(raw["complex"]),
-                i_images=i_images,
-                phi_images=phi_images,
-                x_actions={
-                    int(k): [int_matrix_from_obj(a) for a in mats]
-                    for k, mats in raw["x_actions"].items()
-                },
-                base_iso=int_matrix_from_obj(raw["base_iso"], rows=gens),
-            )
+        g = q - r
+        mod_obj = base_obj["module"]
+        gens = int(mod_obj["gens"])
+        module = FiniteModuleData(
+            p,
+            base_precision,
+            gens,
+            int_matrix_from_obj(mod_obj["relations"], rows=gens),
+            tuple(int_matrix_from_obj(a) for a in mod_obj["x_actions"]),
         )
-    levels.sort(key=lambda lev: lev.level)
-    return PatchingTower(
-        p=p, q=q, r=r, d=d,
-        rinf_degree=rinf_degree,
-        base_precision=base_precision,
-        base=base,
-        levels=levels,
-    )
+        if len(module.actions) != g:
+            raise InvalidInput(f"base module needs {g} action matrices")
+        base = TowerBase(
+            ideal=[rinf_from_obj(x) for x in base_obj["ring_ideal"]],
+            module=module,
+        )
+        levels = []
+        for raw in raw_levels:
+            level, precision = int(raw["level"]), int(raw["precision"])
+            i_images = [rinf_from_obj(x) for x in raw["i_images"]]
+            phi_images = [rinf_from_obj(x) for x in raw["phi_images"]]
+            if len(i_images) != q:
+                raise InvalidInput(f"level {level} needs {q} structure images")
+            if len(phi_images) != g:
+                raise InvalidInput(f"level {level} needs {g} quotient images")
+            cx = complex_from_obj(raw["complex"])
+            got, want = (cx.spec.p, cx.spec.q, cx.spec.m, cx.spec.n), (p, q, precision, level)
+            if got != want:
+                raise InvalidInput(f"level {level} ring has (p, q, m, n) = {got}, expected {want}")
+            levels.append(
+                TowerLevel(
+                    level=level,
+                    precision=precision,
+                    complex=cx,
+                    i_images=i_images,
+                    phi_images=phi_images,
+                    x_actions={
+                        int(k): [int_matrix_from_obj(a) for a in mats]
+                        for k, mats in raw["x_actions"].items()
+                    },
+                    base_iso=int_matrix_from_obj(raw["base_iso"], rows=gens),
+                )
+            )
+        levels.sort(key=lambda lev: lev.level)
+        return PatchingTower(
+            p=p, q=q, r=r, d=d,
+            rinf_degree=rinf_degree,
+            base_precision=base_precision,
+            base=base,
+            levels=levels,
+        )
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
+        raise InvalidInput(f"malformed tower file: {exc}") from exc
 
 
 # -- certificates ------------------------------------------------------------

@@ -124,6 +124,41 @@ class TestGenPatch:
         again = serialize.canonical_dumps(serialize.tower_to_obj(tower))
         assert again == (tmp_path / "tower.json").read_text()
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda o: o["params"].update(p=4), id="p-differs-from-level-rings"),
+            pytest.param(lambda o: o["levels"][0].pop("complex"), id="level-without-complex"),
+            pytest.param(
+                lambda o: o["levels"][0].update(x_actions=list(o["levels"][0]["x_actions"].values())),
+                id="x-actions-as-list",
+            ),
+            pytest.param(lambda o: o["levels"][1]["base_iso"][0].__setitem__(0, 10**30), id="huge-integer"),
+        ],
+    )
+    def test_malformed_tower_is_invalid_input(self, capsys, tmp_path, mutate):
+        run(capsys, ["gen", "--q", "1", "--r", "0", "--seed", "8", "--out-dir", str(tmp_path), "--format", "json"])
+        obj = json.loads((tmp_path / "tower.json").read_text())
+        mutate(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(serialize.canonical_dumps(obj))
+        code, out = run(capsys, ["patch", str(bad), "--format", "json"])
+        assert code == 2
+        assert json.loads(out)["error"] == "InvalidInput"
+
+
+def round_trip_digests(capsys, tmp_path, gen_argv) -> dict:
+    """sha256 of tower.json, expected.json and ``patch --format json`` stdout."""
+    code, _ = run(capsys, ["gen", *gen_argv, "--out-dir", str(tmp_path)])
+    assert code == 0
+    code, out = run(capsys, ["patch", str(tmp_path / "tower.json"), "--format", "json"])
+    assert code == 0
+    return {
+        "tower": hashlib.sha256((tmp_path / "tower.json").read_bytes()).hexdigest(),
+        "expected": hashlib.sha256((tmp_path / "expected.json").read_bytes()).hexdigest(),
+        "output": hashlib.sha256(out.encode("utf-8")).hexdigest(),
+    }
+
 
 # sha256 of the canonical bytes of one padded q=1 tower: the "tower-dense"
 # item "0:none" recorded in perfbench/data/reference.json
@@ -133,17 +168,19 @@ DENSE_SEED0_SHA256 = {
     "output": "366c35a26770d83fbe51a91ec4b07cf6cf09f4584c6614cca9f21f4a1a53369c",
 }
 
+# the same for one q=2, r=0 tower: the "tower-wide" item "0:none"
+WIDE_SEED0_SHA256 = {
+    "tower": "0d7cbd0d99a713a7baecf60e31f50e4ee4d73963af8fec94091a348f44106027",
+    "expected": "424b17706410b2864e7f26c25d948aa61498aa8d57bb6a5b33170751d83f68c3",
+    "output": "63cbbe8c824c0fbc382af13ac35a2e669f1b665d1c2a9715542d247d9790cded",
+}
+
 
 def test_padded_tower_round_trip_bytes_are_pinned(capsys, tmp_path):
-    argv = ["gen", "--p", "3", "--q", "1", "--r", "1", "--precisions", "1", "2", "2", "2", "2",
-            "--seed", "0", "--out-dir", str(tmp_path)]
-    code, _ = run(capsys, argv)
-    assert code == 0
-    code, out = run(capsys, ["patch", str(tmp_path / "tower.json"), "--format", "json"])
-    assert code == 0
-    got = {
-        "tower": hashlib.sha256((tmp_path / "tower.json").read_bytes()).hexdigest(),
-        "expected": hashlib.sha256((tmp_path / "expected.json").read_bytes()).hexdigest(),
-        "output": hashlib.sha256(out.encode("utf-8")).hexdigest(),
-    }
-    assert got == DENSE_SEED0_SHA256
+    argv = ["--p", "3", "--q", "1", "--r", "1", "--precisions", "1", "2", "2", "2", "2", "--seed", "0"]
+    assert round_trip_digests(capsys, tmp_path, argv) == DENSE_SEED0_SHA256
+
+
+def test_wide_tower_round_trip_bytes_are_pinned(capsys, tmp_path):
+    argv = ["--p", "3", "--q", "2", "--r", "0", "--precisions", "1", "2", "--seed", "0"]
+    assert round_trip_digests(capsys, tmp_path, argv) == WIDE_SEED0_SHA256

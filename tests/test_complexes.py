@@ -1,7 +1,12 @@
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from patchtower import complexes
 from patchtower.complexes import (
     cohomology,
     direct_sum,
@@ -14,7 +19,7 @@ from patchtower.complexes import (
     tensor_along,
 )
 from patchtower.errors import NotAComplex, ShapeMismatch, UnsupportedRing
-from patchtower.linalg import Matrix
+from patchtower.linalg import HowellCore, Matrix
 from patchtower.rings import (
     RingTowerElement,
     graded_ring,
@@ -147,6 +152,85 @@ class TestCohomology:
                     assert not tops
                 else:
                     assert tops and max(tops) == prof.d_plus
+
+
+def reference_nakayama_choice(ek2: np.ndarray, p: int, m: int) -> list[int]:
+    """The greedy selection loop: keep column l when a Howell form of the
+    columns kept so far does not reduce it to zero, then rebuild the form.
+
+    ``complexes._nakayama_choice`` must pick the same columns.
+    """
+    chosen: list[int] = []
+    rows: list[np.ndarray] = []
+    core = None
+    for l in range(ek2.shape[1]):
+        w = ek2[:, l]
+        rem = core.reduce(w) if core is not None else w
+        if not rem.any():
+            continue
+        chosen.append(l)
+        rows.append(w)
+        core = HowellCore(np.array(rows), p, m, carry=False)
+    return chosen
+
+
+@st.composite
+def p_torsion_columns(draw):
+    """p^(m-1) * X with X mod p, some columns zero or copies of earlier ones."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 3))
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 8))
+    x = np.array(
+        draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols)),
+        dtype=np.int64,
+    ).reshape(rows, cols)
+    for l in range(cols):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "copy"]))
+        if kind == "zero":
+            x[:, l] = 0
+        elif kind == "copy" and l:
+            x[:, l] = x[:, draw(st.integers(0, l - 1))]
+    return (x * p ** (m - 1)) % p**m, p, m
+
+
+NAKAYAMA_SPECS = SMALL_PATCH_SPECS + [
+    make_patch_ring(5, 1, 1, 1),
+    make_patch_ring(3, 2, 1, 1),
+    make_patch_ring(2, 3, 1, 1),
+]
+
+
+class TestNakayamaChoice:
+    @given(p_torsion_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_greedy_loop(self, case):
+        ek2, p, m = case
+        assert complexes._nakayama_choice(ek2, p, m) == reference_nakayama_choice(ek2, p, m)
+
+    @given(st.sampled_from(NAKAYAMA_SPECS), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_greedy_loop_inside_cohomology(self, spec, seed):
+        seen = []
+        real = complexes._nakayama_choice
+
+        def checked(ek2, p, m):
+            got = real(ek2, p, m)
+            assert got == reference_nakayama_choice(ek2, p, m)
+            seen.append(got)
+            return got
+
+        c = random_patch_complex(random.Random(seed), spec, max_rank=3)
+        with mock.patch.object(complexes, "_nakayama_choice", checked):
+            complexes._all_cohomology(c)
+        assert len(seen) == len(c.ranks)
+
+    @pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])
+    def test_refuses_input_not_killed_by_p(self, p, m):
+        ek2 = np.zeros((2, 3), dtype=np.int64)
+        ek2[1, 2] = p ** (m - 2)
+        with pytest.raises(AssertionError):
+            complexes._nakayama_choice(ek2, p, m)
 
 
 class TestBaseChangeAndDual:

@@ -7,7 +7,7 @@ import random
 from patchtower.complexes import FreeComplex, make_complex
 from patchtower.graded import GradedModule
 from patchtower.groebner import syzygy_generators
-from patchtower.linalg import Matrix, column_kernel, expand_scalars
+from patchtower.linalg import HowellCore, Matrix, _as_array, expand_scalars
 from patchtower.rings import RingSpec, RingTowerElement, make_patch_ring
 
 import numpy as np
@@ -181,6 +181,23 @@ def random_graded_consistent_complex(
         diffs.append(Matrix(spec, ent))
         w1 = row_degrees
     return make_complex(spec, 0, ranks, diffs)
+
+
+def row_kernel(a: np.ndarray, p: int, m: int, nrows_hint: int | None = None) -> np.ndarray:
+    a = _as_array(a)
+    if a.shape[0] == 0:
+        return np.zeros((0, nrows_hint or 0), dtype=np.int64)
+    return HowellCore(a, p, m).kernel_rows()
+
+
+def column_kernel(a: np.ndarray, p: int, m: int, ncols: int) -> np.ndarray:
+    """Generators of {v : A v = 0} as columns."""
+    a = _as_array(a, cols_hint=ncols)
+    if a.shape[1] == 0:
+        return np.zeros((0, 0), dtype=np.int64)
+    if a.shape[0] == 0:
+        return np.eye(a.shape[1], dtype=np.int64)
+    return row_kernel(a.T, p, m).T
 
 
 def random_patch_complex(rng: random.Random, spec: RingSpec, max_rank: int = 2, max_length: int = 2) -> FreeComplex:
