@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import groebner as gb
-from .complexes import FreeComplex, empty_complex
+from .complexes import FreeComplex, dual, empty_complex
 from .errors import InvalidParameter, NotMinimalInput, SpecMismatch, UnsupportedRing
 from .linalg import Matrix
 from .rings import RingSpec, RingTowerElement
@@ -284,51 +284,22 @@ def _resolution_steps(m: GradedModule) -> tuple[tuple[int, ...], list[list[Vec]]
     return betti, steps
 
 
-def _transpose_cols(cols: list[Vec], rows: int) -> list[Vec]:
-    """Columns of the transposed matrix, given columns of the original."""
-    out: list[Vec] = [dict() for _ in range(rows)]
-    for j, col in enumerate(cols):
-        for (pos, e), c in col.items():
-            out[pos][(j, e)] = c
-    return out
-
-
 def ext_module(m: GradedModule, i: int) -> GradedModule:
-    """The i-th right derived dual, presented from the resolution."""
-    ring = m.ring
-    p, q = ring.p, ring.q
+    """The i-th right derived dual: degree-i cohomology of the dual resolution.
+
+    Dualizing the resolution puts its free modules in degrees
+    [0, length], so the module is zero past the length and for the zero
+    module.  At i = length it is presented by the transposed last
+    differential itself, not by a Groebner-derived generating set of
+    the same relation submodule.
+    """
     if i < 0:
         raise InvalidParameter("negative dual index")
     key = ("ext", i)
-    if key in m._cache:
-        return m._cache[key]
-    betti, steps = _resolution_steps(m)
-    if not betti:
-        out = GradedModule(ring, 0, Matrix.zero(ring, 0, 0))
-        m._cache[key] = out
-        return out
-    length = len(steps)
-    if i > length:
-        out = GradedModule(ring, 0, Matrix.zero(ring, 0, 0))
-        m._cache[key] = out
-        return out
-    # dual differential into homological spot k is the transpose of step k
-    rank_i = betti[i]
-    if i == length:
-        kernel = [{(l, (0,) * q): 1} for l in range(rank_i)]
-    else:
-        # transpose of step i maps R^{betti[i]} -> R^{betti[i+1]}; its
-        # betti[i] columns live in R^{betti[i+1]}
-        dual_out = _transpose_cols(steps[i], betti[i])
-        kernel = gb.kernel_of_columns(dual_out, betti[i + 1], p, q)
-    if i == 0:
-        image_cols: list[Vec] = []
-    else:
-        image_cols = _transpose_cols(steps[i - 1], betti[i - 1])
-    rel = gb.relations_modulo(kernel, image_cols, rank_i, p, q) if kernel else []
-    out = GradedModule(ring, len(kernel), columns_to_matrix(ring, rel, len(kernel)))
-    m._cache[key] = out
-    return out
+    if key not in m._cache:
+        cx, _ = minimal_graded_resolution(m)
+        m._cache[key] = complex_cohomology_module(dual(cx), i)
+    return m._cache[key]
 
 
 def annihilator_ideal(m: GradedModule) -> list[RingTowerElement]:
@@ -383,9 +354,8 @@ def module_dimension(m: GradedModule) -> int:
     return dim
 
 
-def _koszul_block_columns(step_cols: list[Vec], copies_src: int, copies_tgt: int, gens: int):
+def _koszul_block_columns(step_cols: list[Vec], gens: int):
     """Kronecker expansion of a Koszul differential against a module cover."""
-    # step_cols: columns of the Koszul map R^{copies_src} -> R^{copies_tgt}
     out = []
     for j, col in enumerate(step_cols):
         for l in range(gens):
@@ -437,13 +407,14 @@ def module_depth(m: GradedModule) -> int | None:
         if i == 0:
             cycles = [{(l, (0,) * q): 1} for l in range(amb)]
         else:
-            bnd_out = _koszul_block_columns(boundary(i), copies, len(subsets[i - 1]), gens)
+            # vectors of the i-th cover whose boundary lands in the relation span
+            bnd_out = _koszul_block_columns(boundary(i), gens)
             lower_amb = len(subsets[i - 1]) * gens
-            cycles = _koszul_cycles(bnd_out, block_rel(i - 1), amb, lower_amb, p, q)
+            cycles = gb.relations_modulo(bnd_out, block_rel(i - 1), lower_amb, p, q)
         if i == q:
             bnd_in: list[Vec] = []
         else:
-            bnd_in = _koszul_block_columns(boundary(i + 1), len(subsets[i + 1]), copies, gens)
+            bnd_in = _koszul_block_columns(boundary(i + 1), gens)
         span = bnd_in + block_rel(i)
         basis = gb.prepared_basis(gb.buchberger(span, p), p)
         if any(gb.normal_form(v, basis) for v in cycles):
@@ -453,19 +424,6 @@ def module_depth(m: GradedModule) -> int | None:
     # is undefined, which only happens off the intended input domain
     m._cache["depth"] = depth
     return depth
-
-
-def _koszul_cycles(bnd_out_cols: list[Vec], lower_rel: list[Vec], amb: int, lower_amb: int, p: int, q: int) -> list[Vec]:
-    """Vectors in the i-th cover whose boundary lands in the relation span."""
-    merged = bnd_out_cols + lower_rel
-    syz = gb.syzygy_generators(merged, lower_amb, p, q)
-    k = len(bnd_out_cols)
-    out = []
-    for s in syz:
-        proj = {(pos, e): c for (pos, e), c in s.items() if pos < k}
-        if proj:
-            out.append(proj)
-    return out
 
 
 def module_grade(m: GradedModule) -> int | None:
@@ -666,7 +624,7 @@ def complex_cohomology_module(c: FreeComplex, degree: int) -> GradedModule:
         # full kernel: the presentation is just the cokernel of the
         # incoming differential, on the original basis
         return GradedModule(ring, rk, d_in if d_in.cols else Matrix.zero(ring, rk, 0))
-    kernel = gb.kernel_of_columns(matrix_columns(d_out), d_out.rows, p, q)
+    kernel = gb.syzygy_generators(matrix_columns(d_out), d_out.rows, p, q)
     rel = gb.relations_modulo(kernel, image, rk, p, q) if kernel else []
     return GradedModule(ring, len(kernel), columns_to_matrix(ring, rel, len(kernel)))
 
@@ -840,41 +798,6 @@ def _vector_degree(v: Vec, shifts: list[int]) -> int | None:
     return degs.pop()
 
 
-def _shifted_hilbert(rel_cols: list[Vec], gens: int, shifts: list[int], p: int, q: int) -> dict[int, int]:
-    """Filtration dimensions by total degree, generators shifted.
-
-    Counts standard monomial-position pairs at each absolute degree up
-    to HILBERT_DEGREE; degrees may be negative when shifts are.
-    """
-    if gens == 0:
-        return {}
-    basis = gb.buchberger(rel_cols, p) if rel_cols else []
-    order = gb.ModuleOrder()
-    leads_by_pos: dict[int, list[tuple[int, ...]]] = {}
-    for g in basis:
-        pos, e = gb.lead(g, order)
-        leads_by_pos.setdefault(pos, []).append(e)
-    out: dict[int, int] = {}
-    for j in range(gens):
-        depth = HILBERT_DEGREE - shifts[j]
-        if depth < 0:
-            continue
-        leads = leads_by_pos.get(j, [])
-
-        def rec(prefix, remaining, slots):
-            if slots == 0:
-                yield prefix
-                return
-            for k in range(remaining + 1):
-                yield from rec(prefix + (k,), remaining - k, slots - 1)
-
-        for e in rec((), depth, q):
-            if not any(all(x >= y for x, y in zip(e, le)) for le in leads):
-                d = sum(e) + shifts[j]
-                out[d] = out.get(d, 0) + 1
-    return {d: n for d, n in sorted(out.items()) if n}
-
-
 def _resolution_twists(m: GradedModule, start: list[int]) -> list[list[int]] | None:
     """Generator degrees of every resolution step, or None if not graded."""
     betti, steps = _resolution_steps(m)
@@ -921,6 +844,14 @@ def _duality_check(c: FreeComplex, top: GradedModule, amplitude: int) -> dict:
         and res_twists is not None
         and len(betti) - 1 == amplitude
     )
+    if graded:
+        left_shifts = [-w for w in twists[lo]]
+        gens_l, cols_l = presentation_data(left)
+        right_shifts = [-w for w in res_twists[amplitude]]
+        gens_r, cols_r = presentation_data(right)
+        # minimal input means no scalar entries anywhere, so pruning never
+        # drops generators and the shift lists stay aligned
+        graded = gens_l == len(left_shifts) and gens_r == len(right_shifts)
     if not graded:
         return {
             "graded": False,
@@ -929,23 +860,8 @@ def _duality_check(c: FreeComplex, top: GradedModule, amplitude: int) -> dict:
             "hilbert_match": None,
             "radical_match": radical_match,
         }
-
-    left_shifts = [-w for w in twists[lo]]
-    gens_l, cols_l = presentation_data(left)
-    right_shifts = [-w for w in res_twists[amplitude]]
-    gens_r, cols_r = presentation_data(right)
-    # minimal input means no scalar entries anywhere, so pruning never
-    # drops generators and the shift lists stay aligned
-    if gens_l != len(left_shifts) or gens_r != len(right_shifts):
-        return {
-            "graded": False,
-            "hilbert_left": None,
-            "hilbert_right": None,
-            "hilbert_match": None,
-            "radical_match": radical_match,
-        }
-    hl = _shifted_hilbert(cols_l, gens_l, left_shifts, p, q)
-    hr = _shifted_hilbert(cols_r, gens_r, right_shifts, p, q)
+    hl = gb.standard_monomial_counts(gb.buchberger(cols_l, p), left_shifts, q, HILBERT_DEGREE)
+    hr = gb.standard_monomial_counts(gb.buchberger(cols_r, p), right_shifts, q, HILBERT_DEGREE)
     return {
         "graded": True,
         "hilbert_left": {str(k): v for k, v in hl.items()},

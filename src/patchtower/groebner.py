@@ -214,11 +214,6 @@ def syzygy_generators(vectors: list[Vec], t: int, p: int, q: int) -> list[Vec]:
     return out
 
 
-def kernel_of_columns(cols: list[Vec], t: int, p: int, q: int) -> list[Vec]:
-    """Kernel of the map R^s -> R^t sending e_l to cols[l]."""
-    return syzygy_generators(cols, t, p, q)
-
-
 def relations_modulo(gens: list[Vec], modulus_cols: list[Vec], t: int, p: int, q: int) -> list[Vec]:
     """Coefficient vectors c with sum c_l * gens[l] inside span(modulus_cols)."""
     merged = list(gens) + list(modulus_cols)
@@ -251,19 +246,12 @@ def annihilator(rel_cols: list[Vec], t: int, p: int, q: int) -> list[Vec]:
     zero_e = (0,) * q
     if t == 0:
         return [{(0, zero_e): 1}]
-    big_t = t * t
     diag: Vec = {(i * t + i, zero_e): 1 for i in range(t)}
     blocks = []
     for i in range(t):
         for col in rel_cols:
             blocks.append({(i * t + pos, e): c for (pos, e), c in col.items()})
-    syz = syzygy_generators([diag] + blocks, big_t, p, q)
-    out = []
-    for s in syz:
-        f = {(0, e): c for (pos, e), c in s.items() if pos == 0}
-        if f:
-            out.append(f)
-    return ideal_gb(out, p)
+    return ideal_gb(relations_modulo([diag], blocks, t * t, p, q), p)
 
 
 def ideal_gb(gens: list[Vec], p: int, mkey=grevlex_key) -> list[Vec]:
@@ -284,13 +272,7 @@ def ideal_quotient(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> list
     for jdx in range(s):
         for f in i_gens:
             blocks.append({(jdx, e): c for (pos, e), c in f.items()})
-    syz = syzygy_generators([diag] + blocks, s, p, q)
-    out = []
-    for vec in syz:
-        f = {(0, e): c for (pos, e), c in vec.items() if pos == 0}
-        if f:
-            out.append(f)
-    return ideal_gb(out, p)
+    return ideal_gb(relations_modulo([diag], blocks, s, p, q), p)
 
 
 def saturate(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> list[Vec]:
@@ -307,20 +289,23 @@ def ideal_sum(i_gens: list[Vec], j_gens: list[Vec], p: int) -> list[Vec]:
     return ideal_gb(list(i_gens) + list(j_gens), p)
 
 
+def poly_mul(a: Vec, b: Vec, p: int) -> Vec:
+    """Product of two polynomials (position-0 vectors) mod p."""
+    out: Vec = {}
+    for (_, e1), c1 in a.items():
+        for (_, e2), c2 in b.items():
+            t = (0, tuple(x + y for x, y in zip(e1, e2)))
+            out[t] = (out.get(t, 0) + c1 * c2) % p
+    return {k: v for k, v in out.items() if v}
+
+
 def ideal_product(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> list[Vec]:
     out = []
     for f in i_gens:
         for g in j_gens:
-            prod: Vec = {}
-            for (_, e1), c1 in f.items():
-                for (_, e2), c2 in g.items():
-                    t = (0, tuple(a + b for a, b in zip(e1, e2)))
-                    prod[t] = (prod.get(t, 0) + c1 * c2) % p
-            prod = {k: v for k, v in prod.items() if v}
+            prod = poly_mul(f, g, p)
             if prod:
                 out.append(prod)
-    if not out:
-        return []
     return ideal_gb(out, p)
 
 
@@ -362,13 +347,13 @@ def monomial_dimension(lead_exps: list[tuple[int, ...]], q: int) -> int:
     if any(all(x == 0 for x in e) for e in lead_exps):
         return -1
     supports = [frozenset(i for i, x in enumerate(e) if x) for e in lead_exps]
-    best = -10
-    for size in range(q, -1, -1):
+    for size in range(q, 0, -1):
         for subset in combinations(range(q), size):
             sset = frozenset(subset)
             if all(not sup <= sset for sup in supports):
                 return size
-    return best
+    # no lead is constant, so the empty subset always qualifies
+    return 0
 
 
 def ideal_dimension(i_gens: list[Vec], p: int, q: int, mkey=grevlex_key) -> int:
@@ -380,36 +365,40 @@ def ideal_dimension(i_gens: list[Vec], p: int, q: int, mkey=grevlex_key) -> int:
     return monomial_dimension(leads, q)
 
 
-def standard_monomial_counts(rel_gb: list[Vec], t: int, q: int, max_degree: int, p: int) -> tuple[int, ...]:
-    """Count monomial-position pairs of each total degree not under a lead term.
+def standard_monomial_counts(rel_gb: list[Vec], shifts: list[int], q: int, max_degree: int) -> dict[int, int]:
+    """Count monomial-position pairs of each degree not under a lead term.
 
-    With a degree-compatible order these counts are the dimensions of the
-    degree filtration of R^t modulo the span, through ``max_degree``.
+    Position j has degree ``shifts[j]``, so x^e at position j counts in
+    degree ``sum(e) + shifts[j]``; degrees up to ``max_degree`` are
+    counted, and are negative where shifts are.  With a degree-compatible
+    order these counts are the dimensions of the degree filtration of the
+    free module modulo the span.  Only nonzero counts appear, in degree
+    order.
     """
     order = ModuleOrder()
     leads_by_pos: dict[int, list[tuple[int, ...]]] = {}
     for g in rel_gb:
         pos, e = lead(g, order)
         leads_by_pos.setdefault(pos, []).append(e)
-    counts = [0] * (max_degree + 1)
 
-    def monomials(up_to: int):
-        # every exponent vector with total degree <= up_to, exactly once
-        def rec(prefix, remaining, slots):
-            if slots == 0:
-                yield prefix
-                return
-            for k in range(remaining + 1):
-                yield from rec(prefix + (k,), remaining - k, slots - 1)
+    def monomials(prefix, remaining, slots):
+        # every exponent vector with total degree <= remaining, exactly once
+        if slots == 0:
+            yield prefix
+            return
+        for k in range(remaining + 1):
+            yield from monomials(prefix + (k,), remaining - k, slots - 1)
 
-        yield from rec((), up_to, q)
-
-    for pos in range(t):
+    counts: dict[int, int] = {}
+    for pos, shift in enumerate(shifts):
+        if shift > max_degree:
+            continue
         leads = leads_by_pos.get(pos, [])
-        for e in monomials(max_degree):
+        for e in monomials((), max_degree - shift, q):
             if not any(all(x >= y for x, y in zip(e, le)) for le in leads):
-                counts[sum(e)] += 1
-    return tuple(counts)
+                d = sum(e) + shift
+                counts[d] = counts.get(d, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def poly_determinant(rows: list[list[Vec]], p: int) -> Vec:
@@ -428,14 +417,6 @@ def poly_determinant(rows: list[list[Vec]], p: int) -> Vec:
         if q is not None:
             break
     cache: dict[tuple, Vec] = {}
-
-    def poly_mul(a: Vec, b: Vec) -> Vec:
-        out: Vec = {}
-        for (_, e1), c1 in a.items():
-            for (_, e2), c2 in b.items():
-                t = (0, tuple(x + y for x, y in zip(e1, e2)))
-                out[t] = (out.get(t, 0) + c1 * c2) % p
-        return {k: v for k, v in out.items() if v}
 
     def poly_addsub(a: Vec, b: Vec, sign: int) -> Vec:
         out = dict(a)
@@ -459,7 +440,7 @@ def poly_determinant(rows: list[list[Vec]], p: int) -> Vec:
             if not x:
                 continue
             sub = rec(row_start + 1, cols[:k] + cols[k + 1 :])
-            term = poly_mul(x, sub)
+            term = poly_mul(x, sub, p)
             acc = poly_addsub(acc, term, 1 if k % 2 == 0 else -1)
         cache[key] = acc
         return acc

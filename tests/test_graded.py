@@ -1,24 +1,35 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from patchtower import groebner as gb
 from patchtower.complexes import koszul_complex, make_complex, tau_profile
 from patchtower.errors import NotMinimalInput
 from patchtower.graded import (
+    HILBERT_DEGREE,
     GradedModule,
+    columns_to_matrix,
     complex_cohomology_module,
     ext_module,
     groebner_basis,
+    matrix_columns,
     minimal_graded_resolution,
     module_dimension,
     module_invariants,
     module_is_zero,
     monomial_minimal_prime_heights,
+    presentation_data,
     support_height_profile,
     verify_height_amplitude,
 )
 from patchtower.linalg import Matrix
 from patchtower.rings import RingTowerElement, graded_ring
+from patchtower.serialize import canonical_dumps, complex_from_obj, graded_module_from_obj
 from util import random_graded_module, random_minimal_graded_complex, random_monomial_ideal
 
 R2 = graded_ring(3, 2)
@@ -228,3 +239,132 @@ def test_complex_cohomology_module_matches_tau_direction():
     assert module_is_zero(h0)
     assert not module_is_zero(h1)
     assert tau_profile(c).d_plus == 1
+
+
+def reference_ext_module(m: GradedModule, i: int) -> GradedModule:
+    """The derived dual built by hand from the resolution's columns: the
+    kernel of the transposed step i modulo the image of the transposed
+    step i-1, with unit vectors as the kernel at i = length.
+
+    ``ext_module`` must present the same relation submodule on the same
+    number of generators.
+    """
+    ring = m.ring
+    p, q = ring.p, ring.q
+    cx, betti = minimal_graded_resolution(m)
+    length = len(betti) - 1
+    if i > length:
+        return GradedModule(ring, 0, Matrix.zero(ring, 0, 0))
+    steps = [matrix_columns(cx.diffs[length - 1 - k]) for k in range(length)]
+
+    def transpose_cols(cols, rows):
+        out = [dict() for _ in range(rows)]
+        for j, col in enumerate(cols):
+            for (pos, e), c in col.items():
+                out[pos][(j, e)] = c
+        return out
+
+    if i == length:
+        kernel = [{(l, (0,) * q): 1} for l in range(betti[i])]
+    else:
+        kernel = gb.syzygy_generators(transpose_cols(steps[i], betti[i]), betti[i + 1], p, q)
+    image = transpose_cols(steps[i - 1], betti[i - 1]) if i else []
+    rel = gb.relations_modulo(kernel, image, betti[i], p, q) if kernel else []
+    return GradedModule(ring, len(kernel), columns_to_matrix(ring, rel, len(kernel)))
+
+
+def reference_shifted_hilbert(rel_cols, gens: int, shifts: list[int], p: int, q: int) -> dict[int, int]:
+    """Standard monomial-position pairs per absolute degree up to
+    HILBERT_DEGREE, counted one generator at a time.
+
+    ``groebner.standard_monomial_counts`` must give the same counts in
+    the same order.
+    """
+    if gens == 0:
+        return {}
+    basis = gb.buchberger(rel_cols, p) if rel_cols else []
+    order = gb.ModuleOrder()
+    leads_by_pos: dict[int, list[tuple[int, ...]]] = {}
+    for g in basis:
+        pos, e = gb.lead(g, order)
+        leads_by_pos.setdefault(pos, []).append(e)
+    out: dict[int, int] = {}
+    for j in range(gens):
+        depth = HILBERT_DEGREE - shifts[j]
+        if depth < 0:
+            continue
+        leads = leads_by_pos.get(j, [])
+
+        def rec(prefix, remaining, slots):
+            if slots == 0:
+                yield prefix
+                return
+            for k in range(remaining + 1):
+                yield from rec(prefix + (k,), remaining - k, slots - 1)
+
+        for e in rec((), depth, q):
+            if not any(all(x >= y for x, y in zip(e, le)) for le in leads):
+                d = sum(e) + shifts[j]
+                out[d] = out.get(d, 0) + 1
+    return {d: n for d, n in sorted(out.items()) if n}
+
+
+class TestAgainstReferences:
+    @given(st.sampled_from([R2, R3]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_ext_matches_reference(self, spec, seed):
+        m = random_graded_module(random.Random(seed), spec, max_size=3 if spec.q == 2 else 2)
+        _, betti = minimal_graded_resolution(m)
+        for i in range(len(betti) + 1):  # every index up to length + 1
+            got, want = ext_module(m, i), reference_ext_module(m, i)
+            assert got.gens == want.gens
+            assert gb.buchberger(matrix_columns(got.relations), spec.p) == gb.buchberger(
+                matrix_columns(want.relations), spec.p
+            )
+
+    @given(st.sampled_from([R2, R3]), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_standard_counts_match_reference(self, spec, seed, data):
+        p, q = spec.p, spec.q
+        gens, cols = presentation_data(random_graded_module(random.Random(seed), spec))
+        shifts = data.draw(
+            st.lists(st.integers(-3, HILBERT_DEGREE + 3), min_size=gens, max_size=gens)
+        )
+        got = gb.standard_monomial_counts(gb.buchberger(cols, p), shifts, q, HILBERT_DEGREE)
+        assert list(got.items()) == list(reference_shifted_hilbert(cols, gens, shifts, p, q).items())
+
+    def test_standard_counts_with_negative_and_oversized_shifts(self):
+        t1, _ = variables(R2)
+        zero = RingTowerElement.zero(R2)
+        rel = Matrix(R2, [[t1, zero], [zero, t1], [zero, zero]])
+        cols = matrix_columns(rel)
+        shifts = [-2, HILBERT_DEGREE + 1, HILBERT_DEGREE]
+        got = gb.standard_monomial_counts(gb.buchberger(cols, 3), shifts, 2, HILBERT_DEGREE)
+        want = reference_shifted_hilbert(cols, 3, shifts, 3, 2)
+        assert list(got.items()) == list(want.items())
+        assert min(got) == -2 and got[HILBERT_DEGREE] == 2
+
+
+POOL_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+def test_graded_pool_bytes_are_pinned():
+    """Canonical bytes of the verifier on complexes 0-23 and of the
+    invariants on every module of the graded pool, against the sha256
+    digests recorded with it."""
+    pool = json.loads((POOL_DATA / "ha_pool.json").read_text())
+    want = json.loads((POOL_DATA / "reference.json").read_text())["ha-graded"]
+
+    def sha(obj):
+        return hashlib.sha256(canonical_dumps(obj).encode("utf-8")).hexdigest()
+
+    wrong = []
+    for index in range(24):
+        rep = verify_height_amplitude(complex_from_obj(pool["complexes"][index]))
+        if sha(rep.to_obj()) != want["complexes"][index]:
+            wrong.append(("complexes", index))
+    for index, obj in enumerate(pool["modules"]):
+        inv = module_invariants(graded_module_from_obj(obj))
+        if sha({k: (list(v) if isinstance(v, tuple) else v) for k, v in inv.items()}) != want["modules"][index]:
+            wrong.append(("modules", index))
+    assert not wrong

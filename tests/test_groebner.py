@@ -105,7 +105,7 @@ class TestIdealOperations:
 
     def test_standard_counts(self):
         basis = gb.ideal_gb([poly(2, {(1, 0): 1})], 3)
-        assert gb.standard_monomial_counts(basis, 1, 2, 3, 3) == (1, 1, 1, 1)
+        assert gb.standard_monomial_counts(basis, [0], 2, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
 
     def test_determinant(self):
         t1 = poly(2, {(1, 0): 1})
