@@ -11,6 +11,7 @@ along ring maps, and dualization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -336,6 +337,69 @@ def koszul_complex(
 
 
 @dataclass(frozen=True)
+class FiniteModuleData:
+    """(Z/p^m)^gens modulo the column span of ``relations``.
+
+    ``actions`` holds commuting matrices acting on the generators.  One
+    Howell form of the relation span answers every membership question:
+    by the Howell span property a vector lies in the span exactly when it
+    reduces to zero against that form.
+    """
+
+    p: int
+    m: int
+    gens: int
+    relations: np.ndarray  # gens x s, columns are relations
+    actions: tuple[np.ndarray, ...] = ()
+
+    @property
+    def modulus(self) -> int:
+        return self.p**self.m
+
+    @cached_property
+    def _relation_core(self) -> HowellCore | None:
+        if self.relations.size == 0:
+            return None
+        return HowellCore(self.relations.T % self.modulus, self.p, self.m, carry=False)
+
+    def contains(self, cols) -> bool:
+        """Whether every column of ``cols`` lies in the relation span."""
+        cols = np.asarray(cols, dtype=np.int64) % self.modulus
+        core = self._relation_core
+        if core is None:
+            return not cols.any()
+        return not any(core.reduce(col).any() for col in cols.reshape(len(cols), -1).T)
+
+    def matrices_equal(self, a: np.ndarray, b: np.ndarray) -> bool:
+        return self.contains(np.asarray(a) - np.asarray(b))
+
+    def divisors(self) -> tuple[int, ...]:
+        return elementary_divisors(self.relations, self.gens, self.p, self.m)
+
+    def cardinality(self) -> int:
+        out = 1
+        for d in self.divisors():
+            out *= int(d)
+        return out
+
+    def at_precision(self, m2: int) -> "FiniteModuleData":
+        N2 = self.p**m2
+        return FiniteModuleData(
+            self.p,
+            m2,
+            self.gens,
+            self.relations % N2,
+            tuple(a % N2 for a in self.actions),
+        )
+
+    def quotient_by_columns(self, extra_cols) -> "FiniteModuleData":
+        blocks = [self.relations] + [np.asarray(c, dtype=np.int64) for c in extra_cols]
+        blocks = [b for b in blocks if b.size]
+        rel = np.hstack(blocks) if blocks else np.zeros((self.gens, 0), dtype=np.int64)
+        return FiniteModuleData(self.p, self.m, self.gens, rel % self.modulus, self.actions)
+
+
+@dataclass(frozen=True)
 class FiniteModulePresentation:
     """A subquotient of a free module over a finite tower ring.
 
@@ -367,12 +431,13 @@ class FiniteModulePresentation:
     def is_zero(self) -> bool:
         return self.num_generators == 0
 
+    def module(self) -> FiniteModuleData:
+        """The underlying Z/p^m-module."""
+        return FiniteModuleData(self.spec.p, self.spec.m, self.num_generators, self.relations)
+
     def quotient_divisors(self, extra_action_cols) -> tuple[int, ...]:
         """Divisor profile after adding the given coordinate relations."""
-        blocks = [self.relations] + [np.asarray(c) for c in extra_action_cols]
-        blocks = [b for b in blocks if b.size]
-        rel = np.hstack(blocks) if blocks else np.zeros((self.num_generators, 0), dtype=np.int64)
-        return elementary_divisors(rel, self.num_generators, self.spec.p, self.spec.m)
+        return self.module().quotient_by_columns(extra_action_cols).divisors()
 
     def augmentation_divisors(self) -> tuple[int, ...]:
         """Profile of the quotient by the variable ideal (all T_i set to act as zero)."""

@@ -321,10 +321,6 @@ class HowellCore:
             return None
         return acc
 
-    def span_log_size(self) -> int:
-        """log_p of the cardinality of the row span."""
-        return sum(self.m - v for _, _, v in self.pivots)
-
 
 def elementary_divisors(rel: np.ndarray, ambient: int, p: int, m: int) -> tuple[int, ...]:
     """Divisor profile of (Z/p^m)^ambient modulo the column span of ``rel``.

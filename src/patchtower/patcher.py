@@ -16,11 +16,13 @@ match).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations, product
 
 import numpy as np
 
 from .complexes import (
+    FiniteModuleData,
     FiniteModulePresentation,
     FreeComplex,
     cohomology,
@@ -43,7 +45,7 @@ from .errors import (
     TauOutOfRange,
 )
 from .graded import verify_height_amplitude
-from .linalg import HowellCore, Matrix, elementary_divisors
+from .linalg import Matrix
 from .rings import (
     RingSpec,
     RingTowerElement,
@@ -152,11 +154,33 @@ class RInfinityModel:
         N2 = self.p**m2
         return {e: c % N2 for e, c in a.items() if c % N2}
 
-    def coords(self, a: RinfElem, index: dict[Exps, int]) -> np.ndarray:
-        v = np.zeros(len(index), dtype=np.int64)
-        for e, c in a.items():
-            v[index[e]] = c
+    @cached_property
+    def _index(self) -> dict[Exps, int]:
+        return {e: k for k, e in enumerate(self.basis())}
+
+    def vector(self, a: RinfElem) -> np.ndarray:
+        """Coordinates of ``a`` on the monomial basis."""
+        v = np.zeros(len(self._index), dtype=np.int64)
+        for e, c in self.normalize(a).items():
+            v[self._index[e]] = c
         return v
+
+    def quotient(self, ideal: list[RinfElem]) -> FiniteModuleData:
+        """The model modulo an ideal, as a Z/p^m-module on the monomial basis.
+
+        The ideal's Z/p^m-span is spanned by the monomial multiples of
+        its generators, which become the relation columns.
+        """
+        basis = self.basis()
+        cols = []
+        for gen in ideal:
+            gen = self.normalize(gen)
+            for mono in basis:
+                prod = self.mul(gen, {mono: 1})
+                if prod:
+                    cols.append(self.vector(prod))
+        rel = np.array(cols, dtype=np.int64).T if cols else np.zeros((len(basis), 0), dtype=np.int64)
+        return FiniteModuleData(self.p, self.m, len(basis), rel)
 
     def evaluate_at_matrices(self, a: RinfElem, mats: list[np.ndarray], size: int, modulus: int) -> np.ndarray:
         """Value of the polynomial on commuting matrices, mod ``modulus``."""
@@ -179,112 +203,6 @@ class RInfinityModel:
                     term = (term @ mat_pow(j, k)) % modulus
             out = (out + term) % modulus
         return out % modulus
-
-
-class TruncatedQuotient:
-    """The model modulo an ideal, with canonical representatives.
-
-    The ideal's underlying Z/p^m-span is closed under multiplication by
-    monomials, so a Howell form of that span reduces every element to a
-    canonical representative and counts the quotient.
-    """
-
-    def __init__(self, model: RInfinityModel, ideal_gens: list[RinfElem]):
-        self.model = model
-        self.basis = model.basis()
-        self.index = {e: k for k, e in enumerate(self.basis)}
-        rows = []
-        for gen in ideal_gens:
-            gen = model.normalize(gen)
-            if not gen:
-                continue
-            for mono in self.basis:
-                prod = model.mul(gen, {mono: 1})
-                if prod:
-                    rows.append(model.coords(prod, self.index))
-        arr = np.array(rows, dtype=np.int64) if rows else np.zeros((0, len(self.basis)), dtype=np.int64)
-        self.core = HowellCore(arr, model.p, model.m, carry=False) if arr.size else None
-
-    def reduce(self, a: RinfElem) -> RinfElem:
-        v = self.model.coords(self.model.normalize(a), self.index)
-        if self.core is not None:
-            v = self.core.reduce(v)
-        return {self.basis[k]: int(v[k]) for k in np.nonzero(v)[0]}
-
-    def is_zero(self, a: RinfElem) -> bool:
-        return not self.reduce(a)
-
-    def cardinality(self) -> int:
-        total = self.model.m * len(self.basis)
-        spanned = self.core.span_log_size() if self.core is not None else 0
-        return self.model.p ** (total - spanned)
-
-
-# ---------------------------------------------------------------------------
-# finite module data for the base and witness comparisons
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteModuleData:
-    """A finite Z/p^m-module with commuting action matrices on its generators."""
-
-    p: int
-    m: int
-    gens: int
-    relations: np.ndarray  # gens x s, columns are relations
-    actions: tuple[np.ndarray, ...] = ()
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.m
-
-    def divisors(self) -> tuple[int, ...]:
-        return elementary_divisors(self.relations, self.gens, self.p, self.m)
-
-    def cardinality(self) -> int:
-        out = 1
-        for d in self.divisors():
-            out *= int(d)
-        return out
-
-    def at_precision(self, m2: int) -> "FiniteModuleData":
-        N2 = self.p**m2
-        return FiniteModuleData(
-            self.p,
-            m2,
-            self.gens,
-            self.relations % N2,
-            tuple(a % N2 for a in self.actions),
-        )
-
-    def relation_core(self) -> HowellCore | None:
-        if self.relations.size == 0:
-            return None
-        return HowellCore(self.relations.T % self.modulus, self.p, self.m, carry=False)
-
-    def column_in_relations(self, col: np.ndarray, core: HowellCore | None = None) -> bool:
-        core = core or self.relation_core()
-        if core is None:
-            return not (np.asarray(col) % self.modulus).any()
-        return not core.reduce(np.asarray(col) % self.modulus).any()
-
-    def matrices_equal(self, a: np.ndarray, b: np.ndarray) -> bool:
-        core = self.relation_core()
-        diff = (np.asarray(a) - np.asarray(b)) % self.modulus
-        return all(self.column_in_relations(diff[:, l], core) for l in range(diff.shape[1]))
-
-    def quotient_by_columns(self, extra_cols: list[np.ndarray]) -> "FiniteModuleData":
-        blocks = [self.relations] + [np.asarray(c, dtype=np.int64) for c in extra_cols]
-        blocks = [b for b in blocks if b.size]
-        rel = np.hstack(blocks) if blocks else np.zeros((self.gens, 0), dtype=np.int64)
-        return FiniteModuleData(self.p, self.m, self.gens, rel % self.modulus, self.actions)
-
-
-def presentation_to_data(pres: FiniteModulePresentation, actions: tuple[np.ndarray, ...] = ()) -> FiniteModuleData:
-    return FiniteModuleData(
-        pres.spec.p, pres.spec.m, pres.num_generators, pres.relations, actions
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +328,7 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
 
     model = tower.model()
     g = tower.g
-    quotient = TruncatedQuotient(model, tower.base.ideal)
+    quotient = model.quotient(tower.base.ideal)
 
     for lev in tower.levels:
         mods = _level_cohomology(lev)
@@ -427,26 +345,16 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
             if any(x.shape != (size, size) for x in xs):
                 bad_action = f"level {lev.level} degree {dd}: action matrix shape mismatch"
                 break
-            data = presentation_to_data(pres)
-            core = data.relation_core()
-            ok = True
-            for x in xs:
-                prod = (x @ pres.relations) % data.modulus if pres.relations.size else np.zeros((size, 0))
-                for l in range(prod.shape[1]):
-                    if not data.column_in_relations(prod[:, l], core):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            data = pres.module()
+            if not all(data.contains(x @ pres.relations) for x in xs):
                 bad_action = f"level {lev.level} degree {dd}: action does not preserve relations"
                 break
             pairs_ok = all(
-                data.matrices_equal((xa @ xb) % data.modulus, (xb @ xa) % data.modulus)
+                data.matrices_equal(xa @ xb, xb @ xa)
                 for i, xa in enumerate(xs)
                 for xb in xs[i + 1 :]
             ) and all(
-                data.matrices_equal((xa @ tb) % data.modulus, (tb @ xa) % data.modulus)
+                data.matrices_equal(xa @ tb, tb @ xa)
                 for xa in xs
                 for tb in pres.actions
             )
@@ -472,7 +380,7 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
         killed = True
         for j in range(tower.q):
             img = _apply_phi(model, lev.phi_images, lev.i_images[j])
-            if not quotient.is_zero(img):
+            if not quotient.contains(model.vector(img)):
                 fail(
                     lev.level,
                     "ii",
@@ -509,31 +417,25 @@ def _check_base_witness(tower: PatchingTower, lev: TowerLevel, mods) -> str | No
     if pres is None:
         return f"level {lev.level} has no top-degree term"
     size = pres.num_generators
-    g = tower.g
-    xs = [np.asarray(x, dtype=np.int64) for x in (lev.x_actions.get(d) or [])]
+    if size:
+        xs = [np.asarray(x, dtype=np.int64) for x in (lev.x_actions.get(d) or [])]
+    else:
+        # the action matrices of a zero module are 0 x 0, given or not
+        xs = [np.zeros((0, 0), dtype=np.int64)] * tower.g
     n_mod = tower.p**lev.precision
 
-    # top cohomology modulo the variable ideal, with its x-actions
-    aug_cols = [np.asarray(a, dtype=np.int64) for a in pres.actions]
-    quot = presentation_to_data(pres, tuple(xs)).quotient_by_columns(aug_cols)
+    # top cohomology modulo the variable ideal
+    quot = pres.module().quotient_by_columns(pres.actions)
     target = tower.base.module.at_precision(lev.precision)
 
     w = np.asarray(lev.base_iso, dtype=np.int64) % n_mod
     if w.shape != (target.gens, size):
         return f"level {lev.level}: witness matrix has shape {w.shape}, expected {(target.gens, size)}"
-    tcore = target.relation_core()
     # well-defined: witness kills the source relations
-    if quot.relations.size:
-        mapped = (w @ quot.relations) % n_mod
-        for l in range(mapped.shape[1]):
-            if not target.column_in_relations(mapped[:, l], tcore):
-                return f"level {lev.level}: witness does not kill a source relation"
+    if not target.contains(w @ quot.relations):
+        return f"level {lev.level}: witness does not kill a source relation"
     # surjective and bijective at this precision
-    span_rows = [target.relations.T] if target.relations.size else []
-    span_rows.append(w.T)
-    stacked = np.vstack(span_rows) if span_rows else np.zeros((0, target.gens), dtype=np.int64)
-    core = HowellCore(stacked, tower.p, lev.precision, carry=False)
-    if core.span_log_size() != lev.precision * target.gens:
+    if target.quotient_by_columns([w]).cardinality() != 1:
         return f"level {lev.level}: witness is not surjective onto the base module"
     if quot.cardinality() != target.cardinality():
         return (
@@ -541,13 +443,9 @@ def _check_base_witness(tower: PatchingTower, lev: TowerLevel, mods) -> str | No
             f"base has {target.cardinality()}"
         )
     # equivariance for the power-series variables
-    for j in range(g):
-        left = (w @ xs[j]) % n_mod if xs else None
-        right = (target.actions[j] @ w) % n_mod
-        diff = (left - right) % n_mod
-        for l in range(diff.shape[1]):
-            if not target.column_in_relations(diff[:, l], tcore):
-                return f"level {lev.level}: witness is not equivariant for x_{j+1}"
+    for j in range(tower.g):
+        if not target.matrices_equal(w @ xs[j], target.actions[j] @ w):
+            return f"level {lev.level}: witness is not equivariant for x_{j+1}"
     return None
 
 
@@ -865,7 +763,7 @@ def certify(tower: PatchingTower, limit: PatchLimit) -> FreenessCertificate:
     coeff_cx = tensor_along(limit.complex, augmentation_map(limit.complex.spec, precision))
     top_pres = cohomology(coeff_cx, d)
     model = tower.model(precision)
-    quotient = TruncatedQuotient(model, tower.base.ideal)
+    quotient = model.quotient(tower.base.ideal)
     base_div = base.divisors()
     got_div = top_pres.divisors
     checks["base_iso"] = got_div == base_div and top_pres.cardinality == quotient.cardinality() ** rank
@@ -874,21 +772,14 @@ def certify(tower: PatchingTower, limit: PatchLimit) -> FreenessCertificate:
             f"limit base fiber has divisors {got_div}, base module has {base_div}"
         )
 
-    ideal_quot = TruncatedQuotient(model, [dict(x) for x in limit.i_images])
-    contained = all(quotient.is_zero(img) for img in limit.i_images)
-    kills = True
-    if base.gens:
-        bcore = base.relation_core()
-        for img in limit.i_images:
-            acted = model.evaluate_at_matrices(
-                img, [np.asarray(a) for a in base.actions], base.gens, base.modulus
-            )
-            for l in range(base.gens):
-                if not base.column_in_relations(acted[:, l], bcore):
-                    kills = False
-                    break
-            if not kills:
-                break
+    ideal_quot = model.quotient(limit.i_images)
+    contained = all(quotient.contains(model.vector(img)) for img in limit.i_images)
+    kills = not base.gens or all(
+        base.contains(
+            model.evaluate_at_matrices(img, [np.asarray(a) for a in base.actions], base.gens, base.modulus)
+        )
+        for img in limit.i_images
+    )
     checks["surjection_iso"] = (
         contained and kills and ideal_quot.cardinality() == quotient.cardinality()
     )

@@ -16,17 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FreeComplex, cohomology, direct_sum, koszul_complex, make_complex
+from .complexes import (
+    FiniteModuleData,
+    FreeComplex,
+    cohomology,
+    direct_sum,
+    koszul_complex,
+    make_complex,
+)
 from .errors import InvalidParams
 from .linalg import Matrix, smith_quotient
-from .patcher import (
-    FiniteModuleData,
-    PatchingTower,
-    RinfElem,
-    TowerBase,
-    TowerLevel,
-    presentation_to_data,
-)
+from .patcher import PatchingTower, RinfElem, TowerBase, TowerLevel
 from .rings import RingTowerElement, make_patch_ring
 
 PERTURBATIONS = (
@@ -58,15 +58,13 @@ class ScenarioParams:
     seed: int = 0
     rank: int = 1
     rinf_degree: int = 2
-    f_template: str = "koszul"
-    i_template: str = "standard"
 
     def resolved(self) -> "ScenarioParams":
         d = self.q if self.d is None else self.d
         precisions = self.precisions or tuple(min(n, 2) for n in range(1, 4))
         return ScenarioParams(
             self.p, self.q, self.r, d, tuple(precisions), self.seed,
-            self.rank, self.rinf_degree, self.f_template, self.i_template,
+            self.rank, self.rinf_degree,
         )
 
     def validate(self) -> None:
@@ -80,10 +78,6 @@ class ScenarioParams:
             raise InvalidParams("precisions must be >= 1")
         if self.rank < 1:
             raise InvalidParams("rank must be >= 1")
-        if self.f_template != "koszul":
-            raise InvalidParams(f"unknown limit template {self.f_template!r}")
-        if self.i_template != "standard":
-            raise InvalidParams(f"unknown structure-map template {self.i_template!r}")
 
 
 def _limit_complex(params: ScenarioParams, level: int, precision: int) -> FreeComplex:
@@ -167,9 +161,7 @@ def gen_scenario(params: ScenarioParams, perturbation: str | None = None):
     rank_seen = None
     for n, (m_n, cx) in enumerate(zip(params.precisions, complexes), start=1):
         x_actions, top_pres = _level_data(params, cx)
-        quot = presentation_to_data(top_pres).quotient_by_columns(
-            [np.asarray(a) for a in top_pres.actions]
-        )
+        quot = top_pres.module().quotient_by_columns(top_pres.actions)
         qs = smith_quotient(quot.relations, quot.gens, p, m_n)
         if any(e != m_n for e in qs.exponents):
             raise AssertionError("generated base fiber is not free at level precision")

@@ -11,17 +11,15 @@ import json
 
 import numpy as np
 
-from .complexes import FreeComplex
+from .complexes import FiniteModuleData, FreeComplex
 from .errors import InvalidInput
 from .linalg import Matrix
-from .patcher import (
-    FiniteModuleData,
-    FreenessCertificate,
-    PatchingTower,
-    TowerBase,
-    TowerLevel,
-)
+from .patcher import FreenessCertificate, PatchingTower, TowerBase, TowerLevel
 from .rings import KINDS, RingSpec, RingTowerElement, coefficient_ring, graded_ring, make_patch_ring
+
+# what a loader raises on a file of the wrong shape or types; each
+# loader maps these to InvalidInput
+MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError)
 
 
 def canonical_dumps(obj) -> str:
@@ -94,6 +92,15 @@ def complex_to_obj(c: FreeComplex) -> dict:
 
 def complex_from_obj(obj) -> FreeComplex:
     try:
+        return _complex_from_obj(obj)
+    except MALFORMED as exc:
+        raise InvalidInput(f"malformed complex: {exc}") from exc
+
+
+def _complex_from_obj(obj) -> FreeComplex:
+    # tower_from_obj calls this body directly, so a failure past the
+    # header of a level's complex reads as a malformed tower file
+    try:
         spec = spec_from_obj(obj["ring"])
         lo = int(obj["lo"])
         ranks = [int(r) for r in obj["ranks"]]
@@ -126,13 +133,12 @@ def graded_module_from_obj(obj):
     try:
         spec = spec_from_obj(obj["ring"])
         gens = int(obj["gens"])
-        rel = obj["relations"]
-    except (KeyError, TypeError, ValueError) as exc:
+        relations = matrix_from_obj(spec, obj["relations"], rows=gens)
+        if relations.rows == 0 and gens:
+            relations = Matrix.zero(spec, gens, 0)
+        return GradedModule(spec, gens, relations)
+    except MALFORMED as exc:
         raise InvalidInput(f"malformed module file: {exc}") from exc
-    relations = matrix_from_obj(spec, rel, rows=gens)
-    if relations.rows == 0 and gens:
-        relations = Matrix.zero(spec, gens, 0)
-    return GradedModule(spec, gens, relations)
 
 
 # -- truncated power-series elements ----------------------------------------
@@ -235,7 +241,7 @@ def tower_from_obj(obj) -> PatchingTower:
                 raise InvalidInput(f"level {level} needs {q} structure images")
             if len(phi_images) != g:
                 raise InvalidInput(f"level {level} needs {g} quotient images")
-            cx = complex_from_obj(raw["complex"])
+            cx = _complex_from_obj(raw["complex"])
             got, want = (cx.spec.p, cx.spec.q, cx.spec.m, cx.spec.n), (p, q, precision, level)
             if got != want:
                 raise InvalidInput(f"level {level} ring has (p, q, m, n) = {got}, expected {want}")
@@ -261,7 +267,7 @@ def tower_from_obj(obj) -> PatchingTower:
             base=base,
             levels=levels,
         )
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
+    except MALFORMED as exc:
         raise InvalidInput(f"malformed tower file: {exc}") from exc
 
 

@@ -55,6 +55,43 @@ class TestVerifyHA:
         assert json.loads(out)["error"] == "NotMinimalInput"
 
 
+GRADED_RING = {"p": 3, "m": 1, "n": 0, "q": 1, "kind": "graded"}
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        pytest.param(
+            "verify-ha",
+            {"ring": GRADED_RING, "lo": 0, "ranks": [1, 1], "differentials": 5},
+            id="differentials-not-a-list",
+        ),
+        pytest.param(
+            "verify-ha",
+            {"ring": GRADED_RING, "lo": 0, "ranks": [1, 1], "differentials": [[5]]},
+            id="verify-ha-row-not-a-list",
+        ),
+        pytest.param(
+            "minimize",
+            {"ring": GRADED_RING, "lo": 0, "ranks": [1, 1], "differentials": [[5]]},
+            id="minimize-row-not-a-list",
+        ),
+        pytest.param(
+            "invariants",
+            {"ring": GRADED_RING, "gens": 1, "relations": [5]},
+            id="relation-row-not-a-list",
+        ),
+    ],
+)
+def test_malformed_file_is_invalid_input(capsys, tmp_path, command, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, [command, str(path), "--format", "json"])
+    assert code == 2
+    assert json.loads(out)["error"] == "InvalidInput"
+    assert "Traceback" not in out
+
+
 class TestInvariantsAndMinimize:
     def test_invariants_record(self, capsys, tmp_path):
         spec = graded_ring(3, 2)
@@ -184,3 +221,22 @@ def test_padded_tower_round_trip_bytes_are_pinned(capsys, tmp_path):
 def test_wide_tower_round_trip_bytes_are_pinned(capsys, tmp_path):
     argv = ["--p", "3", "--q", "2", "--r", "0", "--precisions", "1", "2", "--seed", "0"]
     assert round_trip_digests(capsys, tmp_path, argv) == WIDE_SEED0_SHA256
+
+
+@pytest.mark.parametrize(
+    "relations, code, sha256",
+    [
+        # the top cohomology modulo the variables has 9 elements, the base 3
+        ([[3]], 1, "e02f00a5a889a94bf439915afe78bb4eba6dd313fa8dabaef9f1a549752b30b0"),
+        ([[0]], 0, "366c35a26770d83fbe51a91ec4b07cf6cf09f4584c6614cca9f21f4a1a53369c"),
+    ],
+)
+def test_base_module_with_relations(capsys, tmp_path, relations, code, sha256):
+    argv = ["gen", "--p", "3", "--q", "1", "--r", "1", "--precisions", "1", "2", "2", "--seed", "5"]
+    run(capsys, [*argv, "--out-dir", str(tmp_path)])
+    obj = json.loads((tmp_path / "tower.json").read_text())
+    obj["base"]["module"]["relations"] = relations
+    path = tmp_path / "edited.json"
+    path.write_text(serialize.canonical_dumps(obj))
+    got, out = run(capsys, ["patch", str(path), "--format", "json"])
+    assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, sha256)

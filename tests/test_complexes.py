@@ -1,3 +1,4 @@
+import itertools
 import random
 from unittest import mock
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from patchtower import complexes
 from patchtower.complexes import (
+    FiniteModuleData,
     cohomology,
     direct_sum,
     dual,
@@ -231,6 +233,62 @@ class TestNakayamaChoice:
         ek2[1, 2] = p ** (m - 2)
         with pytest.raises(AssertionError):
             complexes._nakayama_choice(ek2, p, m)
+
+
+def brute_force_span(rel: np.ndarray, N: int) -> set[tuple[int, ...]]:
+    """Every Z/N-combination of the columns of ``rel``."""
+    gens, s = rel.shape
+    return {
+        tuple(int(x) for x in (rel @ np.array(c, dtype=np.int64)) % N) if s else (0,) * gens
+        for c in itertools.product(range(N), repeat=s)
+    }
+
+
+@st.composite
+def modules_with_queries(draw):
+    """A module with zero and duplicate relation columns, and query columns
+    that are span elements or arbitrary vectors."""
+    p = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 2))
+    N = p**m
+    gens = draw(st.integers(0, 3))
+    s = draw(st.integers(0, 3))
+
+    def matrix(cols):
+        flat = draw(st.lists(st.integers(0, N - 1), min_size=gens * cols, max_size=gens * cols))
+        return np.array(flat, dtype=np.int64).reshape(gens, cols)
+
+    rel = matrix(s)
+    for l in range(s):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "copy", "scale"]))
+        if kind == "zero":
+            rel[:, l] = 0
+        elif kind == "copy" and l:
+            rel[:, l] = rel[:, draw(st.integers(0, l - 1))]
+        elif kind == "scale":
+            rel[:, l] = (rel[:, l] * p) % N
+    k = draw(st.integers(0, 3))
+    queries = matrix(k)
+    for l in range(k):
+        if s and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(0, N - 1), min_size=s, max_size=s))
+            queries[:, l] = (rel @ np.array(coeffs, dtype=np.int64)) % N
+    return FiniteModuleData(p, m, gens, rel), queries, matrix(k)
+
+
+class TestFiniteModuleData:
+    @given(modules_with_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_span_questions_match_enumeration(self, case):
+        module, queries, other = case
+        N = module.modulus
+        span = brute_force_span(module.relations, N)
+        inside = [tuple(int(x) for x in col) in span for col in queries.T]
+        assert module.contains(queries) == all(inside)
+        for l, col in enumerate(queries.T):
+            assert module.contains(col) == inside[l]
+        assert module.matrices_equal((other + queries) % N, other) == all(inside)
+        assert module.cardinality() * len(span) == N**module.gens
 
 
 class TestBaseChangeAndDual:

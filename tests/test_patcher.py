@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from patchtower.cli import main
 from patchtower.complexes import cohomology, minimize
 from patchtower.errors import (
     ActionMismatch,
@@ -16,11 +21,9 @@ from patchtower.linalg import Matrix, smith_quotient
 from patchtower.patcher import (
     PatchLimit,
     RInfinityModel,
-    TruncatedQuotient,
     _transform_complex,
     certify,
     patch,
-    presentation_to_data,
     validate_hypotheses,
 )
 from patchtower.rings import RingTowerElement, make_patch_ring
@@ -31,6 +34,7 @@ from patchtower.scenarios import (
     _level_data,
     gen_scenario,
 )
+from util import TruncatedQuotient
 
 FAST = ScenarioParams(p=3, q=1, r=1, precisions=(1, 2, 2), seed=5)
 
@@ -50,10 +54,74 @@ class TestRInfinityModel:
 
     def test_quotient_cardinalities(self):
         model = RInfinityModel(p=3, m=2, g=1, degree=2)
-        assert TruncatedQuotient(model, []).cardinality() == 9**3
-        assert TruncatedQuotient(model, [model.variable(0)]).cardinality() == 9
+        assert model.quotient([]).cardinality() == 9**3
+        assert model.quotient([model.variable(0)]).cardinality() == 9
         three = {(0,): 3}
-        assert TruncatedQuotient(model, [three]).cardinality() == 3**3
+        assert model.quotient([three]).cardinality() == 3**3
+
+
+@st.composite
+def models_with_ideals(draw):
+    """A small truncated model, an ideal of up to two elements and a query."""
+    p = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 2))
+    g = draw(st.integers(1, 2))
+    model = RInfinityModel(p=p, m=m, g=g, degree=draw(st.integers(1, 2)))
+    basis = model.basis()
+
+    def element():
+        coeffs = draw(st.lists(st.integers(0, p**m - 1), min_size=len(basis), max_size=len(basis)))
+        return {e: c for e, c in zip(basis, coeffs) if c and draw(st.booleans())}
+
+    ideal = [element() for _ in range(draw(st.integers(0, 2)))]
+    return model, ideal, element()
+
+
+class TestModelQuotient:
+    @given(models_with_ideals())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_quotient(self, case):
+        model, ideal, x = case
+        quotient = model.quotient(ideal)
+        reference = TruncatedQuotient(model, ideal)
+        assert quotient.cardinality() == reference.cardinality()
+        assert quotient.contains(model.vector(x)) == reference.is_zero(x)
+        for gen in ideal:
+            assert quotient.contains(model.vector(model.mul(gen, x)))
+
+
+# a tower whose top cohomology is zero at every level, with a zero base
+# module and no x-actions: it validates, and certification refuses it
+ZERO_TOP_TOWER = {
+    "params": {"p": 3, "q": 1, "r": 0, "d": 1, "precisions": [1, 2], "rinf_degree": 2, "base_precision": 2},
+    "base": {"ring_ideal": [[[[1], 1]]], "module": {"gens": 0, "relations": [], "x_actions": [[]]}},
+    "levels": [
+        {
+            "level": n,
+            "precision": n,
+            "complex": {
+                "ring": {"p": 3, "m": n, "n": n, "q": 1, "kind": "patch"},
+                "lo": 0,
+                "ranks": [1, 1],
+                "differentials": [[[[[[0], 1]]]]],
+            },
+            "i_images": [[[[1], 1]]],
+            "phi_images": [[]],
+            "x_actions": {},
+            "base_iso": [],
+        }
+        for n in (1, 2)
+    ],
+}
+
+
+def test_zero_top_tower_is_refused_by_certification(capsys, tmp_path):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(ZERO_TOP_TOWER))
+    assert main(["patch", str(path), "--format", "json"]) == 1
+    assert capsys.readouterr().out == (
+        '{"detail":"limit rank profile {} is not concentrated in [1,1]","error":"ConcentrationFailed"}\n'
+    )
 
 
 class TestGroundTruthPipeline:
@@ -145,9 +213,7 @@ def _refresh_level(tower, idx, params, new_complex):
     lev.complex = new_complex
     x_actions, top_pres = _level_data(params, new_complex)
     lev.x_actions = x_actions
-    quot = presentation_to_data(top_pres).quotient_by_columns(
-        [np.asarray(a) for a in top_pres.actions]
-    )
+    quot = top_pres.module().quotient_by_columns(top_pres.actions)
     qs = smith_quotient(quot.relations, quot.gens, tower.p, lev.precision)
     lev.base_iso = qs.projection % (tower.p**lev.precision)
 

@@ -265,3 +265,50 @@ SMALL_PATCH_SPECS = [
     make_patch_ring(2, 1, 1, 2),  # 16 elements
     make_patch_ring(2, 1, 2, 1),  # 16 elements
 ]
+
+
+class TruncatedQuotient:
+    """Reference: the power-series model modulo an ideal, with canonical
+    representatives, as the patcher computed it before
+    ``RInfinityModel.quotient`` (coordinates and span size written inline).
+
+    The ideal's underlying Z/p^m-span is closed under multiplication by
+    monomials, so a Howell form of that span reduces every element to a
+    canonical representative and counts the quotient.
+    """
+
+    def __init__(self, model, ideal_gens):
+        self.model = model
+        self.basis = model.basis()
+        self.index = {e: k for k, e in enumerate(self.basis)}
+        rows = []
+        for gen in ideal_gens:
+            gen = model.normalize(gen)
+            if not gen:
+                continue
+            for mono in self.basis:
+                prod = model.mul(gen, {mono: 1})
+                if prod:
+                    rows.append(self._coords(prod))
+        arr = np.array(rows, dtype=np.int64) if rows else np.zeros((0, len(self.basis)), dtype=np.int64)
+        self.core = HowellCore(arr, model.p, model.m, carry=False) if arr.size else None
+
+    def _coords(self, a) -> np.ndarray:
+        v = np.zeros(len(self.index), dtype=np.int64)
+        for e, c in a.items():
+            v[self.index[e]] = c
+        return v
+
+    def reduce(self, a):
+        v = self._coords(self.model.normalize(a))
+        if self.core is not None:
+            v = self.core.reduce(v)
+        return {self.basis[k]: int(v[k]) for k in np.nonzero(v)[0]}
+
+    def is_zero(self, a) -> bool:
+        return not self.reduce(a)
+
+    def cardinality(self) -> int:
+        total = self.model.m * len(self.basis)
+        spanned = sum(self.model.m - v for _, _, v in self.core.pivots) if self.core is not None else 0
+        return self.model.p ** (total - spanned)
