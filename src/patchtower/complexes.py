@@ -27,6 +27,7 @@ from .linalg import (
     _echelon,
     elementary_divisors,
     expand_scalars,
+    matmul_mod,
     multiplication_matrix,
     smith_quotient,
     smith_transforms,
@@ -547,9 +548,7 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModulePresentation]:
             proj = qs.projection
 
         def embed(cols: np.ndarray) -> np.ndarray:
-            if cols.size == 0:
-                return np.zeros((len(exponents), cols.shape[1] if cols.ndim == 2 else 0), dtype=np.int64)
-            w = cols % N if proj is None else (proj @ cols) % N
+            w = cols % N if proj is None else matmul_mod(proj, cols, N)
             return (w * scales[:, None]) % N
 
         ek = embed(kernel)
@@ -558,7 +557,7 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModulePresentation]:
             # residue coordinates modulo p * span(kernel) as well, so that
             # every column of ek2 is killed by p (Nakayama)
             qs2 = smith_quotient(base, len(exponents), p, m)
-            ek2 = (qs2.projection @ ek) % N
+            ek2 = matmul_mod(qs2.projection, ek, N)
             for i, e in enumerate(qs2.exponents):
                 ek2[i] = (ek2[i] * p ** (m - e)) % N
         else:
@@ -583,20 +582,31 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModulePresentation]:
                 multiplication_matrix(RingTowerElement.variable(spec, j))
                 for j in range(spec.q)
             ]
-        actions = []
-        for j in range(spec.q):
-            if not g:
-                actions.append(np.zeros((0, 0), dtype=np.int64))
-                continue
-            big = np.kron(np.eye(rk, dtype=np.int64), mult_cache[j])
-            targets = embed((big @ gens) % N)
-            cols = []
-            for l in range(g):
-                x = solver.solve(targets[:, l])
-                if x is None:
-                    raise AssertionError("variable action left the cohomology span")
-                cols.append(x[:g])
-            actions.append(np.array(cols, dtype=np.int64).T % N)
+        actions = _variable_actions(mult_cache, gens, rk, embed, solver, N)
 
-        out[degree] = FiniteModulePresentation(spec, rk, gens, relations, divisors, tuple(actions))
+        out[degree] = FiniteModulePresentation(spec, rk, gens, relations, divisors, actions)
     return out
+
+
+def _variable_actions(mults, gens: np.ndarray, rk: int, embed, solver, N: int) -> tuple[np.ndarray, ...]:
+    """Matrix of each variable on the cohomology generators ``gens``.
+
+    ``mults[j]`` multiplies by variable j on one block of rho monomial
+    coordinates, and the ambient free module is rk such blocks: one
+    product moves every block, ``embed`` takes the images to quotient
+    coordinates, and one solve against ``solver`` (the embedded
+    generators, one per row) writes all g images in the generators.
+    """
+    amb, g = gens.shape
+    if not g:
+        return tuple(np.zeros((0, 0), dtype=np.int64) for _ in mults)
+    rho = amb // rk
+    blocks = gens.reshape(rk, rho, g).transpose(1, 0, 2).reshape(rho, rk * g)
+    actions = []
+    for mult in mults:
+        moved = matmul_mod(mult, blocks, N).reshape(rho, rk, g).transpose(1, 0, 2)
+        x = solver.solve(embed(moved.reshape(amb, g)).T)
+        if x is None:
+            raise AssertionError("variable action left the cohomology span")
+        actions.append(x.T)
+    return tuple(actions)

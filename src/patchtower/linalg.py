@@ -11,7 +11,10 @@ Two layers:
   basis).
 
 Everything is integer arithmetic; numpy only supplies array storage and
-vectorised modular row operations.
+vectorised modular row operations.  Every matrix product over Z/p^m
+outside the elimination loops goes through ``matmul_mod``, which picks
+one of two exact paths by the largest partial sum the product can
+reach: float32 BLAS below 2^24, Python integers past it.
 """
 
 from __future__ import annotations
@@ -154,6 +157,35 @@ def _modulus(p: int, m: int) -> int:
     if (N - 1) ** 2 >= 2**63:
         raise InvalidParameter(f"modulus {p}^{m} is too large for int64 elimination")
     return N
+
+
+# float32 holds every integer below 2^24, so a product whose partial
+# sums stay below it is exact in float32 BLAS
+_FLOAT32_EXACT = 2**24
+
+
+def _residues(x, N: int) -> np.ndarray:
+    """x as int64 entries in [0, N); most inputs already are, and a
+    range check costs far less than int64 ``%``."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.size and (x.min() < 0 or x.max() >= N):
+        return x % N
+    return x
+
+
+def matmul_mod(a, b, N: int) -> np.ndarray:
+    """``a @ b`` mod N as int64, exact for every int64 input.
+
+    Both factors are reduced into [0, N) first, so every partial sum of
+    the product is an integer at most width * (N - 1)^2, where width is
+    the inner dimension.  The product runs in float32 BLAS while that
+    bound stays below 2^24, and in Python integers past it.
+    """
+    a = _residues(a, N)
+    b = _residues(b, N)
+    if a.shape[-1] * (N - 1) ** 2 < _FLOAT32_EXACT:
+        return (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int64) % N
+    return ((a.astype(object) @ b.astype(object)) % N).astype(np.int64)
 
 
 def _valuations(col: np.ndarray, p: int, m: int) -> np.ndarray:
@@ -303,23 +335,31 @@ class HowellCore:
         return _reduce_row(np.asarray(vec, dtype=np.int64), self.work[:, : self.active], self.pivots, self.p, self.m)
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
-        """Some x with x A = b, or None."""
+        """Some x with x A = b, or None.
+
+        A 2-d ``b`` holds one right-hand side per row and gets one
+        solution per row, or None when any row has none.  Each pivot
+        touches only the rows with a nonzero entry in its column; the
+        coefficients collected there combine the transform rows in one
+        product.
+        """
         N = self.N
-        vec = np.asarray(b, dtype=np.int64) % N
-        acc = np.zeros(self.work.shape[1] - self.active, dtype=np.int64)
+        rhs = np.atleast_2d(np.asarray(b, dtype=np.int64) % N)
+        coef = np.zeros((rhs.shape[0], len(self.pivots)), dtype=np.int64)
         for r, j, v in self.pivots:
-            e = int(vec[j])
-            if e == 0:
+            rows = np.flatnonzero(rhs[:, j])
+            if rows.size == 0:
                 continue
             pv = self.p**v
-            if e % pv:
+            e = rhs[rows, j]
+            if (e % pv).any():
                 return None
-            t = e // pv
-            vec = (vec - t * self.work[r, : self.active]) % N
-            acc = (acc + t * self.work[r, self.active :]) % N
-        if vec.any():
+            coef[rows, r] = e // pv
+            rhs[rows] = (rhs[rows] - np.outer(coef[rows, r], self.work[r, : self.active])) % N
+        if rhs.any():
             return None
-        return acc
+        x = matmul_mod(coef, self.work[: len(self.pivots), self.active :], N)
+        return x if np.ndim(b) == 2 else x[0]
 
 
 def elementary_divisors(rel: np.ndarray, ambient: int, p: int, m: int) -> tuple[int, ...]:
@@ -355,7 +395,7 @@ class QuotientStructure:
         N = self.p**self.m
         if self.summands == 0:
             return np.zeros(0, dtype=np.int64)
-        out = (self.projection @ (np.asarray(x, dtype=np.int64) % N)) % N
+        out = matmul_mod(self.projection, x, N)
         for i, e in enumerate(self.exponents):
             out[i] %= self.p**e
         return out

@@ -45,7 +45,7 @@ from .errors import (
     TauOutOfRange,
 )
 from .graded import verify_height_amplitude
-from .linalg import Matrix
+from .linalg import Matrix, matmul_mod
 from .rings import (
     RingSpec,
     RingTowerElement,
@@ -193,16 +193,16 @@ class RInfinityModel:
                 return eye
             cache = powers[j]
             if k not in cache:
-                cache[k] = (mat_pow(j, k - 1) @ mats[j]) % modulus
+                cache[k] = matmul_mod(mat_pow(j, k - 1), mats[j], modulus)
             return cache[k]
 
         for e, c in a.items():
             term = (c % modulus) * eye
             for j, k in enumerate(e):
                 if k:
-                    term = (term @ mat_pow(j, k)) % modulus
+                    term = matmul_mod(term, mat_pow(j, k), modulus)
             out = (out + term) % modulus
-        return out % modulus
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +346,16 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
                 bad_action = f"level {lev.level} degree {dd}: action matrix shape mismatch"
                 break
             data = pres.module()
-            if not all(data.contains(x @ pres.relations) for x in xs):
+            N = data.modulus
+            if not all(data.contains(matmul_mod(x, pres.relations, N)) for x in xs):
                 bad_action = f"level {lev.level} degree {dd}: action does not preserve relations"
                 break
             pairs_ok = all(
-                data.matrices_equal(xa @ xb, xb @ xa)
+                data.matrices_equal(matmul_mod(xa, xb, N), matmul_mod(xb, xa, N))
                 for i, xa in enumerate(xs)
                 for xb in xs[i + 1 :]
             ) and all(
-                data.matrices_equal(xa @ tb, tb @ xa)
+                data.matrices_equal(matmul_mod(xa, tb, N), matmul_mod(tb, xa, N))
                 for xa in xs
                 for tb in pres.actions
             )
@@ -432,7 +433,7 @@ def _check_base_witness(tower: PatchingTower, lev: TowerLevel, mods) -> str | No
     if w.shape != (target.gens, size):
         return f"level {lev.level}: witness matrix has shape {w.shape}, expected {(target.gens, size)}"
     # well-defined: witness kills the source relations
-    if not target.contains(w @ quot.relations):
+    if not target.contains(matmul_mod(w, quot.relations, n_mod)):
         return f"level {lev.level}: witness does not kill a source relation"
     # surjective and bijective at this precision
     if target.quotient_by_columns([w]).cardinality() != 1:
@@ -444,7 +445,9 @@ def _check_base_witness(tower: PatchingTower, lev: TowerLevel, mods) -> str | No
         )
     # equivariance for the power-series variables
     for j in range(tower.g):
-        if not target.matrices_equal(w @ xs[j], target.actions[j] @ w):
+        if not target.matrices_equal(
+            matmul_mod(w, xs[j], n_mod), matmul_mod(target.actions[j], w, n_mod)
+        ):
             return f"level {lev.level}: witness is not equivariant for x_{j+1}"
     return None
 

@@ -228,6 +228,10 @@ def tower_from_obj(obj) -> PatchingTower:
         )
         if len(module.actions) != g:
             raise InvalidInput(f"base module needs {g} action matrices")
+        if module.relations.shape[0] != gens:
+            raise InvalidInput(f"base module relations need {gens} rows")
+        if any(a.shape != (gens, gens) for a in module.actions):
+            raise InvalidInput(f"base module action matrices must be {gens}x{gens}")
         base = TowerBase(
             ideal=[rinf_from_obj(x) for x in base_obj["ring_ideal"]],
             module=module,

@@ -171,6 +171,12 @@ class TestGenPatch:
                 id="x-actions-as-list",
             ),
             pytest.param(lambda o: o["levels"][1]["base_iso"][0].__setitem__(0, 10**30), id="huge-integer"),
+            pytest.param(
+                lambda o: o["base"]["module"].update(relations=[[3], [3]]), id="base-relations-too-many-rows"
+            ),
+            pytest.param(
+                lambda o: o["base"]["module"].update(x_actions=[[[1, 2], [3, 4]]]), id="base-action-wrong-shape"
+            ),
         ],
     )
     def test_malformed_tower_is_invalid_input(self, capsys, tmp_path, mutate):
@@ -240,3 +246,18 @@ def test_base_module_with_relations(capsys, tmp_path, relations, code, sha256):
     path.write_text(serialize.canonical_dumps(obj))
     got, out = run(capsys, ["patch", str(path), "--format", "json"])
     assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, sha256)
+
+
+def test_action_entries_past_int64_products_keep_the_verdict(capsys, tmp_path):
+    # entries congruent to the generated ones mod 9 whose int64 product
+    # x_1[0, 1] * x_2[1, 0] = (9 * 1000000007)^2 would wrap past 2^63
+    argv = ["--p", "3", "--q", "2", "--r", "0", "--precisions", "1", "2", "--seed", "0"]
+    clean = round_trip_digests(capsys, tmp_path, argv)
+    obj = json.loads((tmp_path / "tower.json").read_text())
+    x1, x2 = obj["levels"][1]["x_actions"]["2"]
+    x1[0][1] += 9 * 1000000007
+    x2[1][0] += 9 * 1000000007
+    path = tmp_path / "edited.json"
+    path.write_text(serialize.canonical_dumps(obj))
+    code, out = run(capsys, ["patch", str(path), "--format", "json"])
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (0, clean["output"])

@@ -29,7 +29,7 @@ from patchtower.rings import (
     reduction_map,
     residue_map,
 )
-from util import SMALL_PATCH_SPECS, random_patch_complex
+from util import SMALL_PATCH_SPECS, random_patch_complex, reference_solve
 
 F3T = make_patch_ring(3, 1, 1, 1)
 T = RingTowerElement.variable(F3T, 0)
@@ -233,6 +233,43 @@ class TestNakayamaChoice:
         ek2[1, 2] = p ** (m - 2)
         with pytest.raises(AssertionError):
             complexes._nakayama_choice(ek2, p, m)
+
+
+def reference_variable_actions(mults, gens, rk, embed, solver, N):
+    """The block-diagonal product and one-column solve loop:
+    ``complexes._variable_actions`` must give the same matrices."""
+    g = gens.shape[1]
+    actions = []
+    for mult in mults:
+        if not g:
+            actions.append(np.zeros((0, 0), dtype=np.int64))
+            continue
+        big = np.kron(np.eye(rk, dtype=np.int64), mult)
+        targets = embed((big @ gens) % N)
+        cols = [reference_solve(solver, targets[:, l])[:g] for l in range(g)]
+        actions.append(np.array(cols, dtype=np.int64).T % N)
+    return actions
+
+
+class TestVariableActions:
+    @pytest.mark.parametrize("spec", NAKAYAMA_SPECS, ids=lambda s: f"p{s.p}-m{s.m}-n{s.n}-q{s.q}")
+    def test_match_block_product_and_column_loop(self, spec):
+        seen = []
+        real = complexes._variable_actions
+
+        def checked(mults, gens, rk, embed, solver, N):
+            got = real(mults, gens, rk, embed, solver, N)
+            want = reference_variable_actions(mults, gens, rk, embed, solver, N)
+            assert len(got) == len(want) == spec.q
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+            seen.append((rk, gens.shape[1]))
+            return got
+
+        with mock.patch.object(complexes, "_variable_actions", checked):
+            for seed in range(10):
+                complexes._all_cohomology(random_patch_complex(random.Random(seed), spec, max_rank=3))
+        # blocks are reshaped only when a degree has rank >= 2
+        assert any(rk >= 2 and g for rk, g in seen)
 
 
 def brute_force_span(rel: np.ndarray, N: int) -> set[tuple[int, ...]]:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -15,12 +16,14 @@ from patchtower.linalg import (
     from_int_array,
     howell_form,
     kernel_and_solve,
+    matmul_mod,
     multiplication_matrix,
     smith_quotient,
     smith_transforms,
     to_int_array,
 )
 from patchtower.rings import RingTowerElement, coefficient_ring, make_patch_ring
+from util import reference_solve
 
 Z4 = coefficient_ring(2, 2)
 Z9 = coefficient_ring(3, 2)
@@ -394,3 +397,115 @@ class TestOverflowGuard:
             h = core.howell_rows().astype(object)
             assert ((exact_product(core.transform_rows(), a) - h) % N == 0).all()
             assert_smith_witness(a, p, m)
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def straddling_moduli(bound: int, width: int) -> tuple[int, int]:
+    """The largest N with width * (N - 1)^2 < bound, and N + 1."""
+    below = math.isqrt((bound - 1) // width) + 1
+    return below, below + 1
+
+
+@st.composite
+def product_cases(draw):
+    width = draw(st.sampled_from([0, 1, 2, 3, 7, 16]))
+    if width and draw(st.booleans()):
+        bound = draw(st.sampled_from([2**24, 2**53, 2**63]))
+        N = draw(st.sampled_from(straddling_moduli(bound, width)))
+    else:
+        N = draw(st.sampled_from([2, 9, 3**19, 3**25, 65521**2]))
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 4))
+    entry = st.one_of(
+        st.integers(-3 * N, 3 * N),
+        st.integers(INT64_MIN, INT64_MAX),
+        st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]),
+    )
+    if draw(st.booleans()):
+        # every entry is -1 mod N, so the product reaches width * (N - 1)^2
+        entry = st.sampled_from([-1, N - 1, 2 * N - 1, -N - 1])
+
+    def matrix(r, c):
+        return np.array(draw(st.lists(entry, min_size=r * c, max_size=r * c)), dtype=np.int64).reshape(r, c)
+
+    return matrix(rows, width), matrix(width, cols), N
+
+
+class TestMatmulMod:
+    @given(product_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_python_integers(self, case):
+        a, b, N = case
+        got = matmul_mod(a, b, N)
+        assert got.dtype == np.int64
+        assert got.shape == (a.shape[0], b.shape[1])
+        assert np.array_equal(got, (a.astype(object) @ b.astype(object)) % N)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7])
+    def test_largest_partial_sums_at_the_float32_threshold(self, width):
+        for N in straddling_moduli(2**24, width):
+            a = np.full((2, width), -1, dtype=np.int64)
+            b = np.full((width, 3), N - 1, dtype=np.int64)
+            assert np.array_equal(matmul_mod(a, b, N), np.full((2, 3), width % N, dtype=np.int64))
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((0, 3), (3, 0)), ((3, 0), (0, 2)), ((0, 0), (0, 0))])
+    @pytest.mark.parametrize("N", [9, 3**25, 65521**2])
+    def test_empty_shapes(self, shape_a, shape_b, N):
+        got = matmul_mod(np.zeros(shape_a, dtype=np.int64), np.zeros(shape_b, dtype=np.int64), N)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.zeros((shape_a[0], shape_b[1]), dtype=np.int64))
+
+    def test_vector_operands(self):
+        a = np.array([[INT64_MAX, -5], [3, INT64_MIN]], dtype=np.int64)
+        x = np.array([INT64_MIN, 7], dtype=np.int64)
+        N = 3**25
+        assert np.array_equal(matmul_mod(a, x, N), (a.astype(object) @ x.astype(object)) % N)
+        assert np.array_equal(matmul_mod(x, a, N), (x.astype(object) @ a.astype(object)) % N)
+
+
+@st.composite
+def solve_cases(draw):
+    """A matrix over Z/p^m and right-hand sides, most of them in its row span."""
+    a, p, m = draw(smith_inputs())
+    N = p**m
+    rows, cols = a.shape
+    residues = st.lists(st.integers(0, N - 1), min_size=rows, max_size=rows)
+    rhs = []
+    for _ in range(draw(st.integers(0, 5))):
+        x = np.array(draw(residues), dtype=np.int64)
+        b = (x @ a) % N
+        if draw(st.integers(0, 4)) == 0:
+            b = (b + np.array(draw(st.lists(st.integers(0, N - 1), min_size=cols, max_size=cols)), dtype=np.int64)) % N
+        rhs.append(b)
+    return a, np.array(rhs, dtype=np.int64).reshape(len(rhs), cols), p, m
+
+
+class TestBatchedSolve:
+    @given(solve_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_one_column_solves(self, case):
+        a, rhs, p, m = case
+        core = HowellCore(a, p, m)
+        one_by_one = [reference_solve(core, b) for b in rhs]
+        for b, want in zip(rhs, one_by_one):
+            got = core.solve(b)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+        got = core.solve(rhs)
+        if any(x is None for x in one_by_one):
+            assert got is None
+        else:
+            assert np.array_equal(got, np.array(one_by_one, dtype=np.int64).reshape(got.shape))
+            if a.size:  # HowellCore reads an empty matrix as 0 x 0
+                assert np.array_equal(matmul_mod(got, a, p**m), rhs)
+
+    def test_one_unsolvable_row_refuses_the_batch(self):
+        # over Z/9, [1, 0] is outside the row span of [[3, 0], [0, 1]]
+        core = HowellCore(np.array([[3, 0], [0, 1]], dtype=np.int64), 3, 2)
+        rhs = np.array([[3, 2], [6, 0], [1, 0]], dtype=np.int64)
+        assert core.solve(rhs[:2]).tolist() == [[1, 2], [2, 0]]
+        assert core.solve(rhs[2]) is None
+        assert core.solve(rhs) is None

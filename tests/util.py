@@ -200,6 +200,28 @@ def column_kernel(a: np.ndarray, p: int, m: int, ncols: int) -> np.ndarray:
     return row_kernel(a.T, p, m).T
 
 
+def reference_solve(core: HowellCore, b: np.ndarray) -> np.ndarray | None:
+    """The one-column loop: clear the pivots of b one by one, collecting
+    the multiples of the transform rows.  ``HowellCore.solve`` must give
+    the same x."""
+    N = core.N
+    vec = np.asarray(b, dtype=np.int64) % N
+    acc = np.zeros(core.work.shape[1] - core.active, dtype=np.int64)
+    for r, j, v in core.pivots:
+        e = int(vec[j])
+        if e == 0:
+            continue
+        pv = core.p**v
+        if e % pv:
+            return None
+        t = e // pv
+        vec = (vec - t * core.work[r, : core.active]) % N
+        acc = (acc + t * core.work[r, core.active :]) % N
+    if vec.any():
+        return None
+    return acc
+
+
 def random_patch_complex(rng: random.Random, spec: RingSpec, max_rank: int = 2, max_length: int = 2) -> FreeComplex:
     """A valid complex over a finite tower ring with random differentials."""
     N = spec.modulus
