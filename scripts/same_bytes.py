@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every file a fixed grid of CLI round trips writes.
+
+Each grid point runs ``patchtower gen`` and then ``patchtower patch
+--format json`` through ``patchtower.cli.main`` and prints one
+``name sha256`` line for each of ``tower.json``, ``expected.json`` and
+the patch output (whose name carries the exit code).  The grid is
+p=3; (q, r) in {(1,0), (1,1), (2,0), (2,1)} at small precisions and
+seeds 0-7; and every named perturbation of one padded q=1 tower.
+
+Two checkouts give the same canonical bytes exactly when this prints
+the same lines on both, so a "same bytes" claim is one ``diff``:
+
+    python3 scripts/same_bytes.py > after.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from patchtower.cli import main  # noqa: E402
+from patchtower.scenarios import PERTURBATIONS  # noqa: E402
+
+# (q, r, precisions) per grid class
+CLASSES = [
+    (1, 0, (1, 2, 2)),
+    (1, 1, (1, 2, 2)),
+    (2, 0, (1, 2)),
+    (2, 1, (1, 2)),
+]
+SEEDS = range(8)
+# q=1, r=1 at seed 0 pads the top level, as in the dense benchmark class
+PADDED = (1, 1, (1, 2, 2, 2, 2), 0)
+
+
+def _run(argv) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue().encode("utf-8")
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def round_trip(q: int, r: int, precisions, seed: int, perturbation=None):
+    """(name, sha256) of each output file of one gen + patch round trip."""
+    name = f"q{q}r{r}-m{''.join(map(str, precisions))}-s{seed}"
+    argv = ["gen", "--p", "3", "--q", str(q), "--r", str(r), "--seed", str(seed),
+            "--precisions", *map(str, precisions)]
+    if perturbation is not None:
+        name += f"-{perturbation}"
+        argv += ["--perturbation", perturbation]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _ = _run([*argv, "--out-dir", tmp])
+        if code != 0:
+            return [(f"{name}/gen[exit={code}]", _digest(b""))]
+        tower = Path(tmp) / "tower.json"
+        code, out = _run(["patch", str(tower), "--format", "json"])
+        return [
+            (f"{name}/tower.json", _digest(tower.read_bytes())),
+            (f"{name}/expected.json", _digest((Path(tmp) / "expected.json").read_bytes())),
+            (f"{name}/patch[exit={code}]", _digest(out)),
+        ]
+
+
+def grid():
+    for q, r, precisions in CLASSES:
+        for seed in SEEDS:
+            yield q, r, precisions, seed, None
+    q, r, precisions, seed = PADDED
+    for perturbation in PERTURBATIONS:
+        yield q, r, precisions, seed, perturbation
+
+
+if __name__ == "__main__":
+    for point in grid():
+        for name, sha in round_trip(*point):
+            print(name, sha, flush=True)

@@ -23,7 +23,7 @@ from .graded import (
     support_height_profile,
     verify_height_amplitude,
 )
-from .linalg import HowellForm, Matrix, expand_scalars, howell_form, kernel_and_solve
+from .linalg import Matrix, expand_scalars
 from .patcher import (
     FreenessCertificate,
     PatchingTower,
@@ -40,7 +40,6 @@ from .rings import (
     graded_ring,
     make_patch_ring,
     reduction_map,
-    ring_arith,
 )
 from .scenarios import ScenarioParams, gen_scenario
 

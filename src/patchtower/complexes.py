@@ -10,6 +10,7 @@ along ring maps, and dualization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,8 +25,8 @@ from .errors import (
 from .linalg import (
     HowellCore,
     Matrix,
+    QuotientStructure,
     _echelon,
-    elementary_divisors,
     expand_scalars,
     matmul_mod,
     multiplication_matrix,
@@ -342,9 +343,9 @@ class FiniteModuleData:
     """(Z/p^m)^gens modulo the column span of ``relations``.
 
     ``actions`` holds commuting matrices acting on the generators.  One
-    Howell form of the relation span answers every membership question:
-    by the Howell span property a vector lies in the span exactly when it
-    reduces to zero against that form.
+    Smith quotient of the relation span answers every question: a vector
+    lies in the span exactly when its quotient coordinates vanish, and
+    the quotient's exponents are the divisors.
     """
 
     p: int
@@ -358,30 +359,22 @@ class FiniteModuleData:
         return self.p**self.m
 
     @cached_property
-    def _relation_core(self) -> HowellCore | None:
-        if self.relations.size == 0:
-            return None
-        return HowellCore(self.relations.T % self.modulus, self.p, self.m, carry=False)
+    def quotient(self) -> QuotientStructure:
+        return smith_quotient(self.relations, self.gens, self.p, self.m)
 
     def contains(self, cols) -> bool:
-        """Whether every column of ``cols`` lies in the relation span."""
-        cols = np.asarray(cols, dtype=np.int64) % self.modulus
-        core = self._relation_core
-        if core is None:
-            return not cols.any()
-        return not any(core.reduce(col).any() for col in cols.reshape(len(cols), -1).T)
+        """Whether the vector ``cols``, or every column of it, lies in the
+        relation span."""
+        return not self.quotient.coords(cols).any()
 
     def matrices_equal(self, a: np.ndarray, b: np.ndarray) -> bool:
         return self.contains(np.asarray(a) - np.asarray(b))
 
     def divisors(self) -> tuple[int, ...]:
-        return elementary_divisors(self.relations, self.gens, self.p, self.m)
+        return self.quotient.divisors()
 
     def cardinality(self) -> int:
-        out = 1
-        for d in self.divisors():
-            out *= int(d)
-        return out
+        return math.prod(self.divisors())
 
     def at_precision(self, m2: int) -> "FiniteModuleData":
         N2 = self.p**m2
@@ -408,14 +401,14 @@ class FiniteModulePresentation:
     Z/p^m coordinates (one column per generator, in the ambient free
     module), ``relations`` the coefficient columns cutting out the
     module, ``actions`` one matrix per ring variable.  ``divisors`` is
-    the elementary-divisor profile of the underlying Z/p^m-module.
+    the elementary-divisor profile of the underlying Z/p^m-module, read
+    when first asked for.
     """
 
     spec: RingSpec
     ambient_rank: int
     generators: np.ndarray
     relations: np.ndarray
-    divisors: tuple[int, ...]
     actions: tuple[np.ndarray, ...]
 
     @property
@@ -423,35 +416,33 @@ class FiniteModulePresentation:
         return int(self.generators.shape[1])
 
     @property
+    def divisors(self) -> tuple[int, ...]:
+        return self.module().divisors()
+
+    @property
     def cardinality(self) -> int:
-        out = 1
-        for d in self.divisors:
-            out *= int(d)
-        return out
+        return self.module().cardinality()
 
     def is_zero(self) -> bool:
         return self.num_generators == 0
 
-    def module(self) -> FiniteModuleData:
-        """The underlying Z/p^m-module."""
+    @cached_property
+    def _module(self) -> FiniteModuleData:
         return FiniteModuleData(self.spec.p, self.spec.m, self.num_generators, self.relations)
 
-    def quotient_divisors(self, extra_action_cols) -> tuple[int, ...]:
-        """Divisor profile after adding the given coordinate relations."""
-        return self.module().quotient_by_columns(extra_action_cols).divisors()
-
-    def augmentation_divisors(self) -> tuple[int, ...]:
-        """Profile of the quotient by the variable ideal (all T_i set to act as zero)."""
-        return self.quotient_divisors(list(self.actions))
+    def module(self) -> FiniteModuleData:
+        """The underlying Z/p^m-module."""
+        return self._module
 
     def fingerprint(self) -> tuple:
         """Isomorphism-invariant summary used for oracle comparisons."""
-        pcols = [(self.spec.p * np.eye(self.num_generators, dtype=np.int64))]
+        module = self.module()
+        pcols = self.spec.p * np.eye(self.num_generators, dtype=np.int64)
         return (
             self.cardinality,
             self.divisors,
-            self.augmentation_divisors(),
-            self.quotient_divisors(pcols),
+            module.quotient_by_columns(self.actions).divisors(),
+            module.quotient_by_columns([pcols]).divisors(),
         )
 
 
@@ -463,9 +454,10 @@ def cohomology(c: FreeComplex, degree: int) -> FiniteModulePresentation:
 
     Works through scalar expansion: one diagonalization per expanded
     differential serves the kernel on one side and canonical quotient
-    coordinates on the other, so generators, relations, divisor profile
-    and variable actions all come out of small solves.  All degrees of a
-    complex are computed together and cached.
+    coordinates on the other, so generators, relations and variable
+    actions all come out of small solves; the divisor profile is read
+    from the module's Smith quotient when first asked for.  All degrees
+    of a complex are computed together and cached.
     """
     spec = c.spec
     if spec.kind == "graded":
@@ -486,7 +478,6 @@ def _empty_presentation(spec: RingSpec) -> FiniteModulePresentation:
         spec, 0,
         np.zeros((0, 0), dtype=np.int64),
         np.zeros((0, 0), dtype=np.int64),
-        (),
         tuple(np.zeros((0, 0), dtype=np.int64) for _ in range(spec.q)),
     )
 
@@ -575,8 +566,6 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModulePresentation]:
             solver = None
             relations = np.zeros((0, 0), dtype=np.int64)
 
-        divisors = elementary_divisors(relations, g, p, m)
-
         if mult_cache is None:
             mult_cache = [
                 multiplication_matrix(RingTowerElement.variable(spec, j))
@@ -584,7 +573,7 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModulePresentation]:
             ]
         actions = _variable_actions(mult_cache, gens, rk, embed, solver, N)
 
-        out[degree] = FiniteModulePresentation(spec, rk, gens, relations, divisors, actions)
+        out[degree] = FiniteModulePresentation(spec, rk, gens, relations, actions)
     return out
 
 

@@ -49,10 +49,6 @@ class NotAUnit(InvalidInput):
     pass
 
 
-class NoSolution(InvalidInput):
-    pass
-
-
 class InvalidParams(InvalidInput):
     pass
 

@@ -4,11 +4,12 @@ Two layers:
 
 * an exact ``Matrix`` of ring elements (any spec) with ring-level
   products, transposes and entrywise maps;
-* a numpy int64 core over the chain ring Z/p^m implementing Howell
-  canonical forms, row/column kernels, solving, and elementary
-  divisors.  Patch-ring matrices enter this layer through
-  ``expand_scalars`` (the regular representation on the monomial
-  basis).
+* a numpy int64 core over the chain ring Z/p^m: Smith forms with
+  their transforms, whose quotient coordinates answer every span,
+  divisor and cardinality question about a finite module, and Howell
+  forms, which give cohomology its relation kernel and batched solve.
+  Patch-ring matrices enter this layer through ``expand_scalars`` (the
+  regular representation on the monomial basis).
 
 Everything is integer arithmetic; numpy only supplies array storage and
 vectorised modular row operations.  Every matrix product over Z/p^m
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NoSolution, ShapeMismatch, SpecMismatch
-from .rings import RingMap, RingSpec, RingTowerElement, coefficient_ring
+from .errors import InvalidParameter, ShapeMismatch, SpecMismatch
+from .rings import RingMap, RingSpec, RingTowerElement
 
 
 class Matrix:
@@ -145,8 +146,10 @@ class Matrix:
 
 
 def _as_array(rows, cols_hint=0) -> np.ndarray:
+    """int64 array; an empty input that is not already 2-d becomes
+    0 x cols_hint, while an empty k x 0 or 0 x k matrix keeps its shape."""
     a = np.asarray(rows, dtype=np.int64)
-    if a.size == 0:
+    if a.size == 0 and a.ndim != 2:
         a = a.reshape(0, cols_hint)
     return a
 
@@ -368,10 +371,7 @@ def elementary_divisors(rel: np.ndarray, ambient: int, p: int, m: int) -> tuple[
     Returned as a sorted tuple of prime powers p^e, 1 <= e <= m, one per
     nontrivial cyclic summand.
     """
-    a = _as_array(rel, cols_hint=0)
-    if a.size == 0:
-        return (p**m,) * ambient
-    return smith_transforms(a, ambient, p, m).quotient().divisors()
+    return smith_quotient(rel, ambient, p, m).divisors()
 
 
 @dataclass(frozen=True)
@@ -392,13 +392,11 @@ class QuotientStructure:
         return len(self.exponents)
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        N = self.p**self.m
-        if self.summands == 0:
-            return np.zeros(0, dtype=np.int64)
-        out = matmul_mod(self.projection, x, N)
-        for i, e in enumerate(self.exponents):
-            out[i] %= self.p**e
-        return out
+        """Quotient coordinates of x, or of each column of a 2-d x; they
+        all vanish exactly when x lies in the column span."""
+        out = matmul_mod(self.projection, x, self.p**self.m)
+        moduli = self.p ** np.array(self.exponents, dtype=np.int64)
+        return out % moduli.reshape((-1,) + (1,) * (out.ndim - 1))
 
     def divisors(self) -> tuple[int, ...]:
         return tuple(sorted(self.p**e for e in self.exponents))
@@ -532,70 +530,6 @@ def smith_quotient(rel_cols: np.ndarray, ambient: int, p: int, m: int) -> Quotie
 # ---------------------------------------------------------------------------
 # public operations on exact matrices over Z/p^m
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HowellForm:
-    """Canonical row form H with a witness U satisfying U @ A = H."""
-
-    H: Matrix
-    U: Matrix
-
-
-def _require_coefficient(a: Matrix) -> None:
-    if a.spec.kind != "coefficient":
-        raise SpecMismatch(
-            "operation needs a matrix over Z/p^m; expand patch-ring scalars first"
-        )
-
-
-def to_int_array(a: Matrix) -> np.ndarray:
-    _require_coefficient(a)
-    out = np.zeros((a.rows, a.cols), dtype=np.int64)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out[i, j] = a.entries[i][j].constant_term()
-    return out
-
-
-def from_int_array(spec: RingSpec, arr: np.ndarray) -> Matrix:
-    arr = np.asarray(arr)
-    m = Matrix.from_int_rows(spec, arr.tolist())
-    if arr.shape[0] == 0:
-        return Matrix.zero(spec, 0, arr.shape[1] if arr.ndim == 2 else 0)
-    return m
-
-
-def howell_form(a: Matrix) -> HowellForm:
-    """Howell canonical form over Z/p^m; unique for the row span."""
-    _require_coefficient(a)
-    spec = a.spec
-    core = HowellCore(to_int_array(a), spec.p, spec.m)
-    return HowellForm(
-        H=from_int_array(spec, core.howell_rows()),
-        U=from_int_array(spec, core.transform_rows()),
-    )
-
-
-def kernel_and_solve(a: Matrix, b: Matrix | None = None):
-    """Row kernel generators of A, plus one solution of x A = b when asked.
-
-    The kernel rows span {x : x A = 0} exactly.  Raises NoSolution when
-    b lies outside the row span of A.
-    """
-    _require_coefficient(a)
-    spec = a.spec
-    core = HowellCore(to_int_array(a), spec.p, spec.m)
-    kernel = from_int_array(spec, core.kernel_rows())
-    if b is None:
-        return kernel, None
-    bvec = to_int_array(b)
-    if bvec.shape != (1, a.cols):
-        raise ShapeMismatch("right-hand side must be a 1 x cols matrix")
-    x = core.solve(bvec[0])
-    if x is None:
-        raise NoSolution("b is not in the row span of A")
-    return kernel, from_int_array(spec, x.reshape(1, -1))
 
 
 def multiplication_matrix(x: RingTowerElement) -> np.ndarray:

@@ -222,11 +222,6 @@ class RingTowerElement:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.coeffs)
 
-    def total_degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(sum(e) for e in self.coeffs)
-
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: "RingTowerElement") -> None:
@@ -341,27 +336,6 @@ class RingTowerElement:
             )
             parts.append(f"{c}*{mono}" if mono else f"{c}")
         return " + ".join(parts)
-
-
-def ring_arith(op: str, *args):
-    """Dispatch plain ring arithmetic by name.
-
-    Supported ops: add, mul, normal_form, is_unit, invert.  Arguments
-    must share one spec; results are in canonical normal form.
-    """
-    if op in ("add", "mul"):
-        x, y = args
-        return x + y if op == "add" else x * y
-    if op == "normal_form":
-        (x,) = args
-        return RingTowerElement(x.spec, x.coeffs)
-    if op == "is_unit":
-        (x,) = args
-        return x.is_unit()
-    if op == "invert":
-        (x,) = args
-        return x.invert()
-    raise InvalidParameter(f"unknown ring operation {op!r}")
 
 
 @dataclass(frozen=True)

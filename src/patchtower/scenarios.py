@@ -25,7 +25,7 @@ from .complexes import (
     make_complex,
 )
 from .errors import InvalidParams
-from .linalg import Matrix, smith_quotient
+from .linalg import Matrix
 from .patcher import PatchingTower, RinfElem, TowerBase, TowerLevel
 from .rings import RingTowerElement, make_patch_ring
 
@@ -161,8 +161,7 @@ def gen_scenario(params: ScenarioParams, perturbation: str | None = None):
     rank_seen = None
     for n, (m_n, cx) in enumerate(zip(params.precisions, complexes), start=1):
         x_actions, top_pres = _level_data(params, cx)
-        quot = top_pres.module().quotient_by_columns(top_pres.actions)
-        qs = smith_quotient(quot.relations, quot.gens, p, m_n)
+        qs = top_pres.module().quotient_by_columns(top_pres.actions).quotient
         if any(e != m_n for e in qs.exponents):
             raise AssertionError("generated base fiber is not free at level precision")
         if rank_seen is None:

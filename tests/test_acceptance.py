@@ -26,11 +26,10 @@ from patchtower.graded import (
 )
 from patchtower.groebner import ideal_product
 from patchtower.graded import poly_to_vec, vec_to_poly
-from patchtower.linalg import from_int_array, kernel_and_solve, to_int_array
+from patchtower.linalg import HowellCore
 from patchtower.patcher import certify, patch, validate_hypotheses
-from patchtower.rings import RingTowerElement, coefficient_ring, graded_ring, make_patch_ring, reduction_map
+from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring, reduction_map
 from patchtower.scenarios import PERTURBATIONS, ScenarioParams, gen_scenario
-from patchtower.errors import NoSolution
 from util import (
     SMALL_PATCH_SPECS,
     random_graded_consistent_complex,
@@ -145,9 +144,7 @@ def _independent_linear_forms(rng, spec, count):
                 row[e.index(1)] = c
             rows.append(row)
         # regular exactly when the coefficient rows are independent mod p
-        mat = from_int_array(coefficient_ring(spec.p, 1), rows)
-        k, _ = kernel_and_solve(mat)
-        if to_int_array(k).shape[0] == 0:
+        if HowellCore(np.array(rows, dtype=np.int64), spec.p, 1).kernel_rows().shape[0] == 0:
             return forms
 
 
@@ -228,8 +225,8 @@ def _span(rows: np.ndarray, N: int, width: int) -> set:
 
 def test_criterion_6_howell_matches_exhaustive_enumeration():
     cases = 0
-    for spec, nmax in ((coefficient_ring(2, 2), 4), (coefficient_ring(3, 2), 9)):
-        N = nmax
+    for p, m in ((2, 2), (3, 2)):
+        N = p**m
         # every 1x1 and 2x2 matrix, plus seeded 3x3 samples
         small = [np.array([[x]]) for x in range(N)]
         small += [
@@ -244,26 +241,20 @@ def test_criterion_6_howell_matches_exhaustive_enumeration():
                 np.array([[rng.randrange(N) for _ in range(cols)] for _ in range(3)])
             )
         for a in small:
-            k, _ = kernel_and_solve(from_int_array(spec, a))
-            got = _span(to_int_array(k), N, a.shape[0])
+            core = HowellCore(a, p, m)
+            got = _span(core.kernel_rows(), N, a.shape[0])
             want = _enumeration_kernel(a, N)
             assert got == want, a
             # solving: a reachable target and an enumeration-checked failure
             x = np.array([rng.randrange(N) for _ in range(a.shape[0])])
             b = (x @ a) % N
-            _, sol = kernel_and_solve(from_int_array(spec, a), from_int_array(spec, b.reshape(1, -1)))
-            assert ((to_int_array(sol)[0] @ a) % N == b).all()
+            assert ((core.solve(b) @ a) % N == b).all()
             bad = np.array([rng.randrange(N) for _ in range(a.shape[1])])
             reachable = any(
                 not ((np.array(v) @ a - bad) % N).any()
                 for v in itertools.product(range(N), repeat=a.shape[0])
             )
-            try:
-                kernel_and_solve(from_int_array(spec, a), from_int_array(spec, bad.reshape(1, -1)))
-                solved = True
-            except NoSolution:
-                solved = False
-            assert solved == reachable, (a, bad)
+            assert (core.solve(bad) is not None) == reachable, (a, bad)
             cases += 1
     report(6, cases > 400, f"{cases} matrices, kernels and solves all match enumeration")
 

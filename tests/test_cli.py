@@ -219,6 +219,15 @@ WIDE_SEED0_SHA256 = {
 }
 
 
+# the same for one q=2, r=1 tower at the default precisions (1, 2, 2): its
+# certificate reads the top cohomology's divisors over a two-variable ring
+Q2R1_SEED7_SHA256 = {
+    "tower": "068d1f82aa5a8c5aa652070080dc22b12ab62774e70d3e80b3e0e4cc1f3d191e",
+    "expected": "6cab38fdcc128dbff6b697ba5f02ba0e12f210d1485df5407026e6dc0ce90b26",
+    "output": "974f0a65b841badb1031590b69e7c551812de13c28d87f404d4a2773a88660d0",
+}
+
+
 def test_padded_tower_round_trip_bytes_are_pinned(capsys, tmp_path):
     argv = ["--p", "3", "--q", "1", "--r", "1", "--precisions", "1", "2", "2", "2", "2", "--seed", "0"]
     assert round_trip_digests(capsys, tmp_path, argv) == DENSE_SEED0_SHA256
@@ -227,6 +236,11 @@ def test_padded_tower_round_trip_bytes_are_pinned(capsys, tmp_path):
 def test_wide_tower_round_trip_bytes_are_pinned(capsys, tmp_path):
     argv = ["--p", "3", "--q", "2", "--r", "0", "--precisions", "1", "2", "--seed", "0"]
     assert round_trip_digests(capsys, tmp_path, argv) == WIDE_SEED0_SHA256
+
+
+def test_q2_r1_tower_round_trip_bytes_are_pinned(capsys, tmp_path):
+    argv = ["--p", "3", "--q", "2", "--r", "1", "--seed", "7"]
+    assert round_trip_digests(capsys, tmp_path, argv) == Q2R1_SEED7_SHA256
 
 
 @pytest.mark.parametrize(
