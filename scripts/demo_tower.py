@@ -50,7 +50,7 @@ def main():
     if args.r >= 1:
         print("the killing phenomenon:")
         for lev in tower.levels:
-            card = cohomology(lev.complex, low).cardinality
+            card = cohomology(lev.complex, low).cardinality()
             print(f"  level {lev.level}: |H^{low}| = {card}  (nonzero at every finite level)")
         fiber_zero = cert.ha_obj["cohomology_zero"].get(str(low))
         print(f"  certified limit fiber: H^{low} = 0 is {fiber_zero}")

@@ -5,7 +5,7 @@ Each grid point runs ``patchtower gen`` and then ``patchtower patch
 --format json`` through ``patchtower.cli.main`` and prints one
 ``name sha256`` line for each of ``tower.json``, ``expected.json`` and
 the patch output (whose name carries the exit code).  The grid is
-p=3; (q, r) in {(1,0), (1,1), (2,0), (2,1)} at small precisions and
+p=3; (q, r) in {(1,0), (1,1), (2,0), (2,1), (2,2)} at small precisions and
 seeds 0-7; and every named perturbation of one padded q=1 tower.
 
 Two checkouts give the same canonical bytes exactly when this prints
@@ -32,6 +32,7 @@ CLASSES = [
     (1, 1, (1, 2, 2)),
     (2, 0, (1, 2)),
     (2, 1, (1, 2)),
+    (2, 2, (1, 2)),
 ]
 SEEDS = range(8)
 # q=1, r=1 at seed 0 pads the top level, as in the dense benchmark class

@@ -2,7 +2,7 @@
 graded homological invariants, and tower patching certificates."""
 
 from .complexes import (
-    FiniteModulePresentation,
+    FiniteModuleData,
     FreeComplex,
     TauProfile,
     cohomology,

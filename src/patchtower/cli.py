@@ -79,7 +79,8 @@ def cmd_patch(args) -> int:
     tower = serialize.tower_from_obj(_load_json(args.tower))
     precision = args.precision
     if precision is None:
-        precision = min(tower.base_precision, max(lev.level for lev in tower.levels))
+        # with no levels, patch refuses the tower as InsufficientTower
+        precision = min(tower.base_precision, max((lev.level for lev in tower.levels), default=1))
     report = validate_hypotheses(tower)
     if not report.ok:
         first = report.failures[0]

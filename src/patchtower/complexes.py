@@ -393,63 +393,10 @@ class FiniteModuleData:
         return FiniteModuleData(self.p, self.m, self.gens, rel % self.modulus, self.actions)
 
 
-@dataclass(frozen=True)
-class FiniteModulePresentation:
-    """A subquotient of a free module over a finite tower ring.
-
-    Stored with a minimal generating set: ``generators`` holds expanded
-    Z/p^m coordinates (one column per generator, in the ambient free
-    module), ``relations`` the coefficient columns cutting out the
-    module, ``actions`` one matrix per ring variable.  ``divisors`` is
-    the elementary-divisor profile of the underlying Z/p^m-module, read
-    when first asked for.
-    """
-
-    spec: RingSpec
-    ambient_rank: int
-    generators: np.ndarray
-    relations: np.ndarray
-    actions: tuple[np.ndarray, ...]
-
-    @property
-    def num_generators(self) -> int:
-        return int(self.generators.shape[1])
-
-    @property
-    def divisors(self) -> tuple[int, ...]:
-        return self.module().divisors()
-
-    @property
-    def cardinality(self) -> int:
-        return self.module().cardinality()
-
-    def is_zero(self) -> bool:
-        return self.num_generators == 0
-
-    @cached_property
-    def _module(self) -> FiniteModuleData:
-        return FiniteModuleData(self.spec.p, self.spec.m, self.num_generators, self.relations)
-
-    def module(self) -> FiniteModuleData:
-        """The underlying Z/p^m-module."""
-        return self._module
-
-    def fingerprint(self) -> tuple:
-        """Isomorphism-invariant summary used for oracle comparisons."""
-        module = self.module()
-        pcols = self.spec.p * np.eye(self.num_generators, dtype=np.int64)
-        return (
-            self.cardinality,
-            self.divisors,
-            module.quotient_by_columns(self.actions).divisors(),
-            module.quotient_by_columns([pcols]).divisors(),
-        )
+_COHOMOLOGY_CACHE: dict[FreeComplex, dict[int, FiniteModuleData]] = {}
 
 
-_COHOMOLOGY_CACHE: dict[FreeComplex, dict[int, FiniteModulePresentation]] = {}
-
-
-def cohomology(c: FreeComplex, degree: int) -> FiniteModulePresentation:
+def cohomology(c: FreeComplex, degree: int) -> FiniteModuleData:
     """Exact cohomology at one degree over a finite tower ring.
 
     Works through scalar expansion: one diagonalization per expanded
@@ -457,7 +404,9 @@ def cohomology(c: FreeComplex, degree: int) -> FiniteModulePresentation:
     coordinates on the other, so generators, relations and variable
     actions all come out of small solves; the divisor profile is read
     from the module's Smith quotient when first asked for.  All degrees
-    of a complex are computed together and cached.
+    of a complex are computed together and cached.  The module sits on
+    a minimal generating set with one action per ring variable; outside
+    the support it is zero, with 0 x 0 actions.
     """
     spec = c.spec
     if spec.kind == "graded":
@@ -470,16 +419,13 @@ def cohomology(c: FreeComplex, degree: int) -> FiniteModulePresentation:
         _COHOMOLOGY_CACHE[c] = table
     if degree in table:
         return table[degree]
-    return _empty_presentation(spec)
+    return _zero_module(spec)
 
 
-def _empty_presentation(spec: RingSpec) -> FiniteModulePresentation:
-    return FiniteModulePresentation(
-        spec, 0,
-        np.zeros((0, 0), dtype=np.int64),
-        np.zeros((0, 0), dtype=np.int64),
-        tuple(np.zeros((0, 0), dtype=np.int64) for _ in range(spec.q)),
-    )
+def _zero_module(spec: RingSpec) -> FiniteModuleData:
+    """The zero module, with one 0 x 0 action per ring variable."""
+    zero = np.zeros((0, 0), dtype=np.int64)
+    return FiniteModuleData(spec.p, spec.m, 0, zero, (zero,) * spec.q)
 
 
 def _nakayama_choice(ek2: np.ndarray, p: int, m: int) -> list[int]:
@@ -500,7 +446,7 @@ def _nakayama_choice(ek2: np.ndarray, p: int, m: int) -> list[int]:
     return [j for _, j, _ in _echelon(work, work.shape[1], p, 1)]
 
 
-def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModulePresentation]:
+def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
     spec = c.spec
     p, m = spec.p, spec.m
     N = p**m
@@ -513,12 +459,12 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModulePresentation]:
             smiths[deg] = smith_transforms(expand_scalars(d), d.rows * rho, p, m, track_v=True)
 
     mult_cache: list[np.ndarray] | None = None
-    out: dict[int, FiniteModulePresentation] = {}
+    out: dict[int, FiniteModuleData] = {}
     for degree in c.degrees:
         rk = c.rank(degree)
         amb = rk * rho
         if amb == 0:
-            out[degree] = _empty_presentation(spec)
+            out[degree] = _zero_module(spec)
             continue
 
         sm_out = smiths.get(degree)
@@ -573,7 +519,7 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModulePresentation]:
             ]
         actions = _variable_actions(mult_cache, gens, rk, embed, solver, N)
 
-        out[degree] = FiniteModulePresentation(spec, rk, gens, relations, actions)
+        out[degree] = FiniteModuleData(p, m, g, relations, actions)
     return out
 
 

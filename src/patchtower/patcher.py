@@ -23,7 +23,6 @@ import numpy as np
 
 from .complexes import (
     FiniteModuleData,
-    FiniteModulePresentation,
     FreeComplex,
     cohomology,
     minimize,
@@ -263,19 +262,6 @@ class ValidationReport:
         return f["error"](f["detail"])
 
 
-_ERROR_BY_NAME = {
-    "TauOutOfRange": TauOutOfRange,
-    "TauNotConstant": TauNotConstant,
-    "ActionMismatch": ActionMismatch,
-    "AugmentationNotKilled": AugmentationNotKilled,
-    "BaseMismatch": BaseMismatch,
-}
-
-
-def _level_cohomology(lev: TowerLevel) -> dict[int, FiniteModulePresentation]:
-    return {dd: cohomology(lev.complex, dd) for dd in lev.complex.degrees}
-
-
 def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
     """Check the three tower hypotheses level by level.
 
@@ -287,13 +273,13 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
     failures: list[dict] = []
     lo, hi = tower.degree_window
 
-    def fail(level: int, hypothesis: str, error: str, detail: str):
+    def fail(level: int, hypothesis: str, cls: type, detail: str):
         failures.append(
             {
                 "level": level,
                 "hypothesis": hypothesis,
-                "error": _ERROR_BY_NAME[error],
-                "error_name": error,
+                "error": cls,
+                "error_name": cls.__name__,
                 "detail": detail,
             }
         )
@@ -306,7 +292,7 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
             fail(
                 lev.level,
                 "i",
-                "TauOutOfRange",
+                TauOutOfRange,
                 f"level {lev.level} has rank profile {prof.taus} outside [{lo},{hi}]",
             )
     if not failures:
@@ -318,7 +304,7 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
                 fail(
                     lev.level,
                     "i",
-                    "TauNotConstant",
+                    TauNotConstant,
                     f"level {lev.level} profile {taus[lev.level]} differs from {ref}",
                 )
                 break
@@ -331,10 +317,10 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
     quotient = model.quotient(tower.base.ideal)
 
     for lev in tower.levels:
-        mods = _level_cohomology(lev)
+        mods = {dd: cohomology(lev.complex, dd) for dd in lev.complex.degrees}
         bad_action = None
         for dd, pres in mods.items():
-            size = pres.num_generators
+            size = pres.gens
             if size == 0:
                 continue
             xs = lev.x_actions.get(dd)
@@ -345,17 +331,16 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
             if any(x.shape != (size, size) for x in xs):
                 bad_action = f"level {lev.level} degree {dd}: action matrix shape mismatch"
                 break
-            data = pres.module()
-            N = data.modulus
-            if not all(data.contains(matmul_mod(x, pres.relations, N)) for x in xs):
+            N = pres.modulus
+            if not all(pres.contains(matmul_mod(x, pres.relations, N)) for x in xs):
                 bad_action = f"level {lev.level} degree {dd}: action does not preserve relations"
                 break
             pairs_ok = all(
-                data.matrices_equal(matmul_mod(xa, xb, N), matmul_mod(xb, xa, N))
+                pres.matrices_equal(matmul_mod(xa, xb, N), matmul_mod(xb, xa, N))
                 for i, xa in enumerate(xs)
                 for xb in xs[i + 1 :]
             ) and all(
-                data.matrices_equal(matmul_mod(xa, tb, N), matmul_mod(tb, xa, N))
+                pres.matrices_equal(matmul_mod(xa, tb, N), matmul_mod(tb, xa, N))
                 for xa in xs
                 for tb in pres.actions
             )
@@ -366,7 +351,7 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
                 claimed = model.evaluate_at_matrices(
                     lev.i_images[j], xs, size, tower.p**lev.precision
                 )
-                if not data.matrices_equal(claimed, pres.actions[j]):
+                if not pres.matrices_equal(claimed, pres.actions[j]):
                     bad_action = (
                         f"level {lev.level} degree {dd}: variable {j+1} acts differently "
                         "from its structure-map image"
@@ -375,7 +360,7 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
             if bad_action:
                 break
         if bad_action:
-            fail(lev.level, "ii", "ActionMismatch", bad_action)
+            fail(lev.level, "ii", ActionMismatch, bad_action)
             continue
 
         killed = True
@@ -385,7 +370,7 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
                 fail(
                     lev.level,
                     "ii",
-                    "AugmentationNotKilled",
+                    AugmentationNotKilled,
                     f"level {lev.level}: variable {j+1} image survives in the base quotient",
                 )
                 killed = False
@@ -395,7 +380,7 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
 
         err = _check_base_witness(tower, lev, mods)
         if err:
-            fail(lev.level, "iii", "BaseMismatch", err)
+            fail(lev.level, "iii", BaseMismatch, err)
 
     return ValidationReport(not failures, taus, failures)
 
@@ -417,7 +402,7 @@ def _check_base_witness(tower: PatchingTower, lev: TowerLevel, mods) -> str | No
     pres = mods.get(d)
     if pres is None:
         return f"level {lev.level} has no top-degree term"
-    size = pres.num_generators
+    size = pres.gens
     if size:
         xs = [np.asarray(x, dtype=np.int64) for x in (lev.x_actions.get(d) or [])]
     else:
@@ -426,7 +411,7 @@ def _check_base_witness(tower: PatchingTower, lev: TowerLevel, mods) -> str | No
     n_mod = tower.p**lev.precision
 
     # top cohomology modulo the variable ideal
-    quot = pres.module().quotient_by_columns(pres.actions)
+    quot = pres.quotient_by_columns(pres.actions)
     target = tower.base.module.at_precision(lev.precision)
 
     w = np.asarray(lev.base_iso, dtype=np.int64) % n_mod
@@ -768,8 +753,8 @@ def certify(tower: PatchingTower, limit: PatchLimit) -> FreenessCertificate:
     model = tower.model(precision)
     quotient = model.quotient(tower.base.ideal)
     base_div = base.divisors()
-    got_div = top_pres.divisors
-    checks["base_iso"] = got_div == base_div and top_pres.cardinality == quotient.cardinality() ** rank
+    got_div = top_pres.divisors()
+    checks["base_iso"] = got_div == base_div and top_pres.cardinality() == quotient.cardinality() ** rank
     if not checks["base_iso"]:
         raise BaseMismatch(
             f"limit base fiber has divisors {got_div}, base module has {base_div}"

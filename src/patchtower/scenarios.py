@@ -104,17 +104,8 @@ def _pad_contractible(cx: FreeComplex, degree: int) -> FreeComplex:
 
 def _level_data(params: ScenarioParams, cx: FreeComplex):
     g = params.q - params.r
-    x_actions: dict[int, list[np.ndarray]] = {}
-    top_pres = None
-    for dd in cx.degrees:
-        pres = cohomology(cx, dd)
-        if dd == params.d:
-            top_pres = pres
-        if pres.num_generators == 0:
-            x_actions[dd] = [np.zeros((0, 0), dtype=np.int64) for _ in range(g)]
-            continue
-        x_actions[dd] = [np.asarray(pres.actions[j], dtype=np.int64) for j in range(g)]
-    return x_actions, top_pres
+    x_actions = {dd: list(cohomology(cx, dd).actions[:g]) for dd in cx.degrees}
+    return x_actions, cohomology(cx, params.d)
 
 
 def gen_scenario(params: ScenarioParams, perturbation: str | None = None):
@@ -161,7 +152,7 @@ def gen_scenario(params: ScenarioParams, perturbation: str | None = None):
     rank_seen = None
     for n, (m_n, cx) in enumerate(zip(params.precisions, complexes), start=1):
         x_actions, top_pres = _level_data(params, cx)
-        qs = top_pres.module().quotient_by_columns(top_pres.actions).quotient
+        qs = top_pres.quotient_by_columns(top_pres.actions).quotient
         if any(e != m_n for e in qs.exponents):
             raise AssertionError("generated base fiber is not free at level precision")
         if rank_seen is None:

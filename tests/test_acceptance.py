@@ -32,6 +32,7 @@ from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring, red
 from patchtower.scenarios import PERTURBATIONS, ScenarioParams, gen_scenario
 from util import (
     SMALL_PATCH_SPECS,
+    fingerprint,
     random_graded_consistent_complex,
     random_graded_module,
     random_minimal_graded_complex,
@@ -197,7 +198,7 @@ def test_criterion_5_top_degree_from_rank_profile():
         for spec in SMALL_PATCH_SPECS:
             c = random_patch_complex(rng, spec, max_rank=2, max_length=2)
             prof = tau_profile(c)
-            tops = [deg for deg in c.degrees if not cohomology(c, deg).is_zero()]
+            tops = [deg for deg in c.degrees if cohomology(c, deg).cardinality() > 1]
             if prof.is_zero():
                 assert not tops, (spec, c.ranks)
             else:
@@ -289,11 +290,11 @@ def test_criterion_7_end_to_end_towers():
             got = tensor_along(limit.complex, reduction_map(limit.complex.spec, spec_k))
             want = tensor_along(expected, reduction_map(expected.spec, spec_k))
             for dd in want.degrees:
-                assert cohomology(got, dd).fingerprint() == cohomology(want, dd).fingerprint()
+                assert fingerprint(cohomology(got, dd)) == fingerprint(cohomology(want, dd))
         if (q, r) == (2, 1):
             low = tower.d - 1
             for lev in tower.levels:
-                assert cohomology(lev.complex, low).cardinality > 1
+                assert cohomology(lev.complex, low).cardinality() > 1
             assert cert.ha_obj["cohomology_zero"][str(low)] is True
         details.append(f"(q={q},r={r}) rank {cert.rank} in {elapsed:.1f}s")
     report(7, True, "; ".join(details))

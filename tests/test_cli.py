@@ -189,6 +189,18 @@ class TestGenPatch:
         assert code == 2
         assert json.loads(out)["error"] == "InvalidInput"
 
+    @pytest.mark.parametrize("extra", [[], ["--precision", "1"]], ids=["default-precision", "precision-1"])
+    def test_tower_without_levels_is_insufficient(self, capsys, tmp_path, extra):
+        run(capsys, ["gen", "--q", "1", "--r", "0", "--seed", "0", "--out-dir", str(tmp_path), "--format", "json"])
+        obj = json.loads((tmp_path / "tower.json").read_text())
+        obj["levels"] = []
+        bad = tmp_path / "empty.json"
+        bad.write_text(serialize.canonical_dumps(obj))
+        code, out = run(capsys, ["patch", str(bad), "--format", "json", *extra])
+        assert (code, json.loads(out)) == (
+            2, {"error": "InsufficientTower", "detail": "need at least two levels"}
+        )
+
 
 def round_trip_digests(capsys, tmp_path, gen_argv) -> dict:
     """sha256 of tower.json, expected.json and ``patch --format json`` stdout."""

@@ -107,7 +107,7 @@ def test_cohomology_matches_exhaustive_enumeration():
         if any(rk > 2 for rk in c.ranks):
             continue
         for deg in c.degrees:
-            assert cohomology(c, deg).cardinality == _brute_cardinality(c, deg)
+            assert cohomology(c, deg).cardinality() == _brute_cardinality(c, deg)
             checked += 1
     assert checked >= 20
 

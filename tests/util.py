@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from patchtower.complexes import FreeComplex, make_complex
+from patchtower.complexes import FiniteModuleData, FreeComplex, make_complex
 from patchtower.graded import GradedModule
 from patchtower.groebner import syzygy_generators
 from patchtower.linalg import HowellCore, Matrix, _as_array, expand_scalars
@@ -181,6 +181,18 @@ def random_graded_consistent_complex(
         diffs.append(Matrix(spec, ent))
         w1 = row_degrees
     return make_complex(spec, 0, ranks, diffs)
+
+
+def fingerprint(module: FiniteModuleData) -> tuple:
+    """Isomorphism-invariant summary of a cohomology module: cardinality,
+    divisors, and the divisors modulo the variable actions and modulo p."""
+    pcols = module.p * np.eye(module.gens, dtype=np.int64)
+    return (
+        module.cardinality(),
+        module.divisors(),
+        module.quotient_by_columns(module.actions).divisors(),
+        module.quotient_by_columns([pcols]).divisors(),
+    )
 
 
 def row_kernel(a: np.ndarray, p: int, m: int, nrows_hint: int | None = None) -> np.ndarray:
