@@ -6,7 +6,9 @@ Each grid point runs ``patchtower gen`` and then ``patchtower patch
 ``name sha256`` line for each of ``tower.json``, ``expected.json`` and
 the patch output (whose name carries the exit code).  The grid is
 p=3; (q, r) in {(1,0), (1,1), (2,0), (2,1), (2,2)} at small precisions and
-seeds 0-7; and every named perturbation of one padded q=1 tower.
+seeds 0-7; two level-3 q=2 towers, whose rank-729 ring makes scalar
+expansion take Kronecker products of two non-identity factors; and every
+named perturbation of one padded q=1 tower.
 
 Two checkouts give the same canonical bytes exactly when this prints
 the same lines on both, so a "same bytes" claim is one ``diff``:
@@ -35,6 +37,11 @@ CLASSES = [
     (2, 2, (1, 2)),
 ]
 SEEDS = range(8)
+# (q, r, precisions, seed) at level 3, rho = 3^6 = 729
+LEVEL3 = [
+    (2, 0, (1, 2, 1), 0),
+    (2, 2, (1, 2, 2), 7),
+]
 # q=1, r=1 at seed 0 pads the top level, as in the dense benchmark class
 PADDED = (1, 1, (1, 2, 2, 2, 2), 0)
 
@@ -75,6 +82,8 @@ def grid():
     for q, r, precisions in CLASSES:
         for seed in SEEDS:
             yield q, r, precisions, seed, None
+    for q, r, precisions, seed in LEVEL3:
+        yield q, r, precisions, seed, None
     q, r, precisions, seed = PADDED
     for perturbation in PERTURBATIONS:
         yield q, r, precisions, seed, perturbation

@@ -27,9 +27,9 @@ from .linalg import (
     Matrix,
     QuotientStructure,
     _echelon,
+    _monomial_matrix,
     expand_scalars,
     matmul_mod,
-    multiplication_matrix,
     smith_quotient,
     smith_transforms,
 )
@@ -458,7 +458,6 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         if d.rows and d.cols:
             smiths[deg] = smith_transforms(expand_scalars(d), d.rows * rho, p, m, track_v=True)
 
-    mult_cache: list[np.ndarray] | None = None
     out: dict[int, FiniteModuleData] = {}
     for degree in c.degrees:
         rk = c.rank(degree)
@@ -512,12 +511,8 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
             solver = None
             relations = np.zeros((0, 0), dtype=np.int64)
 
-        if mult_cache is None:
-            mult_cache = [
-                multiplication_matrix(RingTowerElement.variable(spec, j))
-                for j in range(spec.q)
-            ]
-        actions = _variable_actions(mult_cache, gens, rk, embed, solver, N)
+        mults = [_monomial_matrix(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q)]
+        actions = _variable_actions(mults, gens, rk, embed, solver, N)
 
         out[degree] = FiniteModuleData(p, m, g, relations, actions)
     return out

@@ -57,6 +57,10 @@ class InsufficientTower(InvalidInput):
     pass
 
 
+class ExpansionTooLarge(InvalidInput):
+    pass
+
+
 class MathViolation(PatchTowerError):
     """A checked mathematical hypothesis or conclusion failed to hold."""
 

@@ -24,8 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, ShapeMismatch, SpecMismatch
-from .rings import RingMap, RingSpec, RingTowerElement
+from .errors import ExpansionTooLarge, InvalidParameter, ShapeMismatch, SpecMismatch
+from .rings import RingMap, RingSpec, RingTowerElement, _rewrite_rule
+
+# int64 cells (128 MiB) past which a scalar expansion is refused; q=2,
+# r=2 at level 3 needs 2187 x 1458, q=3 at level 3 would need 39366^2
+MAX_EXPANDED_CELLS = 2**24
 
 
 class Matrix:
@@ -532,18 +536,45 @@ def smith_quotient(rel_cols: np.ndarray, ambient: int, p: int, m: int) -> Quotie
 # ---------------------------------------------------------------------------
 
 
-def multiplication_matrix(x: RingTowerElement) -> np.ndarray:
-    """Matrix of multiplication by x on the monomial basis, over Z/p^m."""
-    spec = x.spec
-    basis = spec.monomial_basis()
-    index = {e: k for k, e in enumerate(basis)}
-    rho = len(basis)
-    out = np.zeros((rho, rho), dtype=np.int64)
-    for col, e in enumerate(basis):
-        prod = x * RingTowerElement(spec, {e: 1})
-        for exps, c in prod.coeffs.items():
-            out[index[exps], col] = c
+def _monomial_matrix(spec: RingSpec, exps: tuple[int, ...]) -> np.ndarray:
+    """Multiplication by T^exps: the Kronecker product over the variables
+    of C^(a_i), where C multiplies 1, T, ..., T^(p^n - 1) by T.  Only a
+    product of two non-identity factors can leave [0, p^m) and is reduced."""
+    rho, B, N = spec.coefficient_rank, spec.exponent_bound, _modulus(spec.p, spec.m)
+    _dense_shape(rho, rho)
+    C = np.eye(B, k=-1, dtype=np.int64)  # the last column rewrites T^(p^n)
+    for k, c in _rewrite_rule(spec.p, spec.m, spec.n):
+        C[k, B - 1] = c
+    out = np.ones((1, 1), dtype=np.int64)
+    for i, a in enumerate(exps):
+        power = C if a else np.eye(B, dtype=np.int64)
+        for bit in bin(a)[3:]:
+            power = matmul_mod(power, power, N)
+            if bit == "1":
+                power = matmul_mod(power, C, N)
+        out = np.kron(out, power) if i else power
+        if a and any(exps[:i]):
+            out %= N
     return out
+
+
+def multiplication_matrix(x: RingTowerElement) -> np.ndarray:
+    """Matrix of multiplication by x on the monomial basis, over Z/p^m:
+    the sum of c times the matrix of T^a over the terms c T^a of x."""
+    spec, N = x.spec, x.spec.modulus
+    if len(x.coeffs) == 1 and 1 in x.coeffs.values():
+        return _monomial_matrix(spec, *x.coeffs)
+    out = np.zeros(_dense_shape(spec.coefficient_rank, spec.coefficient_rank), dtype=np.int64)
+    for exps, c in x.coeffs.items():
+        term = _monomial_matrix(spec, exps)
+        out += term if c == 1 else term * c % N
+    return out % N
+
+
+def _dense_shape(rows: int, cols: int) -> tuple[int, int]:
+    if rows * cols > MAX_EXPANDED_CELLS:
+        raise ExpansionTooLarge(f"a dense {rows}x{cols} expansion exceeds {MAX_EXPANDED_CELLS} cells")
+    return rows, cols
 
 
 def expand_scalars(a: Matrix) -> np.ndarray:
@@ -557,7 +588,7 @@ def expand_scalars(a: Matrix) -> np.ndarray:
     if spec.kind == "graded":
         raise SpecMismatch("graded matrices have no finite expansion")
     rho = spec.coefficient_rank
-    out = np.zeros((a.rows * rho, a.cols * rho), dtype=np.int64)
+    out = np.zeros(_dense_shape(a.rows * rho, a.cols * rho), dtype=np.int64)
     for i in range(a.rows):
         for j in range(a.cols):
             x = a.entries[i][j]

@@ -9,6 +9,7 @@ from patchtower.complexes import koszul_complex, make_complex
 from patchtower.graded import GradedModule
 from patchtower.linalg import Matrix
 from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
+from util import run_under_memory_limit
 
 
 def run(capsys, argv):
@@ -287,3 +288,14 @@ def test_action_entries_past_int64_products_keep_the_verdict(capsys, tmp_path):
     path.write_text(serialize.canonical_dumps(obj))
     code, out = run(capsys, ["patch", str(path), "--format", "json"])
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (0, clean["output"])
+
+
+def test_oversized_tower_is_refused_with_exit_2(tmp_path):
+    # level 3 with q=3 expands a 2 x 2 differential to 39366 x 39366
+    # (11.5 GiB); the child's address space is capped at 2 GiB
+    argv = ["gen", "--p", "3", "--q", "3", "--r", "1", "--precisions", "1", "2", "2", "--seed", "7"]
+    code = f"import sys\nfrom patchtower.cli import main\nsys.exit(main({[*argv, '--out-dir', str(tmp_path)]!r}))"
+    done = run_under_memory_limit(code)
+    assert done.returncode == 2
+    assert done.stdout.startswith("ExpansionTooLarge: ")
+    assert "Traceback" not in done.stdout + done.stderr

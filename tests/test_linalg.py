@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchtower.errors import InvalidParameter
+from patchtower.errors import InvalidParameter, SpecMismatch, UnsupportedRing
 from patchtower.linalg import (
     HowellCore,
     Matrix,
@@ -18,8 +18,8 @@ from patchtower.linalg import (
     smith_quotient,
     smith_transforms,
 )
-from patchtower.rings import RingTowerElement, make_patch_ring
-from util import reference_solve
+from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
+from util import reference_multiplication_matrix, reference_solve, run_under_memory_limit
 
 # (p, m) of Z/4 and Z/9
 Z4 = (2, 2)
@@ -136,7 +136,87 @@ class TestKernelAndSolve:
         assert span_of_rows(kernel, 9) == set(itertools.product(range(9), repeat=k))
 
 
+@st.composite
+def small_rings(draw, qs=range(4), max_rank=729):
+    """Patch rings (and, for q = 0, coefficient rings) of rank <= max_rank."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 3))
+    q = draw(st.sampled_from(qs))
+    n = draw(st.integers(1, 3).filter(lambda n: p ** (n * q) <= max_rank))
+    return make_patch_ring(p, m, n, q)
+
+
+@st.composite
+def ring_elements(draw, spec):
+    """Elements with 0-5 terms whose coefficients may lie outside [0, N)."""
+    N = spec.modulus
+    exps = st.tuples(*[st.integers(0, spec.exponent_bound - 1)] * spec.q)
+    return RingTowerElement(spec, draw(st.dictionaries(exps, st.integers(-2 * N, 2 * N), max_size=5)))
+
+
 class TestExpandScalars:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_multiplication_matrix_matches_ring_products(self, data):
+        spec = data.draw(small_rings())
+        x = data.draw(ring_elements(spec))
+        y = data.draw(ring_elements(spec))
+        mx = multiplication_matrix(x)
+        assert np.array_equal(mx, reference_multiplication_matrix(x))
+        # a lone monomial with coefficient 1 is never reduced as a sum
+        # or a multiple, only after its Kronecker products
+        for e in {**x.coeffs, **y.coeffs}:
+            mono = RingTowerElement(spec, {e: 1})
+            assert np.array_equal(multiplication_matrix(mono), reference_multiplication_matrix(mono))
+        assert np.array_equal(matmul_mod(mx, multiplication_matrix(y), spec.modulus), multiplication_matrix(x * y))
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_functorial_with_several_variables(self, data):
+        # rank <= 125 keeps the 2 rho x 2 rho products on the float32 path
+        spec = data.draw(small_rings(qs=(2, 3), max_rank=125))
+        N = spec.modulus
+        a, b = (
+            Matrix(spec, [[data.draw(ring_elements(spec)) for _ in range(2)] for _ in range(2)])
+            for _ in range(2)
+        )
+        ea, eb = expand_scalars(a), expand_scalars(b)
+        assert np.array_equal(expand_scalars(a @ b), matmul_mod(ea, eb, N))
+        total = Matrix(spec, [[a[i, j] + b[i, j] for j in range(2)] for i in range(2)])
+        assert np.array_equal(expand_scalars(total), (ea + eb) % N)
+
+    @pytest.mark.parametrize("which", ["zero", "one", "variable"])
+    def test_graded_rings_are_refused(self, which):
+        spec = graded_ring(3, 2)
+        x = {
+            "zero": RingTowerElement.zero(spec),
+            "one": RingTowerElement.one(spec),
+            "variable": RingTowerElement.variable(spec, 1),
+        }[which]
+        with pytest.raises(UnsupportedRing):
+            multiplication_matrix(x)
+        with pytest.raises(SpecMismatch):
+            expand_scalars(Matrix(spec, [[x]]))
+
+    def test_oversized_expansion_is_a_typed_error(self):
+        # rho = 3^9: the 2 x 2 expansion would take 11.5 GiB and one
+        # multiplication matrix 2.9 GiB; the child's address space is
+        # capped at 2 GiB, so a regression ends there in MemoryError
+        code = "\n".join([
+            "from patchtower.errors import ExpansionTooLarge",
+            "from patchtower.linalg import Matrix, expand_scalars, multiplication_matrix",
+            "from patchtower.rings import RingTowerElement, make_patch_ring",
+            "spec = make_patch_ring(3, 2, 3, 3)",
+            "for call in (lambda: expand_scalars(Matrix.identity(spec, 2)),",
+            "             lambda: multiplication_matrix(RingTowerElement.variable(spec, 0))):",
+            "    try:",
+            "        call()",
+            "    except ExpansionTooLarge as exc:",
+            "        print(type(exc).__name__)",
+        ])
+        done = run_under_memory_limit(code)
+        assert (done.returncode, done.stdout.split(), done.stderr) == (0, ["ExpansionTooLarge"] * 2, "")
+
     def test_multiplication_by_t(self):
         spec = make_patch_ring(3, 1, 1, 1)
         t = RingTowerElement.variable(spec, 0)

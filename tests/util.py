@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from patchtower.complexes import FiniteModuleData, FreeComplex, make_complex
 from patchtower.graded import GradedModule
@@ -210,6 +214,33 @@ def column_kernel(a: np.ndarray, p: int, m: int, ncols: int) -> np.ndarray:
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=np.int64)
     return row_kernel(a.T, p, m).T
+
+
+def reference_multiplication_matrix(x: RingTowerElement) -> np.ndarray:
+    """The per-column loop: one ring product per basis monomial.
+    ``linalg.multiplication_matrix`` must give the same matrix."""
+    spec = x.spec
+    basis = spec.monomial_basis()
+    index = {e: k for k, e in enumerate(basis)}
+    rho = len(basis)
+    out = np.zeros((rho, rho), dtype=np.int64)
+    for col, e in enumerate(basis):
+        prod = x * RingTowerElement(spec, {e: 1})
+        for exps, c in prod.coeffs.items():
+            out[index[exps], col] = c
+    return out
+
+
+def run_under_memory_limit(code: str, limit: int = 2 << 30) -> subprocess.CompletedProcess:
+    """Run Python source ``code`` in a child that first caps its own
+    address space, so an oversized allocation fails there with
+    MemoryError instead of filling the machine."""
+    prelude = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def reference_solve(core: HowellCore, b: np.ndarray) -> np.ndarray | None:
