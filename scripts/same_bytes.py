@@ -4,11 +4,15 @@
 Each grid point runs ``patchtower gen`` and then ``patchtower patch
 --format json`` through ``patchtower.cli.main`` and prints one
 ``name sha256`` line for each of ``tower.json``, ``expected.json`` and
-the patch output (whose name carries the exit code).  The grid is
+the patch output (whose name carries the exit code), then one line for
+the ``patchtower minimize --format json`` output of every level complex
+of the tower, padded levels included.  The grid is
 p=3; (q, r) in {(1,0), (1,1), (2,0), (2,1), (2,2)} at small precisions and
 seeds 0-7; two level-3 q=2 towers, whose rank-729 ring makes scalar
 expansion take Kronecker products of two non-identity factors; and every
-named perturbation of one padded q=1 tower.
+named perturbation of one padded q=1 tower.  Last come the minimize
+outputs of the graded complexes of ``perfbench/data/ha_pool.json``,
+which is read and left as it is.
 
 Two checkouts give the same canonical bytes exactly when this prints
 the same lines on both, so a "same bytes" claim is one ``diff``:
@@ -19,14 +23,19 @@ the same lines on both, so a "same bytes" claim is one ``diff``:
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from patchtower.cli import main  # noqa: E402
 from patchtower.scenarios import PERTURBATIONS  # noqa: E402
+from patchtower.serialize import canonical_dumps  # noqa: E402
+
+HA_POOL = ROOT / "perfbench" / "data" / "ha_pool.json"
 
 # (q, r, precisions) per grid class
 CLASSES = [
@@ -57,6 +66,14 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def minimized(name: str, complex_obj, tmp: str):
+    """(name, sha256) of ``minimize --format json`` on one complex."""
+    path = Path(tmp) / "complex.json"
+    path.write_text(canonical_dumps(complex_obj))
+    code, out = _run(["minimize", str(path), "--format", "json"])
+    return f"{name}/minimize[exit={code}]", _digest(out)
+
+
 def round_trip(q: int, r: int, precisions, seed: int, perturbation=None):
     """(name, sha256) of each output file of one gen + patch round trip."""
     name = f"q{q}r{r}-m{''.join(map(str, precisions))}-s{seed}"
@@ -71,11 +88,21 @@ def round_trip(q: int, r: int, precisions, seed: int, perturbation=None):
             return [(f"{name}/gen[exit={code}]", _digest(b""))]
         tower = Path(tmp) / "tower.json"
         code, out = _run(["patch", str(tower), "--format", "json"])
-        return [
+        lines = [
             (f"{name}/tower.json", _digest(tower.read_bytes())),
             (f"{name}/expected.json", _digest((Path(tmp) / "expected.json").read_bytes())),
             (f"{name}/patch[exit={code}]", _digest(out)),
         ]
+        for level in json.loads(tower.read_text())["levels"]:
+            lines.append(minimized(f"{name}/level{level['level']}", level["complex"], tmp))
+        return lines
+
+
+def ha_pool():
+    """(name, sha256) of the minimize output of each pooled graded complex."""
+    complexes = json.loads(HA_POOL.read_text())["complexes"]
+    with tempfile.TemporaryDirectory() as tmp:
+        return [minimized(f"ha-pool/complex{i}", obj, tmp) for i, obj in enumerate(complexes)]
 
 
 def grid():
@@ -93,3 +120,5 @@ if __name__ == "__main__":
     for point in grid():
         for name, sha in round_trip(*point):
             print(name, sha, flush=True)
+    for name, sha in ha_pool():
+        print(name, sha, flush=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -143,10 +144,7 @@ def direct_sum(a: FreeComplex, b: FreeComplex) -> FreeComplex:
         for i in range(db.rows):
             for j in range(db.cols):
                 ent[da.rows + i][da.cols + j] = db.entries[i][j]
-        m = Matrix(a.spec, ent)
-        if rows == 0:
-            m = Matrix.zero(a.spec, 0, cols)
-        diffs.append(m)
+        diffs.append(Matrix(a.spec, ent, cols))
     return FreeComplex(a.spec, lo, ranks, diffs, _checked=True)
 
 
@@ -226,14 +224,7 @@ def minimize(c: FreeComplex) -> FreeComplex:
             diffs.pop()
     if not ranks:
         return empty_complex(c.spec)
-    out = []
-    for i, mat in enumerate(diffs):
-        m = Matrix(c.spec, mat)
-        if ranks[i + 1] == 0:
-            m = Matrix.zero(c.spec, 0, ranks[i])
-        elif ranks[i] == 0:
-            m = Matrix.zero(c.spec, ranks[i + 1], 0)
-        out.append(m)
+    out = [Matrix(c.spec, mat, ranks[i]) for i, mat in enumerate(diffs)]
     return FreeComplex(c.spec, lo, ranks, out)
 
 
@@ -312,8 +303,6 @@ def koszul_complex(
     """
     elems = list(elements)
     cdeg = len(elems)
-    from itertools import combinations
-
     zero = RingTowerElement.zero(spec)
     bases = [list(combinations(range(cdeg), i)) for i in range(cdeg + 1)]
     diffs = []
@@ -387,9 +376,7 @@ class FiniteModuleData:
         )
 
     def quotient_by_columns(self, extra_cols) -> "FiniteModuleData":
-        blocks = [self.relations] + [np.asarray(c, dtype=np.int64) for c in extra_cols]
-        blocks = [b for b in blocks if b.size]
-        rel = np.hstack(blocks) if blocks else np.zeros((self.gens, 0), dtype=np.int64)
+        rel = np.hstack([self.relations] + [np.asarray(c, dtype=np.int64) for c in extra_cols])
         return FiniteModuleData(self.p, self.m, self.gens, rel % self.modulus, self.actions)
 
 
@@ -467,13 +454,13 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
             continue
 
         sm_out = smiths.get(degree)
-        if sm_out is None or c.rank(degree + 1) == 0:
+        if sm_out is None:
             kernel = np.eye(amb, dtype=np.int64)
         else:
             kernel = sm_out.column_kernel()
 
         sm_in = smiths.get(degree - 1)
-        if sm_in is None or c.rank(degree - 1) == 0:
+        if sm_in is None:
             exponents = (m,) * amb
             scales = np.ones(amb, dtype=np.int64)
             proj = None
@@ -499,22 +486,14 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         else:
             ek2 = ek
         chosen = _nakayama_choice(ek2, p, m)
-        gens = kernel[:, chosen] if chosen else np.zeros((amb, 0), dtype=np.int64)
-        g = gens.shape[1]
-
-        if g:
-            e_chosen = ek[:, chosen]
-            solver = HowellCore(e_chosen.T, p, m)
-            rel_rows = solver.kernel_rows()
-            relations = rel_rows.T if rel_rows.size else np.zeros((g, 0), dtype=np.int64)
-        else:
-            solver = None
-            relations = np.zeros((0, 0), dtype=np.int64)
+        gens = kernel[:, chosen]
+        solver = HowellCore(ek[:, chosen].T, p, m)
+        relations = solver.kernel_rows().T
 
         mults = [_monomial_matrix(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q)]
         actions = _variable_actions(mults, gens, rk, embed, solver, N)
 
-        out[degree] = FiniteModuleData(p, m, g, relations, actions)
+        out[degree] = FiniteModuleData(p, m, gens.shape[1], relations, actions)
     return out
 
 
@@ -528,8 +507,6 @@ def _variable_actions(mults, gens: np.ndarray, rk: int, embed, solver, N: int) -
     generators, one per row) writes all g images in the generators.
     """
     amb, g = gens.shape
-    if not g:
-        return tuple(np.zeros((0, 0), dtype=np.int64) for _ in mults)
     rho = amb // rk
     blocks = gens.reshape(rk, rho, g).transpose(1, 0, 2).reshape(rho, rk * g)
     actions = []

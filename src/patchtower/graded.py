@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 from . import groebner as gb
-from .complexes import FreeComplex, dual, empty_complex
+from .complexes import FreeComplex, dual, empty_complex, tau_profile
 from .errors import InvalidParameter, NotMinimalInput, SpecMismatch, UnsupportedRing
 from .linalg import Matrix
 from .rings import RingSpec, RingTowerElement
@@ -61,10 +62,7 @@ def columns_to_matrix(spec: RingSpec, cols: list[Vec], rows: int) -> Matrix:
             per_row.setdefault(pos, {})[e] = c
         for pos, coeffs in per_row.items():
             ent[pos][j] = RingTowerElement(spec, coeffs)
-    m = Matrix(spec, ent)
-    if rows == 0:
-        m = Matrix.zero(spec, 0, len(cols))
-    return m
+    return Matrix(spec, ent, len(cols))
 
 
 def _constant_at(v: Vec, pos: int, q: int) -> int:
@@ -104,9 +102,7 @@ class GradedModule:
 
     @classmethod
     def quotient_by_ideal(cls, ring: RingSpec, gens) -> "GradedModule":
-        elems = list(gens)
-        m = Matrix(ring, [[x for x in elems]]) if elems else Matrix.zero(ring, 1, 0)
-        return cls(ring, 1, m)
+        return cls(ring, 1, Matrix(ring, [list(gens)]))
 
     def relation_columns(self) -> list[Vec]:
         return matrix_columns(self.relations)
@@ -273,17 +269,6 @@ def minimal_graded_resolution(m: GradedModule) -> tuple[FreeComplex, tuple[int, 
     return out
 
 
-def _resolution_steps(m: GradedModule) -> tuple[tuple[int, ...], list[list[Vec]]]:
-    cx, betti = minimal_graded_resolution(m)
-    if not betti:
-        return (), []
-    steps = []
-    for k in range(len(betti) - 1):
-        d = cx.diffs[len(cx.diffs) - 1 - k]
-        steps.append(matrix_columns(d))
-    return betti, steps
-
-
 def ext_module(m: GradedModule, i: int) -> GradedModule:
     """The i-th right derived dual: degree-i cohomology of the dual resolution.
 
@@ -318,8 +303,6 @@ def fitting_ideal(m: GradedModule) -> list[RingTowerElement] | None:
         return [RingTowerElement.one(m.ring)]
     if s < t:
         return []
-    from math import comb
-
     if comb(s, t) > 120:
         return None
     rows_of = [[{} for _ in range(s)] for _ in range(t)]
@@ -433,7 +416,7 @@ def module_grade(m: GradedModule) -> int | None:
     if module_is_zero(m):
         m._cache["grade"] = None
         return None
-    betti, _ = _resolution_steps(m)
+    _, betti = minimal_graded_resolution(m)
     length = len(betti) - 1
     grade = None
     for i in range(length + 1):
@@ -462,8 +445,6 @@ def module_invariants(m: GradedModule) -> dict:
             "betti": (),
         }
     cx, betti = minimal_graded_resolution(m)
-    from .complexes import tau_profile
-
     projdim = len(betti) - 1
     amplitude = tau_profile(cx).amplitude
     grade = module_grade(m)
@@ -498,7 +479,7 @@ def support_components(m: GradedModule) -> dict[int, list[Vec]]:
     p, q = ring.p, ring.q
     if module_is_zero(m):
         return {}
-    betti, _ = _resolution_steps(m)
+    _, betti = minimal_graded_resolution(m)
     length = len(betti) - 1
     components: dict[int, list[Vec]] = {}
     for h in range(min(q, length) + 1):
@@ -619,13 +600,12 @@ def complex_cohomology_module(c: FreeComplex, degree: int) -> GradedModule:
         return GradedModule(ring, 0, Matrix.zero(ring, 0, 0))
     d_out = c.differential(degree)
     d_in = c.differential(degree - 1)
-    image = matrix_columns(d_in) if d_in.cols else []
     if d_out.rows == 0:
         # full kernel: the presentation is just the cokernel of the
         # incoming differential, on the original basis
-        return GradedModule(ring, rk, d_in if d_in.cols else Matrix.zero(ring, rk, 0))
+        return GradedModule(ring, rk, d_in)
     kernel = gb.syzygy_generators(matrix_columns(d_out), d_out.rows, p, q)
-    rel = gb.relations_modulo(kernel, image, rk, p, q) if kernel else []
+    rel = gb.relations_modulo(kernel, matrix_columns(d_in), rk, p, q) if kernel else []
     return GradedModule(ring, len(kernel), columns_to_matrix(ring, rel, len(kernel)))
 
 
@@ -800,13 +780,13 @@ def _vector_degree(v: Vec, shifts: list[int]) -> int | None:
 
 def _resolution_twists(m: GradedModule, start: list[int]) -> list[list[int]] | None:
     """Generator degrees of every resolution step, or None if not graded."""
-    betti, steps = _resolution_steps(m)
+    cx, betti = minimal_graded_resolution(m)
     if not betti:
         return []
     twists = [list(start)]
-    for step in steps:
+    for diff in reversed(cx.diffs):
         nxt = []
-        for col in step:
+        for col in matrix_columns(diff):
             d = _vector_degree(col, twists[-1])
             if d is None:
                 return None
@@ -835,7 +815,7 @@ def _duality_check(c: FreeComplex, top: GradedModule, amplitude: int) -> dict:
     radical_match = gb.radical_equal(ann_l, ann_r, p, q)
 
     twists = infer_twists(c)
-    betti, _ = _resolution_steps(top)
+    _, betti = minimal_graded_resolution(top)
     res_twists = (
         _resolution_twists(top, twists[hi]) if twists is not None else None
     )

@@ -197,15 +197,12 @@ def prepared_basis(gb: list[Vec], p: int, order: ModuleOrder | None = None) -> _
 
 def syzygy_generators(vectors: list[Vec], t: int, p: int, q: int) -> list[Vec]:
     """Generators of the relation module of ``vectors`` inside R^t."""
-    s = len(vectors)
     zero_e = (0,) * q
     embedded = []
-    live = []
     for i, v in enumerate(vectors):
         h = dict(v)
         h[(t + i, zero_e)] = 1
         embedded.append(h)
-        live.append(i)
     gb = buchberger(embedded, p, ModuleOrder(grevlex_key, cut=t))
     out = []
     for g in gb:

@@ -37,12 +37,13 @@ class Matrix:
 
     Column-action convention throughout the package: a matrix of shape
     (rows, cols) maps column vectors of length ``cols`` to column
-    vectors of length ``rows``.
+    vectors of length ``rows``.  A matrix without rows keeps its width:
+    ``cols`` is read only when ``entries`` has no rows.
     """
 
     __slots__ = ("spec", "rows", "cols", "entries")
 
-    def __init__(self, spec: RingSpec, entries):
+    def __init__(self, spec: RingSpec, entries, cols: int = 0):
         rows = tuple(tuple(row) for row in entries)
         for row in rows:
             for x in row:
@@ -53,7 +54,7 @@ class Matrix:
             raise ShapeMismatch("ragged matrix rows")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", widths.pop() if widths else 0)
+        object.__setattr__(self, "cols", widths.pop() if widths else cols)
         object.__setattr__(self, "entries", rows)
 
     def __setattr__(self, *_):
@@ -64,10 +65,7 @@ class Matrix:
     @classmethod
     def zero(cls, spec: RingSpec, rows: int, cols: int) -> "Matrix":
         z = RingTowerElement.zero(spec)
-        m = cls(spec, [[z] * cols for _ in range(rows)])
-        if rows == 0:
-            object.__setattr__(m, "cols", cols)
-        return m
+        return cls(spec, [[z] * cols for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, spec: RingSpec, size: int) -> "Matrix":
@@ -105,10 +103,7 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         out = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        m = Matrix(self.spec, out)
-        if self.cols == 0:
-            object.__setattr__(m, "cols", self.rows)
-        return m
+        return Matrix(self.spec, out, self.rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.spec != other.spec:
@@ -128,15 +123,10 @@ class Matrix:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        m = Matrix(self.spec, out)
-        if self.rows == 0 or other.cols == 0:
-            return Matrix.zero(self.spec, self.rows, other.cols)
-        return m
+        return Matrix(self.spec, out, other.cols)
 
     def map_entries(self, fn, spec: RingSpec | None = None) -> "Matrix":
-        if self.rows == 0:
-            return Matrix.zero(spec or self.spec, 0, self.cols)
-        return Matrix(spec or self.spec, [[fn(x) for x in row] for row in self.entries])
+        return Matrix(spec or self.spec, [[fn(x) for x in row] for row in self.entries], self.cols)
 
     def apply_map(self, f: RingMap) -> "Matrix":
         if f.source != self.spec:
@@ -429,12 +419,7 @@ class SmithData:
         for idx in range(len(self.pivot_vals), self.rows):
             exponents.append(self.m)
             kept.append(idx)
-        proj = (
-            self.U[kept]
-            if kept
-            else np.zeros((0, self.rows), dtype=np.int64)
-        )
-        return QuotientStructure(self.p, self.m, tuple(exponents), proj % (self.p**self.m))
+        return QuotientStructure(self.p, self.m, tuple(exponents), self.U[kept] % (self.p**self.m))
 
     def column_kernel(self) -> np.ndarray:
         """Columns generating {v : A v = 0}, from the diagonal form."""
@@ -540,21 +525,35 @@ def _monomial_matrix(spec: RingSpec, exps: tuple[int, ...]) -> np.ndarray:
     """Multiplication by T^exps: the Kronecker product over the variables
     of C^(a_i), where C multiplies 1, T, ..., T^(p^n - 1) by T.  Only a
     product of two non-identity factors can leave [0, p^m) and is reduced."""
-    rho, B, N = spec.coefficient_rank, spec.exponent_bound, _modulus(spec.p, spec.m)
+    rho, N = spec.coefficient_rank, _modulus(spec.p, spec.m)
     _dense_shape(rho, rho)
-    C = np.eye(B, k=-1, dtype=np.int64)  # the last column rewrites T^(p^n)
+    rewrite = np.zeros(spec.exponent_bound, dtype=np.int64)  # T^(p^n)
     for k, c in _rewrite_rule(spec.p, spec.m, spec.n):
-        C[k, B - 1] = c
+        rewrite[k] = c
     out = np.ones((1, 1), dtype=np.int64)
     for i, a in enumerate(exps):
-        power = C if a else np.eye(B, dtype=np.int64)
-        for bit in bin(a)[3:]:
-            power = matmul_mod(power, power, N)
-            if bit == "1":
-                power = matmul_mod(power, C, N)
+        power = _companion_power(rewrite, a, N)
         out = np.kron(out, power) if i else power
         if a and any(exps[:i]):
             out %= N
+    return out
+
+
+def _companion_power(rewrite: np.ndarray, a: int, N: int) -> np.ndarray:
+    """C^a, where C shifts 1, ..., T^(B-1) up one degree and its last
+    column ``rewrite`` holds T^B.  Column j is T^(j+a): e_(j+a) while
+    j + a < B, and past that C^(j+a-B+1) e_(B-1), each step of C being
+    a shift plus the top entry times ``rewrite``: O(a B), no product.
+    Entries stay below N(N-1), which ``_modulus`` keeps inside int64."""
+    B = rewrite.size
+    out = np.eye(B, k=-a, dtype=np.int64)
+    col = np.zeros(B, dtype=np.int64)
+    col[-1] = 1  # T^(B-1)
+    for k in range(1, a + 1):
+        col = np.concatenate(([0], col[:-1])) + col[-1] * rewrite
+        col %= N
+        if a - k < B:
+            out[:, B - 1 - a + k] = col
     return out
 
 

@@ -43,7 +43,7 @@ from .errors import (
     TauNotConstant,
     TauOutOfRange,
 )
-from .graded import verify_height_amplitude
+from .graded import complex_cohomology_module, module_invariants, verify_height_amplitude
 from .linalg import Matrix, matmul_mod
 from .rings import (
     RingSpec,
@@ -722,8 +722,6 @@ def certify(tower: PatchingTower, limit: PatchLimit) -> FreenessCertificate:
     )
     if not checks["fiber_vanishing_below_top"]:
         raise HeightAmplitudeViolated("fiber cohomology survives below the top degree")
-
-    from .graded import complex_cohomology_module, module_invariants
 
     top_module = complex_cohomology_module(fiber, max(dd for dd in fiber.degrees if fiber.rank(dd)))
     inv = module_invariants(top_module)

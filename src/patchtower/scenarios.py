@@ -190,6 +190,8 @@ def gen_scenario(params: ScenarioParams, perturbation: str | None = None):
         levels=levels,
     )
 
+    # imported here so that ``import patchtower`` does not load serialize
+    # and json, which nothing else it imports needs
     from .serialize import complex_to_obj
 
     target_precision = min(base_precision, len(params.precisions))

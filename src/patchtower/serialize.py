@@ -13,6 +13,7 @@ import numpy as np
 
 from .complexes import FiniteModuleData, FreeComplex
 from .errors import InvalidInput
+from .graded import GradedModule
 from .linalg import Matrix
 from .patcher import FreenessCertificate, PatchingTower, TowerBase, TowerLevel
 from .rings import KINDS, RingSpec, RingTowerElement, coefficient_ring, graded_ring, make_patch_ring
@@ -128,15 +129,10 @@ def graded_module_to_obj(m) -> dict:
 
 
 def graded_module_from_obj(obj):
-    from .graded import GradedModule
-
     try:
         spec = spec_from_obj(obj["ring"])
         gens = int(obj["gens"])
-        relations = matrix_from_obj(spec, obj["relations"], rows=gens)
-        if relations.rows == 0 and gens:
-            relations = Matrix.zero(spec, gens, 0)
-        return GradedModule(spec, gens, relations)
+        return GradedModule(spec, gens, matrix_from_obj(spec, obj["relations"], rows=gens))
     except MALFORMED as exc:
         raise InvalidInput(f"malformed module file: {exc}") from exc
 

@@ -30,6 +30,7 @@ from patchtower.rings import (
     residue_map,
 )
 from patchtower.scenarios import ScenarioParams, _level_data
+from patchtower.serialize import complex_from_obj, complex_to_obj
 from util import SMALL_PATCH_SPECS, fingerprint, random_patch_complex, reference_solve
 
 F3T = make_patch_ring(3, 1, 1, 1)
@@ -90,6 +91,44 @@ class TestMinimize:
             for _ in range(8):
                 c = random_patch_complex(rng, spec)
                 assert minimize(c).euler_characteristic() == c.euler_characteristic()
+
+
+def shape(a: Matrix) -> tuple[int, int]:
+    return a.rows, a.cols
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0)])
+class TestEmptyShapes:
+    """A matrix without rows or columns keeps both dimensions."""
+
+    def test_matrix_operations(self, rows, cols):
+        a = Matrix.zero(F3T, rows, cols)
+        assert shape(a) == (rows, cols)
+        assert shape(a.transpose()) == (cols, rows)
+        assert shape(a.transpose().transpose()) == (rows, cols)
+        assert shape(a @ Matrix.zero(F3T, cols, 2)) == (rows, 2)
+        assert shape(Matrix.zero(F3T, 2, rows) @ a) == (2, cols)
+        assert shape(a.map_entries(lambda x: x + ONE)) == (rows, cols)
+
+    def test_direct_sum_with_rank_zero_degree(self, rows, cols):
+        a = make_complex(F3T, 0, [cols, rows], [Matrix.zero(F3T, rows, cols)])
+        b = make_complex(F3T, -1, [1], [])
+        s = direct_sum(a, b)
+        assert s.lo == -1 and s.ranks == (1, cols, rows)
+        assert [shape(d) for d in s.diffs] == [(cols, 1), (rows, cols)]
+
+    def test_minimize_leaves_rank_zero_inner_degree(self, rows, cols):
+        # one unit pivot in the middle cancels a rank from degrees 1 and
+        # 2; every other entry is zero, so the ends keep rank 1
+        pivot = Matrix(F3T, [[ONE if i == j == 0 else ZERO for j in range(cols + 1)] for i in range(rows + 1)])
+        c = make_complex(
+            F3T, 0, [1, cols + 1, rows + 1, 1],
+            [Matrix.zero(F3T, cols + 1, 1), pivot, Matrix.zero(F3T, 1, rows + 1)],
+        )
+        m = minimize(c)
+        assert m.ranks == (1, cols, rows, 1)
+        assert [shape(d) for d in m.diffs] == [(cols, 1), (rows, cols), (1, rows)]
+        assert complex_from_obj(complex_to_obj(m)) == m
 
 
 class TestTau:

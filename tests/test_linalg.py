@@ -170,6 +170,13 @@ class TestExpandScalars:
             assert np.array_equal(multiplication_matrix(mono), reference_multiplication_matrix(mono))
         assert np.array_equal(matmul_mod(mx, multiplication_matrix(y), spec.modulus), multiplication_matrix(x * y))
 
+    def test_high_power_of_the_variable(self):
+        # rho = 243: the last 157 columns of T^200 pass T^242 and come
+        # from walking the rewrite column
+        spec = make_patch_ring(3, 2, 5, 1)
+        x = RingTowerElement(spec, {(200,): 1})
+        assert np.array_equal(multiplication_matrix(x), reference_multiplication_matrix(x))
+
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_functorial_with_several_variables(self, data):
