@@ -93,9 +93,6 @@ class FreeComplex:
             return self.diffs[idx]
         return Matrix.zero(self.spec, self.rank(degree + 1), self.rank(degree))
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * self.rank(d) for d in self.degrees)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FreeComplex)

@@ -4,23 +4,30 @@ Two layers:
 
 * an exact ``Matrix`` of ring elements (any spec) with ring-level
   products, transposes and entrywise maps;
-* a numpy int64 core over the chain ring Z/p^m: Smith forms with
-  their transforms, whose quotient coordinates answer every span,
-  divisor and cardinality question about a finite module, and Howell
-  forms, which give cohomology its relation kernel and batched solve.
+* a core over the chain ring Z/p^m: Smith forms with their
+  transforms, whose quotient coordinates answer every span, divisor
+  and cardinality question about a finite module, and Howell forms,
+  which give cohomology its relation kernel and batched solve.
   Patch-ring matrices enter this layer through ``expand_scalars`` (the
   regular representation on the monomial basis).
 
-Everything is integer arithmetic; numpy only supplies array storage and
-vectorised modular row operations.  Every matrix product over Z/p^m
-outside the elimination loops goes through ``matmul_mod``, which picks
-one of two exact paths by the largest partial sum the product can
+The Smith kernel is a sparse-row elimination in Python integers: the
+scalar expansions it diagonalizes are almost empty (a padded 486 x 486
+differential has 487 nonzeros), so it keeps each row as a dict of its
+nonzero residues, visits only the rows that meet the pivot column, and
+finds pivots with one forward-only cursor per valuation layer.  Its
+transforms stay sparse; callers get dense arrays only of what they
+read.  Howell forms and every other operation use numpy int64 arrays
+with vectorised modular row operations.  Every matrix product over
+Z/p^m outside the elimination loops goes through ``matmul_mod``, which
+picks one of two exact paths by the largest partial sum the product can
 reach: float32 BLAS below 2^24, Python integers past it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,10 +79,6 @@ class Matrix:
         z = RingTowerElement.zero(spec)
         o = RingTowerElement.one(spec)
         return cls(spec, [[o if i == j else z for j in range(size)] for i in range(size)])
-
-    @classmethod
-    def from_int_rows(cls, spec: RingSpec, rows) -> "Matrix":
-        return cls(spec, [[RingTowerElement.constant(spec, int(x)) for x in row] for row in rows])
 
     # -- structure -----------------------------------------------------
 
@@ -328,9 +331,6 @@ class HowellCore:
         inner = HowellCore(tail, self.p, self.m, carry=False)
         return inner.howell_rows()
 
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        return _reduce_row(np.asarray(vec, dtype=np.int64), self.work[:, : self.active], self.pivots, self.p, self.m)
-
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         """Some x with x A = b, or None.
 
@@ -398,15 +398,30 @@ class QuotientStructure:
 
 @dataclass(frozen=True)
 class SmithData:
-    """U A V = D with D diagonal of prime powers; pivot_vals lists the exponents."""
+    """U A V = D with D diagonal of prime powers; pivot_vals lists the exponents.
+
+    The transforms are kept sparse, as the kernel left them: ``u_rows[i]``
+    is row i of U and ``v_cols[j]`` column j of V (None when V was not
+    tracked), each a ``{index: residue}`` dict of its nonzero entries.
+    ``quotient`` and ``column_kernel`` gather only the rows and columns
+    they return; the dense ``U`` and ``V`` are built on first access.
+    """
 
     p: int
     m: int
     rows: int
     cols: int
     pivot_vals: tuple[int, ...]
-    U: np.ndarray
-    V: np.ndarray | None
+    u_rows: list[dict[int, int]] = field(repr=False)
+    v_cols: list[dict[int, int]] | None = field(repr=False)
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        return _gather(self.u_rows, self.rows)
+
+    @cached_property
+    def V(self) -> np.ndarray | None:
+        return None if self.v_cols is None else _gather(self.v_cols, self.cols).T
 
     def quotient(self) -> QuotientStructure:
         """Canonical coordinates of (Z/p^m)^rows modulo the column span."""
@@ -419,22 +434,43 @@ class SmithData:
         for idx in range(len(self.pivot_vals), self.rows):
             exponents.append(self.m)
             kept.append(idx)
-        return QuotientStructure(self.p, self.m, tuple(exponents), self.U[kept] % (self.p**self.m))
+        return QuotientStructure(self.p, self.m, tuple(exponents), _gather([self.u_rows[i] for i in kept], self.rows))
 
     def column_kernel(self) -> np.ndarray:
-        """Columns generating {v : A v = 0}, from the diagonal form."""
-        if self.V is None:
+        """Columns generating {v : A v = 0}, from the diagonal form: column
+        idx of V times p^(m - v) for each pivot of exponent v > 0, and every
+        column past the pivots."""
+        if self.v_cols is None:
             raise ValueError("column transform was not tracked")
-        N = self.p**self.m
-        cols = []
-        for idx, v in enumerate(self.pivot_vals):
-            if v > 0:
-                cols.append((self.V[:, idx] * self.p ** (self.m - v)) % N)
-        for idx in range(len(self.pivot_vals), self.cols):
-            cols.append(self.V[:, idx] % N)
-        if not cols:
-            return np.zeros((self.cols, 0), dtype=np.int64)
-        return np.array(cols, dtype=np.int64).T
+        p, m = self.p, self.m
+        N = p**m
+        cols = [
+            {i: x * p ** (m - v) % N for i, x in self.v_cols[idx].items()}
+            for idx, v in enumerate(self.pivot_vals)
+            if v > 0
+        ]
+        cols += self.v_cols[len(self.pivot_vals) :]
+        return _gather(cols, self.cols).T
+
+
+def _gather(vectors: list[dict[int, int]], width: int) -> np.ndarray:
+    """The len(vectors) x width array whose row i is the dict vectors[i],
+    written in one scatter."""
+    out = np.zeros((len(vectors), width), dtype=np.int64)
+    lengths = [len(vec) for vec in vectors]
+    at = np.repeat(np.arange(len(vectors)), lengths)
+    out[at, [j for vec in vectors for j in vec]] = [x for vec in vectors for x in vec.values()]
+    return out
+
+
+def _axpy(y: dict[int, int], t: int, x, N: int) -> None:
+    """y -= t x mod N on sparse vectors; ``x`` gives (index, residue) pairs."""
+    for c, xc in x:
+        yc = (y.get(c, 0) - t * xc) % N
+        if yc:
+            y[c] = yc
+        else:
+            y.pop(c, None)
 
 
 def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v: bool = False) -> SmithData:
@@ -442,73 +478,96 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
 
     Pivots are taken by increasing valuation layer v, so every division is
     exact: the pivot of step k is the row-major first entry of the
-    trailing block ``a[k:, k:]`` that p^(v+1) does not divide.  Two
-    invariants keep each step proportional to the rows and columns it
-    touches rather than to the trailing block:
+    trailing block ``a[k:, k:]``, in the current (swapped) row and column
+    order, that p^(v+1) does not divide.  Then the pivot row is scaled to
+    p^v, the rows below are cleared with it, and the column clear, which
+    leaves only a[k, k] in row k, is recorded in V alone.
 
-    * ``live[r]`` says whether row r has an entry of valuation <= v in
-      columns >= k (rows above k are zero there).  It is computed once per layer, swapped with
-      its row, and recomputed only for the rows a row clear changes:
-      column swaps stay inside columns >= k, and every other row is
-      already zero in column k, so advancing k leaves it as it was.  The
-      pivot is the first live row and its first qualifying column.
-    * After the row clear, column k is zero off row k, a[k, k] = p^v and
-      p^v divides row k, so the column clear ``a -= outer(a[:, k], t)``
-      amounts to zeroing ``a[k, k+1:]``; only V has to record it.
+    The elimination is sparse.  Each row is a ``{column id: residue}``
+    dict keyed by its original row id, and position <-> id maps emulate
+    the row and column swaps.  A column index lists, for each column, the
+    rows that have or once had a nonzero there, so a row clear visits only
+    those rows.  U is kept by row id and V by column id, both sparse.  A
+    pivot row is emptied once it is used, so the dicts hold only the
+    trailing block.
 
-    Transform updates touch only the nonzero columns of ``U[k]`` and the
-    nonzero rows of ``V[:, k]``.
+    The live rows of layer v are those with an entry that p^(v+1) does
+    not divide.  A row that is not live stays so for the rest of the
+    layer: its entry in the pivot column is divisible by p^(v+1), so its
+    multiplier t = a[r, k] / p^v is divisible by p, and p^v divides the
+    pivot row, so a row clear subtracts multiples of p^(v+1) from it.
+    (A live row may stop being live; that only skips it.)  The positions
+    passed over, and the row swapped out of position k into the pivot's
+    place, are thus never live again, so the pivot row is found by one
+    cursor per layer that only moves forward, instead of a scan of every
+    row at every step.
+
+    Every step is the same arithmetic on the same residues as the dense
+    loop it replaced (``tests/test_linalg.py::reference_smith``); only the
+    zeros are skipped, so pivots, U and V agree bit for bit.
     """
     N = _modulus(p, m)
-    a = _as_array(rel_cols, cols_hint=0) % N
+    a = _residues(_as_array(rel_cols, cols_hint=0), N)
     if a.ndim != 2 or a.shape[1] == 0:
         a = np.zeros((ambient, 0), dtype=np.int64)
     nrows, ncols = a.shape
-    size = min(nrows, ncols)
-    U = np.eye(ambient, dtype=np.int64)
-    V = np.eye(ncols, dtype=np.int64) if track_v else None
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    in_col: list[set[int]] = [set() for _ in range(ncols)]
+    flat = a.ravel()
+    at = np.flatnonzero(flat != 0)  # several times faster than np.nonzero(a)
+    ii, jj = divmod(at, ncols)
+    for i, j, x in zip(ii.tolist(), jj.tolist(), flat[at].tolist()):
+        rows[i][j] = x
+        in_col[j].add(i)
+    U = [{i: 1} for i in range(ambient)]
+    V = [{j: 1} for j in range(ncols)] if track_v else None
+    row_at = list(range(nrows))
+    col_at = list(range(ncols))
+    col_pos = list(range(ncols))
     pivot_vals: list[int] = []
     k = 0
     for v in range(m):
         pv = p**v
         pmod = p ** (v + 1)
-        live = (a[:, k:] % pmod != 0).any(axis=1)
-        while k < size:
-            i = k + int(np.argmax(live[k:]))
-            if not live[i]:
+        cursor = k
+        while True:
+            while cursor < nrows and not any(x % pmod for x in rows[row_at[cursor]].values()):
+                cursor += 1
+            if cursor == nrows:
                 break
-            j = k + int(np.flatnonzero(a[i, k:] % pmod)[0])
-            if i != k:
-                a[[k, i]] = a[[i, k]]
-                U[[k, i]] = U[[i, k]]
-                live[i] = live[k]
-            if j != k:
-                a[:, [k, j]] = a[:, [j, k]]
-                if V is not None:
-                    V[:, [k, j]] = V[:, [j, k]]
-            unit = int(a[k, k]) // pv
+            i = row_at[cursor]
+            prow = rows[i]
+            j = col_at[min(col_pos[c] for c, x in prow.items() if x % pmod)]
+            row_at[k], row_at[cursor] = i, row_at[k]
+            other = col_at[k]
+            col_at[k], col_at[col_pos[j]] = j, other
+            col_pos[other], col_pos[j] = col_pos[j], k
+            unit = prow[j] // pv
             if unit != 1:
                 uinv = pow(unit, -1, N)
-                a[k, k:] = (a[k, k:] * uinv) % N
-                U[k] = (U[k] * uinv) % N
-            rows = k + 1 + np.flatnonzero(a[k + 1 :, k])
-            if rows.size:
-                t = a[rows, k] // pv
-                nz = k + np.flatnonzero(a[k, k:])
-                a[np.ix_(rows, nz)] = (a[np.ix_(rows, nz)] - np.outer(t, a[k, nz])) % N
-                nz = np.flatnonzero(U[k])
-                U[np.ix_(rows, nz)] = (U[np.ix_(rows, nz)] - np.outer(t, U[k, nz])) % N
-                live[rows] = (a[rows, k + 1 :] % pmod != 0).any(axis=1)
-            cols = k + 1 + np.flatnonzero(a[k, k + 1 :])
-            if cols.size:
-                if V is not None:
-                    t = a[k, cols] // pv
-                    nz = np.flatnonzero(V[:, k])
-                    V[np.ix_(nz, cols)] = (V[np.ix_(nz, cols)] - np.outer(V[nz, k], t)) % N
-                a[k, cols] = 0
+                for c in prow:
+                    prow[c] = prow[c] * uinv % N
+                U[i] = {c: x * uinv % N for c, x in U[i].items()}
+            rest = [(c, x) for c, x in prow.items() if c != j]
+            rows[i] = {}
+            for r in in_col[j]:
+                row = rows[r]
+                if j not in row:
+                    continue  # the entry has cancelled since r was indexed
+                t = row.pop(j) // pv
+                _axpy(row, t, rest, N)
+                _axpy(U[r], t, U[i].items(), N)
+                for c, _ in rest:
+                    in_col[c].add(r)
+            if V is not None:
+                for c, x in rest:
+                    _axpy(V[c], x // pv, V[j].items(), N)
             pivot_vals.append(v)
             k += 1
-    return SmithData(p, m, ambient, ncols, tuple(pivot_vals), U, V)
+            cursor += 1
+    u_rows = [U[i] for i in row_at] + U[nrows:]
+    v_cols = None if V is None else [V[j] for j in col_at]
+    return SmithData(p, m, ambient, ncols, tuple(pivot_vals), u_rows, v_cols)
 
 
 def smith_quotient(rel_cols: np.ndarray, ambient: int, p: int, m: int) -> QuotientStructure:

@@ -72,16 +72,6 @@ class RingSpec:
             raise UnsupportedRing("graded rings are not finite over Z/p^m")
         return self.p ** (self.n * self.q)
 
-    def monomial_basis(self) -> list[tuple[int, ...]]:
-        """Exponent vectors of the monomial basis, sorted lexicographically."""
-        bound = self.exponent_bound
-        if bound is None:
-            raise UnsupportedRing("graded rings have no finite monomial basis")
-        basis = [()]
-        for _ in range(self.q):
-            basis = [e + (k,) for e in basis for k in range(bound)]
-        return sorted(basis)
-
 
 def coefficient_ring(p: int, m: int) -> RingSpec:
     _check_pm(p, m)

@@ -210,6 +210,8 @@ def tower_from_obj(obj) -> PatchingTower:
         p, q, r, d = int(prm["p"]), int(prm["q"]), int(prm["r"]), int(prm["d"])
         rinf_degree = int(prm["rinf_degree"])
         base_precision = int(prm["base_precision"])
+        if base_precision < 1:
+            raise InvalidInput(f"base precision must be >= 1, got {base_precision}")
         base_obj = obj["base"]
         raw_levels = obj["levels"]
         g = q - r
@@ -241,10 +243,15 @@ def tower_from_obj(obj) -> PatchingTower:
                 raise InvalidInput(f"level {level} needs {q} structure images")
             if len(phi_images) != g:
                 raise InvalidInput(f"level {level} needs {g} quotient images")
-            cx = _complex_from_obj(raw["complex"])
-            got, want = (cx.spec.p, cx.spec.q, cx.spec.m, cx.spec.n), (p, q, precision, level)
+            # the header is checked before any element is built: building
+            # one reduces mod p^m, which a huge m never finishes
+            ring = raw["complex"]["ring"]
+            got, want = tuple(ring[k] for k in ("p", "q", "m", "n")), (p, q, precision, level)
             if got != want:
                 raise InvalidInput(f"level {level} ring has (p, q, m, n) = {got}, expected {want}")
+            if ring["kind"] != "patch":
+                raise InvalidInput(f"level {level} ring is of kind {ring['kind']!r}, expected 'patch'")
+            cx = _complex_from_obj(raw["complex"])
             levels.append(
                 TowerLevel(
                     level=level,

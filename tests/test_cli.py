@@ -1,11 +1,13 @@
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
 from patchtower import serialize
 from patchtower.cli import main
 from patchtower.complexes import koszul_complex, make_complex
+from patchtower.errors import InvalidInput
 from patchtower.graded import GradedModule
 from patchtower.linalg import Matrix
 from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
@@ -299,3 +301,44 @@ def test_oversized_tower_is_refused_with_exit_2(tmp_path):
     assert done.returncode == 2
     assert done.stdout.startswith("ExpansionTooLarge: ")
     assert "Traceback" not in done.stdout + done.stderr
+
+
+@pytest.fixture(scope="module")
+def padded_tower_obj(tmp_path_factory):
+    out = tmp_path_factory.mktemp("padded")
+    argv = ["gen", "--q", "1", "--r", "1", "--precisions", "1", "2", "2", "2", "2", "--seed", "0"]
+    assert main([*argv, "--out-dir", str(out), "--format", "json"]) == 0
+    return json.loads((out / "tower.json").read_text())
+
+
+@pytest.mark.parametrize("base_precision", [-1, -(2**70)], ids=["-1", "-2^70"])
+def test_non_positive_base_precision_is_invalid_input(capsys, tmp_path, padded_tower_obj, base_precision):
+    obj = json.loads(json.dumps(padded_tower_obj))
+    obj["params"]["base_precision"] = base_precision
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.canonical_dumps(obj))
+    code, out = run(capsys, ["patch", str(path), "--format", "json"])
+    assert (code, json.loads(out)) == (
+        2, {"error": "InvalidInput", "detail": f"base precision must be >= 1, got {base_precision}"}
+    )
+
+
+@pytest.mark.parametrize("m", [10**7, 2**70], ids=["10^7", "2^70"])
+def test_huge_level_precision_is_refused_before_loading_elements(tmp_path, padded_tower_obj, m):
+    # building level 1's elements under this m took 4.6 s for 10^7 and
+    # never finished for 2^70; the ring header is now compared first
+    obj = json.loads(json.dumps(padded_tower_obj))
+    obj["levels"][0]["complex"]["ring"]["m"] = m
+    with mock.patch.object(serialize, "element_from_obj", side_effect=AssertionError("element built")):
+        with pytest.raises(InvalidInput, match="level 1 ring"):
+            serialize.tower_from_obj(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(serialize.canonical_dumps(obj))
+    argv = ["patch", str(path), "--format", "json"]
+    code = f"import sys\nfrom patchtower.cli import main\nsys.exit(main({argv!r}))"
+    done = run_under_memory_limit(code, timeout=30)
+    assert done.returncode == 2
+    assert json.loads(done.stdout) == {
+        "error": "InvalidInput",
+        "detail": f"level 1 ring has (p, q, m, n) = (3, 1, {m}, 1), expected (3, 1, 1, 1)",
+    }

@@ -19,7 +19,14 @@ from patchtower.linalg import (
     smith_transforms,
 )
 from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
-from util import reference_multiplication_matrix, reference_solve, run_under_memory_limit
+from util import (
+    int_matrix,
+    monomial_basis,
+    random_patch_complex,
+    reference_multiplication_matrix,
+    reference_solve,
+    run_under_memory_limit,
+)
 
 # (p, m) of Z/4 and Z/9
 Z4 = (2, 2)
@@ -237,7 +244,7 @@ class TestExpandScalars:
 
     def test_no_variables_is_trivial(self):
         spec = make_patch_ring(3, 2, 1, 0)
-        got = expand_scalars(Matrix.from_int_rows(spec, [[5]]))
+        got = expand_scalars(int_matrix(spec, [[5]]))
         assert got.tolist() == [[5]]
 
     def test_functorial_on_products_and_sums(self):
@@ -246,7 +253,7 @@ class TestExpandScalars:
 
         def rand_elem():
             return RingTowerElement(
-                spec, {e: rng.randrange(4) for e in spec.monomial_basis()}
+                spec, {e: rng.randrange(4) for e in monomial_basis(spec)}
             )
 
         for _ in range(10):
@@ -451,6 +458,73 @@ class TestSmithTransforms:
         a = expand_scalars(Matrix(spec, [[t, zero], [zero, one]]))
         assert a.shape == (486, 486)
         assert_smith_witness(a, 3, 2)
+
+
+def reference_quotient(pivot_vals, U: np.ndarray, p: int, m: int):
+    """(exponents, projection) read from a dense U: the rows of the
+    pivots of positive exponent and every row past the pivots."""
+    kept = [i for i, v in enumerate(pivot_vals) if v > 0] + list(range(len(pivot_vals), U.shape[0]))
+    exponents = tuple(pivot_vals[i] if i < len(pivot_vals) else m for i in kept)
+    return exponents, U[kept] % p**m
+
+
+def reference_column_kernel(pivot_vals, V: np.ndarray, p: int, m: int) -> np.ndarray:
+    """Kernel columns read from a dense V: column i times p^(m - v) for
+    each pivot of exponent v > 0, and every column past the pivots."""
+    N = p**m
+    cols = [V[:, i] * p ** (m - v) % N for i, v in enumerate(pivot_vals) if v > 0]
+    cols += [V[:, i] % N for i in range(len(pivot_vals), V.shape[1])]
+    return np.array(cols, dtype=np.int64).reshape(len(cols), V.shape[0]).T
+
+
+def assert_matches_reference(a: np.ndarray, p: int, m: int) -> None:
+    rows = a.shape[0]
+    pivot_vals, U, V = reference_smith(a, rows, p, m)
+    exponents, projection = reference_quotient(pivot_vals, U, p, m)
+    for track_v in (True, False):
+        sd = smith_transforms(a, rows, p, m, track_v=track_v)
+        assert sd.pivot_vals == pivot_vals
+        assert np.array_equal(sd.U, U)
+        qs = sd.quotient()
+        assert qs.exponents == exponents
+        assert np.array_equal(qs.projection, projection)
+        if track_v:
+            assert np.array_equal(sd.V, V)
+            assert np.array_equal(sd.column_kernel(), reference_column_kernel(pivot_vals, V, p, m))
+        else:
+            assert sd.V is None
+
+
+class TestSmithAtRealShapes:
+    """The kernel against the dense reference loop on scalar expansions
+    of random patch-ring differentials, where the sparse rows, the
+    column index and the forward-only cursor all do real work."""
+
+    @pytest.mark.parametrize(
+        "spec, shapes",
+        [
+            (make_patch_ring(3, 2, 2, 2), [(162, 81), (81, 162), (162, 81)]),
+            (make_patch_ring(3, 3, 1, 2), [(18, 9), (9, 9), (9, 9), (9, 18)]),
+            (make_patch_ring(2, 3, 2, 1), [(8, 4), (4, 8), (4, 4), (8, 8)]),
+        ],
+        ids=["3^2-rho81", "3^3-rho9", "2^3-rho4"],
+    )
+    def test_expanded_differentials(self, spec, shapes):
+        rng = random.Random(7)
+        mats: list[np.ndarray] = []
+        while len(mats) < len(shapes):
+            mats += [expand_scalars(d) for d in random_patch_complex(rng, spec).diffs]
+        mats = mats[: len(shapes)]
+        assert [a.shape for a in mats] == shapes
+        N = spec.modulus
+        for a in mats:
+            assert_matches_reference(a, spec.p, spec.m)
+            # a multiple of p puts every pivot past layer 0
+            assert_matches_reference(a * spec.p % N, spec.p, spec.m)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)], ids=["0x5", "5x0", "0x0"])
+    def test_empty_inputs(self, shape):
+        assert_matches_reference(np.zeros(shape, dtype=np.int64), 3, 2)
 
 
 class TestOverflowGuard:

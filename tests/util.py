@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -11,10 +12,30 @@ from pathlib import Path
 from patchtower.complexes import FiniteModuleData, FreeComplex, make_complex
 from patchtower.graded import GradedModule
 from patchtower.groebner import syzygy_generators
-from patchtower.linalg import HowellCore, Matrix, _as_array, expand_scalars
+from patchtower.linalg import HowellCore, Matrix, _as_array, _reduce_row, expand_scalars
 from patchtower.rings import RingSpec, RingTowerElement, make_patch_ring
 
 import numpy as np
+
+
+def monomial_basis(spec: RingSpec) -> list[tuple[int, ...]]:
+    """Exponent vectors of the monomial basis of a patch or coefficient
+    ring, sorted lexicographically."""
+    return list(itertools.product(range(spec.exponent_bound), repeat=spec.q))
+
+
+def int_matrix(spec: RingSpec, rows) -> Matrix:
+    """The matrix of constant ring elements with the given integer rows."""
+    return Matrix(spec, [[RingTowerElement.constant(spec, int(x)) for x in row] for row in rows])
+
+
+def euler_characteristic(c: FreeComplex) -> int:
+    return sum((-1) ** d * c.rank(d) for d in c.degrees)
+
+
+def howell_reduce(core: HowellCore, vec: np.ndarray) -> np.ndarray:
+    """The canonical representative of ``vec`` modulo the Howell span of ``core``."""
+    return _reduce_row(np.asarray(vec, dtype=np.int64), core.work[:, : core.active], core.pivots, core.p, core.m)
 
 
 def random_homogeneous_poly(rng: random.Random, spec: RingSpec, degree: int) -> RingTowerElement:
@@ -220,7 +241,7 @@ def reference_multiplication_matrix(x: RingTowerElement) -> np.ndarray:
     """The per-column loop: one ring product per basis monomial.
     ``linalg.multiplication_matrix`` must give the same matrix."""
     spec = x.spec
-    basis = spec.monomial_basis()
+    basis = monomial_basis(spec)
     index = {e: k for k, e in enumerate(basis)}
     rho = len(basis)
     out = np.zeros((rho, rho), dtype=np.int64)
@@ -231,15 +252,16 @@ def reference_multiplication_matrix(x: RingTowerElement) -> np.ndarray:
     return out
 
 
-def run_under_memory_limit(code: str, limit: int = 2 << 30) -> subprocess.CompletedProcess:
+def run_under_memory_limit(code: str, limit: int = 2 << 30, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run Python source ``code`` in a child that first caps its own
     address space, so an oversized allocation fails there with
-    MemoryError instead of filling the machine."""
+    MemoryError instead of filling the machine; past ``timeout`` seconds
+    the child is killed and ``subprocess.TimeoutExpired`` raised."""
     prelude = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     return subprocess.run(
-        [sys.executable, "-c", prelude + code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", prelude + code], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -273,7 +295,7 @@ def random_patch_complex(rng: random.Random, spec: RingSpec, max_rank: int = 2, 
 
     def random_element() -> RingTowerElement:
         coeffs = {}
-        for e in spec.monomial_basis():
+        for e in monomial_basis(spec):
             if rng.random() < 0.4:
                 c = rng.randrange(N)
                 if c:
@@ -285,7 +307,7 @@ def random_patch_complex(rng: random.Random, spec: RingSpec, max_rank: int = 2, 
         ent = [[random_element() for _ in range(ranks[0])] for _ in range(ranks[1])]
         diffs.append(Matrix(spec, ent))
     rho = spec.coefficient_rank
-    basis = spec.monomial_basis()
+    basis = monomial_basis(spec)
     for k in range(1, length):
         prev = diffs[k - 1]
         # rows of the next differential are ring-vectors x with x @ prev = 0;
@@ -367,7 +389,7 @@ class TruncatedQuotient:
     def reduce(self, a):
         v = self._coords(self.model.normalize(a))
         if self.core is not None:
-            v = self.core.reduce(v)
+            v = howell_reduce(self.core, v)
         return {self.basis[k]: int(v[k]) for k in np.nonzero(v)[0]}
 
     def is_zero(self, a) -> bool:
