@@ -152,11 +152,12 @@ def _as_array(rows, cols_hint=0) -> np.ndarray:
 
 
 def _modulus(p: int, m: int) -> int:
-    """p^m, refused when int64 products of two residues could overflow."""
-    N = p**m
-    if (N - 1) ** 2 >= 2**63:
+    """p^m, refused when int64 products of two residues could overflow.
+    Past m = 63 no modulus fits, and p^m is never computed: for a huge m
+    that would not finish."""
+    if m > 63 or (p**m - 1) ** 2 >= 2**63:
         raise InvalidParameter(f"modulus {p}^{m} is too large for int64 elimination")
-    return N
+    return p**m
 
 
 # float32 holds every integer below 2^24, so a product whose partial

@@ -14,7 +14,7 @@ import numpy as np
 from .complexes import FiniteModuleData, FreeComplex
 from .errors import InvalidInput
 from .graded import GradedModule
-from .linalg import Matrix
+from .linalg import Matrix, _modulus
 from .patcher import FreenessCertificate, PatchingTower, TowerBase, TowerLevel
 from .rings import KINDS, RingSpec, RingTowerElement, coefficient_ring, graded_ring, make_patch_ring
 
@@ -212,6 +212,7 @@ def tower_from_obj(obj) -> PatchingTower:
         base_precision = int(prm["base_precision"])
         if base_precision < 1:
             raise InvalidInput(f"base precision must be >= 1, got {base_precision}")
+        _modulus(p, base_precision)
         base_obj = obj["base"]
         raw_levels = obj["levels"]
         g = q - r
@@ -243,12 +244,13 @@ def tower_from_obj(obj) -> PatchingTower:
                 raise InvalidInput(f"level {level} needs {q} structure images")
             if len(phi_images) != g:
                 raise InvalidInput(f"level {level} needs {g} quotient images")
-            # the header is checked before any element is built: building
-            # one reduces mod p^m, which a huge m never finishes
+            # the header and the modulus are checked before any element is
+            # built: building one reduces mod p^m, which a huge m never finishes
             ring = raw["complex"]["ring"]
             got, want = tuple(ring[k] for k in ("p", "q", "m", "n")), (p, q, precision, level)
             if got != want:
                 raise InvalidInput(f"level {level} ring has (p, q, m, n) = {got}, expected {want}")
+            _modulus(p, precision)
             if ring["kind"] != "patch":
                 raise InvalidInput(f"level {level} ring is of kind {ring['kind']!r}, expected 'patch'")
             cx = _complex_from_obj(raw["complex"])

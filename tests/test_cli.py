@@ -323,14 +323,57 @@ def test_non_positive_base_precision_is_invalid_input(capsys, tmp_path, padded_t
     )
 
 
-@pytest.mark.parametrize("m", [10**7, 2**70], ids=["10^7", "2^70"])
-def test_huge_level_precision_is_refused_before_loading_elements(tmp_path, padded_tower_obj, m):
-    # building level 1's elements under this m took 4.6 s for 10^7 and
-    # never finished for 2^70; the ring header is now compared first
+def _level_ring_m(m):
+    def mutate(obj):
+        obj["levels"][0]["complex"]["ring"]["m"] = m
+
+    return mutate
+
+
+def _level_precision(m):
+    def mutate(obj):
+        obj["levels"][0]["complex"]["ring"]["m"] = m
+        obj["levels"][0]["precision"] = m
+
+    return mutate
+
+
+def _base_precision(m):
+    def mutate(obj):
+        obj["params"]["base_precision"] = m
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, error, detail",
+    [
+        pytest.param(
+            _level_ring_m(10**7), "InvalidInput",
+            f"level 1 ring has (p, q, m, n) = (3, 1, {10**7}, 1), expected (3, 1, 1, 1)", id="ring-m-10^7",
+        ),
+        pytest.param(
+            _level_ring_m(2**70), "InvalidInput",
+            f"level 1 ring has (p, q, m, n) = (3, 1, {2**70}, 1), expected (3, 1, 1, 1)", id="ring-m-2^70",
+        ),
+        pytest.param(
+            _level_precision(2**70), "InvalidParameter",
+            f"modulus 3^{2**70} is too large for int64 elimination", id="level-precision-2^70",
+        ),
+        pytest.param(
+            _base_precision(2**70), "InvalidParameter",
+            f"modulus 3^{2**70} is too large for int64 elimination", id="base-precision-2^70",
+        ),
+    ],
+)
+def test_huge_precision_is_refused_before_loading_elements(tmp_path, padded_tower_obj, mutate, error, detail):
+    # building level 1's elements under a ring m of 10^7 took 4.6 s, and
+    # under 2^70 (or a level or base precision of 2^70) never finished;
+    # the ring header and the modulus are now checked first
     obj = json.loads(json.dumps(padded_tower_obj))
-    obj["levels"][0]["complex"]["ring"]["m"] = m
+    mutate(obj)
     with mock.patch.object(serialize, "element_from_obj", side_effect=AssertionError("element built")):
-        with pytest.raises(InvalidInput, match="level 1 ring"):
+        with pytest.raises(InvalidInput, match="level 1 ring|too large"):
             serialize.tower_from_obj(obj)
     path = tmp_path / "bad.json"
     path.write_text(serialize.canonical_dumps(obj))
@@ -338,7 +381,4 @@ def test_huge_level_precision_is_refused_before_loading_elements(tmp_path, padde
     code = f"import sys\nfrom patchtower.cli import main\nsys.exit(main({argv!r}))"
     done = run_under_memory_limit(code, timeout=30)
     assert done.returncode == 2
-    assert json.loads(done.stdout) == {
-        "error": "InvalidInput",
-        "detail": f"level 1 ring has (p, q, m, n) = (3, 1, {m}, 1), expected (3, 1, 1, 1)",
-    }
+    assert json.loads(done.stdout) == {"error": error, "detail": detail}

@@ -30,6 +30,7 @@ def int_matrix(spec: RingSpec, rows) -> Matrix:
 
 
 def euler_characteristic(c: FreeComplex) -> int:
+    """The alternating sum of the ranks."""
     return sum((-1) ** d * c.rank(d) for d in c.degrees)
 
 
