@@ -10,9 +10,10 @@ of the tower, padded levels included.  The grid is
 p=3; (q, r) in {(1,0), (1,1), (2,0), (2,1), (2,2)} at small precisions and
 seeds 0-7; two level-3 q=2 towers, whose rank-729 ring makes scalar
 expansion take Kronecker products of two non-identity factors; and every
-named perturbation of one padded q=1 tower.  Last come the minimize
-outputs of the graded complexes of ``perfbench/data/ha_pool.json``,
-which is read and left as it is.
+named perturbation of one padded q=1 tower.  Last come, for each graded
+complex of ``perfbench/data/ha_pool.json`` (which is read and left as
+it is), its ``minimize`` and ``verify-ha`` outputs, and for each pooled
+graded module its ``invariants`` output, all with ``--format json``.
 
 Two checkouts give the same canonical bytes exactly when this prints
 the same lines on both, so a "same bytes" claim is one ``diff``:
@@ -66,12 +67,12 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def minimized(name: str, complex_obj, tmp: str):
-    """(name, sha256) of ``minimize --format json`` on one complex."""
-    path = Path(tmp) / "complex.json"
-    path.write_text(canonical_dumps(complex_obj))
-    code, out = _run(["minimize", str(path), "--format", "json"])
-    return f"{name}/minimize[exit={code}]", _digest(out)
+def command_digest(command: str, name: str, obj, tmp: str):
+    """(name, sha256) of ``command --format json`` on one input file."""
+    path = Path(tmp) / "input.json"
+    path.write_text(canonical_dumps(obj))
+    code, out = _run([command, str(path), "--format", "json"])
+    return f"{name}/{command}[exit={code}]", _digest(out)
 
 
 def round_trip(q: int, r: int, precisions, seed: int, perturbation=None):
@@ -94,15 +95,22 @@ def round_trip(q: int, r: int, precisions, seed: int, perturbation=None):
             (f"{name}/patch[exit={code}]", _digest(out)),
         ]
         for level in json.loads(tower.read_text())["levels"]:
-            lines.append(minimized(f"{name}/level{level['level']}", level["complex"], tmp))
+            lines.append(command_digest("minimize", f"{name}/level{level['level']}", level["complex"], tmp))
         return lines
 
 
 def ha_pool():
-    """(name, sha256) of the minimize output of each pooled graded complex."""
-    complexes = json.loads(HA_POOL.read_text())["complexes"]
+    """(name, sha256) of the minimize and verify-ha outputs of each pooled
+    graded complex, then of the invariants output of each pooled module."""
+    pool = json.loads(HA_POOL.read_text())
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        return [minimized(f"ha-pool/complex{i}", obj, tmp) for i, obj in enumerate(complexes)]
+        for i, obj in enumerate(pool["complexes"]):
+            for command in ("minimize", "verify-ha"):
+                lines.append(command_digest(command, f"ha-pool/complex{i}", obj, tmp))
+        for i, obj in enumerate(pool["modules"]):
+            lines.append(command_digest("invariants", f"ha-pool/module{i}", obj, tmp))
+    return lines
 
 
 def grid():

@@ -157,17 +157,16 @@ def _cancellable(x: RingTowerElement) -> bool:
     return x.is_unit()
 
 
-def minimize(c: FreeComplex) -> FreeComplex:
-    """Canonical quasi-isomorphic complex with no unit differential entries.
+def _cancel_unit_pivots(ranks: list[int], diffs: list[list[list]]) -> None:
+    """Gaussian elimination on a chain of row-lists, in place.
 
-    Gaussian elimination on complexes: a unit pivot at (a, b) of d^i
-    removes one rank from degrees i and i+1, replaces d^i by the Schur
-    complement, deletes row b of d^(i-1) and column a of d^(i+1).  The
-    pivot scan (degree order, then row-major) is fixed, so identical
-    inputs give bit-identical outputs.
+    ``diffs[i]`` has ``ranks[i+1]`` rows and ``ranks[i]`` columns.  A
+    cancellable pivot at (a, b) of ``diffs[i]`` removes one rank from
+    positions i and i+1, replaces ``diffs[i]`` by the Schur complement,
+    deletes row b of ``diffs[i-1]`` and column a of ``diffs[i+1]``.  The
+    scan (matrix order, then row-major) is fixed, so identical inputs
+    give bit-identical outputs.
     """
-    ranks = list(c.ranks)
-    diffs = [[list(row) for row in d.entries] for d in c.diffs]
 
     def find_pivot():
         for idx, mat in enumerate(diffs):
@@ -177,10 +176,7 @@ def minimize(c: FreeComplex) -> FreeComplex:
                         return idx, a, b
         return None
 
-    while True:
-        hit = find_pivot()
-        if hit is None:
-            break
+    while (hit := find_pivot()) is not None:
         idx, a, b = hit
         mat = diffs[idx]
         uinv = mat[a][b].invert()
@@ -199,6 +195,14 @@ def minimize(c: FreeComplex) -> FreeComplex:
             diffs[idx - 1] = [row for k, row in enumerate(diffs[idx - 1]) if k != b]
         if idx + 1 < len(diffs):
             diffs[idx + 1] = [[x for l, x in enumerate(row) if l != a] for row in diffs[idx + 1]]
+
+
+def minimize(c: FreeComplex) -> FreeComplex:
+    """Canonical quasi-isomorphic complex with no unit differential entries,
+    by cancelling unit pivots in degree order, then row-major."""
+    ranks = list(c.ranks)
+    diffs = [[list(row) for row in d.entries] for d in c.diffs]
+    _cancel_unit_pivots(ranks, diffs)
 
     if c.spec.kind == "graded":
         for mat in diffs:

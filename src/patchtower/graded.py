@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from . import groebner as gb
-from .complexes import FreeComplex, dual, empty_complex, tau_profile
+from .complexes import FreeComplex, _cancel_unit_pivots, dual, empty_complex, tau_profile
 from .errors import InvalidParameter, NotMinimalInput, SpecMismatch, UnsupportedRing
 from .linalg import Matrix
 from .rings import RingSpec, RingTowerElement
@@ -104,65 +104,8 @@ class GradedModule:
     def quotient_by_ideal(cls, ring: RingSpec, gens) -> "GradedModule":
         return cls(ring, 1, Matrix(ring, [list(gens)]))
 
-    def relation_columns(self) -> list[Vec]:
-        return matrix_columns(self.relations)
-
     def __repr__(self):
         return f"GradedModule({self.gens} gens, {self.relations.cols} relations, q={self.ring.q})"
-
-
-def _prune_presentation(gens: int, cols: list[Vec], p: int, q: int) -> tuple[int, list[Vec], list[int]]:
-    """Cancel relation entries that are nonzero scalars.
-
-    Each cancellation removes one generator and one relation through an
-    exact change of presentation (the pivot coefficient is a unit of
-    the polynomial ring itself).  Returns the surviving generator count,
-    columns, and the surviving original generator indices.
-    """
-    cols = [dict(c) for c in cols]
-    alive = list(range(gens))
-    while True:
-        hit = None
-        for j, col in enumerate(cols):
-            for idx, pos in enumerate(alive):
-                c0 = _constant_at(col, pos, q)
-                if c0 and all(e == (0,) * q for (pp, e) in col if pp == pos):
-                    hit = (j, idx, pos, c0)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return len(alive), [
-                { (alive.index(pos), e): c for (pos, e), c in col.items() }
-                for col in cols
-            ], alive
-        j, idx, pos, c0 = hit
-        pivot_col = cols[j]
-        cinv = pow(c0, -1, p)
-        new_cols = []
-        for l, col in enumerate(cols):
-            if l == j:
-                continue
-            factor = {e: c for (pp, e), c in col.items() if pp == pos}
-            out = dict(col)
-            for t in [t for t in out if t[0] == pos]:
-                del out[t]
-            if factor:
-                # col -= (col_pos / pivot) * pivot_col, with scalar pivot
-                for (pp, e), c in pivot_col.items():
-                    if pp == pos:
-                        continue
-                    for ef, cf in factor.items():
-                        t = (pp, tuple(a + b for a, b in zip(e, ef)))
-                        acc = (out.get(t, 0) - cinv * cf * c) % p
-                        if acc:
-                            out[t] = acc
-                        else:
-                            out.pop(t, None)
-            if out:
-                new_cols.append(out)
-        cols = new_cols
-        alive.remove(pos)
 
 
 def _min_gens_scalar(vectors: list[Vec], t: int, p: int, q: int) -> tuple[list[Vec], list[Vec]]:
@@ -191,11 +134,19 @@ def _min_gens_scalar(vectors: list[Vec], t: int, p: int, q: int) -> tuple[list[V
 
 
 def presentation_data(m: GradedModule) -> tuple[int, list[Vec]]:
-    """Pruned generator count and relation columns (cached)."""
+    """Pruned generator count and nonzero relation columns (cached).
+
+    Each relation entry that is a nonzero scalar is cancelled as a unit
+    pivot: an exact change of presentation that removes one generator
+    and one relation.
+    """
     if "pres" not in m._cache:
-        p, q = m.ring.p, m.ring.q
-        gens, cols, _ = _prune_presentation(m.gens, m.relation_columns(), p, q)
-        m._cache["pres"] = (gens, cols)
+        ranks = [m.gens, m.relations.cols]
+        # one row per relation, so pivots are sought relation by relation
+        rels = [list(zip(*m.relations.entries))]
+        _cancel_unit_pivots(ranks, rels)
+        cols = [{(i, e): c for i, x in enumerate(row) for e, c in x.coeffs.items()} for row in rels[0]]
+        m._cache["pres"] = (ranks[0], [col for col in cols if col])
     return m._cache["pres"]
 
 

@@ -23,6 +23,28 @@ from .rings import KINDS, RingSpec, RingTowerElement, coefficient_ring, graded_r
 MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError)
 
 
+def json_int(x) -> int:
+    """``x`` itself if it is a JSON integer; a float, string or bool raises
+    TypeError (one of ``MALFORMED``)."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+# the largest rank, ring precision, level, variable count or graded
+# exponent a file may give: nothing finishes on a free module of rank
+# 2^70, in a ring whose exponent bound is 3^(2^70), or on T^(2^70) over F_p[T]
+MAX_LOADED_SIZE = 2**16
+
+
+def json_size(x) -> int:
+    """A JSON integer in [0, ``MAX_LOADED_SIZE``]; anything else raises one
+    of ``MALFORMED``."""
+    if not 0 <= json_int(x) <= MAX_LOADED_SIZE:
+        raise ValueError(f"{x} is outside [0, {MAX_LOADED_SIZE}]")
+    return x
+
+
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -36,8 +58,10 @@ def spec_to_obj(spec: RingSpec) -> dict:
 
 def spec_from_obj(obj) -> RingSpec:
     try:
-        p, m, n, q, kind = obj["p"], obj["m"], obj["n"], obj["q"], obj["kind"]
-    except (KeyError, TypeError) as exc:
+        p = json_int(obj["p"])
+        m, n, q = (json_size(obj[k]) for k in ("m", "n", "q"))
+        kind = obj["kind"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed ring descriptor: {exc}") from exc
     if kind not in KINDS:
         raise InvalidInput(f"unknown ring kind {kind!r}")
@@ -57,7 +81,8 @@ def element_to_obj(x: RingTowerElement) -> list:
 
 def element_from_obj(spec: RingSpec, obj) -> RingTowerElement:
     try:
-        coeffs = {tuple(int(v) for v in e): int(c) for e, c in obj}
+        exponent = json_size if spec.kind == "graded" else json_int
+        coeffs = {tuple(map(exponent, e)): json_int(c) for e, c in obj}
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed element: {exc}") from exc
     return RingTowerElement(spec, coeffs)
@@ -70,8 +95,7 @@ def matrix_to_obj(a: Matrix) -> list:
 def matrix_from_obj(spec: RingSpec, obj, rows: int | None = None, cols: int | None = None) -> Matrix:
     if not isinstance(obj, list):
         raise InvalidInput("matrix must be a list of rows")
-    entries = [[element_from_obj(spec, cell) for cell in row] for row in obj]
-    m = Matrix(spec, entries) if entries else Matrix.zero(spec, rows or 0, cols or 0)
+    m = Matrix(spec, [[element_from_obj(spec, cell) for cell in row] for row in obj], cols or 0)
     if rows is not None and m.rows != rows:
         raise InvalidInput(f"matrix has {m.rows} rows, expected {rows}")
     if m.rows and cols is not None and m.cols != cols:
@@ -103,8 +127,8 @@ def _complex_from_obj(obj) -> FreeComplex:
     # header of a level's complex reads as a malformed tower file
     try:
         spec = spec_from_obj(obj["ring"])
-        lo = int(obj["lo"])
-        ranks = [int(r) for r in obj["ranks"]]
+        lo = json_int(obj["lo"])
+        ranks = [json_size(r) for r in obj["ranks"]]
         raw = obj["differentials"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed complex: {exc}") from exc
@@ -131,7 +155,7 @@ def graded_module_to_obj(m) -> dict:
 def graded_module_from_obj(obj):
     try:
         spec = spec_from_obj(obj["ring"])
-        gens = int(obj["gens"])
+        gens = json_int(obj["gens"])
         return GradedModule(spec, gens, matrix_from_obj(spec, obj["relations"], rows=gens))
     except MALFORMED as exc:
         raise InvalidInput(f"malformed module file: {exc}") from exc
@@ -146,7 +170,7 @@ def rinf_to_obj(x: dict) -> list:
 
 def rinf_from_obj(obj) -> dict:
     try:
-        return {tuple(int(v) for v in e): int(c) for e, c in obj}
+        return {tuple(map(json_int, e)): json_int(c) for e, c in obj}
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed power-series element: {exc}") from exc
 
@@ -160,8 +184,7 @@ def int_matrix_from_obj(obj, rows: int | None = None) -> np.ndarray:
         raise InvalidInput("integer matrix must be a list of rows")
     if not obj:
         return np.zeros((rows or 0, 0), dtype=np.int64)
-    out = np.array([[int(x) for x in row] for row in obj], dtype=np.int64)
-    return out
+    return np.array([[json_int(x) for x in row] for row in obj], dtype=np.int64)
 
 
 # -- towers ------------------------------------------------------------------
@@ -207,9 +230,9 @@ def tower_to_obj(t: PatchingTower) -> dict:
 def tower_from_obj(obj) -> PatchingTower:
     try:
         prm = obj["params"]
-        p, q, r, d = int(prm["p"]), int(prm["q"]), int(prm["r"]), int(prm["d"])
-        rinf_degree = int(prm["rinf_degree"])
-        base_precision = int(prm["base_precision"])
+        p, q, r, d, rinf_degree, base_precision = (
+            json_int(prm[k]) for k in ("p", "q", "r", "d", "rinf_degree", "base_precision")
+        )
         if base_precision < 1:
             raise InvalidInput(f"base precision must be >= 1, got {base_precision}")
         _modulus(p, base_precision)
@@ -217,7 +240,7 @@ def tower_from_obj(obj) -> PatchingTower:
         raw_levels = obj["levels"]
         g = q - r
         mod_obj = base_obj["module"]
-        gens = int(mod_obj["gens"])
+        gens = json_int(mod_obj["gens"])
         module = FiniteModuleData(
             p,
             base_precision,
@@ -237,7 +260,7 @@ def tower_from_obj(obj) -> PatchingTower:
         )
         levels = []
         for raw in raw_levels:
-            level, precision = int(raw["level"]), int(raw["precision"])
+            level, precision = json_int(raw["level"]), json_int(raw["precision"])
             i_images = [rinf_from_obj(x) for x in raw["i_images"]]
             phi_images = [rinf_from_obj(x) for x in raw["phi_images"]]
             if len(i_images) != q:
@@ -268,6 +291,10 @@ def tower_from_obj(obj) -> PatchingTower:
                     base_iso=int_matrix_from_obj(raw["base_iso"], rows=gens),
                 )
             )
+        # a tower without levels is left for patch to refuse as too short
+        precisions = [lev.precision for lev in levels]
+        if levels and list(map(json_int, prm["precisions"])) != precisions:
+            raise InvalidInput(f"params.precisions {prm['precisions']} differ from the levels' {precisions}")
         levels.sort(key=lambda lev: lev.level)
         return PatchingTower(
             p=p, q=q, r=r, d=d,

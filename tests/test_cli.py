@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -382,3 +383,133 @@ def test_huge_precision_is_refused_before_loading_elements(tmp_path, padded_towe
     done = run_under_memory_limit(code, timeout=30)
     assert done.returncode == 2
     assert json.loads(done.stdout) == {"error": error, "detail": detail}
+
+
+@pytest.fixture(scope="module")
+def q1r1_tower_obj(tmp_path_factory):
+    out = tmp_path_factory.mktemp("q1r1")
+    argv = ["gen", "--q", "1", "--r", "1", "--precisions", "1", "2", "2", "--seed", "5"]
+    assert main([*argv, "--out-dir", str(out), "--format", "json"]) == 0
+    return json.loads((out / "tower.json").read_text())
+
+
+def _level_and_ring_n(value):
+    def edit(obj):
+        obj["levels"][0]["level"] = obj["levels"][0]["complex"]["ring"]["n"] = value
+
+    return edit
+
+
+def _level_rings_p(value):
+    def edit(obj):
+        for level in obj["levels"]:
+            level["complex"]["ring"]["p"] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        pytest.param(_level_rings_p(3.0), "3.0", id="level-rings-p-3.0"),
+        pytest.param(lambda o: o["params"].update(q=1.5), "1.5", id="q-1.5"),
+        pytest.param(lambda o: o["params"].update(q="1"), "'1'", id="q-string"),
+        pytest.param(lambda o: o["params"].update(q=True), "True", id="q-true"),
+        pytest.param(lambda o: o["params"].update(d=1.9), "1.9", id="d-1.9"),
+        pytest.param(lambda o: o["params"].update(rinf_degree=2.5), "2.5", id="rinf-degree-2.5"),
+        pytest.param(lambda o: o["levels"][0].update(precision=1.7), "1.7", id="level-precision-1.7"),
+        pytest.param(lambda o: o["levels"][0]["complex"].update(lo="0"), "'0'", id="complex-lo-string"),
+        pytest.param(lambda o: o["params"].update(precisions=[7, "x", None]), "got 'x'", id="precisions-junk"),
+        pytest.param(lambda o: o["params"].update(precisions=[1.0, 2, 2]), "got 1.0", id="precisions-float"),
+        pytest.param(lambda o: o["params"].update(precisions=[2, 2, 1]), "[2, 2, 1] differ from the levels' [1, 2, 2]", id="precisions-reordered"),
+        pytest.param(_level_and_ring_n(2**70), f"{2**70} is outside [0, 65536]", id="level-and-ring-n-2^70"),
+    ],
+)
+def test_tower_field_out_of_contract_is_invalid_input(capsys, tmp_path, q1r1_tower_obj, edit, detail):
+    # each of these loaded on the old loaders, and patch exited 0 with the
+    # unedited certificate, or 1 with a traceback (ring p 3.0); a level
+    # of 2^70 never finished computing the exponent bound 3^(2^70)
+    obj = json.loads(json.dumps(q1r1_tower_obj))
+    edit(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, ["patch", str(path), "--format", "json"])
+    assert code == 2
+    got = json.loads(out)
+    assert got["error"] == "InvalidInput" and detail in got["detail"]
+
+
+POOL = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "data" / "ha_pool.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "command, kind, key",
+    [
+        ("verify-ha", "complexes", "p"),
+        ("minimize", "complexes", "p"),
+        ("invariants", "modules", "p"),
+        ("invariants", "modules", "q"),
+    ],
+)
+def test_pool_ring_float_is_invalid_input(capsys, tmp_path, command, kind, key):
+    # verify-ha and invariants gave a traceback, and minimize exited 0
+    # writing every coefficient as a float
+    obj = json.loads(json.dumps(POOL[kind][0]))
+    obj["ring"][key] = float(obj["ring"][key])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, [command, str(path), "--format", "json"])
+    assert (code, json.loads(out)) == (
+        2, {"error": "InvalidInput", "detail": f"malformed ring descriptor: expected an integer, got {obj['ring'][key]}"}
+    )
+
+
+GRADED_Q2 = {"p": 3, "m": 1, "n": 0, "q": 2, "kind": "graded"}
+
+
+@pytest.mark.parametrize(
+    "command, obj, detail",
+    [
+        pytest.param(
+            "verify-ha", {"ring": GRADED_Q2, "lo": 0, "ranks": [2**70], "differentials": []},
+            f"malformed complex: {2**70} is outside [0, 65536]", id="rank-2^70",
+        ),
+        pytest.param(
+            "verify-ha", {"ring": GRADED_Q2, "lo": 0, "ranks": [65537], "differentials": []},
+            "malformed complex: 65537 is outside [0, 65536]", id="rank-2^16+1",
+        ),
+        pytest.param(
+            "verify-ha", {"ring": dict(GRADED_Q2, q=2**70), "lo": 0, "ranks": [1], "differentials": []},
+            f"malformed ring descriptor: {2**70} is outside [0, 65536]", id="variables-2^70",
+        ),
+        pytest.param(
+            "verify-ha",
+            {"ring": GRADED_Q2, "lo": 0, "ranks": [1, 1], "differentials": [[[[[[2**70, 0], 1], [[0, 1], 1]]]]]},
+            f"malformed element: {2**70} is outside [0, 65536]", id="exponent-2^70",
+        ),
+        pytest.param(
+            "invariants", {"ring": GRADED_Q2, "gens": 1, "relations": [[[[[2**70, 0], 1]], [[[0, 1], 1]]]]},
+            f"malformed element: {2**70} is outside [0, 65536]", id="module-exponent-2^70",
+        ),
+        pytest.param(
+            "minimize",
+            {"ring": {"p": 3, "m": 2**70, "n": 1, "q": 1, "kind": "patch"}, "lo": 0, "ranks": [1, 1],
+             "differentials": [[[[[[0], 1]]]]]},
+            f"malformed ring descriptor: {2**70} is outside [0, 65536]", id="ring-m-2^70",
+        ),
+        pytest.param(
+            "minimize", {"ring": GRADED_Q2, "lo": 0, "ranks": [1, 2], "differentials": [[]]},
+            "matrix has 0 rows, expected 2", id="rows-left-out",
+        ),
+    ],
+)
+def test_unbounded_size_is_invalid_input(capsys, tmp_path, command, obj, detail):
+    # on the old loaders the first three ran out of time or memory
+    # building a rank-2^70 free module or a ring in 2^70 variables, the
+    # exponents never finished reducing, the modulus 3^(2^70) was never
+    # computed, and a matrix given as [] was read as a zero matrix of any
+    # declared height
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, [command, str(path), "--format", "json"])
+    assert (code, json.loads(out)) == (2, {"error": "InvalidInput", "detail": detail})

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from patchtower import groebner as gb
 from patchtower.complexes import koszul_complex, make_complex, tau_profile
-from patchtower.errors import NotMinimalInput
+from patchtower.errors import NotMinimalInput, UnsupportedRing
 from patchtower.graded import (
     HILBERT_DEGREE,
     GradedModule,
@@ -30,7 +30,13 @@ from patchtower.graded import (
 from patchtower.linalg import Matrix
 from patchtower.rings import RingTowerElement, graded_ring
 from patchtower.serialize import canonical_dumps, complex_from_obj, graded_module_from_obj
-from util import random_graded_module, random_minimal_graded_complex, random_monomial_ideal
+from util import (
+    random_graded_module,
+    random_minimal_graded_complex,
+    random_monomial_ideal,
+    random_unit_presentation,
+    reference_prune_presentation,
+)
 
 R2 = graded_ring(3, 2)
 R3 = graded_ring(3, 3)
@@ -343,6 +349,37 @@ class TestAgainstReferences:
         want = reference_shifted_hilbert(cols, 3, shifts, 3, 2)
         assert list(got.items()) == list(want.items())
         assert min(got) == -2 and got[HILBERT_DEGREE] == 2
+
+
+class TestPruning:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_matches_reference_loop(self, p, q):
+        """Generator count and relation columns equal the dict-column loop's,
+        zero columns dropped on both sides, on presentations that mix
+        scalar pivots, 1+T-style units, zeros and zero columns."""
+        spec = graded_ring(p, q)
+        rng = random.Random(100 * p + q)
+        cancelled = 0
+        for _ in range(60):
+            m = random_unit_presentation(rng, spec)
+            gens, cols = presentation_data(m)
+            want_gens, want_cols, _ = reference_prune_presentation(m.gens, matrix_columns(m.relations), p, q)
+            assert (gens, cols) == (want_gens, [col for col in want_cols if col])
+            cancelled += m.gens - gens
+        assert cancelled >= 30
+
+    def test_non_scalar_unit_is_left_to_minimize(self):
+        """Pruning keeps a 1+T entry; only minimize refuses it."""
+        t1, t2 = variables(R2)
+        one = RingTowerElement.one(R2)
+        unit = GradedModule(R2, 1, Matrix(R2, [[one + t1, t2]]))
+        assert presentation_data(unit) == (1, matrix_columns(unit.relations))
+        with pytest.raises(UnsupportedRing):
+            module_invariants(unit)
+        # 1 = (1 + T1 T2) - T2 * T1, so this module is zero and has invariants
+        zero = GradedModule(R2, 1, Matrix(R2, [[t1, one + t1 * t2]]))
+        assert module_invariants(zero)["dim"] == -1
 
 
 POOL_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"

@@ -10,8 +10,8 @@ import sys
 from pathlib import Path
 
 from patchtower.complexes import FiniteModuleData, FreeComplex, make_complex
-from patchtower.graded import GradedModule
-from patchtower.groebner import syzygy_generators
+from patchtower.graded import GradedModule, _constant_at
+from patchtower.groebner import Vec, syzygy_generators
 from patchtower.linalg import HowellCore, Matrix, _as_array, _reduce_row, expand_scalars
 from patchtower.rings import RingSpec, RingTowerElement, make_patch_ring
 
@@ -78,6 +78,87 @@ def random_graded_module(rng: random.Random, spec: RingSpec, max_size: int = 3, 
         ent.append(row)
     rel = Matrix(spec, ent) if cols else Matrix.zero(spec, rows, 0)
     return GradedModule(spec, rows, rel)
+
+
+def random_unit_presentation(rng: random.Random, spec: RingSpec, max_size: int = 4) -> GradedModule:
+    """Random presentation whose entries mix zeros, nonzero scalars,
+    non-scalar units such as 1+T and forms in the maximal ideal; about
+    one column in five is zero."""
+    p = spec.p
+    gens = rng.randrange(1, max_size + 1)
+    cols = rng.randrange(0, max_size + 2)
+    zero = RingTowerElement.zero(spec)
+
+    def entry():
+        r = rng.random()
+        if r < 0.35:
+            return zero
+        if r < 0.55:
+            return RingTowerElement.constant(spec, rng.randrange(1, p))
+        if r < 0.7:
+            return RingTowerElement.constant(spec, rng.randrange(1, p)) + random_homogeneous_poly(rng, spec, 1)
+        return random_homogeneous_poly(rng, spec, rng.randrange(1, 3))
+
+    zero_cols = {j for j in range(cols) if rng.random() < 0.2}
+    ent = [[zero if j in zero_cols else entry() for j in range(cols)] for _ in range(gens)]
+    return GradedModule(spec, gens, Matrix(spec, ent, cols))
+
+
+def reference_prune_presentation(gens: int, cols: list[Vec], p: int, q: int) -> tuple[int, list[Vec], list[int]]:
+    """Cancel relation entries that are nonzero scalars.
+
+    Each cancellation removes one generator and one relation through an
+    exact change of presentation (the pivot coefficient is a unit of
+    the polynomial ring itself).  Returns the surviving generator count,
+    columns, and the surviving original generator indices.
+
+    Reference: the dict-column loop ``graded.presentation_data`` ran
+    before it shared ``complexes._cancel_unit_pivots`` with ``minimize``.
+    """
+    cols = [dict(c) for c in cols]
+    alive = list(range(gens))
+    while True:
+        hit = None
+        for j, col in enumerate(cols):
+            for idx, pos in enumerate(alive):
+                c0 = _constant_at(col, pos, q)
+                if c0 and all(e == (0,) * q for (pp, e) in col if pp == pos):
+                    hit = (j, idx, pos, c0)
+                    break
+            if hit:
+                break
+        if hit is None:
+            return len(alive), [
+                { (alive.index(pos), e): c for (pos, e), c in col.items() }
+                for col in cols
+            ], alive
+        j, idx, pos, c0 = hit
+        pivot_col = cols[j]
+        cinv = pow(c0, -1, p)
+        new_cols = []
+        for l, col in enumerate(cols):
+            if l == j:
+                continue
+            factor = {e: c for (pp, e), c in col.items() if pp == pos}
+            out = dict(col)
+            for t in [t for t in out if t[0] == pos]:
+                del out[t]
+            if factor:
+                # col -= (col_pos / pivot) * pivot_col, with scalar pivot
+                for (pp, e), c in pivot_col.items():
+                    if pp == pos:
+                        continue
+                    for ef, cf in factor.items():
+                        t = (pp, tuple(a + b for a, b in zip(e, ef)))
+                        acc = (out.get(t, 0) - cinv * cf * c) % p
+                        if acc:
+                            out[t] = acc
+                        else:
+                            out.pop(t, None)
+            if out:
+                new_cols.append(out)
+        cols = new_cols
+        alive.remove(pos)
 
 
 def random_minimal_graded_complex(rng: random.Random, spec: RingSpec, max_rank: int = 3, max_length: int = 2) -> FreeComplex:
