@@ -23,6 +23,7 @@ POOL = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "data"
 # string, and integers past int64 or below zero
 REPLACEMENTS = [None, "x", {}, [], 3.0, True, False, "3", 2**70, -1, -(2**70)]
 NOT_INTEGERS = (float, str, bool)
+DROP = object()
 
 
 def paths(obj, prefix=()):
@@ -46,9 +47,6 @@ def mutate(obj, path, replacement):
     else:
         obj[last] = replacement
     return old
-
-
-DROP = object()
 
 
 def run_main(argv) -> tuple[int, str]:
@@ -75,10 +73,10 @@ def check_mutations(data, obj, commands):
     # the last mutation is still in the file, so the loader reads it
     not_an_integer = type(old) is int and isinstance(replacement, NOT_INTEGERS)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "input.json"
-        path.write_text(json.dumps(obj))
+        file = Path(tmp) / "input.json"
+        file.write_text(json.dumps(obj))
         for command in commands:
-            code, out = run_main([command, str(path), "--format", "json"])
+            code, out = run_main([command, str(file), "--format", "json"])
             assert code in (0, 1, 2, 3)
             json.loads(out)
             if not_an_integer:
