@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from . import groebner as gb
-from .complexes import FreeComplex, _cancel_unit_pivots, dual, empty_complex, tau_profile
+from .complexes import FreeComplex, _cancel_unit_pivots, dual, empty_complex, koszul_complex, tau_profile
 from .errors import InvalidParameter, NotMinimalInput, SpecMismatch, UnsupportedRing
 from .linalg import Matrix
 from .rings import RingSpec, RingTowerElement
@@ -263,7 +263,7 @@ def fitting_ideal(m: GradedModule) -> list[RingTowerElement] | None:
     out = []
     for subset in combinations(range(s), t):
         sub = [[rows_of[i][j] for j in subset] for i in range(t)]
-        det = gb.poly_determinant(sub, m.ring.p)
+        det = gb.poly_determinant(sub, m.ring.p, m.ring.q)
         if det:
             out.append(vec_to_poly(m.ring, det))
     return out
@@ -310,46 +310,30 @@ def module_depth(m: GradedModule) -> int | None:
     if gens == 0 or gb.module_is_zero(rel_cols, gens, p, q):
         m._cache["depth"] = None
         return None
-    subsets = [list(combinations(range(q), i)) for i in range(q + 1)]
+    # the Koszul complex on T_1..T_q; its transposed differentials are
+    # the boundaries from i-subsets down to (i-1)-subsets
+    kos = koszul_complex(ring, [RingTowerElement.variable(ring, k) for k in range(q)])
 
     def boundary(i: int) -> list[Vec]:
-        # chain map from i-subsets to (i-1)-subsets
-        tgt_index = {s: k for k, s in enumerate(subsets[i - 1])}
-        cols = []
-        for s in subsets[i]:
-            col: Vec = {}
-            for a, var in enumerate(s):
-                rest = tuple(x for x in s if x != var)
-                sign = 1 if a % 2 == 0 else p - 1
-                exps = tuple(1 if k == var else 0 for k in range(q))
-                col[(tgt_index[rest], exps)] = sign
-            cols.append(col)
-        return cols
+        return matrix_columns(kos.differential(i - 1).transpose())
 
     def block_rel(i: int) -> list[Vec]:
-        copies = len(subsets[i])
-        out = []
-        for b in range(copies):
-            for col in rel_cols:
-                out.append({(b * gens + pos, e): c for (pos, e), c in col.items()})
-        return out
+        return [
+            {(b * gens + pos, e): c for (pos, e), c in col.items()}
+            for b in range(kos.rank(i))
+            for col in rel_cols
+        ]
 
     depth = None
     for i in range(q, -1, -1):
-        copies = len(subsets[i])
-        amb = copies * gens
         if i == 0:
-            cycles = [{(l, (0,) * q): 1} for l in range(amb)]
+            cycles = [{(l, (0,) * q): 1} for l in range(gens)]
         else:
             # vectors of the i-th cover whose boundary lands in the relation span
             bnd_out = _koszul_block_columns(boundary(i), gens)
-            lower_amb = len(subsets[i - 1]) * gens
-            cycles = gb.relations_modulo(bnd_out, block_rel(i - 1), lower_amb, p, q)
-        if i == q:
-            bnd_in: list[Vec] = []
-        else:
-            bnd_in = _koszul_block_columns(boundary(i + 1), gens)
-        span = bnd_in + block_rel(i)
+            cycles = gb.relations_modulo(bnd_out, block_rel(i - 1), kos.rank(i - 1) * gens, p, q)
+        # boundary(q + 1) has no columns
+        span = _koszul_block_columns(boundary(i + 1), gens) + block_rel(i)
         basis = gb.prepared_basis(gb.buchberger(span, p), p)
         if any(gb.normal_form(v, basis) for v in cycles):
             depth = q - i
@@ -423,27 +407,43 @@ def _vec_ideal(elems: list[RingTowerElement]) -> list[Vec]:
 def support_components(m: GradedModule) -> dict[int, list[Vec]]:
     """Level ideals of the minimal support components, keyed by height.
 
-    Level h survives when the h-th dual has dimension exactly q-h after
-    saturating away everything inside lower-height components.
+    Level h is the annihilator of the h-th dual, kept when it has
+    dimension exactly q-h after saturating away the lower-height
+    components.
     """
-    ring = m.ring
-    p, q = ring.p, ring.q
     if module_is_zero(m):
         return {}
+    p, q = m.ring.p, m.ring.q
     _, betti = minimal_graded_resolution(m)
-    length = len(betti) - 1
-    components: dict[int, list[Vec]] = {}
-    for h in range(min(q, length) + 1):
+    candidates = {}
+    for h in range(min(q, len(betti) - 1) + 1):
         ext = ext_module(m, h)
-        if module_is_zero(ext):
-            continue
-        ann = _vec_ideal(annihilator_ideal(ext))
-        level = gb.ideal_gb(ann, p)
-        for h2, lower in sorted(components.items()):
-            level = gb.saturate(level, lower, p, q)
-        if gb.ideal_dimension(level, p, q) == q - h:
-            components[h] = level
-    return components
+        if not module_is_zero(ext):
+            candidates[h] = [gb.buchberger(_vec_ideal(annihilator_ideal(ext)), p)]
+    return _merge_components(candidates, p, q)
+
+
+def _merge_components(candidates: dict[int, list[list[Vec]]], p: int, q: int) -> dict[int, list[Vec]]:
+    """Kept level ideals by height, lowest height first.
+
+    Each candidate of height h is saturated by every kept lower level
+    and kept when it has dimension q-h; the kept candidates of one
+    height multiply into its level.
+    """
+    merged: dict[int, list[Vec]] = {}
+    for h in sorted(candidates):
+        pieces = []
+        for level in candidates[h]:
+            for lower in merged.values():
+                level = gb.saturate(level, lower, p, q)
+            if gb.ideal_dimension(level, p, q) == q - h:
+                pieces.append(level)
+        if pieces:
+            total = pieces[0]
+            for extra in pieces[1:]:
+                total = gb.ideal_product(total, extra, p, q)
+            merged[h] = total
+    return merged
 
 
 def support_height_profile(m: GradedModule) -> set[int]:
@@ -488,6 +488,9 @@ class HAReport:
     part_iii: dict
     duality: dict | None
     cohomology_zero: dict[int, bool] = field(default_factory=dict)
+    # module_invariants of the top cohomology when part iii applies; kept
+    # for certify, not written by to_obj
+    top_invariants: dict | None = field(default=None, compare=False)
 
     @property
     def all_pass(self) -> bool:
@@ -560,31 +563,6 @@ def complex_cohomology_module(c: FreeComplex, degree: int) -> GradedModule:
     return GradedModule(ring, len(kernel), columns_to_matrix(ring, rel, len(kernel)))
 
 
-def _combined_support(modules: dict[int, GradedModule], p: int, q: int):
-    """Support components of the direct sum, merged across degrees."""
-    per_degree = {d: support_components(mod) for d, mod in modules.items()}
-    merged: dict[int, list[Vec]] = {}
-    heights = sorted({h for comp in per_degree.values() for h in comp})
-    for h in heights:
-        pieces = []
-        for d, comp in per_degree.items():
-            if h not in comp:
-                continue
-            level = comp[h]
-            for h2 in sorted(merged):
-                if h2 < h:
-                    level = gb.saturate(level, merged[h2], p, q)
-            if gb.ideal_dimension(level, p, q) == q - h:
-                pieces.append(level)
-        if not pieces:
-            continue
-        total = pieces[0]
-        for extra in pieces[1:]:
-            total = gb.ideal_product(total, extra, p, q)
-        merged[h] = total
-    return merged, per_degree
-
-
 def verify_height_amplitude(c: FreeComplex) -> HAReport:
     """Height bound, localization vanishing, and concentration checks.
 
@@ -621,7 +599,12 @@ def verify_height_amplitude(c: FreeComplex) -> HAReport:
     zero_flags = {d: module_is_zero(modules[d]) for d in c.degrees}
     nonzero = {d: m for d, m in modules.items() if not zero_flags[d]}
 
-    merged, per_degree = _combined_support(nonzero, p, q)
+    # the support of the direct sum: every degree's components, merged
+    candidates: dict[int, list[list[Vec]]] = {}
+    for mod in nonzero.values():
+        for h, level in support_components(mod).items():
+            candidates.setdefault(h, []).append(level)
+    merged = _merge_components(candidates, p, q)
     profile = frozenset(merged)
     max_height = max(profile) if profile else None
     part_i = {"pass": max_height is None or max_height <= amplitude, "max_height": max_height}
@@ -643,7 +626,7 @@ def verify_height_amplitude(c: FreeComplex) -> HAReport:
 
     # part iii: when every component height equals the amplitude
     applicable = bool(profile) and profile == frozenset({amplitude})
-    duality = None
+    duality = inv = None
     if applicable:
         lower_vanishing = all(zero_flags[d] for d in c.degrees if d < d_plus)
         top = modules[d_plus]
@@ -669,6 +652,7 @@ def verify_height_amplitude(c: FreeComplex) -> HAReport:
         part_iii=part_iii,
         duality=duality,
         cohomology_zero=zero_flags,
+        top_invariants=inv,
     )
 
 

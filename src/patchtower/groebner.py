@@ -6,6 +6,14 @@ graded reverse lexicographic order by default, full reductions, and
 canonical reduced bases (monic, interreduced, sorted by leading term),
 so equal submodules produce identical bases.
 
+Each reduction step takes the lead term of what is left once, and
+cancels it with the first basis element whose lead divides it or moves
+it to the remainder.  Pairs wait in a heap keyed by the order key of
+their lcm, ties broken by insertion.  Interreduction keeps the minimal
+leads in one basis and reduces every tail against it: no term below a
+lead is a multiple of that lead, so this is reduction against the
+other elements.
+
 Syzygies come from the block-order elimination trick: embed each
 generator g_i as g_i + e_i in a larger free module whose first block
 dominates; basis elements supported on the second block generate the
@@ -14,7 +22,8 @@ syzygy module exactly.
 
 from __future__ import annotations
 
-from itertools import combinations
+import heapq
+from itertools import combinations, count
 
 Term = tuple[int, tuple[int, ...]]
 Vec = dict[Term, int]
@@ -73,7 +82,7 @@ def _divides(a: Term, b: Term) -> bool:
 
 
 class _Basis:
-    """Monic basis elements bucketed by lead position for fast reduction."""
+    """Monic basis elements with their leads, bucketed by lead position."""
 
     __slots__ = ("order", "p", "items", "by_pos")
 
@@ -81,24 +90,13 @@ class _Basis:
         self.order = order
         self.p = p
         self.items: list[tuple[Term, Vec]] = []
-        self.by_pos: dict[int, list[int]] = {}
+        self.by_pos: dict[int, list[tuple[Term, Vec]]] = {}
 
     def add(self, vec: Vec) -> None:
         lt = lead(vec, self.order)
-        inv = pow(vec[lt], -1, self.p)
-        vec = vec_scale(vec, inv, self.p)
-        self.by_pos.setdefault(lt[0], []).append(len(self.items))
-        self.items.append((lt, vec))
-
-    def reduce_lead(self, work: Vec) -> tuple[Vec, bool]:
-        lt = lead(work, self.order)
-        for idx in self.by_pos.get(lt[0], ()):
-            blt, bvec = self.items[idx]
-            if _divides(blt, lt):
-                shift = tuple(x - y for x, y in zip(lt[1], blt[1]))
-                vec_sub_shifted(work, bvec, work[lt], shift, self.p)
-                return work, True
-        return work, False
+        item = (lt, vec_scale(vec, pow(vec[lt], -1, self.p), self.p))
+        self.by_pos.setdefault(lt[0], []).append(item)
+        self.items.append(item)
 
 
 def normal_form(vec: Vec, basis: _Basis) -> Vec:
@@ -106,11 +104,13 @@ def normal_form(vec: Vec, basis: _Basis) -> Vec:
     work = dict(vec)
     rem: Vec = {}
     while work:
-        work, hit = basis.reduce_lead(work)
-        if not work:
-            break
-        if not hit:
-            lt = lead(work, basis.order)
+        lt = lead(work, basis.order)
+        for blt, bvec in basis.by_pos.get(lt[0], ()):
+            if _divides(blt, lt):
+                shift = tuple(x - y for x, y in zip(lt[1], blt[1]))
+                vec_sub_shifted(work, bvec, work[lt], shift, basis.p)
+                break
+        else:
             rem[lt] = work.pop(lt)
     return rem
 
@@ -119,7 +119,7 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
     """Reduced Groebner basis of the submodule generated by ``gens``."""
     order = order or ModuleOrder()
     basis = _Basis(order, p)
-    seeds = [dict(g) for g in gens if g]
+    seeds = [g for g in gens if g]
     # deterministic seeding: largest leads first keeps reductions short
     seeds.sort(key=lambda v: order.key(lead(v, order)), reverse=True)
     for g in seeds:
@@ -128,7 +128,10 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
             basis.add(g)
     is_ideal = all(pos == 0 for _, vec in basis.items for (pos, _) in vec)
 
-    pairs = []
+    # (lcm key, insertion counter, i, j, lcm): the counter pops equal
+    # keys first in, first out
+    pairs: list = []
+    counter = count()
 
     def push_pairs(new_idx: int) -> None:
         nlt, _ = basis.items[new_idx]
@@ -139,14 +142,13 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
             lcm = tuple(max(x, y) for x, y in zip(blt[1], nlt[1]))
             if is_ideal and all(x + y == z for x, y, z in zip(blt[1], nlt[1], lcm)):
                 continue  # coprime leads, S-vector reduces to zero
-            pairs.append((order.mkey(lcm), idx, new_idx, (nlt[0], lcm)))
+            heapq.heappush(pairs, (order.mkey(lcm), next(counter), idx, new_idx, lcm))
 
     for i in range(len(basis.items)):
         push_pairs(i)
 
     while pairs:
-        pairs.sort(key=lambda x: x[0])
-        _, i, j, (pos, lcm) = pairs.pop(0)
+        _, _, i, j, lcm = heapq.heappop(pairs)
         (lti, vi), (ltj, vj) = basis.items[i], basis.items[j]
         s: Vec = {}
         vec_sub_shifted(s, vi, p - 1, tuple(a - b for a, b in zip(lcm, lti[1])), p)
@@ -160,33 +162,25 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
 
 
 def _reduce_basis(basis: _Basis) -> list[Vec]:
-    order, p = basis.order, basis.p
-    # drop elements whose lead is divisible by another surviving lead
-    items = sorted(basis.items, key=lambda it: order.key(it[0]))
-    kept: list[tuple[Term, Vec]] = []
-    for lt, vec in items:
-        if any(_divides(klt, lt) for klt, _ in kept):
-            continue
-        kept.append((lt, vec))
+    """Minimal leads, tails reduced against them, largest lead first."""
+    order = basis.order
+    kept = _Basis(order, basis.p)
+    for lt, vec in sorted(basis.items, key=lambda it: order.key(it[0])):
+        if not any(_divides(klt, lt) for klt, _ in kept.items):
+            kept.add(vec)
     out = []
-    for i, (lt, vec) in enumerate(kept):
-        small = _Basis(order, p)
-        for j, (_, other) in enumerate(kept):
-            if j != i:
-                small.add(dict(other))
-        red = normal_form(vec, small)
-        if red:
-            inv = pow(red[lead(red, order)], -1, p)
-            out.append(vec_scale(red, inv, p))
-    out.sort(key=lambda v: order.key(lead(v, order)), reverse=True)
-    return out
+    for lt, vec in kept.items:
+        tail = dict(vec)
+        red = {lt: tail.pop(lt)}
+        red.update(normal_form(tail, kept))
+        out.append(red)
+    return out[::-1]
 
 
-def prepared_basis(gb: list[Vec], p: int, order: ModuleOrder | None = None) -> _Basis:
-    order = order or ModuleOrder()
-    basis = _Basis(order, p)
+def prepared_basis(gb: list[Vec], p: int) -> _Basis:
+    basis = _Basis(ModuleOrder(), p)
     for g in gb:
-        basis.add(dict(g))
+        basis.add(g)
     return basis
 
 
@@ -248,11 +242,7 @@ def annihilator(rel_cols: list[Vec], t: int, p: int, q: int) -> list[Vec]:
     for i in range(t):
         for col in rel_cols:
             blocks.append({(i * t + pos, e): c for (pos, e), c in col.items()})
-    return ideal_gb(relations_modulo([diag], blocks, t * t, p, q), p)
-
-
-def ideal_gb(gens: list[Vec], p: int, mkey=grevlex_key) -> list[Vec]:
-    return buchberger(gens, p, ModuleOrder(mkey))
+    return buchberger(relations_modulo([diag], blocks, t * t, p, q), p)
 
 
 def ideal_quotient(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> list[Vec]:
@@ -269,12 +259,12 @@ def ideal_quotient(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> list
     for jdx in range(s):
         for f in i_gens:
             blocks.append({(jdx, e): c for (pos, e), c in f.items()})
-    return ideal_gb(relations_modulo([diag], blocks, s, p, q), p)
+    return buchberger(relations_modulo([diag], blocks, s, p, q), p)
 
 
 def saturate(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> list[Vec]:
     """(I : J^infinity), iterating quotients until the basis stabilizes."""
-    cur = ideal_gb(i_gens, p)
+    cur = buchberger(i_gens, p)
     while True:
         nxt = ideal_quotient(cur, j_gens, p, q)
         if nxt == cur:
@@ -283,7 +273,7 @@ def saturate(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> list[Vec]:
 
 
 def ideal_sum(i_gens: list[Vec], j_gens: list[Vec], p: int) -> list[Vec]:
-    return ideal_gb(list(i_gens) + list(j_gens), p)
+    return buchberger(list(i_gens) + list(j_gens), p)
 
 
 def poly_mul(a: Vec, b: Vec, p: int) -> Vec:
@@ -303,7 +293,7 @@ def ideal_product(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> list[
             prod = poly_mul(f, g, p)
             if prod:
                 out.append(prod)
-    return ideal_gb(out, p)
+    return buchberger(out, p)
 
 
 def radical_member(f: Vec, i_gens: list[Vec], p: int, q: int) -> bool:
@@ -353,13 +343,13 @@ def monomial_dimension(lead_exps: list[tuple[int, ...]], q: int) -> int:
     return 0
 
 
-def ideal_dimension(i_gens: list[Vec], p: int, q: int, mkey=grevlex_key) -> int:
+def ideal_dimension(i_gens: list[Vec], p: int, q: int) -> int:
     """dim R/I via the initial ideal of a reduced basis; dim R = q for I = 0."""
-    gb = ideal_gb([g for g in i_gens if g], p, mkey)
+    gb = buchberger(i_gens, p)
     if not gb:
         return q
-    leads = [lead(g, ModuleOrder(mkey))[1] for g in gb]
-    return monomial_dimension(leads, q)
+    order = ModuleOrder()
+    return monomial_dimension([lead(g, order)[1] for g in gb], q)
 
 
 def standard_monomial_counts(rel_gb: list[Vec], shifts: list[int], q: int, max_degree: int) -> dict[int, int]:
@@ -398,21 +388,9 @@ def standard_monomial_counts(rel_gb: list[Vec], shifts: list[int], q: int, max_d
     return dict(sorted(counts.items()))
 
 
-def poly_determinant(rows: list[list[Vec]], p: int) -> Vec:
-    """Exact determinant of a square matrix of polynomials (Laplace, memoized)."""
-    n = len(rows)
-    if n == 0:
-        return {(0, ()): 1}
-    q = None
-    for row in rows:
-        for x in row:
-            for (_, e) in x:
-                q = len(e)
-                break
-            if q is not None:
-                break
-        if q is not None:
-            break
+def poly_determinant(rows: list[list[Vec]], p: int, q: int) -> Vec:
+    """Exact determinant of a square matrix of polynomials in q variables
+    (Laplace, memoized)."""
     cache: dict[tuple, Vec] = {}
 
     def poly_addsub(a: Vec, b: Vec, sign: int) -> Vec:
@@ -427,7 +405,7 @@ def poly_determinant(rows: list[list[Vec]], p: int) -> Vec:
 
     def rec(row_start: int, cols: tuple[int, ...]) -> Vec:
         if not cols:
-            return {(0, (0,) * (q or 0)): 1}
+            return {(0, (0,) * q): 1}
         key = (row_start, cols)
         if key in cache:
             return cache[key]
@@ -442,4 +420,4 @@ def poly_determinant(rows: list[list[Vec]], p: int) -> Vec:
         cache[key] = acc
         return acc
 
-    return rec(0, tuple(range(n)))
+    return rec(0, tuple(range(len(rows))))

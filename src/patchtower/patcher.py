@@ -43,7 +43,7 @@ from .errors import (
     TauNotConstant,
     TauOutOfRange,
 )
-from .graded import complex_cohomology_module, module_invariants, verify_height_amplitude
+from .graded import verify_height_amplitude
 from .linalg import Matrix, matmul_mod
 from .rings import (
     RingSpec,
@@ -723,8 +723,7 @@ def certify(tower: PatchingTower, limit: PatchLimit) -> FreenessCertificate:
     if not checks["fiber_vanishing_below_top"]:
         raise HeightAmplitudeViolated("fiber cohomology survives below the top degree")
 
-    top_module = complex_cohomology_module(fiber, max(dd for dd in fiber.degrees if fiber.rank(dd)))
-    inv = module_invariants(top_module)
+    inv = report.top_invariants
     checks["projdim_eq_r"] = inv["projdim"] == r
     checks["depth_eq_budget"] = inv["depth"] == q - r
     if not checks["projdim_eq_r"] or not checks["depth_eq_budget"]:

@@ -31,14 +31,33 @@ from .errors import (
 KINDS = ("coefficient", "patch", "graded")
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with these bases decides every n < 2^64 (Jaeschke 1993;
+# the first twelve primes suffice below 3.3 * 10^24)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality below 2^64; larger n is refused."""
+    if n >= 2**64:
+        raise InvalidParameter(f"primality of {n} >= 2^64 is not decided")
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -182,9 +182,11 @@ def int_matrix_to_obj(a: np.ndarray) -> list:
 def int_matrix_from_obj(obj, rows: int | None = None) -> np.ndarray:
     if not isinstance(obj, list):
         raise InvalidInput("integer matrix must be a list of rows")
-    if not obj:
-        return np.zeros((rows or 0, 0), dtype=np.int64)
-    return np.array([[json_int(x) for x in row] for row in obj], dtype=np.int64)
+    cells = [[json_int(x) for x in row] for row in obj]
+    a = np.array(cells, dtype=np.int64) if cells else np.zeros((0, 0), dtype=np.int64)
+    if rows is not None and a.shape[0] != rows:
+        raise InvalidInput(f"integer matrix has {a.shape[0]} rows, expected {rows}")
+    return a
 
 
 # -- towers ------------------------------------------------------------------
@@ -250,8 +252,6 @@ def tower_from_obj(obj) -> PatchingTower:
         )
         if len(module.actions) != g:
             raise InvalidInput(f"base module needs {g} action matrices")
-        if module.relations.shape[0] != gens:
-            raise InvalidInput(f"base module relations need {gens} rows")
         if any(a.shape != (gens, gens) for a in module.actions):
             raise InvalidInput(f"base module action matrices must be {gens}x{gens}")
         base = TowerBase(

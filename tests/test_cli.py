@@ -1,11 +1,13 @@
+import contextlib
 import hashlib
 import json
+import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from patchtower import serialize
+from patchtower import graded, serialize
 from patchtower.cli import main
 from patchtower.complexes import koszul_complex, make_complex
 from patchtower.errors import InvalidInput
@@ -259,6 +261,32 @@ def test_q2_r1_tower_round_trip_bytes_are_pinned(capsys, tmp_path):
     assert round_trip_digests(capsys, tmp_path, argv) == Q2R1_SEED7_SHA256
 
 
+def test_accepted_patch_computes_the_top_invariants_once(capsys, tmp_path):
+    # the height-amplitude report's part iii already holds the invariants
+    # of the top cohomology; certify used to rebuild the module and run
+    # module_invariants on it a second time
+    argv = ["--p", "3", "--q", "2", "--r", "1", "--seed", "7"]
+    assert run(capsys, ["gen", *argv, "--out-dir", str(tmp_path)])[0] == 0
+    real = graded.module_invariants
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    # every patchtower namespace that holds the function, as the tracer does
+    holders = [
+        mod for name, mod in sys.modules.items()
+        if name.startswith("patchtower") and getattr(mod, "module_invariants", None) is real
+    ]
+    with contextlib.ExitStack() as stack:
+        for mod in holders:
+            stack.enter_context(mock.patch.object(mod, "module_invariants", counted))
+        code, out = run(capsys, ["patch", str(tmp_path / "tower.json"), "--format", "json"])
+    assert (code, len(calls)) == (0, 1)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == Q2R1_SEED7_SHA256["output"]
+
+
 @pytest.mark.parametrize(
     "relations, code, sha256",
     [
@@ -437,6 +465,60 @@ def test_tower_field_out_of_contract_is_invalid_input(capsys, tmp_path, q1r1_tow
     assert code == 2
     got = json.loads(out)
     assert got["error"] == "InvalidInput" and detail in got["detail"]
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        pytest.param(lambda o: o["levels"][0].update(base_iso=[]), "0 rows, expected 1", id="base-iso-empty"),
+        pytest.param(
+            lambda o: o["levels"][1]["base_iso"].append([1]), "2 rows, expected 1", id="base-iso-extra-row"
+        ),
+        pytest.param(
+            lambda o: o["base"]["module"].update(relations=[]), "0 rows, expected 1", id="base-relations-empty"
+        ),
+    ],
+)
+def test_integer_matrix_rows_are_checked_at_load(capsys, tmp_path, q1r1_tower_obj, edit, detail):
+    # a base_iso of [] or with an extra row loaded and patch reported
+    # BaseMismatch (exit 1); base relations of [] loaded as a gens x 0
+    # matrix and patch exited 0
+    obj = json.loads(json.dumps(q1r1_tower_obj))
+    edit(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, ["patch", str(path), "--format", "json"])
+    assert (code, json.loads(out)) == (2, {"error": "InvalidInput", "detail": f"integer matrix has {detail}"})
+
+
+def _graded_module_over(p: int) -> dict:
+    # F_p[T1,T2]/(T1, T1^2 - T2): a complete intersection of projdim 2
+    return {
+        "ring": {"p": p, "m": 1, "n": 0, "q": 2, "kind": "graded"},
+        "gens": 1,
+        "relations": [[[[[1, 0], 1]], [[[0, 1], p - 1], [[2, 0], 1]]]],
+    }
+
+
+@pytest.mark.parametrize(
+    "p, code",
+    [(2**61 - 1, 0), (2**64 - 59, 0), (2**64, 2), (2**89 - 1, 2)],
+    ids=["2^61-1", "2^64-59", "2^64", "2^89-1"],
+)
+def test_large_graded_prime_is_decided_at_once(tmp_path, p, code):
+    # primality was trial division up to sqrt(p): at 2^61-1 the loader was
+    # still dividing when stopped after minutes; past 2^64 no base set of
+    # the Miller-Rabin test is known to decide it, so p is refused
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(_graded_module_over(p)))
+    argv = ["invariants", str(path), "--format", "json"]
+    done = run_under_memory_limit(f"import sys\nfrom patchtower.cli import main\nsys.exit(main({argv!r}))", timeout=30)
+    assert done.returncode == code
+    got = json.loads(done.stdout)
+    if code == 0:
+        assert (got["projdim"], got["dim"]) == (2, 0)
+    else:
+        assert got["error"] == "InvalidParameter"
 
 
 POOL = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "data" / "ha_pool.json").read_text())

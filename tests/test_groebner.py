@@ -1,6 +1,9 @@
 import random
+from unittest import mock
 
 from patchtower import groebner as gb
+
+import util
 
 
 def poly(q, terms):
@@ -104,11 +107,79 @@ class TestIdealOperations:
         assert not gb.module_is_zero([poly(2, {(1, 0): 1})], 1, 3, 2)
 
     def test_standard_counts(self):
-        basis = gb.ideal_gb([poly(2, {(1, 0): 1})], 3)
+        basis = gb.buchberger([poly(2, {(1, 0): 1})], 3)
         assert gb.standard_monomial_counts(basis, [0], 2, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
 
     def test_determinant(self):
         t1 = poly(2, {(1, 0): 1})
         t2 = poly(2, {(0, 1): 1})
-        det = gb.poly_determinant([[t1, t2], [t2, t1]], 3)
+        det = gb.poly_determinant([[t1, t2], [t2, t1]], 3, 2)
         assert det == {(0, (2, 0)): 1, (0, (0, 2)): 2}
+
+
+def random_module_input(rng: random.Random):
+    """Up to three vectors in R^t over F_p[T_1..T_q], terms of degree <= 3."""
+    p, q, t = rng.choice((2, 3, 5, 7)), rng.randint(1, 3), rng.randint(1, 3)
+    vecs = []
+    for _ in range(rng.randint(1, 3)):
+        v = {}
+        for _ in range(rng.randint(1, 4)):
+            e = [0] * q
+            for _ in range(rng.randint(0, 3)):
+                e[rng.randrange(q)] += 1
+            v[(rng.randrange(t), tuple(e))] = rng.randrange(1, p)
+        vecs.append(v)
+    return p, q, t, vecs
+
+
+def module_orders(rng: random.Random, t: int):
+    return [
+        gb.ModuleOrder(),
+        gb.ModuleOrder(gb.lex_key),
+        gb.ModuleOrder(rng.choice((gb.grevlex_key, gb.lex_key)), cut=rng.randint(1, t)),
+    ]
+
+
+def as_items(basis):
+    # pins the term order inside each vector as well as the vectors
+    return [list(v.items()) for v in basis]
+
+
+def with_steps(run):
+    """What ``run()`` returns, and every subtraction it made on the way.
+
+    A subtraction is a ``vec_sub_shifted`` call: the multiple of a basis
+    element taken off a vector being reduced, or one half of an
+    S-vector.  Equal step lists mean the same pairs in the same order
+    and the same reductions.
+    """
+    steps = []
+    real = gb.vec_sub_shifted
+
+    def record(target, src, c, shift, p):
+        steps.append((tuple(src.items()), c, shift))
+        real(target, src, c, shift, p)
+
+    with mock.patch.object(gb, "vec_sub_shifted", record), mock.patch.object(util, "vec_sub_shifted", record):
+        out = run()
+    return as_items(out), steps
+
+
+class TestAgainstReferenceEngine:
+    """The engine does the reference engine's arithmetic, step for step."""
+
+    def test_bases_match(self):
+        rng = random.Random(1301)
+        for _ in range(200):
+            p, q, t, vecs = random_module_input(rng)
+            for order in module_orders(rng, t):
+                want = with_steps(lambda: util.reference_buchberger(vecs, p, order))
+                assert with_steps(lambda: gb.buchberger(vecs, p, order)) == want
+
+    def test_syzygies_match(self):
+        rng = random.Random(1302)
+        for _ in range(100):
+            p, q, t, vecs = random_module_input(rng)
+            with mock.patch.object(gb, "buchberger", util.reference_buchberger):
+                want = with_steps(lambda: gb.syzygy_generators(vecs, t, p, q))
+            assert with_steps(lambda: gb.syzygy_generators(vecs, t, p, q)) == want

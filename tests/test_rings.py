@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from patchtower.rings import (
     coefficient_ring,
     compose,
     graded_ring,
+    is_prime,
     make_patch_ring,
     reduction_map,
     residue_map,
@@ -193,3 +195,17 @@ def test_graded_ring_polynomials_are_untruncated():
     t1 = var(g, 0)
     assert (t1 ** 5).coeffs == {(5, 0): 1}
     assert coefficient_ring(3, 1).modulus == 3
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(10**5) if is_prime(n) != sympy.isprime(n)] == []
+    # a Mersenne prime, the largest prime below 2^64, a Carmichael number
+    # and a strong pseudoprime to bases 2, 3, 5 and 7
+    for n in (2**61 - 1, 2**64 - 59, 561, 3215031751):
+        assert is_prime(n) == sympy.isprime(n)
+
+
+@pytest.mark.parametrize("n", [2**64, 2**89 - 1])
+def test_is_prime_refuses_past_2_64(n):
+    with pytest.raises(InvalidParameter):
+        is_prime(n)

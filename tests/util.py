@@ -11,7 +11,7 @@ from pathlib import Path
 
 from patchtower.complexes import FiniteModuleData, FreeComplex, make_complex
 from patchtower.graded import GradedModule, _constant_at
-from patchtower.groebner import Vec, syzygy_generators
+from patchtower.groebner import ModuleOrder, Vec, _divides, lead, syzygy_generators, vec_scale, vec_sub_shifted
 from patchtower.linalg import HowellCore, Matrix, _as_array, _reduce_row, expand_scalars
 from patchtower.rings import RingSpec, RingTowerElement, make_patch_ring
 
@@ -159,6 +159,107 @@ def reference_prune_presentation(gens: int, cols: list[Vec], p: int, q: int) -> 
                 new_cols.append(out)
         cols = new_cols
         alive.remove(pos)
+
+
+class _ReferenceBasis:
+    """Monic basis elements bucketed by lead position (reference engine)."""
+
+    def __init__(self, order: ModuleOrder, p: int):
+        self.order = order
+        self.p = p
+        self.items: list = []
+        self.by_pos: dict[int, list[int]] = {}
+
+    def add(self, vec: Vec) -> None:
+        lt = lead(vec, self.order)
+        vec = vec_scale(vec, pow(vec[lt], -1, self.p), self.p)
+        self.by_pos.setdefault(lt[0], []).append(len(self.items))
+        self.items.append((lt, vec))
+
+    def reduce_lead(self, work: Vec) -> tuple[Vec, bool]:
+        lt = lead(work, self.order)
+        for idx in self.by_pos.get(lt[0], ()):
+            blt, bvec = self.items[idx]
+            if _divides(blt, lt):
+                shift = tuple(x - y for x, y in zip(lt[1], blt[1]))
+                vec_sub_shifted(work, bvec, work[lt], shift, self.p)
+                return work, True
+        return work, False
+
+
+def _reference_normal_form(vec: Vec, basis: _ReferenceBasis) -> Vec:
+    work = dict(vec)
+    rem: Vec = {}
+    while work:
+        work, hit = basis.reduce_lead(work)
+        if not work:
+            break
+        if not hit:
+            lt = lead(work, basis.order)
+            rem[lt] = work.pop(lt)
+    return rem
+
+
+def reference_buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
+    """Reduced Groebner basis by the engine ``groebner.buchberger`` replaced.
+
+    A lead-term search in ``reduce_lead`` and a second one for each
+    irreducible term, a pair list re-sorted (stably, by the lcm key)
+    before every ``pop(0)``, and interreduction of each kept element
+    against a fresh basis of all the others.
+    """
+    order = order or ModuleOrder()
+    basis = _ReferenceBasis(order, p)
+    seeds = [dict(g) for g in gens if g]
+    seeds.sort(key=lambda v: order.key(lead(v, order)), reverse=True)
+    for g in seeds:
+        g = _reference_normal_form(g, basis)
+        if g:
+            basis.add(g)
+    is_ideal = all(pos == 0 for _, vec in basis.items for (pos, _) in vec)
+    pairs = []
+
+    def push_pairs(new_idx: int) -> None:
+        nlt, _ = basis.items[new_idx]
+        for idx in range(new_idx):
+            blt, _ = basis.items[idx]
+            if blt[0] != nlt[0]:
+                continue
+            lcm = tuple(max(x, y) for x, y in zip(blt[1], nlt[1]))
+            if is_ideal and all(x + y == z for x, y, z in zip(blt[1], nlt[1], lcm)):
+                continue
+            pairs.append((order.mkey(lcm), idx, new_idx, lcm))
+
+    for i in range(len(basis.items)):
+        push_pairs(i)
+    while pairs:
+        pairs.sort(key=lambda x: x[0])
+        _, i, j, lcm = pairs.pop(0)
+        (lti, vi), (ltj, vj) = basis.items[i], basis.items[j]
+        s: Vec = {}
+        vec_sub_shifted(s, vi, p - 1, tuple(a - b for a, b in zip(lcm, lti[1])), p)
+        vec_sub_shifted(s, vj, 1, tuple(a - b for a, b in zip(lcm, ltj[1])), p)
+        s = _reference_normal_form(s, basis)
+        if s:
+            basis.add(s)
+            push_pairs(len(basis.items) - 1)
+
+    kept = []
+    for lt, vec in sorted(basis.items, key=lambda it: order.key(it[0])):
+        if not any(_divides(klt, lt) for klt, _ in kept):
+            kept.append((lt, vec))
+    out = []
+    for i, (lt, vec) in enumerate(kept):
+        small = _ReferenceBasis(order, p)
+        for j, (_, other) in enumerate(kept):
+            if j != i:
+                small.add(dict(other))
+        red = _reference_normal_form(vec, small)
+        if red:
+            inv = pow(red[lead(red, order)], -1, p)
+            out.append(vec_scale(red, inv, p))
+    out.sort(key=lambda v: order.key(lead(v, order)), reverse=True)
+    return out
 
 
 def random_minimal_graded_complex(rng: random.Random, spec: RingSpec, max_rank: int = 3, max_length: int = 2) -> FreeComplex:
