@@ -461,31 +461,13 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
             kernel = sm_out.column_kernel()
 
         sm_in = smiths.get(degree - 1)
-        if sm_in is None:
-            exponents = (m,) * amb
-            scales = np.ones(amb, dtype=np.int64)
-            proj = None
-        else:
-            qs = sm_in.quotient()
-            exponents = qs.exponents
-            scales = np.array([p ** (m - e) for e in exponents], dtype=np.int64)
-            proj = qs.projection
-
-        def embed(cols: np.ndarray) -> np.ndarray:
-            w = cols % N if proj is None else matmul_mod(proj, cols, N)
-            return (w * scales[:, None]) % N
+        embed = (lambda cols: cols % N) if sm_in is None else sm_in.quotient().embed
 
         ek = embed(kernel)
         base = (p * ek) % N
-        if base.any():
-            # residue coordinates modulo p * span(kernel) as well, so that
-            # every column of ek2 is killed by p (Nakayama)
-            qs2 = smith_quotient(base, len(exponents), p, m)
-            ek2 = matmul_mod(qs2.projection, ek, N)
-            for i, e in enumerate(qs2.exponents):
-                ek2[i] = (ek2[i] * p ** (m - e)) % N
-        else:
-            ek2 = ek
+        # residue coordinates modulo p * span(kernel) as well, so that
+        # every column of ek2 is killed by p (Nakayama)
+        ek2 = smith_quotient(base, len(ek), p, m).embed(ek) if base.any() else ek
         chosen = _nakayama_choice(ek2, p, m)
         gens = kernel[:, chosen]
         solver = HowellCore(ek[:, chosen].T, p, m)

@@ -16,9 +16,12 @@ scalar expansions it diagonalizes are almost empty (a padded 486 x 486
 differential has 487 nonzeros), so it keeps each row as a dict of its
 nonzero residues, visits only the rows that meet the pivot column, and
 finds pivots with one forward-only cursor per valuation layer.  Its
-transforms stay sparse; callers get dense arrays only of what they
-read.  Howell forms and every other operation use numpy int64 arrays
-with vectorised modular row operations.  Every matrix product over
+transforms stay sparse: quotient coordinates are one exact sparse
+product with the kept rows of U, each term reduced before the sum, and
+only the kernel columns of V and whatever matrix a caller reads itself
+(the dense U, V or quotient projection) are gathered into dense arrays.
+Howell forms and every other operation use numpy int64 arrays with
+vectorised modular row operations.  Every other matrix product over
 Z/p^m outside the elimination loops goes through ``matmul_mod``, which
 picks one of two exact paths by the largest partial sum the product can
 reach: float32 BLAS below 2^24, Python integers past it.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -373,25 +377,62 @@ def elementary_divisors(rel: np.ndarray, ambient: int, p: int, m: int) -> tuple[
 class QuotientStructure:
     """Canonical coordinates on (Z/p^m)^ambient modulo a column span.
 
-    ``projection @ x`` are the coordinates of x in the quotient, one per
-    cyclic summand; coordinate i is taken modulo p**exponents[i].
+    Coordinate i of x, one per cyclic summand, is ``rows[i] . x`` taken
+    modulo p**exponents[i].  The rows are the kept rows of the Smith row
+    transform, kept sparse as ``{index: residue}`` dicts, and every
+    coordinate comes from one exact sparse product: each term is reduced
+    mod N = p^m before the terms of a row are summed, so a row sum stays
+    below ambient * N.  ``_modulus`` keeps (N - 1)^2 below 2^63, so N is
+    below 2^31.5 and the sum fits int64 for every ambient below 2^31.5,
+    past any x that fits in memory.  ``projection``, the dense summands x
+    ambient matrix, is built only for a caller that reads it.
     """
 
     p: int
     m: int
+    ambient: int
     exponents: tuple[int, ...]
-    projection: np.ndarray
+    rows: list[dict[int, int]] = field(repr=False)
 
     @property
     def summands(self) -> int:
         return len(self.exponents)
 
+    @cached_property
+    def projection(self) -> np.ndarray:
+        return _gather(self.rows, self.ambient)
+
+    @cached_property
+    def _sparse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(where each row's terms start, term columns, term residues):
+        the rows laid end to end, as in CSR.  An empty row gets one zero
+        term, so that every row owns a segment (a row exists only when
+        ambient > 0, so column 0 does too)."""
+        lengths, cols, vals = _flatten([row or {0: 0} for row in self.rows])
+        return np.cumsum(lengths) - lengths, cols, vals
+
+    def _product(self, x) -> np.ndarray:
+        """``rows @ x`` mod N, exactly, for a vector or 2-d x of any int64
+        entries."""
+        N = self.p**self.m
+        x = _residues(x, N)
+        starts, cols, vals = self._sparse
+        terms = vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[cols] % N
+        return np.add.reduceat(terms, starts, axis=0) % N
+
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Quotient coordinates of x, or of each column of a 2-d x; they
         all vanish exactly when x lies in the column span."""
-        out = matmul_mod(self.projection, x, self.p**self.m)
+        out = self._product(x)
         moduli = self.p ** np.array(self.exponents, dtype=np.int64)
         return out % moduli.reshape((-1,) + (1,) * (out.ndim - 1))
+
+    def embed(self, x: np.ndarray) -> np.ndarray:
+        """The coordinates of each column of a 2-d x scaled into
+        (Z/p^m)^summands, where the summand of order p^e sits as
+        p^(m - e) Z/p^m."""
+        scales = self.p ** (self.m - np.array(self.exponents, dtype=np.int64))
+        return self._product(x) * scales[:, None] % (self.p**self.m)
 
     def divisors(self) -> tuple[int, ...]:
         return tuple(sorted(self.p**e for e in self.exponents))
@@ -425,7 +466,9 @@ class SmithData:
         return None if self.v_cols is None else _gather(self.v_cols, self.cols).T
 
     def quotient(self) -> QuotientStructure:
-        """Canonical coordinates of (Z/p^m)^rows modulo the column span."""
+        """Canonical coordinates of (Z/p^m)^rows modulo the column span:
+        the U rows of the pivots of positive exponent and every U row past
+        the pivots, handed over sparse, as the kernel left them."""
         exponents = []
         kept = []
         for idx, v in enumerate(self.pivot_vals):
@@ -435,7 +478,7 @@ class SmithData:
         for idx in range(len(self.pivot_vals), self.rows):
             exponents.append(self.m)
             kept.append(idx)
-        return QuotientStructure(self.p, self.m, tuple(exponents), _gather([self.u_rows[i] for i in kept], self.rows))
+        return QuotientStructure(self.p, self.m, self.rows, tuple(exponents), [self.u_rows[i] for i in kept])
 
     def column_kernel(self) -> np.ndarray:
         """Columns generating {v : A v = 0}, from the diagonal form: column
@@ -454,13 +497,21 @@ class SmithData:
         return _gather(cols, self.cols).T
 
 
+def _flatten(vectors: list[dict[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lengths, indices, residues) of the sparse vectors laid end to end."""
+    lengths = np.fromiter(map(len, vectors), dtype=np.int64, count=len(vectors))
+    total = int(lengths.sum())
+    indices = np.fromiter(chain.from_iterable(vectors), dtype=np.int64, count=total)
+    residues = np.fromiter(chain.from_iterable(map(dict.values, vectors)), dtype=np.int64, count=total)
+    return lengths, indices, residues
+
+
 def _gather(vectors: list[dict[int, int]], width: int) -> np.ndarray:
     """The len(vectors) x width array whose row i is the dict vectors[i],
     written in one scatter."""
+    lengths, indices, residues = _flatten(vectors)
     out = np.zeros((len(vectors), width), dtype=np.int64)
-    lengths = [len(vec) for vec in vectors]
-    at = np.repeat(np.arange(len(vectors)), lengths)
-    out[at, [j for vec in vectors for j in vec]] = [x for vec in vectors for x in vec.values()]
+    out[np.repeat(np.arange(len(vectors)), lengths), indices] = residues
     return out
 
 

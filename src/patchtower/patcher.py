@@ -560,6 +560,11 @@ def patch(tower: PatchingTower, precision: int, basis_change_budget: int = 20000
         raise InsufficientTower("need at least two levels")
     p, q = tower.p, tower.q
     levels = tower.levels
+    # step k is covered by the levels with level and precision >= k
+    if precision > max(min(lev.level, lev.precision) for lev in levels):
+        raise InsufficientTower(
+            f"no level covers every precision step up to {precision}"
+        )
     eligible = [
         [
             idx
@@ -568,10 +573,6 @@ def patch(tower: PatchingTower, precision: int, basis_change_budget: int = 20000
         ]
         for k in range(1, precision + 1)
     ]
-    if any(not e for e in eligible):
-        raise InsufficientTower(
-            f"no level covers every precision step up to {precision}"
-        )
 
     minimized = [minimize(lev.complex) for lev in levels]
     cache: dict[tuple[int, int], FreeComplex] = {}

@@ -24,8 +24,8 @@ from .complexes import (
     koszul_complex,
     make_complex,
 )
-from .errors import InvalidParams
-from .linalg import Matrix
+from .errors import ExpansionTooLarge, InvalidParams
+from .linalg import MAX_EXPANDED_CELLS, Matrix
 from .patcher import PatchingTower, RinfElem, TowerBase, TowerLevel
 from .rings import RingTowerElement, make_patch_ring
 
@@ -78,6 +78,20 @@ class ScenarioParams:
             raise InvalidParams("precisions must be >= 1")
         if self.rank < 1:
             raise InvalidParams("rank must be >= 1")
+        # the rank of every level's complex; ``patch`` would not load more
+        from .serialize import MAX_LOADED_SIZE
+
+        if self.rank > MAX_LOADED_SIZE:
+            raise InvalidParams(f"rank must be <= {MAX_LOADED_SIZE}, got {self.rank}")
+        # cohomology expands the top ring's p^e x p^e multiplication
+        # matrices; with p >= 2 a huge e is refused without computing p^e
+        n = len(self.precisions)
+        e = n * self.q
+        if e >= MAX_EXPANDED_CELLS.bit_length() or (self.p**e) ** 2 > MAX_EXPANDED_CELLS:
+            raise ExpansionTooLarge(
+                f"the level-{n} ring's {self.p}^{e} x {self.p}^{e} multiplication matrix"
+                f" exceeds {MAX_EXPANDED_CELLS} cells"
+            )
 
 
 def _limit_complex(params: ScenarioParams, level: int, precision: int) -> FreeComplex:

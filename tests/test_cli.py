@@ -10,11 +10,12 @@ import pytest
 from patchtower import graded, serialize
 from patchtower.cli import main
 from patchtower.complexes import koszul_complex, make_complex
-from patchtower.errors import InvalidInput
+from patchtower.errors import ExpansionTooLarge, InvalidInput, InvalidParams
 from patchtower.graded import GradedModule
 from patchtower.linalg import Matrix
 from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
-from util import run_under_memory_limit
+from patchtower.scenarios import ScenarioParams
+from util import run_cli_under_memory_limit
 
 
 def run(capsys, argv):
@@ -322,11 +323,11 @@ def test_action_entries_past_int64_products_keep_the_verdict(capsys, tmp_path):
 
 
 def test_oversized_tower_is_refused_with_exit_2(tmp_path):
-    # level 3 with q=3 expands a 2 x 2 differential to 39366 x 39366
-    # (11.5 GiB); the child's address space is capped at 2 GiB
+    # level 3 with q=3 would expand a 2 x 2 differential to 39366 x 39366
+    # (11.5 GiB); its 19683 x 19683 multiplication matrices are refused
+    # first, and the child's address space is capped at 2 GiB
     argv = ["gen", "--p", "3", "--q", "3", "--r", "1", "--precisions", "1", "2", "2", "--seed", "7"]
-    code = f"import sys\nfrom patchtower.cli import main\nsys.exit(main({[*argv, '--out-dir', str(tmp_path)]!r}))"
-    done = run_under_memory_limit(code)
+    done = run_cli_under_memory_limit([*argv, "--out-dir", str(tmp_path)], timeout=120)
     assert done.returncode == 2
     assert done.stdout.startswith("ExpansionTooLarge: ")
     assert "Traceback" not in done.stdout + done.stderr
@@ -338,6 +339,65 @@ def padded_tower_obj(tmp_path_factory):
     argv = ["gen", "--q", "1", "--r", "1", "--precisions", "1", "2", "2", "2", "2", "--seed", "0"]
     assert main([*argv, "--out-dir", str(out), "--format", "json"]) == 0
     return json.loads((out / "tower.json").read_text())
+
+
+@pytest.mark.parametrize("precision", [3, 2**70], ids=["3", "2^70"])
+def test_uncovered_precision_is_refused_before_the_chain_search(capsys, tmp_path, padded_tower_obj, precision):
+    # levels 1-5 at precisions (1, 2, 2, 2, 2) cover steps 1 and 2; one
+    # list of levels per step up to --precision was built before the
+    # refusal, so 3 * 10^6 took 3.6 s and 2^70 never finished
+    path = tmp_path / "tower.json"
+    path.write_text(serialize.canonical_dumps(padded_tower_obj))
+    argv = ["patch", str(path), "--precision", str(precision), "--format", "json"]
+    want = (2, {"error": "InsufficientTower", "detail": f"no level covers every precision step up to {precision}"})
+    code, out = run(capsys, argv)
+    assert (code, json.loads(out)) == want
+    done = run_cli_under_memory_limit(argv)
+    assert (done.returncode, json.loads(done.stdout)) == want
+
+
+def _too_large(q: int) -> str:
+    return f"the level-3 ring's 3^{3 * q} x 3^{3 * q} multiplication matrix exceeds 16777216 cells"
+
+
+@pytest.mark.parametrize(
+    "argv, error, detail",
+    [
+        pytest.param(["--q", "1", "--r", "1", "--rank", str(2**70)], "InvalidParams", f"rank must be <= 65536, got {2**70}", id="rank-2^70"),
+        pytest.param(["--q", "1", "--r", "1", "--rank", "65537"], "InvalidParams", "rank must be <= 65536, got 65537", id="rank-2^16+1"),
+        pytest.param(["--q", "65536", "--r", "0"], "ExpansionTooLarge", _too_large(65536), id="q-2^16"),
+        pytest.param(["--q", str(2**70), "--r", "0"], "ExpansionTooLarge", _too_large(2**70), id="q-2^70"),
+        # at the default three levels q = 2 gives rho = 3^6 = 729, q = 3 rho = 3^9
+        pytest.param(["--q", "3", "--r", "0"], "ExpansionTooLarge", _too_large(3), id="q-3"),
+    ],
+)
+def test_huge_gen_sizes_are_refused_at_once(capsys, tmp_path, argv, error, detail):
+    # a rank of 2^70 hung in the direct-sum loop, a q of 2^16 or 2^70 in
+    # building the structure maps, with q^2 exponent entries
+    full = ["gen", *argv, "--out-dir", str(tmp_path), "--format", "json"]
+    want = (2, {"error": error, "detail": detail})
+    code, out = run(capsys, full)
+    assert (code, json.loads(out)) == want
+    done = run_cli_under_memory_limit(full)
+    assert (done.returncode, json.loads(done.stdout)) == want
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "p, q, precisions, refused",
+    [(3, 2, (1, 2, 2), False), (3, 3, (1, 2, 2), True), (2, 6, (1, 2), False), (2, 7, (1, 2), True)],
+)
+def test_top_ring_bound_is_exact(p, q, precisions, refused):
+    # rho = p^(levels * q); rho^2 = 2^24 itself still passes
+    params = ScenarioParams(p, q, 0, precisions=precisions).resolved()
+    if refused:
+        with pytest.raises(ExpansionTooLarge):
+            params.validate()
+    else:
+        params.validate()
+    ScenarioParams(3, 1, 1, rank=65536).resolved().validate()
+    with pytest.raises(InvalidParams):
+        ScenarioParams(3, 1, 1, rank=65537).resolved().validate()
 
 
 @pytest.mark.parametrize("base_precision", [-1, -(2**70)], ids=["-1", "-2^70"])
@@ -406,9 +466,7 @@ def test_huge_precision_is_refused_before_loading_elements(tmp_path, padded_towe
             serialize.tower_from_obj(obj)
     path = tmp_path / "bad.json"
     path.write_text(serialize.canonical_dumps(obj))
-    argv = ["patch", str(path), "--format", "json"]
-    code = f"import sys\nfrom patchtower.cli import main\nsys.exit(main({argv!r}))"
-    done = run_under_memory_limit(code, timeout=30)
+    done = run_cli_under_memory_limit(["patch", str(path), "--format", "json"])
     assert done.returncode == 2
     assert json.loads(done.stdout) == {"error": error, "detail": detail}
 
@@ -512,7 +570,7 @@ def test_large_graded_prime_is_decided_at_once(tmp_path, p, code):
     path = tmp_path / "mod.json"
     path.write_text(json.dumps(_graded_module_over(p)))
     argv = ["invariants", str(path), "--format", "json"]
-    done = run_under_memory_limit(f"import sys\nfrom patchtower.cli import main\nsys.exit(main({argv!r}))", timeout=30)
+    done = run_cli_under_memory_limit(argv)
     assert done.returncode == code
     got = json.loads(done.stdout)
     if code == 0:

@@ -29,7 +29,7 @@ from patchtower.rings import (
     reduction_map,
     residue_map,
 )
-from patchtower.scenarios import ScenarioParams, _level_data
+from patchtower.scenarios import ScenarioParams, _level_data, _limit_complex, _pad_contractible
 from patchtower.serialize import complex_from_obj, complex_to_obj
 from util import (
     SMALL_PATCH_SPECS,
@@ -37,6 +37,7 @@ from util import (
     fingerprint,
     howell_reduce,
     random_patch_complex,
+    reference_all_cohomology,
     reference_solve,
 )
 
@@ -330,6 +331,49 @@ class TestVariableActions:
                 complexes._all_cohomology(random_patch_complex(random.Random(seed), spec, max_rank=3))
         # blocks are reshaped only when a degree has rank >= 2
         assert any(rk >= 2 and g for rk, g in seen)
+
+
+class TestSparseQuotientsInCohomology:
+    """Every quotient coordinate of cohomology (the embedding into the
+    incoming differential's quotient and the Nakayama step) against the
+    dense projection products of ``util.reference_all_cohomology``."""
+
+    @pytest.mark.parametrize("spec", NAKAYAMA_SPECS, ids=lambda s: f"p{s.p}-m{s.m}-n{s.n}-q{s.q}")
+    def test_random_complexes_match_dense_path(self, spec):
+        nakayama = []
+        real = complexes.smith_quotient
+
+        def counted(*args):
+            nakayama.append(args[1])
+            return real(*args)
+
+        for seed in range(12):
+            c = random_patch_complex(random.Random(seed), spec, max_rank=3)
+            with mock.patch.object(complexes, "smith_quotient", counted):
+                got = complexes._all_cohomology(c)
+            assert_same_modules(got, reference_all_cohomology(c))
+        # the Nakayama quotient runs whenever p does not kill the kernel
+        assert nakayama or spec.m == 1
+
+    def test_padded_levels_match_dense_path(self):
+        # a 1-generator module in 486 summands at level 5, as in the
+        # padded q=1 r=1 towers
+        params = ScenarioParams(3, 1, 1, precisions=(1, 2, 2, 2, 2)).resolved()
+        for level in (3, 5):
+            c = _pad_contractible(_limit_complex(params, level, 2), 0)
+            assert_same_modules(complexes._all_cohomology(c), reference_all_cohomology(c))
+
+
+def assert_same_modules(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for degree, module in got.items():
+        other = want[degree]
+        assert (module.p, module.m, module.gens) == (other.p, other.m, other.gens)
+        assert module.relations.shape == other.relations.shape
+        assert np.array_equal(module.relations, other.relations)
+        assert len(module.actions) == len(other.actions)
+        for x, y in zip(module.actions, other.actions):
+            assert x.shape == y.shape and np.array_equal(x, y)
 
 
 def brute_force_span(rel: np.ndarray, N: int) -> set[tuple[int, ...]]:

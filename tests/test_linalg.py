@@ -11,6 +11,7 @@ from patchtower.errors import InvalidParameter, SpecMismatch, UnsupportedRing
 from patchtower.linalg import (
     HowellCore,
     Matrix,
+    QuotientStructure,
     elementary_divisors,
     expand_scalars,
     matmul_mod,
@@ -23,6 +24,8 @@ from util import (
     int_matrix,
     monomial_basis,
     random_patch_complex,
+    reference_coords,
+    reference_embed,
     reference_multiplication_matrix,
     reference_solve,
     run_under_memory_limit,
@@ -618,6 +621,101 @@ class TestMatmulMod:
         N = 3**25
         assert np.array_equal(matmul_mod(a, x, N), (a.astype(object) @ x.astype(object)) % N)
         assert np.array_equal(matmul_mod(x, a, N), (x.astype(object) @ a.astype(object)) % N)
+
+
+@st.composite
+def quotient_cases(draw):
+    """A Smith input of any shape, empty ones included, and a vector or a
+    2-d block of columns of any int64 entries to take coordinates of;
+    some blocks lie in the column span."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 3))
+    N = p**m
+    ambient = draw(st.integers(0, 6))
+    s = draw(st.integers(0, 6))
+    flat = draw(st.lists(st.integers(0, N - 1), min_size=ambient * s, max_size=ambient * s))
+    scales = draw(st.lists(st.integers(0, m), min_size=ambient * s, max_size=ambient * s))
+    a = np.array(flat, dtype=np.int64).reshape(ambient, s) * p ** np.array(scales, dtype=np.int64).reshape(ambient, s) % N
+    k = draw(st.one_of(st.none(), st.integers(0, 4)))
+
+    def block(rows, entry):
+        shape = (rows,) if k is None else (rows, k)
+        size = math.prod(shape)
+        return np.array(draw(st.lists(entry, min_size=size, max_size=size)), dtype=np.int64).reshape(shape)
+
+    if s and draw(st.booleans()):
+        # a span element, shifted by a multiple of N
+        x = (a @ block(s, st.integers(0, N - 1))) % N + N * draw(st.integers(-2, 2))
+    else:
+        x = block(ambient, st.one_of(st.integers(-3 * N, 3 * N), st.integers(INT64_MIN, INT64_MAX)))
+    return a, x, p, m
+
+
+class TestSparseQuotientCoords:
+    """``QuotientStructure.coords`` and ``embed`` against the dense
+    gather-and-``matmul_mod`` path they replaced."""
+
+    @given(quotient_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_match_dense_reference(self, case):
+        a, x, p, m = case
+        qs = smith_quotient(a, a.shape[0], p, m)
+        got = qs.coords(x)
+        assert got.dtype == np.int64
+        assert got.shape == (qs.summands,) + x.shape[1:]
+        assert np.array_equal(got, reference_coords(qs, x))
+        if x.ndim == 2:
+            assert np.array_equal(qs.embed(x), reference_embed(qs, x))
+        if a.shape[1]:
+            assert not qs.coords(a).any()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)], ids=["0x3", "3x0", "0x0"])
+    def test_empty_shapes(self, shape):
+        ambient = shape[0]
+        qs = smith_quotient(np.zeros(shape, dtype=np.int64), ambient, 3, 2)
+        assert qs.summands == ambient
+        for x in (np.arange(ambient) - 5, np.arange(2 * ambient).reshape(ambient, 2) + 7, np.zeros((ambient, 0))):
+            got = qs.coords(x)
+            assert got.shape == (ambient,) + x.shape[1:]
+            assert np.array_equal(got, reference_coords(qs, x))
+            if x.ndim == 2:
+                assert np.array_equal(qs.embed(x), reference_embed(qs, x))
+
+    def test_rows_without_terms(self):
+        qs = QuotientStructure(3, 2, 3, (2, 1, 2), [{}, {1: 4}, {}])
+        x = np.array([[5, -1], [7, 20], [8, 9]], dtype=np.int64)
+        assert np.array_equal(qs.coords(x), reference_coords(qs, x))
+        assert np.array_equal(qs.embed(x), reference_embed(qs, x))
+        assert np.array_equal(qs.coords(x[:, 1]), reference_coords(qs, x[:, 1]))
+
+    @pytest.mark.parametrize("p, m", [(3, 19), (2**31 - 1, 1)], ids=["3^19", "(2^31-1)^1"])
+    def test_full_rows_at_the_largest_moduli(self, p, m):
+        # 32 terms of about (N - 1)^2 each: a row sum taken before reducing
+        # each term would pass 2^63, and so would an unreduced row sum of
+        # 3^19 scaled by 3^18 into the summand of order 3
+        N = p**m
+        width = 32
+        assert width * (N - 17) ** 2 > INT64_MAX
+        rows = [{j: N - 1 - (i + j) % 5 for j in range(width)} for i in range(3)]
+        exponents = (m, 1, m)
+        qs = QuotientStructure(p, m, width, exponents, rows)
+        # the last column keeps each reduced term near N, and so the sum
+        x = np.array([[N - 1 - (j * k) % 7 for k in range(3)] + [1 + j % 2] for j in range(width)], dtype=np.int64)
+        exact = (qs.projection.astype(object) @ x.astype(object)) % N
+        coords = np.array([exact[i] % p**e for i, e in enumerate(exponents)], dtype=np.int64)
+        embedded = np.array([exact[i] * p ** (m - e) % N for i, e in enumerate(exponents)], dtype=np.int64)
+        for shift in (0, -N, N, -2 * N):
+            assert np.array_equal(qs.coords(x + shift), coords)
+            assert np.array_equal(qs.coords(x[:, 0] + shift), coords[:, 0])
+            assert np.array_equal(qs.embed(x + shift), embedded)
+        rng = random.Random(31)
+        a = np.array([[rng.randrange(N) for _ in range(4)] for _ in range(7)], dtype=np.int64)
+        a[:, 3] = a[:, 0] * p % N
+        real = smith_quotient(a, 7, p, m)
+        y = np.array([[N - 1 - rng.randrange(3) for _ in range(3)] for _ in range(7)], dtype=np.int64)
+        assert np.array_equal(real.coords(y), reference_coords(real, y))
+        assert np.array_equal(real.embed(y), reference_embed(real, y))
+        assert not real.coords(a).any()
 
 
 @st.composite

@@ -9,10 +9,21 @@ import subprocess
 import sys
 from pathlib import Path
 
-from patchtower.complexes import FiniteModuleData, FreeComplex, make_complex
+from patchtower.complexes import FiniteModuleData, FreeComplex, _nakayama_choice, _variable_actions, _zero_module, make_complex
 from patchtower.graded import GradedModule, _constant_at
 from patchtower.groebner import ModuleOrder, Vec, _divides, lead, syzygy_generators, vec_scale, vec_sub_shifted
-from patchtower.linalg import HowellCore, Matrix, _as_array, _reduce_row, expand_scalars
+from patchtower.linalg import (
+    HowellCore,
+    Matrix,
+    QuotientStructure,
+    _as_array,
+    _monomial_matrix,
+    _reduce_row,
+    expand_scalars,
+    matmul_mod,
+    smith_quotient,
+    smith_transforms,
+)
 from patchtower.rings import RingSpec, RingTowerElement, make_patch_ring
 
 import numpy as np
@@ -420,6 +431,65 @@ def column_kernel(a: np.ndarray, p: int, m: int, ncols: int) -> np.ndarray:
     return row_kernel(a.T, p, m).T
 
 
+def reference_coords(qs: QuotientStructure, x) -> np.ndarray:
+    """The dense path: gather the kept U rows into ``qs.projection`` and
+    multiply with ``matmul_mod``.  ``QuotientStructure.coords`` must give
+    the same coordinates."""
+    out = matmul_mod(qs.projection, x, qs.p**qs.m)
+    moduli = qs.p ** np.array(qs.exponents, dtype=np.int64)
+    return out % moduli.reshape((-1,) + (1,) * (out.ndim - 1))
+
+
+def reference_embed(qs: QuotientStructure, x: np.ndarray) -> np.ndarray:
+    """The dense product, then one row scaling by p^(m - e) per summand.
+    ``QuotientStructure.embed`` must give the same columns."""
+    N = qs.p**qs.m
+    out = matmul_mod(qs.projection, x, N)
+    for i, e in enumerate(qs.exponents):
+        out[i] = (out[i] * qs.p ** (qs.m - e)) % N
+    return out
+
+
+def reference_all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
+    """Cohomology with the dense embedding and Nakayama step: every
+    quotient coordinate is a ``matmul_mod`` product with the dense
+    projection.  ``complexes._all_cohomology`` must give the same
+    generators, relations and actions."""
+    spec = c.spec
+    p, m = spec.p, spec.m
+    N = p**m
+    rho = spec.coefficient_rank
+    smiths = {}
+    for idx, d in enumerate(c.diffs):
+        if d.rows and d.cols:
+            smiths[c.lo + idx] = smith_transforms(expand_scalars(d), d.rows * rho, p, m, track_v=True)
+    out = {}
+    for degree in c.degrees:
+        rk = c.rank(degree)
+        amb = rk * rho
+        if amb == 0:
+            out[degree] = _zero_module(spec)
+            continue
+        sm_out = smiths.get(degree)
+        kernel = np.eye(amb, dtype=np.int64) if sm_out is None else sm_out.column_kernel()
+        sm_in = smiths.get(degree - 1)
+        qs = None if sm_in is None else sm_in.quotient()
+
+        def embed(cols: np.ndarray, qs=qs) -> np.ndarray:
+            return cols % N if qs is None else reference_embed(qs, cols)
+
+        ek = embed(kernel)
+        base = (p * ek) % N
+        ek2 = reference_embed(smith_quotient(base, len(ek), p, m), ek) if base.any() else ek
+        chosen = _nakayama_choice(ek2, p, m)
+        gens = kernel[:, chosen]
+        solver = HowellCore(ek[:, chosen].T, p, m)
+        mults = [_monomial_matrix(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q)]
+        actions = _variable_actions(mults, gens, rk, embed, solver, N)
+        out[degree] = FiniteModuleData(p, m, gens.shape[1], solver.kernel_rows().T, actions)
+    return out
+
+
 def reference_multiplication_matrix(x: RingTowerElement) -> np.ndarray:
     """The per-column loop: one ring product per basis monomial.
     ``linalg.multiplication_matrix`` must give the same matrix."""
@@ -446,6 +516,12 @@ def run_under_memory_limit(code: str, limit: int = 2 << 30, timeout: float = 120
     return subprocess.run(
         [sys.executable, "-c", prelude + code], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def run_cli_under_memory_limit(argv: list[str], timeout: float = 30) -> subprocess.CompletedProcess:
+    """``patchtower.cli.main(argv)`` in a ``run_under_memory_limit`` child,
+    whose exit status is main's return value."""
+    return run_under_memory_limit(f"import sys\nfrom patchtower.cli import main\nsys.exit(main({argv!r}))", timeout=timeout)
 
 
 def reference_solve(core: HowellCore, b: np.ndarray) -> np.ndarray | None:
