@@ -10,7 +10,11 @@ of the tower, padded levels included.  The grid is
 p=3; (q, r) in {(1,0), (1,1), (2,0), (2,1), (2,2)} at small precisions and
 seeds 0-7; two level-3 q=2 towers, whose rank-729 ring makes scalar
 expansion take Kronecker products of two non-identity factors; and every
-named perturbation of one padded q=1 tower.  Last come, for each graded
+named perturbation of one padded q=1 tower.  Then one tower that only
+the basis-change fallback of ``patch`` accepts: the q=2, r=2, seed 0
+tower at precisions (1, 2) with two basis vectors of its level-2 middle
+term swapped (built in-process, written with ``tower_to_obj``; its
+``patch`` output reports ``used_basis_change: true``).  Last come, for each graded
 complex of ``perfbench/data/ha_pool.json`` (which is read and left as
 it is), its ``minimize`` and ``verify-ha`` outputs, and for each pooled
 graded module its ``invariants`` output, all with ``--format json``.
@@ -33,8 +37,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from patchtower.cli import main  # noqa: E402
-from patchtower.scenarios import PERTURBATIONS  # noqa: E402
-from patchtower.serialize import canonical_dumps  # noqa: E402
+from patchtower.linalg import Matrix  # noqa: E402
+from patchtower.patcher import _transform_complex  # noqa: E402
+from patchtower.rings import RingTowerElement  # noqa: E402
+from patchtower.scenarios import PERTURBATIONS, ScenarioParams, _level_data, gen_scenario  # noqa: E402
+from patchtower.serialize import canonical_dumps, tower_to_obj  # noqa: E402
 
 HA_POOL = ROOT / "perfbench" / "data" / "ha_pool.json"
 
@@ -54,6 +61,8 @@ LEVEL3 = [
 ]
 # q=1, r=1 at seed 0 pads the top level, as in the dense benchmark class
 PADDED = (1, 1, (1, 2, 2, 2, 2), 0)
+# no padding at seed 0, so the middle term has rank exactly 2
+BASIS_CHANGE = ScenarioParams(p=3, q=2, r=2, precisions=(1, 2), seed=0)
 
 
 def _run(argv) -> tuple[int, bytes]:
@@ -99,6 +108,31 @@ def round_trip(q: int, r: int, precisions, seed: int, perturbation=None):
         return lines
 
 
+def basis_change():
+    """(name, sha256) of the permuted tower and of its ``patch`` and
+    level ``minimize`` outputs.  Swapping two basis vectors of the
+    level-2 middle term breaks the exact chain, so ``patch`` must rebase
+    that level by a signed permutation."""
+    params = BASIS_CHANGE.resolved()
+    tower, _, _ = gen_scenario(params)
+    lev = tower.levels[1]
+    spec = lev.complex.spec
+    mid = tower.d - 1
+    one, zero = RingTowerElement.one(spec), RingTowerElement.zero(spec)
+    swap = Matrix(spec, [[zero, one], [one, zero]])
+    lev.complex = _transform_complex(lev.complex, {mid: (swap, swap)})
+    lev.x_actions, top = _level_data(params, lev.complex)
+    lev.base_iso = top.quotient_by_columns(top.actions).quotient.projection % (params.p**lev.precision)
+    name = f"basis-change-q{params.q}r{params.r}-m{''.join(map(str, params.precisions))}-s{params.seed}"
+    obj = tower_to_obj(tower)
+    lines = [(f"{name}/tower.json", _digest(canonical_dumps(obj).encode("utf-8")))]
+    with tempfile.TemporaryDirectory() as tmp:
+        lines.append(command_digest("patch", name, obj, tmp))
+        for level in obj["levels"]:
+            lines.append(command_digest("minimize", f"{name}/level{level['level']}", level["complex"], tmp))
+    return lines
+
+
 def ha_pool():
     """(name, sha256) of the minimize and verify-ha outputs of each pooled
     graded complex, then of the invariants output of each pooled module."""
@@ -128,5 +162,7 @@ if __name__ == "__main__":
     for point in grid():
         for name, sha in round_trip(*point):
             print(name, sha, flush=True)
+    for name, sha in basis_change():
+        print(name, sha, flush=True)
     for name, sha in ha_pool():
         print(name, sha, flush=True)

@@ -33,13 +33,12 @@ from .patcher import (
     validate_hypotheses,
 )
 from .rings import (
-    RingMap,
     RingSpec,
     RingTowerElement,
+    base_change,
     coefficient_ring,
     graded_ring,
     make_patch_ring,
-    reduction_map,
 )
 from .scenarios import ScenarioParams, gen_scenario
 

@@ -34,7 +34,7 @@ from .linalg import (
     smith_quotient,
     smith_transforms,
 )
-from .rings import RingMap, RingSpec, RingTowerElement
+from .rings import RingSpec, RingTowerElement, _check_base_change, base_change
 
 
 class FreeComplex:
@@ -273,15 +273,14 @@ def tau_profile(c: FreeComplex) -> TauProfile:
 # ---------------------------------------------------------------------------
 
 
-def tensor_along(c: FreeComplex, f: RingMap) -> FreeComplex:
-    """Apply a ring map to every differential entry; d∘d = 0 survives."""
+def tensor_along(c: FreeComplex, target: RingSpec) -> FreeComplex:
+    """Base-change every differential entry onto ``target``
+    (``rings.base_change``); d∘d = 0 survives."""
+    _check_base_change(c.spec, target)
     if c.is_empty():
-        return empty_complex(f.target)
-    if f.source != c.spec:
-        raise SpecMismatch("map source does not match the complex")
-    return FreeComplex(
-        f.target, c.lo, c.ranks, tuple(d.apply_map(f) for d in c.diffs), _checked=True
-    )
+        return empty_complex(target)
+    diffs = tuple(d.map_entries(lambda x: base_change(x, target), target) for d in c.diffs)
+    return FreeComplex(target, c.lo, c.ranks, diffs, _checked=True)
 
 
 def dual(c: FreeComplex) -> FreeComplex:

@@ -36,7 +36,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ExpansionTooLarge, InvalidParameter, ShapeMismatch, SpecMismatch
-from .rings import RingMap, RingSpec, RingTowerElement, _rewrite_rule
+from .rings import RingSpec, RingTowerElement, _rewrite_rule
 
 # int64 cells (128 MiB) past which a scalar expansion is refused; q=2,
 # r=2 at level 3 needs 2187 x 1458, q=3 at level 3 would need 39366^2
@@ -134,11 +134,6 @@ class Matrix:
 
     def map_entries(self, fn, spec: RingSpec | None = None) -> "Matrix":
         return Matrix(spec or self.spec, [[fn(x) for x in row] for row in self.entries], self.cols)
-
-    def apply_map(self, f: RingMap) -> "Matrix":
-        if f.source != self.spec:
-            raise SpecMismatch("map source does not match matrix spec")
-        return self.map_entries(f.apply, f.target)
 
 
 # ---------------------------------------------------------------------------

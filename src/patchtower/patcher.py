@@ -48,10 +48,10 @@ from .linalg import Matrix, matmul_mod
 from .rings import (
     RingSpec,
     RingTowerElement,
-    augmentation_map,
+    base_change,
+    coefficient_ring,
     graded_ring,
     make_patch_ring,
-    reduction_map,
 )
 
 Exps = tuple[int, ...]
@@ -459,9 +459,13 @@ class PatchLimit:
     used_basis_change: bool
 
 
+# signed-permutation attempts per rebasing step before the basis-change
+# search gives up on a chain
+BASIS_CHANGE_BUDGET = 20000
+
+
 def _reduced_complex(minimized: FreeComplex, p: int, q: int, k: int) -> FreeComplex:
-    target = make_patch_ring(p, k, k, q)
-    return tensor_along(minimized, reduction_map(minimized.spec, target))
+    return tensor_along(minimized, make_patch_ring(p, k, k, q))
 
 
 def _maps_stabilized(tower: PatchingTower, ja: TowerLevel, jb: TowerLevel, k: int) -> bool:
@@ -504,15 +508,13 @@ def _transform_complex(c: FreeComplex, changes: dict[int, tuple[Matrix, Matrix]]
     return FreeComplex(c.spec, c.lo, c.ranks, diffs, _checked=True)
 
 
-def _rebase_onto(
-    base_k: FreeComplex, cand: FreeComplex, p: int, q: int, k: int, budget: int
-) -> FreeComplex | None:
-    """Search per-degree signed permutations of ``cand`` whose reduction
-    to level/precision k equals ``base_k``; return the rebased complex."""
-    red = _reduced_complex(cand, p, q, k)
-    if red.ranks != base_k.ranks or red.lo != base_k.lo:
+def _rebase_onto(base_k: FreeComplex, cand: FreeComplex) -> FreeComplex | None:
+    """Search per-degree signed permutations of ``cand`` whose base
+    change onto ``base_k``'s ring equals ``base_k``; return the rebased
+    complex.  Base change keeps ranks and degrees, so those must agree."""
+    if cand.ranks != base_k.ranks or cand.lo != base_k.lo:
         return None
-    rmap = reduction_map(cand.spec, base_k.spec)
+    target = base_k.spec
     degrees = list(cand.degrees)
     changes: dict[int, tuple[Matrix, Matrix]] = {}
     attempts = 0
@@ -525,14 +527,14 @@ def _rebase_onto(
         size = cand.rank(deg)
         for pair in _signed_permutation_matrices(cand.spec, size):
             attempts += 1
-            if attempts > budget:
+            if attempts > BASIS_CHANGE_BUDGET:
                 return False
             changes[deg] = pair
             ok = True
             if idx > 0:
                 prev = degrees[idx - 1]
                 got = pair[0] @ cand.differential(prev) @ changes[prev][1]
-                ok = got.apply_map(rmap) == base_k.differential(prev)
+                ok = got.map_entries(lambda x: base_change(x, target), target) == base_k.differential(prev)
             if ok and rec(idx + 1):
                 return True
         changes.pop(deg, None)
@@ -543,7 +545,7 @@ def _rebase_onto(
     return _transform_complex(cand, dict(changes))
 
 
-def patch(tower: PatchingTower, precision: int, basis_change_budget: int = 20000) -> PatchLimit:
+def patch(tower: PatchingTower, precision: int) -> PatchLimit:
     """Select a compatible chain of levels and assemble the limit.
 
     Minimizes every level, reduces along the tower maps, and looks for
@@ -623,9 +625,7 @@ def patch(tower: PatchingTower, precision: int, basis_change_budget: int = 20000
             fixed = reduced(chain[0], 1)
             top = fixed
             for k in range(1, precision):
-                rebased = _rebase_onto(
-                    fixed, reduced(chain[k], k + 1), p, q, k, basis_change_budget
-                )
+                rebased = _rebase_onto(fixed, reduced(chain[k], k + 1))
                 if rebased is None:
                     ok = False
                     break
@@ -677,13 +677,8 @@ class FreenessCertificate:
 
 def _fiber_complex(limit: FreeComplex, q: int) -> FreeComplex:
     """The mod-p polynomial model of the limit differentials."""
-    spec = limit.spec
-    target = graded_ring(spec.p, q)
-
-    def to_poly(x: RingTowerElement) -> RingTowerElement:
-        return RingTowerElement(target, {e: c % spec.p for e, c in x.coeffs.items()})
-
-    diffs = [d.map_entries(to_poly, target) for d in limit.diffs]
+    target = graded_ring(limit.spec.p, q)
+    diffs = [d.map_entries(lambda x: base_change(x, target), target) for d in limit.diffs]
     return FreeComplex(target, limit.lo, limit.ranks, diffs)
 
 
@@ -746,7 +741,7 @@ def certify(tower: PatchingTower, limit: PatchLimit) -> FreenessCertificate:
     rank = len(divisors)
 
     # base comparison: top cohomology of the limit with all variables killed
-    coeff_cx = tensor_along(limit.complex, augmentation_map(limit.complex.spec, precision))
+    coeff_cx = tensor_along(limit.complex, coefficient_ring(p, precision))
     top_pres = cohomology(coeff_cx, d)
     model = tower.model(precision)
     quotient = model.quotient(tower.base.ideal)

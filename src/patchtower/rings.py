@@ -347,92 +347,30 @@ class RingTowerElement:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class RingMap:
-    """A coefficient-compatible ring homomorphism between family members.
+def base_change(x: RingTowerElement, target: RingSpec) -> RingTowerElement:
+    """x carried onto a ring of the family with the same prime and no
+    larger precision or level: T_i -> T_i when ``target`` keeps the
+    variables, T_i -> 0 when it has none.
 
-    Determined by the images of T_1..T_q; on coefficients it is the
-    canonical residue map Z/p^m -> Z/p^m' (m' <= m).  Construction
-    verifies that every defining relation of the source dies in the
-    target.
+    The target's normal form reduces each coefficient mod p^m' and
+    rewrites exponents past p^n'; this is well defined because
+    (1+T)^(p^n') - 1 divides (1+T)^(p^n) - 1 for n' <= n.  Onto the
+    graded model it reads the coefficients mod p, which is no ring
+    homomorphism; callers that need d∘d = 0 there check it themselves.
     """
-
-    source: RingSpec
-    target: RingSpec
-    images: tuple[RingTowerElement, ...]
-
-    def __post_init__(self):
-        if self.source.p != self.target.p:
-            raise SpecMismatch("ring maps must preserve the prime")
-        if self.target.m > self.source.m:
-            raise InvalidParameter(
-                "no canonical coefficient map raises precision "
-                f"({self.source.m} -> {self.target.m})"
-            )
-        if len(self.images) != self.source.q:
-            raise SpecMismatch(
-                f"need {self.source.q} variable images, got {len(self.images)}"
-            )
-        for f in self.images:
-            if f.spec != self.target:
-                raise SpecMismatch("variable image lies in the wrong ring")
-        if self.source.kind == "patch":
-            one = RingTowerElement.one(self.target)
-            pn = self.source.p**self.source.n
-            for i, f in enumerate(self.images):
-                if (one + f) ** pn != one:
-                    raise NotAReduction(
-                        f"image of T{i+1} violates the level-{self.source.n} relation"
-                    )
-
-    def apply(self, x: RingTowerElement) -> RingTowerElement:
-        if x.spec != self.source:
-            raise SpecMismatch("element does not live in the source ring")
-        out = RingTowerElement.zero(self.target)
-        for exps, c in x.coeffs.items():
-            term = RingTowerElement.constant(self.target, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * self.images[i] ** e
-            out = out + term
-        return out
-
-    def __call__(self, x: RingTowerElement) -> RingTowerElement:
-        return self.apply(x)
+    _check_base_change(x.spec, target)
+    q = target.q
+    return RingTowerElement(target, {e[:q]: c for e, c in x.coeffs.items() if not any(e[q:])})
 
 
-def reduction_map(source: RingSpec, target: RingSpec) -> RingMap:
-    """The tower reduction T_i -> T_i with coefficients taken mod p^m'.
-
-    Requires same prime and variable count, target level <= source level
-    and target precision <= source precision.  Well-definedness holds
-    because (1+T)^(p^n') - 1 divides (1+T)^(p^n) - 1 for n' <= n; the
-    constructor re-checks it anyway.
-    """
-    if source.p != target.p or source.q != target.q:
-        raise NotAReduction("reductions preserve the prime and variable count")
-    if target.n > source.n or target.m > source.m:
+def _check_base_change(source: RingSpec, target: RingSpec) -> None:
+    if (
+        source.p != target.p
+        or target.m > source.m
+        or target.n > source.n
+        or target.q not in (0, source.q)
+    ):
         raise NotAReduction(
-            f"({source.n},{source.m}) does not reduce onto ({target.n},{target.m})"
+            f"(p={source.p}, m={source.m}, n={source.n}, q={source.q}) does not reduce onto "
+            f"(p={target.p}, m={target.m}, n={target.n}, q={target.q})"
         )
-    images = tuple(RingTowerElement.variable(target, i) for i in range(source.q))
-    return RingMap(source, target, images)
-
-
-def augmentation_map(source: RingSpec, m: int | None = None) -> RingMap:
-    """Kill all variables: the map onto Z/p^m with T_i -> 0."""
-    m = source.m if m is None else m
-    target = coefficient_ring(source.p, m)
-    zero = RingTowerElement.zero(target)
-    return RingMap(source, target, (zero,) * source.q)
-
-
-def residue_map(source: RingSpec) -> RingMap:
-    """The map onto the residue field F_p (T_i -> 0, coefficients mod p)."""
-    return augmentation_map(source, 1)
-
-
-def compose(outer: RingMap, inner: RingMap) -> RingMap:
-    if inner.target != outer.source:
-        raise SpecMismatch("maps do not compose")
-    return RingMap(inner.source, outer.target, tuple(outer(f) for f in inner.images))

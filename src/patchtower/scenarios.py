@@ -25,7 +25,7 @@ from .complexes import (
     make_complex,
 )
 from .errors import ExpansionTooLarge, InvalidParams
-from .linalg import MAX_EXPANDED_CELLS, Matrix
+from .linalg import MAX_EXPANDED_CELLS, Matrix, _modulus
 from .patcher import PatchingTower, RinfElem, TowerBase, TowerLevel
 from .rings import RingTowerElement, make_patch_ring
 
@@ -92,6 +92,9 @@ class ScenarioParams:
                 f"the level-{n} ring's {self.p}^{e} x {self.p}^{e} multiplication matrix"
                 f" exceeds {MAX_EXPANDED_CELLS} cells"
             )
+        # every level's ring computes p^m; a huge m is refused before it is
+        for m in self.precisions:
+            _modulus(self.p, m)
 
 
 def _limit_complex(params: ScenarioParams, level: int, precision: int) -> FreeComplex:

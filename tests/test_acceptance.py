@@ -28,7 +28,7 @@ from patchtower.groebner import ideal_product
 from patchtower.graded import poly_to_vec, vec_to_poly
 from patchtower.linalg import HowellCore
 from patchtower.patcher import certify, patch, validate_hypotheses
-from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring, reduction_map
+from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
 from patchtower.scenarios import PERTURBATIONS, ScenarioParams, gen_scenario
 from util import (
     SMALL_PATCH_SPECS,
@@ -287,8 +287,8 @@ def test_criterion_7_end_to_end_towers():
         # generator's chosen limit at every covered precision step
         for k in (1, 2):
             spec_k = make_patch_ring(3, k, k, q)
-            got = tensor_along(limit.complex, reduction_map(limit.complex.spec, spec_k))
-            want = tensor_along(expected, reduction_map(expected.spec, spec_k))
+            got = tensor_along(limit.complex, spec_k)
+            want = tensor_along(expected, spec_k)
             for dd in want.degrees:
                 assert fingerprint(cohomology(got, dd)) == fingerprint(cohomology(want, dd))
         if (q, r) == (2, 1):

@@ -10,7 +10,7 @@ import pytest
 from patchtower import graded, serialize
 from patchtower.cli import main
 from patchtower.complexes import koszul_complex, make_complex
-from patchtower.errors import ExpansionTooLarge, InvalidInput, InvalidParams
+from patchtower.errors import ExpansionTooLarge, InvalidInput, InvalidParameter, InvalidParams
 from patchtower.graded import GradedModule
 from patchtower.linalg import Matrix
 from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
@@ -356,6 +356,10 @@ def test_uncovered_precision_is_refused_before_the_chain_search(capsys, tmp_path
     assert (done.returncode, json.loads(done.stdout)) == want
 
 
+def _modulus_too_large(m: int) -> str:
+    return f"modulus 3^{m} is too large for int64 elimination"
+
+
 def _too_large(q: int) -> str:
     return f"the level-3 ring's 3^{3 * q} x 3^{3 * q} multiplication matrix exceeds 16777216 cells"
 
@@ -369,11 +373,14 @@ def _too_large(q: int) -> str:
         pytest.param(["--q", str(2**70), "--r", "0"], "ExpansionTooLarge", _too_large(2**70), id="q-2^70"),
         # at the default three levels q = 2 gives rho = 3^6 = 729, q = 3 rho = 3^9
         pytest.param(["--q", "3", "--r", "0"], "ExpansionTooLarge", _too_large(3), id="q-3"),
+        pytest.param(["--q", "1", "--r", "1", "--precisions", "1", str(2**62)], "InvalidParameter", _modulus_too_large(2**62), id="precision-2^62"),
+        pytest.param(["--q", "1", "--r", "1", "--precisions", "1", str(2**70)], "InvalidParameter", _modulus_too_large(2**70), id="precision-2^70"),
     ],
 )
 def test_huge_gen_sizes_are_refused_at_once(capsys, tmp_path, argv, error, detail):
     # a rank of 2^70 hung in the direct-sum loop, a q of 2^16 or 2^70 in
-    # building the structure maps, with q^2 exponent entries
+    # building the structure maps, with q^2 exponent entries, and a
+    # precision of 2^62 in computing 3^(2^62) for the level ring
     full = ["gen", *argv, "--out-dir", str(tmp_path), "--format", "json"]
     want = (2, {"error": error, "detail": detail})
     code, out = run(capsys, full)
@@ -398,6 +405,15 @@ def test_top_ring_bound_is_exact(p, q, precisions, refused):
     ScenarioParams(3, 1, 1, rank=65536).resolved().validate()
     with pytest.raises(InvalidParams):
         ScenarioParams(3, 1, 1, rank=65537).resolved().validate()
+
+
+def test_precision_bound_is_the_modulus_bound():
+    # (3^19 - 1)^2 < 2^63 <= (3^20 - 1)^2; the first refused level is named
+    ScenarioParams(3, 1, 1, precisions=(1, 2, 2)).resolved().validate()
+    ScenarioParams(3, 1, 1, precisions=(1, 19)).resolved().validate()
+    for precisions, m in [((1, 20), 20), ((1, 40, 2**62), 40)]:
+        with pytest.raises(InvalidParameter, match=f"^modulus 3\\^{m} is"):
+            ScenarioParams(3, 1, 1, precisions=precisions).resolved().validate()
 
 
 @pytest.mark.parametrize("base_precision", [-1, -(2**70)], ids=["-1", "-2^70"])

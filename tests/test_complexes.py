@@ -24,10 +24,9 @@ from patchtower.errors import NotAComplex, ShapeMismatch, UnsupportedRing
 from patchtower.linalg import HowellCore, Matrix
 from patchtower.rings import (
     RingTowerElement,
+    coefficient_ring,
     graded_ring,
     make_patch_ring,
-    reduction_map,
-    residue_map,
 )
 from patchtower.scenarios import ScenarioParams, _level_data, _limit_complex, _pad_contractible
 from patchtower.serialize import complex_from_obj, complex_to_obj
@@ -438,24 +437,24 @@ class TestBaseChangeAndDual:
         tgt = make_patch_ring(3, 1, 1, 2)
         t2 = RingTowerElement.variable(src, 1)
         c = make_complex(src, 0, [1, 1], [single(src, t2)])
-        out = tensor_along(c, reduction_map(src, tgt))
+        out = tensor_along(c, tgt)
         assert out.diffs[0].entries == ((RingTowerElement.variable(tgt, 1),),)
 
     def test_tensor_to_residue_field(self):
         c = make_complex(F3T, 0, [1, 1], [single(F3T, T)])
-        out = tensor_along(c, residue_map(F3T))
+        out = tensor_along(c, coefficient_ring(3, 1))
         assert out.diffs[0].is_zero()
 
     def test_tensor_identity(self):
         c = make_complex(F3T, 0, [1, 1], [single(F3T, T)])
-        assert tensor_along(c, reduction_map(F3T, F3T)) == c
+        assert tensor_along(c, F3T) == c
 
     def test_minimal_stays_minimal_under_reduction(self):
         src = make_patch_ring(2, 2, 2, 1)
         tgt = make_patch_ring(2, 1, 1, 1)
         t = RingTowerElement.variable(src, 0)
         c = make_complex(src, 0, [1, 1], [single(src, t.scale(3) + t * t)])
-        out = tensor_along(minimize(c), reduction_map(src, tgt))
+        out = tensor_along(minimize(c), tgt)
         assert all(
             not x.is_unit() for dmat in out.diffs for row in dmat.entries for x in row
         )

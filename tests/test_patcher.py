@@ -258,7 +258,7 @@ class TestBasisChangeFallback:
         _refresh_level(tower, 1, self.PARAMS, permuted)
         assert validate_hypotheses(tower).ok
         with pytest.raises(NoCompatibleChain):
-            patch(tower, 2, basis_change_budget=500)
+            patch(tower, 2)
 
 
 class TestAdversarialCertify:

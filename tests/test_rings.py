@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 import sympy
@@ -13,17 +14,14 @@ from patchtower.errors import (
     SpecMismatch,
 )
 from patchtower.rings import (
-    RingMap,
     RingTowerElement,
+    base_change,
     coefficient_ring,
-    compose,
     graded_ring,
     is_prime,
     make_patch_ring,
-    reduction_map,
-    residue_map,
 )
-from util import monomial_basis
+from util import SMALL_PATCH_SPECS, monomial_basis, reference_ring_map
 
 F3T = make_patch_ring(3, 1, 1, 1)
 Z4T = make_patch_ring(2, 2, 1, 1)
@@ -145,49 +143,101 @@ def test_locality_dichotomy_exhaustive(spec):
 
 class TestRingMaps:
     def test_tower_reduction_passes_welldefinedness(self):
-        src = make_patch_ring(3, 1, 2, 1)
-        tgt = make_patch_ring(3, 1, 1, 1)
-        f = reduction_map(src, tgt)
-        assert f(var(src)) == var(tgt)
+        # T -> T onto level 1 respects sums and products, which is what
+        # (1+T)^(p^1) - 1 dividing (1+T)^(p^2) - 1 guarantees
+        src = make_patch_ring(2, 1, 2, 1)
+        tgt = make_patch_ring(2, 1, 1, 1)
+        assert base_change(var(src), tgt) == var(tgt)
+        elements = list(all_elements(src))
+        for x, y in itertools.product(elements, repeat=2):
+            fx, fy = base_change(x, tgt), base_change(y, tgt)
+            assert base_change(x * y, tgt) == fx * fy
+            assert base_change(x + y, tgt) == fx + fy
 
     def test_identity_reduction(self):
-        f = reduction_map(F3T, F3T)
-        x = var(F3T) + const(F3T, 2)
-        assert f(x) == x
+        for spec in SMALL_PATCH_SPECS:
+            for x in all_elements(spec):
+                assert base_change(x, spec) == x
 
     def test_precision_reduction_is_coefficientwise(self):
         src = make_patch_ring(2, 2, 1, 1)
         tgt = make_patch_ring(2, 1, 1, 1)
-        f = reduction_map(src, tgt)
         x = RingTowerElement(src, {(0,): 3, (1,): 2})
-        assert f(x) == RingTowerElement(tgt, {(0,): 1})
+        assert base_change(x, tgt) == RingTowerElement(tgt, {(0,): 1})
 
     def test_rejects_wrong_direction(self):
-        src = make_patch_ring(3, 1, 1, 1)
-        tgt = make_patch_ring(3, 1, 2, 1)
-        with pytest.raises(NotAReduction):
-            reduction_map(src, tgt)
+        # one case per refused direction: another prime, a higher
+        # precision, a higher level, a variable count neither 0 nor q
+        refused = [
+            (make_patch_ring(3, 1, 1, 1), make_patch_ring(2, 1, 1, 1)),
+            (make_patch_ring(2, 1, 1, 1), make_patch_ring(2, 2, 1, 1)),
+            (make_patch_ring(3, 1, 1, 1), make_patch_ring(3, 1, 2, 1)),
+            (make_patch_ring(2, 1, 1, 2), make_patch_ring(2, 1, 1, 1)),
+            (make_patch_ring(2, 1, 1, 2), graded_ring(2, 1)),
+            (graded_ring(3, 1), make_patch_ring(3, 1, 1, 1)),
+        ]
+        for src, tgt in refused:
+            with pytest.raises(NotAReduction):
+                base_change(RingTowerElement.one(src), tgt)
 
     def test_map_composition_on_generators(self):
-        a = make_patch_ring(3, 2, 3, 1)
-        b = make_patch_ring(3, 2, 2, 1)
-        c = make_patch_ring(3, 1, 1, 1)
-        f_ab = reduction_map(a, b)
-        f_bc = reduction_map(b, c)
-        f_ac = reduction_map(a, c)
-        composed = compose(f_bc, f_ab)
-        for gen in [var(a), const(a, 5), var(a) ** 4 + const(a, 2)]:
-            assert composed(gen) == f_ac(gen)
-
-    def test_bad_image_is_rejected(self):
-        # T -> 1 violates the tower relation: (1+1)^3 != 1 mod 3
-        with pytest.raises(NotAReduction):
-            RingMap(F3T, F3T, (RingTowerElement.one(F3T),))
+        # base change is transitive: a -> c equals a -> b -> c
+        chain = [
+            make_patch_ring(3, 2, 3, 1),
+            make_patch_ring(3, 2, 2, 1),
+            make_patch_ring(3, 1, 1, 1),
+            coefficient_ring(3, 1),
+        ]
+        a = chain[0]
+        rng = random.Random(5)
+        basis = monomial_basis(a)
+        elements = [var(a), const(a, 5), var(a) ** 4 + const(a, 2)] + [
+            RingTowerElement(a, {e: rng.randrange(a.modulus) for e in rng.sample(basis, 6)})
+            for _ in range(20)
+        ]
+        for i, j, k in itertools.combinations(range(len(chain)), 3):
+            for x in elements:
+                x = base_change(x, chain[i])
+                assert base_change(base_change(x, chain[j]), chain[k]) == base_change(x, chain[k])
 
     def test_residue_map_kills_variables(self):
-        f = residue_map(Z4T)
-        assert f(var(Z4T)).is_zero()
-        assert f(const(Z4T, 3)) == RingTowerElement.constant(f.target, 1)
+        f3 = coefficient_ring(2, 1)
+        assert base_change(var(Z4T), f3).is_zero()
+        assert base_change(const(Z4T, 3), f3) == RingTowerElement.constant(f3, 1)
+
+
+def _base_change_cases(spec):
+    """(spec, target, reference) for each base change of a patch ring:
+    one level lower, one precision lower, both, the coefficient ring and
+    the residue field against the general ring map, and the graded model
+    against the coefficients read mod p, as ``patcher.certify`` built its
+    fiber before base change served it."""
+    p, m, n, q = spec.p, spec.m, spec.n, spec.q
+    lower = [("coefficient", coefficient_ring(p, m))]
+    if m > 1:
+        lower.append(("residue", coefficient_ring(p, 1)))
+    if n > 1:
+        lower.append(("level", make_patch_ring(p, m, n - 1, q)))
+    if m > 1:
+        lower.append(("precision", make_patch_ring(p, m - 1, n, q)))
+    if n > 1 and m > 1:
+        lower.append(("both", make_patch_ring(p, m - 1, n - 1, q)))
+    cases = []
+    for name, tgt in lower:
+        images = [var(tgt, i) for i in range(q)] if tgt.q else [RingTowerElement.zero(tgt)] * q
+        cases.append((name, tgt, lambda x, tgt=tgt, images=images: reference_ring_map(x, tgt, images)))
+    graded = graded_ring(p, q)
+    cases.append(("graded", graded, lambda x: RingTowerElement(graded, {e: c % p for e, c in x.coeffs.items()})))
+    return [pytest.param(spec, tgt, want, id=f"{p},{m},{n},{q}-{name}") for name, tgt, want in cases]
+
+
+@pytest.mark.parametrize(
+    "spec, target, want",
+    [case for spec in [*SMALL_PATCH_SPECS, make_patch_ring(2, 2, 2, 1)] for case in _base_change_cases(spec)],
+)
+def test_base_change_matches_the_reference_on_every_element(spec, target, want):
+    for x in all_elements(spec):
+        assert base_change(x, target) == want(x)
 
 
 def test_graded_ring_polynomials_are_untruncated():

@@ -505,6 +505,22 @@ def reference_multiplication_matrix(x: RingTowerElement) -> np.ndarray:
     return out
 
 
+def reference_ring_map(x: RingTowerElement, target: RingSpec, images) -> RingTowerElement:
+    """The general ring map T_i -> images[i], coefficients read in
+    ``target``: the sum over the terms of x of c times the product of
+    images[i]^e_i, in target arithmetic.  ``rings.base_change`` must give
+    the same element when the images are the target's variables, or zero
+    when it has none."""
+    out = RingTowerElement.zero(target)
+    for exps, c in x.coeffs.items():
+        term = RingTowerElement.constant(target, c)
+        for image, e in zip(images, exps):
+            if e:
+                term = term * image**e
+        out = out + term
+    return out
+
+
 def run_under_memory_limit(code: str, limit: int = 2 << 30, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run Python source ``code`` in a child that first caps its own
     address space, so an oversized allocation fails there with
