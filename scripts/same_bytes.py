@@ -9,11 +9,14 @@ the ``patchtower minimize --format json`` output of every level complex
 of the tower, padded levels included.  The grid is
 p=3; (q, r) in {(1,0), (1,1), (2,0), (2,1), (2,2)} at small precisions and
 seeds 0-7; two level-3 q=2 towers, whose rank-729 ring makes scalar
-expansion take Kronecker products of two non-identity factors; and every
-named perturbation of one padded q=1 tower.  Then one tower that only
-the basis-change fallback of ``patch`` accepts: the q=2, r=2, seed 0
-tower at precisions (1, 2) with two basis vectors of its level-2 middle
-term swapped (built in-process, written with ``tower_to_obj``; its
+expansion take Kronecker products of two non-identity factors; two
+rank-3 towers at seed 0 (every other point has rank 1): (q, r) = (2, 0)
+at precisions (1, 2), whose levels are one-term complexes of rank 3, and
+(1, 1) at (1, 2, 2), whose rank-3 differentials are padded to rank 4 at
+level 3; and every named perturbation of one padded q=1 tower.  Then
+one tower that only the basis-change fallback of ``patch`` accepts: the
+q=2, r=2, seed 0 tower at precisions (1, 2) with two basis vectors of
+its level-2 middle term swapped (built in-process, written with ``tower_to_obj``; its
 ``patch`` output reports ``used_basis_change: true``).  Last come, for each graded
 complex of ``perfbench/data/ha_pool.json`` (which is read and left as
 it is), its ``minimize`` and ``verify-ha`` outputs, and for each pooled
@@ -59,6 +62,11 @@ LEVEL3 = [
     (2, 0, (1, 2, 1), 0),
     (2, 2, (1, 2, 2), 7),
 ]
+# (q, r, precisions, seed, rank)
+RANK3 = [
+    (2, 0, (1, 2), 0, 3),
+    (1, 1, (1, 2, 2), 0, 3),
+]
 # q=1, r=1 at seed 0 pads the top level, as in the dense benchmark class
 PADDED = (1, 1, (1, 2, 2, 2, 2), 0)
 # no padding at seed 0, so the middle term has rank exactly 2
@@ -84,11 +92,14 @@ def command_digest(command: str, name: str, obj, tmp: str):
     return f"{name}/{command}[exit={code}]", _digest(out)
 
 
-def round_trip(q: int, r: int, precisions, seed: int, perturbation=None):
+def round_trip(q: int, r: int, precisions, seed: int, perturbation=None, rank: int = 1):
     """(name, sha256) of each output file of one gen + patch round trip."""
     name = f"q{q}r{r}-m{''.join(map(str, precisions))}-s{seed}"
     argv = ["gen", "--p", "3", "--q", str(q), "--r", str(r), "--seed", str(seed),
             "--precisions", *map(str, precisions)]
+    if rank != 1:
+        name += f"-k{rank}"
+        argv += ["--rank", str(rank)]
     if perturbation is not None:
         name += f"-{perturbation}"
         argv += ["--perturbation", perturbation]
@@ -153,6 +164,8 @@ def grid():
             yield q, r, precisions, seed, None
     for q, r, precisions, seed in LEVEL3:
         yield q, r, precisions, seed, None
+    for q, r, precisions, seed, rank in RANK3:
+        yield q, r, precisions, seed, None, rank
     q, r, precisions, seed = PADDED
     for perturbation in PERTURBATIONS:
         yield q, r, precisions, seed, perturbation

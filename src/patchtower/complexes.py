@@ -18,12 +18,14 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (
+    ExpansionTooLarge,
     NotAComplex,
     ShapeMismatch,
     SpecMismatch,
     UnsupportedRing,
 )
 from .linalg import (
+    MAX_EXPANDED_CELLS,
     HowellCore,
     Matrix,
     QuotientStructure,
@@ -393,7 +395,10 @@ def cohomology(c: FreeComplex, degree: int) -> FiniteModuleData:
     from the module's Smith quotient when first asked for.  All degrees
     of a complex are computed together and cached.  The module sits on
     a minimal generating set with one action per ring variable; outside
-    the support it is zero, with 0 x 0 actions.
+    the support it is zero, with 0 x 0 actions.  A free degree, with no
+    differential in or out, is its own cohomology and is built directly,
+    with no elimination; one whose actions would pass 4 x
+    ``MAX_EXPANDED_CELLS`` cells is refused with ``ExpansionTooLarge``.
     """
     spec = c.spec
     if spec.kind == "graded":
@@ -444,6 +449,7 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         deg = c.lo + idx
         if d.rows and d.cols:
             smiths[deg] = smith_transforms(expand_scalars(d), d.rows * rho, p, m, track_v=True)
+    mults = [_monomial_matrix(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q)]
 
     out: dict[int, FiniteModuleData] = {}
     for degree in c.degrees:
@@ -454,12 +460,14 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
             continue
 
         sm_out = smiths.get(degree)
+        sm_in = smiths.get(degree - 1)
+        if sm_out is None and sm_in is None:
+            out[degree] = _free_module(spec, rk, mults)
+            continue
         if sm_out is None:
             kernel = np.eye(amb, dtype=np.int64)
         else:
             kernel = sm_out.column_kernel()
-
-        sm_in = smiths.get(degree - 1)
         embed = (lambda cols: cols % N) if sm_in is None else sm_in.quotient().embed
 
         ek = embed(kernel)
@@ -471,12 +479,29 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         gens = kernel[:, chosen]
         solver = HowellCore(ek[:, chosen].T, p, m)
         relations = solver.kernel_rows().T
-
-        mults = [_monomial_matrix(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q)]
         actions = _variable_actions(mults, gens, rk, embed, solver, N)
 
         out[degree] = FiniteModuleData(p, m, gens.shape[1], relations, actions)
     return out
+
+
+def _free_module(spec: RingSpec, rk: int, mults) -> FiniteModuleData:
+    """A degree with no differential in or out: its cohomology is the
+    free module itself, on the standard basis with no relations, and
+    variable j acts on its rk blocks of rho monomial coordinates as
+    I_rk (x) ``mults[j]``.  The action cells and the identity are
+    counted before anything is allocated."""
+    amb = rk * spec.coefficient_rank
+    cells = len(mults) * amb * amb + rk * rk
+    if cells > 4 * MAX_EXPANDED_CELLS:
+        raise ExpansionTooLarge(
+            f"the actions on a free degree of rank {rk} ({len(mults)} x {amb}^2 cells)"
+            f" exceed {4 * MAX_EXPANDED_CELLS} cells"
+        )
+    # a one-variable monomial matrix is already reduced mod p^m
+    ident = np.eye(rk, dtype=np.int64)
+    actions = tuple(np.kron(ident, mult) for mult in mults)
+    return FiniteModuleData(spec.p, spec.m, amb, np.zeros((amb, 0), dtype=np.int64), actions)
 
 
 def _variable_actions(mults, gens: np.ndarray, rk: int, embed, solver, N: int) -> tuple[np.ndarray, ...]:

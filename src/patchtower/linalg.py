@@ -39,7 +39,10 @@ from .errors import ExpansionTooLarge, InvalidParameter, ShapeMismatch, SpecMism
 from .rings import RingSpec, RingTowerElement, _rewrite_rule
 
 # int64 cells (128 MiB) past which a scalar expansion is refused; q=2,
-# r=2 at level 3 needs 2187 x 1458, q=3 at level 3 would need 39366^2
+# r=2 at level 3 needs 2187 x 1458, q=3 at level 3 would need 39366^2.
+# The q action matrices of a free degree of a complex (cohomology with
+# no differential in or out) may hold 4 times this many cells together
+# (512 MiB): rank 60 over the q=2 level-2 ring needs 2 x 4860^2.
 MAX_EXPANDED_CELLS = 2**24
 
 

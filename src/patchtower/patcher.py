@@ -38,6 +38,7 @@ from .errors import (
     InsufficientTower,
     InvalidParameter,
     NoCompatibleChain,
+    ShapeMismatch,
     SpecMismatch,
     SurjectionNotIso,
     TauNotConstant,
@@ -268,7 +269,8 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
     Order is fixed so each constructed violation reports its designated
     error: degree window, then constancy of the rank profile, then
     action compatibility, then the augmentation kill, then the base
-    witness.
+    witness.  A witness matrix of the wrong shape is malformed input and
+    raises ``ShapeMismatch`` instead of being reported.
     """
     failures: list[dict] = []
     lo, hi = tower.degree_window
@@ -416,7 +418,11 @@ def _check_base_witness(tower: PatchingTower, lev: TowerLevel, mods) -> str | No
 
     w = np.asarray(lev.base_iso, dtype=np.int64) % n_mod
     if w.shape != (target.gens, size):
-        return f"level {lev.level}: witness matrix has shape {w.shape}, expected {(target.gens, size)}"
+        # malformed input, not a violation: the loader checks the row
+        # count, but the column count is the top cohomology's size
+        raise ShapeMismatch(
+            f"level {lev.level}: witness matrix has shape {w.shape}, expected {(target.gens, size)}"
+        )
     # well-defined: witness kills the source relations
     if not target.contains(matmul_mod(w, quot.relations, n_mod)):
         return f"level {lev.level}: witness does not kill a source relation"

@@ -565,6 +565,37 @@ def test_integer_matrix_rows_are_checked_at_load(capsys, tmp_path, q1r1_tower_ob
     assert (code, json.loads(out)) == (2, {"error": "InvalidInput", "detail": f"integer matrix has {detail}"})
 
 
+def test_witness_column_count_is_checked_in_validation(capsys, tmp_path, q1r1_tower_obj):
+    # the loader cannot know the top cohomology's generator count, so a
+    # base_iso row of the wrong width reached validation and was reported
+    # as BaseMismatch (exit 1)
+    obj = json.loads(json.dumps(q1r1_tower_obj))
+    obj["levels"][0]["base_iso"] = [[]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, ["patch", str(path), "--format", "json"])
+    detail = "level 1: witness matrix has shape (1, 0), expected (1, 1)"
+    assert (code, json.loads(out)) == (2, {"error": "ShapeMismatch", "detail": detail})
+
+
+def test_oversized_free_degree_is_refused_with_exit_2(tmp_path):
+    # every level a one-term complex of rank 20000 (60000 coordinates):
+    # its cohomology allocated a 60000 x 60000 identity (26.8 GiB) and
+    # died in numpy with exit 1; the child's address space is capped at 2 GiB
+    argv = ["gen", "--q", "1", "--r", "0", "--precisions", "1", "2", "--seed", "0"]
+    assert main([*argv, "--out-dir", str(tmp_path), "--format", "json"]) == 0
+    obj = json.loads((tmp_path / "tower.json").read_text())
+    for level in obj["levels"]:
+        assert level["complex"]["differentials"] == []
+        level["complex"]["ranks"] = [20000]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    done = run_cli_under_memory_limit(["patch", str(path)])
+    assert done.returncode == 2
+    assert done.stdout.startswith("ExpansionTooLarge: ")
+    assert "Traceback" not in done.stdout + done.stderr
+
+
 def _graded_module_over(p: int) -> dict:
     # F_p[T1,T2]/(T1, T1^2 - T2): a complete intersection of projdim 2
     return {

@@ -20,8 +20,8 @@ from patchtower.complexes import (
     tau_profile,
     tensor_along,
 )
-from patchtower.errors import NotAComplex, ShapeMismatch, UnsupportedRing
-from patchtower.linalg import HowellCore, Matrix
+from patchtower.errors import ExpansionTooLarge, NotAComplex, ShapeMismatch, UnsupportedRing
+from patchtower.linalg import MAX_EXPANDED_CELLS, HowellCore, Matrix
 from patchtower.rings import (
     RingTowerElement,
     coefficient_ring,
@@ -263,6 +263,10 @@ NAKAYAMA_SPECS = SMALL_PATCH_SPECS + [
 ]
 
 
+# q = 2 with m >= 2 pins the block order of I_rk (x) C_j in the actions
+FREE_SPECS = NAKAYAMA_SPECS + [make_patch_ring(2, 2, 1, 2), make_patch_ring(3, 2, 1, 2)]
+
+
 class TestNakayamaChoice:
     @given(p_torsion_columns())
     @settings(max_examples=300, deadline=None)
@@ -285,7 +289,13 @@ class TestNakayamaChoice:
         c = random_patch_complex(random.Random(seed), spec, max_rank=3)
         with mock.patch.object(complexes, "_nakayama_choice", checked):
             complexes._all_cohomology(c)
-        assert len(seen) == len(c.ranks)
+        # a free degree, with no differential in or out, is built directly
+        bordered = [
+            deg
+            for deg in c.degrees
+            if c.rank(deg) and any(d.rows and d.cols for d in (c.differential(deg - 1), c.differential(deg)))
+        ]
+        assert len(seen) == len(bordered)
 
     @pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])
     def test_refuses_input_not_killed_by_p(self, p, m):
@@ -354,6 +364,64 @@ class TestSparseQuotientsInCohomology:
         # the Nakayama quotient runs whenever p does not kill the kernel
         assert nakayama or spec.m == 1
 
+    @pytest.mark.parametrize("spec", FREE_SPECS, ids=lambda s: f"p{s.p}-m{s.m}-n{s.n}-q{s.q}")
+    def test_free_degrees_match_dense_path(self, spec):
+        # one-term complexes, a free degree beside a rank-zero one, and a
+        # free degree next to (or summed into) a random complex
+        for rk in (1, 2, 3):
+            c = make_complex(spec, 0, [rk], [])
+            assert_same_modules(complexes._all_cohomology(c), reference_all_cohomology(c))
+            c = make_complex(spec, -1, [0, rk, 0], [Matrix.zero(spec, rk, 0), Matrix.zero(spec, 0, rk)])
+            assert_same_modules(complexes._all_cohomology(c), reference_all_cohomology(c))
+        for seed in range(6):
+            rng = random.Random(seed)
+            one = make_complex(spec, rng.randrange(-1, 5), [rng.randrange(1, 4)], [])
+            c = direct_sum(random_patch_complex(rng, spec, max_rank=3), one)
+            assert_same_modules(complexes._all_cohomology(c), reference_all_cohomology(c))
+
+    @pytest.mark.parametrize("spec", FREE_SPECS, ids=lambda s: f"p{s.p}-m{s.m}-n{s.n}-q{s.q}")
+    def test_free_degree_needs_no_elimination(self, spec):
+        rk = 3
+        amb = rk * spec.coefficient_rank
+        eyes = []
+        real_eye = np.eye
+
+        def eye(n, *args, **kwargs):
+            eyes.append(n)
+            return real_eye(n, *args, **kwargs)
+
+        def refuse(*_, **__):
+            raise AssertionError("a free degree reached the elimination path")
+
+        c = make_complex(spec, 0, [rk], [])
+        with (
+            mock.patch.object(np, "eye", eye),
+            mock.patch.object(complexes, "smith_quotient", refuse),
+            mock.patch.object(complexes, "_nakayama_choice", refuse),
+            mock.patch.object(complexes, "HowellCore", refuse),
+        ):
+            module = complexes._all_cohomology(c)[0]
+        assert amb not in eyes
+        assert (module.gens, module.relations.shape) == (amb, (amb, 0))
+
+    def test_oversized_free_degree_is_refused_before_allocation(self):
+        # over the q=2 level-2 ring (rho = 81) rank 60 needs 2 x 4860^2
+        # action cells, inside 4 x MAX_EXPANDED_CELLS; rank 90 needs 2 x 7290^2
+        spec = make_patch_ring(3, 2, 2, 2)
+        eyes = []
+        real_eye = np.eye
+
+        def eye(n, *args, **kwargs):
+            eyes.append(n)
+            return real_eye(n, *args, **kwargs)
+
+        with mock.patch.object(np, "eye", eye), pytest.raises(ExpansionTooLarge, match="rank 90 "):
+            complexes._all_cohomology(make_complex(spec, 0, [90], []))
+        # neither the rank-90 identity of the Kronecker products nor an
+        # ambient 7290 x 7290 one was made
+        assert not {90, 90 * 81} & set(eyes)
+        assert 2 * (60 * 81) ** 2 + 60**2 <= 4 * MAX_EXPANDED_CELLS < 2 * (90 * 81) ** 2
+
     def test_padded_levels_match_dense_path(self):
         # a 1-generator module in 486 summands at level 5, as in the
         # padded q=1 r=1 towers
@@ -368,11 +436,11 @@ def assert_same_modules(got: dict, want: dict) -> None:
     for degree, module in got.items():
         other = want[degree]
         assert (module.p, module.m, module.gens) == (other.p, other.m, other.gens)
-        assert module.relations.shape == other.relations.shape
+        assert (module.relations.shape, module.relations.dtype) == (other.relations.shape, other.relations.dtype)
         assert np.array_equal(module.relations, other.relations)
         assert len(module.actions) == len(other.actions)
         for x, y in zip(module.actions, other.actions):
-            assert x.shape == y.shape and np.array_equal(x, y)
+            assert (x.shape, x.dtype) == (y.shape, y.dtype) and np.array_equal(x, y)
 
 
 def brute_force_span(rel: np.ndarray, N: int) -> set[tuple[int, ...]]:
