@@ -16,11 +16,12 @@ at precisions (1, 2), whose levels are one-term complexes of rank 3, and
 level 3; and every named perturbation of one padded q=1 tower.  Then
 one tower that only the basis-change fallback of ``patch`` accepts: the
 q=2, r=2, seed 0 tower at precisions (1, 2) with two basis vectors of
-its level-2 middle term swapped (built in-process, written with ``tower_to_obj``; its
-``patch`` output reports ``used_basis_change: true``).  Last come, for each graded
-complex of ``perfbench/data/ha_pool.json`` (which is read and left as
-it is), its ``minimize`` and ``verify-ha`` outputs, and for each pooled
-graded module its ``invariants`` output, all with ``--format json``.
+its level-2 middle term swapped (built in-process, written with
+``tower_to_obj``; its ``patch`` output reports ``used_basis_change:
+true``).  Last come, for each graded complex of
+``perfbench/data/ha_pool.json`` (which is read and left as it is), its
+``minimize`` and ``verify-ha`` outputs, and for each pooled graded
+module its ``invariants`` output, all with ``--format json``.
 
 Two checkouts give the same canonical bytes exactly when this prints
 the same lines on both, so a "same bytes" claim is one ``diff``:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 from unittest import mock
@@ -383,19 +384,13 @@ class TestSparseQuotientsInCohomology:
     def test_free_degree_needs_no_elimination(self, spec):
         rk = 3
         amb = rk * spec.coefficient_rank
-        eyes = []
-        real_eye = np.eye
-
-        def eye(n, *args, **kwargs):
-            eyes.append(n)
-            return real_eye(n, *args, **kwargs)
 
         def refuse(*_, **__):
             raise AssertionError("a free degree reached the elimination path")
 
         c = make_complex(spec, 0, [rk], [])
         with (
-            mock.patch.object(np, "eye", eye),
+            identity_sizes() as eyes,
             mock.patch.object(complexes, "smith_quotient", refuse),
             mock.patch.object(complexes, "_nakayama_choice", refuse),
             mock.patch.object(complexes, "HowellCore", refuse),
@@ -408,14 +403,7 @@ class TestSparseQuotientsInCohomology:
         # over the q=2 level-2 ring (rho = 81) rank 60 needs 2 x 4860^2
         # action cells, inside 4 x MAX_EXPANDED_CELLS; rank 90 needs 2 x 7290^2
         spec = make_patch_ring(3, 2, 2, 2)
-        eyes = []
-        real_eye = np.eye
-
-        def eye(n, *args, **kwargs):
-            eyes.append(n)
-            return real_eye(n, *args, **kwargs)
-
-        with mock.patch.object(np, "eye", eye), pytest.raises(ExpansionTooLarge, match="rank 90 "):
+        with identity_sizes() as eyes, pytest.raises(ExpansionTooLarge, match="rank 90 "):
             complexes._all_cohomology(make_complex(spec, 0, [90], []))
         # neither the rank-90 identity of the Kronecker products nor an
         # ambient 7290 x 7290 one was made
@@ -429,6 +417,20 @@ class TestSparseQuotientsInCohomology:
         for level in (3, 5):
             c = _pad_contractible(_limit_complex(params, level, 2), 0)
             assert_same_modules(complexes._all_cohomology(c), reference_all_cohomology(c))
+
+
+@contextlib.contextmanager
+def identity_sizes():
+    """Record the size of every ``np.eye`` made inside the block."""
+    sizes = []
+    real = np.eye
+
+    def eye(n, *args, **kwargs):
+        sizes.append(n)
+        return real(n, *args, **kwargs)
+
+    with mock.patch.object(np, "eye", eye):
+        yield sizes
 
 
 def assert_same_modules(got: dict, want: dict) -> None:
