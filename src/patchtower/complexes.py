@@ -336,7 +336,8 @@ class FiniteModuleData:
     ``actions`` holds commuting matrices acting on the generators.  One
     Smith quotient of the relation span answers every question: a vector
     lies in the span exactly when its quotient coordinates vanish, and
-    the quotient's exponents are the divisors.
+    the quotient's exponents are the divisors.  Without relations the
+    span is 0, and ``contains`` needs no quotient.
     """
 
     p: int
@@ -355,7 +356,12 @@ class FiniteModuleData:
 
     def contains(self, cols) -> bool:
         """Whether the vector ``cols``, or every column of it, lies in the
-        relation span."""
+        relation span.  With no relations the span is 0, so that holds
+        exactly when every entry vanishes mod p^m; it is read off the
+        entries, with no Smith quotient."""
+        if not self.relations.shape[1]:
+            x = np.asarray(cols)
+            return not (x.any() and (x % self.modulus).any())
         return not self.quotient.coords(cols).any()
 
     def matrices_equal(self, a: np.ndarray, b: np.ndarray) -> bool:

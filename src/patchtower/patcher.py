@@ -269,8 +269,10 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
     Order is fixed so each constructed violation reports its designated
     error: degree window, then constancy of the rank profile, then
     action compatibility, then the augmentation kill, then the base
-    witness.  A witness matrix of the wrong shape is malformed input and
-    raises ``ShapeMismatch`` instead of being reported.
+    witness.  A witness matrix of the wrong shape, or a nonzero
+    cohomology degree without exactly g square action matrices of its
+    size, is malformed input and raises ``ShapeMismatch`` instead of
+    being reported.
     """
     failures: list[dict] = []
     lo, hi = tower.degree_window
@@ -325,14 +327,13 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
             size = pres.gens
             if size == 0:
                 continue
-            xs = lev.x_actions.get(dd)
-            if g and (xs is None or len(xs) != g):
-                bad_action = f"level {lev.level} degree {dd}: missing action matrices"
-                break
-            xs = [np.asarray(x, dtype=np.int64) for x in (xs or [])]
-            if any(x.shape != (size, size) for x in xs):
-                bad_action = f"level {lev.level} degree {dd}: action matrix shape mismatch"
-                break
+            xs = [np.asarray(x, dtype=np.int64) for x in lev.x_actions.get(dd) or []]
+            if len(xs) != g or any(x.shape != (size, size) for x in xs):
+                # malformed input, not a violation, as for the witness
+                raise ShapeMismatch(
+                    f"level {lev.level} degree {dd}: action matrices of shapes "
+                    f"{[x.shape for x in xs]}, expected {g} of shape {(size, size)}"
+                )
             N = pres.modulus
             if not all(pres.contains(matmul_mod(x, pres.relations, N)) for x in xs):
                 bad_action = f"level {lev.level} degree {dd}: action does not preserve relations"

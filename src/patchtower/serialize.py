@@ -176,14 +176,23 @@ def rinf_from_obj(obj) -> dict:
 
 
 def int_matrix_to_obj(a: np.ndarray) -> list:
-    return [[int(x) for x in row] for row in np.asarray(a)]
+    return np.asarray(a).tolist()
 
 
 def int_matrix_from_obj(obj, rows: int | None = None) -> np.ndarray:
+    """A list of rows of JSON integers as an int64 array.  Each row's cell
+    types are read in one C-level pass, and only a row that fails it goes
+    through ``json_int``, so a bool, float, string, null or nested list
+    raises TypeError; numpy refuses ragged rows and values past int64
+    (each one of ``MALFORMED``)."""
     if not isinstance(obj, list):
         raise InvalidInput("integer matrix must be a list of rows")
-    cells = [[json_int(x) for x in row] for row in obj]
-    a = np.array(cells, dtype=np.int64) if cells else np.zeros((0, 0), dtype=np.int64)
+    for row in obj:
+        if type(row) is not list:
+            raise TypeError(f"expected a row of integers, got {row!r}")
+        if not set(map(type, row)) <= {int}:
+            list(map(json_int, row))  # raises on the first cell that is not an int
+    a = np.array(obj, dtype=np.int64) if obj else np.zeros((0, 0), dtype=np.int64)
     if rows is not None and a.shape[0] != rows:
         raise InvalidInput(f"integer matrix has {a.shape[0]} rows, expected {rows}")
     return a

@@ -578,6 +578,119 @@ def test_witness_column_count_is_checked_in_validation(capsys, tmp_path, q1r1_to
     assert (code, json.loads(out)) == (2, {"error": "ShapeMismatch", "detail": detail})
 
 
+@pytest.fixture(scope="module")
+def q2r0_tower_text(tmp_path_factory):
+    # g = 2: a base module on one generator with no relations ([[]]), two
+    # 1 x 1 base actions, and two 9 x 9 (level 1) and 81 x 81 (level 2)
+    # action matrices in degree 2 of each level
+    out = tmp_path_factory.mktemp("q2r0")
+    argv = ["gen", "--q", "2", "--r", "0", "--precisions", "1", "2", "--seed", "0"]
+    assert main([*argv, "--out-dir", str(out), "--format", "json"]) == 0
+    return (out / "tower.json").read_text()
+
+
+def test_q2r0_tower_reloads_to_the_same_bytes(q2r0_tower_text):
+    tower = serialize.tower_from_obj(json.loads(q2r0_tower_text))
+    assert serialize.canonical_dumps(serialize.tower_to_obj(tower)) == q2r0_tower_text
+
+
+# one cell in each integer matrix of a q=2 r=0 tower: the empty row of the
+# base relations gains it; the others have it put over an existing cell
+MATRIX_CELLS = {
+    "base-relations": lambda o: o["base"]["module"]["relations"][0],
+    "base-x-action": lambda o: o["base"]["module"]["x_actions"][1][0],
+    "level-x-action": lambda o: o["levels"][1]["x_actions"]["2"][0][40],
+    "base-iso": lambda o: o["levels"][0]["base_iso"][0],
+}
+NOT_INT64 = {"true": True, "3.0": 3.0, "string-3": "3", "null": None, "list-1": [1], "2^63": 2**63, "-2^63-1": -(2**63) - 1}
+
+
+def _put_cell(where, value):
+    def edit(obj):
+        row = MATRIX_CELLS[where](obj)
+        if row:
+            row[len(row) // 2] = value
+        else:
+            row.append(value)
+
+    return edit
+
+
+def _bool_row(where):
+    def edit(obj):
+        row = MATRIX_CELLS[where](obj)
+        row[:] = [True] + [0] * (len(row) - 1)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [pytest.param(_put_cell(w, v), id=f"{w}-{k}") for w in MATRIX_CELLS for k, v in NOT_INT64.items()]
+    + [pytest.param(_bool_row(w), id=f"{w}-row-of-true-and-zeros") for w in MATRIX_CELLS if w != "base-relations"],
+)
+def test_integer_matrix_cells_are_checked_at_load(capsys, tmp_path, q2r0_tower_text, edit):
+    # numpy alone reads a True among ints as 1 and 3.0 as 3; each of these
+    # must stay malformed input
+    obj = json.loads(q2r0_tower_text)
+    edit(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, ["patch", str(path), "--format", "json"])
+    assert (code, json.loads(out)["error"]) == (2, "InvalidInput")
+
+
+def _level_actions(edit_degree):
+    def edit(obj):
+        actions = obj["levels"][0]["x_actions"]
+        for key in list(actions):
+            edit_degree(actions, key)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "tower, edit, detail",
+    [
+        pytest.param(
+            "q1r1",
+            _level_actions(lambda a, k: a.update({k: [[[1, 0]]]})),
+            "level 1 degree 0: action matrices of shapes [(1, 2)], expected 0 of shape (1, 1)",
+            id="g0-one-matrix",
+        ),
+        pytest.param(
+            "q2r0",
+            _level_actions(lambda a, k: a[k].pop()),
+            "level 1 degree 2: action matrices of shapes [(9, 9)], expected 2 of shape (9, 9)",
+            id="g2-one-matrix",
+        ),
+        pytest.param(
+            "q2r0",
+            _level_actions(lambda a, k: a.pop(k)),
+            "level 1 degree 2: action matrices of shapes [], expected 2 of shape (9, 9)",
+            id="g2-degree-missing",
+        ),
+        pytest.param(
+            "q2r0",
+            _level_actions(lambda a, k: a[k][1].pop()),
+            "level 1 degree 2: action matrices of shapes [(9, 9), (8, 9)], expected 2 of shape (9, 9)",
+            id="g2-row-missing",
+        ),
+    ],
+)
+def test_level_action_count_and_shape_are_checked_in_validation(
+    capsys, tmp_path, q1r1_tower_obj, q2r0_tower_text, tower, edit, detail
+):
+    # a wrong count or shape was reported as ActionMismatch (exit 1), and
+    # with g = 0 the count was not checked at all
+    obj = json.loads(json.dumps(q1r1_tower_obj)) if tower == "q1r1" else json.loads(q2r0_tower_text)
+    edit(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, ["patch", str(path), "--format", "json"])
+    assert (code, json.loads(out)) == (2, {"error": "ShapeMismatch", "detail": detail})
+
+
 def test_oversized_free_degree_is_refused_with_exit_2(tmp_path):
     # every level a one-term complex of rank 20000 (60000 coordinates):
     # its cohomology allocated a 60000 x 60000 identity (26.8 GiB) and

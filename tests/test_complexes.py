@@ -1,11 +1,12 @@
 import contextlib
 import itertools
+import math
 import random
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patchtower import complexes
@@ -22,7 +23,7 @@ from patchtower.complexes import (
     tensor_along,
 )
 from patchtower.errors import ExpansionTooLarge, NotAComplex, ShapeMismatch, UnsupportedRing
-from patchtower.linalg import MAX_EXPANDED_CELLS, HowellCore, Matrix
+from patchtower.linalg import MAX_EXPANDED_CELLS, HowellCore, Matrix, smith_quotient
 from patchtower.rings import (
     RingTowerElement,
     coefficient_ring,
@@ -486,6 +487,23 @@ def modules_with_queries(draw):
     return FiniteModuleData(p, m, gens, rel), queries, matrix(k)
 
 
+@st.composite
+def relation_free_queries(draw):
+    """A module with no relations and a 1-d or 2-d query whose entries are
+    negative, at least p^m or exact multiples of p^m (up to 2^62); in
+    about half the queries every entry is such a multiple."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, 3))
+    N = p**m
+    amb = draw(st.integers(0, 5))
+    shape = draw(st.sampled_from([(amb,), (amb, draw(st.integers(0, 3)))]))
+    multiple = st.integers(-(2**62) // N, 2**62 // N).map(lambda k: k * N)
+    cell = multiple if draw(st.booleans()) else st.one_of(multiple, st.integers(-3 * N, 3 * N))
+    size = math.prod(shape)
+    x = np.array(draw(st.lists(cell, min_size=size, max_size=size)), dtype=np.int64).reshape(shape)
+    return FiniteModuleData(p, m, amb, np.zeros((amb, 0), dtype=np.int64)), x
+
+
 class TestFiniteModuleData:
     @given(modules_with_queries())
     @settings(max_examples=300, deadline=None)
@@ -499,6 +517,24 @@ class TestFiniteModuleData:
             assert module.contains(col) == inside[l]
         assert module.matrices_equal((other + queries) % N, other) == all(inside)
         assert module.cardinality() * len(span) == N**module.gens
+
+    @given(relation_free_queries())
+    @example((FiniteModuleData(3, 2, 0, np.zeros((0, 0), dtype=np.int64)), np.zeros((0, 2), dtype=np.int64)))
+    @example((FiniteModuleData(2, 1, 0, np.zeros((0, 0), dtype=np.int64)), np.zeros(0, dtype=np.int64)))
+    @settings(max_examples=300, deadline=None)
+    def test_relation_free_contains_matches_the_smith_quotient(self, case):
+        module, x = case
+        want = not smith_quotient(module.relations, module.gens, module.p, module.m).coords(x).any()
+
+        def refuse(*_, **__):
+            raise AssertionError("a relation-free module built its Smith quotient")
+
+        with mock.patch.object(complexes, "smith_quotient", refuse):
+            assert module.contains(x) == want
+            if x.ndim == 2:
+                for col in x.T:
+                    assert module.contains(col) == (not (col % module.modulus).any())
+        assert "quotient" not in module.__dict__
 
 
 class TestBaseChangeAndDual:
