@@ -180,11 +180,9 @@ def int_matrix_to_obj(a: np.ndarray) -> list:
 
 
 def int_matrix_from_obj(obj, rows: int | None = None) -> np.ndarray:
-    """A list of rows of JSON integers as an int64 array.  Each row's cell
-    types are read in one C-level pass, and only a row that fails it goes
-    through ``json_int``, so a bool, float, string, null or nested list
-    raises TypeError; numpy refuses ragged rows and values past int64
-    (each one of ``MALFORMED``)."""
+    """A list of rows of JSON integers as int64.  Each row's cell types are
+    read in one pass in C, and ``json_int`` raises on a row holding another
+    type; numpy refuses ragged rows and values past int64."""
     if not isinstance(obj, list):
         raise InvalidInput("integer matrix must be a list of rows")
     for row in obj:
