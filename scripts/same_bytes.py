@@ -18,7 +18,11 @@ one tower that only the basis-change fallback of ``patch`` accepts: the
 q=2, r=2, seed 0 tower at precisions (1, 2) with two basis vectors of
 its level-2 middle term swapped (built in-process, written with
 ``tower_to_obj``; its ``patch`` output reports ``used_basis_change:
-true``).  Last come, for each graded complex of
+true``), and the three sheared towers of ``tests/util.py``: rank 4,
+q=1, r=1, seed 0, every later level's middle term sheared by a
+different amount, at precisions (1, 2) and (1, 2, 2) patched at the
+default precision (exit 3, and chain [2, 3] rebased) and at (1, 2, 3, 3)
+patched at precision 3 (exit 3).  Last come, for each graded complex of
 ``perfbench/data/ha_pool.json`` (which is read and left as it is), its
 ``minimize`` and ``verify-ha`` outputs, and for each pooled graded
 module its ``invariants`` output, all with ``--format json``.
@@ -27,6 +31,10 @@ Two checkouts give the same canonical bytes exactly when this prints
 the same lines on both, so a "same bytes" claim is one ``diff``:
 
     python3 scripts/same_bytes.py > after.txt
+
+The script reads ``src/`` and the tower helpers in ``tests/util.py``
+next to it; to print another commit's lines, copy this script and
+``tests/util.py`` into a ``git archive`` export of that commit.
 """
 
 import contextlib
@@ -39,13 +47,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from patchtower.cli import main  # noqa: E402
 from patchtower.linalg import Matrix  # noqa: E402
-from patchtower.patcher import _transform_complex  # noqa: E402
 from patchtower.rings import RingTowerElement  # noqa: E402
-from patchtower.scenarios import PERTURBATIONS, ScenarioParams, _level_data, gen_scenario  # noqa: E402
+from patchtower.scenarios import PERTURBATIONS, ScenarioParams, gen_scenario  # noqa: E402
 from patchtower.serialize import canonical_dumps, tower_to_obj  # noqa: E402
+from util import refresh_level, sheared_tower, transform_complex  # noqa: E402
 
 HA_POOL = ROOT / "perfbench" / "data" / "ha_pool.json"
 
@@ -72,6 +81,8 @@ RANK3 = [
 PADDED = (1, 1, (1, 2, 2, 2, 2), 0)
 # no padding at seed 0, so the middle term has rank exactly 2
 BASIS_CHANGE = ScenarioParams(p=3, q=2, r=2, precisions=(1, 2), seed=0)
+# (precisions, extra patch arguments) of the sheared towers
+SHEARED = [((1, 2), []), ((1, 2, 2), []), ((1, 2, 3, 3), ["--precision", "3"])]
 
 
 def _run(argv) -> tuple[int, bytes]:
@@ -85,12 +96,24 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def command_digest(command: str, name: str, obj, tmp: str):
+def command_digest(command: str, name: str, obj, tmp: str, extra=()):
     """(name, sha256) of ``command --format json`` on one input file."""
     path = Path(tmp) / "input.json"
     path.write_text(canonical_dumps(obj))
-    code, out = _run([command, str(path), "--format", "json"])
+    code, out = _run([command, str(path), "--format", "json", *extra])
     return f"{name}/{command}[exit={code}]", _digest(out)
+
+
+def tower_digests(name: str, tower, extra=()):
+    """(name, sha256) of a tower built in-process and of its ``patch``
+    and level ``minimize`` outputs."""
+    obj = tower_to_obj(tower)
+    lines = [(f"{name}/tower.json", _digest(canonical_dumps(obj).encode("utf-8")))]
+    with tempfile.TemporaryDirectory() as tmp:
+        lines.append(command_digest("patch", name, obj, tmp, extra))
+        for level in obj["levels"]:
+            lines.append(command_digest("minimize", f"{name}/level{level['level']}", level["complex"], tmp))
+    return lines
 
 
 def round_trip(q: int, r: int, precisions, seed: int, perturbation=None, rank: int = 1):
@@ -121,8 +144,7 @@ def round_trip(q: int, r: int, precisions, seed: int, perturbation=None, rank: i
 
 
 def basis_change():
-    """(name, sha256) of the permuted tower and of its ``patch`` and
-    level ``minimize`` outputs.  Swapping two basis vectors of the
+    """The permuted tower's lines.  Swapping two basis vectors of the
     level-2 middle term breaks the exact chain, so ``patch`` must rebase
     that level by a signed permutation."""
     params = BASIS_CHANGE.resolved()
@@ -132,16 +154,17 @@ def basis_change():
     mid = tower.d - 1
     one, zero = RingTowerElement.one(spec), RingTowerElement.zero(spec)
     swap = Matrix(spec, [[zero, one], [one, zero]])
-    lev.complex = _transform_complex(lev.complex, {mid: (swap, swap)})
-    lev.x_actions, top = _level_data(params, lev.complex)
-    lev.base_iso = top.quotient_by_columns(top.actions).quotient.projection % (params.p**lev.precision)
+    refresh_level(tower, 1, params, transform_complex(lev.complex, {mid: (swap, swap)}))
     name = f"basis-change-q{params.q}r{params.r}-m{''.join(map(str, params.precisions))}-s{params.seed}"
-    obj = tower_to_obj(tower)
-    lines = [(f"{name}/tower.json", _digest(canonical_dumps(obj).encode("utf-8")))]
-    with tempfile.TemporaryDirectory() as tmp:
-        lines.append(command_digest("patch", name, obj, tmp))
-        for level in obj["levels"]:
-            lines.append(command_digest("minimize", f"{name}/level{level['level']}", level["complex"], tmp))
+    return tower_digests(name, tower)
+
+
+def sheared():
+    """The sheared towers' lines, which only a basis-change search decides."""
+    lines = []
+    for precisions, extra in SHEARED:
+        name = f"sheared-q1r1-m{''.join(map(str, precisions))}-s0-k4"
+        lines += tower_digests(name, sheared_tower(precisions), extra)
     return lines
 
 
@@ -176,7 +199,7 @@ if __name__ == "__main__":
     for point in grid():
         for name, sha in round_trip(*point):
             print(name, sha, flush=True)
-    for name, sha in basis_change():
+    for name, sha in basis_change() + sheared():
         print(name, sha, flush=True)
     for name, sha in ha_pool():
         print(name, sha, flush=True)

@@ -451,27 +451,6 @@ def support_height_profile(m: GradedModule) -> set[int]:
     return set(support_components(m))
 
 
-def monomial_minimal_prime_heights(ring: RingSpec, monomials) -> set[int]:
-    """Brute-force oracle: minimal variable covers of a monomial ideal."""
-    supports = []
-    for x in monomials:
-        (exps,) = x.coeffs.keys()
-        supports.append(frozenset(i for i, e in enumerate(exps) if e))
-    if not supports:
-        return set()
-    if frozenset() in supports:
-        return set()
-    q = ring.q
-    covers = []
-    for size in range(q + 1):
-        for subset in combinations(range(q), size):
-            sset = frozenset(subset)
-            if all(sup & sset for sup in supports):
-                covers.append(sset)
-    minimal = [c for c in covers if not any(o < c for o in covers)]
-    return {len(c) for c in minimal}
-
-
 # ---------------------------------------------------------------------------
 # the height-amplitude verifier
 # ---------------------------------------------------------------------------

@@ -323,9 +323,6 @@ class HowellCore:
     def howell_rows(self) -> np.ndarray:
         return self.work[: len(self.pivots), : self.active].copy()
 
-    def transform_rows(self) -> np.ndarray:
-        return self.work[: len(self.pivots), self.active :].copy()
-
     def kernel_rows(self) -> np.ndarray:
         """Generators of {x : x A = 0} as rows (Howell-canonical)."""
         tail = self.work[len(self.pivots) :, self.active :]

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
+from math import comb
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .errors import (
     AugmentationNotKilled,
     BaseMismatch,
     ConcentrationFailed,
+    ExpansionTooLarge,
     HeightAmplitudeViolated,
     InsufficientTower,
     InvalidParameter,
@@ -45,15 +47,8 @@ from .errors import (
     TauOutOfRange,
 )
 from .graded import verify_height_amplitude
-from .linalg import Matrix, matmul_mod
-from .rings import (
-    RingSpec,
-    RingTowerElement,
-    base_change,
-    coefficient_ring,
-    graded_ring,
-    make_patch_ring,
-)
+from .linalg import MAX_EXPANDED_CELLS, Matrix, matmul_mod
+from .rings import base_change, coefficient_ring, graded_ring, make_patch_ring
 
 Exps = tuple[int, ...]
 RinfElem = dict[Exps, int]
@@ -88,8 +83,8 @@ class RInfinityModel:
     def basis(self) -> list[Exps]:
         out = [()]
         for _ in range(self.g):
-            out = [e + (k,) for e in out for k in range(self.degree + 1)]
-        return sorted(e for e in out if sum(e) <= self.degree)
+            out = [e + (k,) for e in out for k in range(self.degree + 1 - sum(e))]
+        return sorted(out)
 
     def normalize(self, coeffs) -> RinfElem:
         N = self.modulus
@@ -169,8 +164,17 @@ class RInfinityModel:
         """The model modulo an ideal, as a Z/p^m-module on the monomial basis.
 
         The ideal's Z/p^m-span is spanned by the monomial multiples of
-        its generators, which become the relation columns.
+        its generators, which become the relation columns.  Their dense
+        array, at least one square of the basis, is counted before the
+        basis is built and refused past ``MAX_EXPANDED_CELLS`` cells.
         """
+        size = comb(self.degree + self.g, self.g)
+        cells = size * max(len(ideal), 1) * size
+        if cells > MAX_EXPANDED_CELLS:
+            raise ExpansionTooLarge(
+                f"the degree-{self.degree} model has {size} monomials, and its quotient by"
+                f" {len(ideal)} generators {cells} cells, past {MAX_EXPANDED_CELLS}"
+            )
         basis = self.basis()
         cols = []
         for gen in ideal:
@@ -486,70 +490,65 @@ def _maps_stabilized(tower: PatchingTower, ja: TowerLevel, jb: TowerLevel, k: in
     return True
 
 
-def _signed_permutation_matrices(spec: RingSpec, size: int):
-    one = RingTowerElement.one(spec)
-    zero = RingTowerElement.zero(spec)
-    minus = -one
-    for perm in permutations(range(size)):
-        for signs in product((one, minus), repeat=size):
-            ent = [[zero] * size for _ in range(size)]
-            inv = [[zero] * size for _ in range(size)]
-            for i, (j, s) in enumerate(zip(perm, signs)):
-                ent[i][j] = s
-                inv[j][i] = s if s == one else minus
-            yield Matrix(spec, ent), Matrix(spec, inv)
-
-
-def _transform_complex(c: FreeComplex, changes: dict[int, tuple[Matrix, Matrix]]) -> FreeComplex:
-    diffs = []
-    for idx, d in enumerate(c.diffs):
-        deg = c.lo + idx
-        p_next = changes.get(deg + 1)
-        p_cur = changes.get(deg)
-        out = d
-        if p_next is not None:
-            out = p_next[0] @ out
-        if p_cur is not None:
-            out = out @ p_cur[1]
-        diffs.append(out)
-    return FreeComplex(c.spec, c.lo, c.ranks, diffs, _checked=True)
-
-
 def _rebase_onto(base_k: FreeComplex, cand: FreeComplex) -> FreeComplex | None:
     """Search per-degree signed permutations of ``cand`` whose base
     change onto ``base_k``'s ring equals ``base_k``; return the rebased
-    complex.  Base change keeps ranks and degrees, so those must agree."""
+    complex.  Base change keeps ranks and degrees, so those must agree.
+
+    A choice (perm, signs) at a degree is the change of basis whose row
+    i is signs[i] times unit vector perm[i].  With (perm, s) at the
+    target of a differential d and (prev, t) at its source, the rebased
+    entry (i, l) is s[i]·t[l]·d[perm[i]][prev[l]]; base change is a ring
+    homomorphism, so every choice is tested by lookups in one table of
+    (bc(x), -bc(x)), with no ring products.  Choices are tried degree by
+    degree in ``permutations`` order, then signs in ``product((1, -1))``
+    order, and at most ``BASIS_CHANGE_BUDGET`` of them per call.
+    """
     if cand.ranks != base_k.ranks or cand.lo != base_k.lo:
         return None
     target = base_k.spec
-    degrees = list(cand.degrees)
-    changes: dict[int, tuple[Matrix, Matrix]] = {}
+    table = [
+        [[(y, -y) for y in (base_change(x, target) for x in row)] for row in d.entries]
+        for d in cand.diffs
+    ]
+    chosen: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     attempts = 0
 
     def rec(idx: int) -> bool:
         nonlocal attempts
-        if idx == len(degrees):
+        if idx == len(cand.ranks):
             return True
-        deg = degrees[idx]
-        size = cand.rank(deg)
-        for pair in _signed_permutation_matrices(cand.spec, size):
-            attempts += 1
-            if attempts > BASIS_CHANGE_BUDGET:
-                return False
-            changes[deg] = pair
-            ok = True
-            if idx > 0:
-                prev = degrees[idx - 1]
-                got = pair[0] @ cand.differential(prev) @ changes[prev][1]
-                ok = got.map_entries(lambda x: base_change(x, target), target) == base_k.differential(prev)
-            if ok and rec(idx + 1):
-                return True
-        changes.pop(deg, None)
+        size = cand.ranks[idx]
+        for perm in permutations(range(size)):
+            for signs in product((1, -1), repeat=size):
+                attempts += 1
+                if attempts > BASIS_CHANGE_BUDGET:
+                    return False
+                if idx:
+                    (prev, t), tab, want = chosen[-1], table[idx - 1], base_k.diffs[idx - 1].entries
+                    if not all(
+                        tab[j][k][s != tl] == want[i][l]
+                        for i, (j, s) in enumerate(zip(perm, signs))
+                        for l, (k, tl) in enumerate(zip(prev, t))
+                    ):
+                        continue
+                chosen.append((perm, signs))
+                if rec(idx + 1):
+                    return True
+                chosen.pop()
         return False
 
     if not rec(0):
         return None
-    return _transform_complex(cand, dict(changes))
+    diffs = [
+        Matrix(
+            cand.spec,
+            [[d[j, k] if s == tl else -d[j, k] for k, tl in zip(prev, t)] for j, s in zip(perm, signs)],
+            d.cols,
+        )
+        for d, (prev, t), (perm, signs) in zip(cand.diffs, chosen, chosen[1:])
+    ]
+    return FreeComplex(cand.spec, cand.lo, cand.ranks, diffs, _checked=True)
 
 
 def patch(tower: PatchingTower, precision: int) -> PatchLimit:
@@ -592,64 +591,47 @@ def patch(tower: PatchingTower, precision: int) -> PatchLimit:
             cache[key] = _reduced_complex(minimized[idx], p, q, k)
         return cache[key]
 
-    def chains():
-        def rec(prefix: list[int], k: int):
-            if k > precision:
-                yield list(prefix)
-                return
-            for idx in eligible[k - 1]:
-                if prefix and idx <= prefix[-1]:
-                    continue
-                yield from rec(prefix + [idx], k + 1)
-
-        yield from rec([], 1)
-
-    def chain_exact(chain: list[int]) -> bool:
-        for k in range(1, precision):
-            if reduced(chain[k - 1], k) != reduced(chain[k], k):
-                return False
-            if not _maps_stabilized(tower, levels[chain[k - 1]], levels[chain[k]], k):
-                return False
-        return True
-
-    chosen = None
-    for chain in chains():
-        if chain_exact(chain):
-            chosen = chain
-            break
-
-    used_basis_change = False
-    transformed_top: FreeComplex | None = None
-    if chosen is None:
-        for chain in chains():
-            if not all(
-                _maps_stabilized(tower, levels[chain[k - 1]], levels[chain[k]], k)
-                for k in range(1, precision)
-            ):
+    def first_chain(step, chain: tuple[int, ...] = (), top: FreeComplex | None = None):
+        """The first chain, in lexicographic order, of strictly increasing
+        indices with chain[k] in eligible[k] and every step accepted,
+        with its top complex.  A chain starts at its first level reduced
+        to precision 1; ``step(top, prev, idx, k)`` gives the top after
+        ``idx`` follows ``prev`` at position k, at precision k + 1, or
+        None, which prunes every chain through that prefix."""
+        k = len(chain)
+        if k == precision:
+            return chain, top
+        for idx in eligible[k]:
+            if chain and idx <= chain[-1]:
                 continue
-            # anchor at the first level; rebase each later level onto it
-            ok = True
-            fixed = reduced(chain[0], 1)
-            top = fixed
-            for k in range(1, precision):
-                rebased = _rebase_onto(fixed, reduced(chain[k], k + 1))
-                if rebased is None:
-                    ok = False
-                    break
-                top = rebased
-                fixed = rebased
-            if ok:
-                chosen = chain
-                used_basis_change = True
-                transformed_top = top
-                break
-    if chosen is None:
+            nxt = step(top, chain[-1], idx, k) if chain else reduced(idx, 1)
+            found = None if nxt is None else first_chain(step, chain + (idx,), nxt)
+            if found is not None:
+                return found
+        return None
+
+    def exact(top: FreeComplex, prev: int, idx: int, k: int) -> FreeComplex | None:
+        if top == reduced(idx, k) and _maps_stabilized(tower, levels[prev], levels[idx], k):
+            return reduced(idx, k + 1)
+        return None
+
+    def rebased(top: FreeComplex, prev: int, idx: int, k: int) -> FreeComplex | None:
+        # each level is rebased onto the rebased level before it
+        if _maps_stabilized(tower, levels[prev], levels[idx], k):
+            return _rebase_onto(top, reduced(idx, k + 1))
+        return None
+
+    # any exact chain wins over a rebased one
+    found = first_chain(exact)
+    used_basis_change = found is None
+    if used_basis_change:
+        found = first_chain(rebased)
+    if found is None:
         raise NoCompatibleChain(
             "no chain of levels reduces compatibly within the basis-change budget"
         )
-
+    chosen, limit_complex = found
     top_level = levels[chosen[-1]]
-    limit_complex = transformed_top if transformed_top is not None else reduced(chosen[-1], precision)
     return PatchLimit(
         precision=precision,
         complex=limit_complex,

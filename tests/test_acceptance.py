@@ -20,7 +20,6 @@ from patchtower.graded import (
     minimal_graded_resolution,
     module_invariants,
     module_is_zero,
-    monomial_minimal_prime_heights,
     support_height_profile,
     verify_height_amplitude,
 )
@@ -33,6 +32,7 @@ from patchtower.scenarios import PERTURBATIONS, ScenarioParams, gen_scenario
 from util import (
     SMALL_PATCH_SPECS,
     fingerprint,
+    monomial_minimal_prime_heights,
     random_graded_consistent_complex,
     random_graded_module,
     random_minimal_graded_complex,

@@ -709,6 +709,21 @@ def test_oversized_free_degree_is_refused_with_exit_2(tmp_path):
     assert "Traceback" not in done.stdout + done.stderr
 
 
+def test_oversized_power_series_model_is_refused_with_exit_2(tmp_path):
+    # the base quotient of a degree-2^40 model in two variables listed
+    # (2^40+1)^2 exponent vectors before any check
+    argv = ["gen", "--q", "2", "--r", "0", "--precisions", "1", "2", "--seed", "0"]
+    assert main([*argv, "--out-dir", str(tmp_path), "--format", "json"]) == 0
+    obj = json.loads((tmp_path / "tower.json").read_text())
+    obj["params"]["rinf_degree"] = 2**40
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    done = run_cli_under_memory_limit(["patch", str(path)])
+    assert done.returncode == 2
+    assert done.stdout.startswith("ExpansionTooLarge: ")
+    assert "Traceback" not in done.stdout + done.stderr
+
+
 def _graded_module_over(p: int) -> dict:
     # F_p[T1,T2]/(T1, T1^2 - T2): a complete intersection of projdim 2
     return {

@@ -22,7 +22,6 @@ from patchtower.graded import (
     module_dimension,
     module_invariants,
     module_is_zero,
-    monomial_minimal_prime_heights,
     presentation_data,
     support_height_profile,
     verify_height_amplitude,
@@ -31,6 +30,7 @@ from patchtower.linalg import Matrix
 from patchtower.rings import RingTowerElement, graded_ring
 from patchtower.serialize import canonical_dumps, complex_from_obj, graded_module_from_obj
 from util import (
+    monomial_minimal_prime_heights,
     random_graded_module,
     random_minimal_graded_complex,
     random_monomial_ideal,

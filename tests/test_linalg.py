@@ -29,6 +29,7 @@ from util import (
     reference_multiplication_matrix,
     reference_solve,
     run_under_memory_limit,
+    transform_rows,
 )
 
 # (p, m) of Z/4 and Z/9
@@ -53,7 +54,7 @@ class TestHowell:
     def test_witness_transform(self):
         a = np.array([[3, 1, 4], [6, 2, 0], [0, 3, 3]], dtype=np.int64)
         core = HowellCore(a, *Z9)
-        assert ((core.transform_rows() @ a) % 9).tolist() == core.howell_rows().tolist()
+        assert ((transform_rows(core) @ a) % 9).tolist() == core.howell_rows().tolist()
 
     @given(
         st.lists(
@@ -553,7 +554,7 @@ class TestOverflowGuard:
             )
             core = HowellCore(a, p, m)
             h = core.howell_rows().astype(object)
-            assert ((exact_product(core.transform_rows(), a) - h) % N == 0).all()
+            assert ((exact_product(transform_rows(core), a) - h) % N == 0).all()
             assert_smith_witness(a, p, m)
 
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -6,35 +8,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchtower.cli import main
-from patchtower.complexes import cohomology, minimize
+from patchtower.complexes import cohomology, make_complex, minimize, tensor_along
 from patchtower.errors import (
     ActionMismatch,
     AugmentationNotKilled,
     BaseMismatch,
+    ExpansionTooLarge,
     HeightAmplitudeViolated,
     InsufficientTower,
     NoCompatibleChain,
     TauNotConstant,
     TauOutOfRange,
 )
-from patchtower.linalg import Matrix, smith_quotient
+from patchtower.linalg import Matrix
+from patchtower import patcher
 from patchtower.patcher import (
     PatchLimit,
     RInfinityModel,
-    _transform_complex,
+    _rebase_onto,
     certify,
     patch,
     validate_hypotheses,
 )
 from patchtower.rings import RingTowerElement, make_patch_ring
+from patchtower.serialize import canonical_dumps, tower_to_obj
 from patchtower.scenarios import (
     EXPECTED_ERRORS,
     PERTURBATIONS,
     ScenarioParams,
-    _level_data,
     gen_scenario,
 )
-from util import TruncatedQuotient
+from util import (
+    SMALL_PATCH_SPECS,
+    TruncatedQuotient,
+    random_patch_complex,
+    reference_rebase_onto,
+    refresh_level,
+    run_cli_under_memory_limit,
+    shear_matrix,
+    sheared_tower,
+    transform_complex,
+)
 
 FAST = ScenarioParams(p=3, q=1, r=1, precisions=(1, 2, 2), seed=5)
 
@@ -45,6 +59,22 @@ class TestRInfinityModel:
         x = model.variable(0)
         assert model.mul(model.mul(x, x), x) == {}
         assert model.power(model.add(model.one(), x), 2) == {(0,): 1, (1,): 2, (2,): 1}
+
+    @pytest.mark.parametrize("g, degree", [(0, 3), (1, 4), (2, 3), (3, 2)])
+    def test_basis_lists_every_exponent_vector_within_the_degree(self, g, degree):
+        model = RInfinityModel(p=3, m=1, g=g, degree=degree)
+        every = itertools.product(range(degree + 1), repeat=g)
+        assert model.basis() == sorted(e for e in every if sum(e) <= degree)
+
+    def test_oversized_quotient_is_refused_before_the_basis(self):
+        model = RInfinityModel(p=3, m=1, g=2, degree=2**40)
+        with pytest.raises(ExpansionTooLarge):
+            model.quotient([model.variable(0)])
+        # an empty ideal still needs the basis and its coordinate vectors
+        with pytest.raises(ExpansionTooLarge):
+            model.quotient([])
+        small = RInfinityModel(p=3, m=1, g=2, degree=20)
+        assert small.quotient([small.variable(0), small.variable(1)]).cardinality() == 3
 
     def test_evaluate_at_matrices(self):
         model = RInfinityModel(p=3, m=2, g=1, degree=2)
@@ -206,18 +236,6 @@ class TestPerturbations:
         assert set(EXPECTED_ERRORS) == set(PERTURBATIONS)
 
 
-def _refresh_level(tower, idx, params, new_complex):
-    """Recompute the machinery-derived data of one level for a new complex."""
-    params = params.resolved()
-    lev = tower.levels[idx]
-    lev.complex = new_complex
-    x_actions, top_pres = _level_data(params, new_complex)
-    lev.x_actions = x_actions
-    quot = top_pres.quotient_by_columns(top_pres.actions)
-    qs = smith_quotient(quot.relations, quot.gens, tower.p, lev.precision)
-    lev.base_iso = qs.projection % (tower.p**lev.precision)
-
-
 class TestBasisChangeFallback:
     # seed 0 generates both levels without contractible padding, so the
     # middle term has rank exactly 2 and hand-built transforms fit
@@ -237,8 +255,8 @@ class TestBasisChangeFallback:
         lev = tower.levels[1]
         mid = tower.d - 1
         pair = self._swap(lev.complex.spec, lev.complex.rank(mid), 0, 1)
-        permuted = _transform_complex(lev.complex, {mid: pair})
-        _refresh_level(tower, 1, self.PARAMS, permuted)
+        permuted = transform_complex(lev.complex, {mid: pair})
+        refresh_level(tower, 1, self.PARAMS, permuted)
         assert validate_hypotheses(tower).ok
         limit = patch(tower, 2)
         assert limit.used_basis_change
@@ -254,11 +272,108 @@ class TestBasisChangeFallback:
         zero = RingTowerElement.zero(spec)
         shear = Matrix(spec, [[one, one], [zero, one]])
         unshear = Matrix(spec, [[one, -one], [zero, one]])
-        permuted = _transform_complex(lev.complex, {mid: (shear, unshear)})
-        _refresh_level(tower, 1, self.PARAMS, permuted)
+        permuted = transform_complex(lev.complex, {mid: (shear, unshear)})
+        refresh_level(tower, 1, self.PARAMS, permuted)
         assert validate_hypotheses(tower).ok
         with pytest.raises(NoCompatibleChain):
             patch(tower, 2)
+
+
+def _signed_change(rng: random.Random, spec, size: int) -> tuple[Matrix, Matrix]:
+    """A random signed permutation matrix and its inverse."""
+    perm = rng.sample(range(size), size)
+    signs = [rng.choice((1, -1)) for _ in range(size)]
+    zero = RingTowerElement.zero(spec)
+    ent = [[zero] * size for _ in range(size)]
+    inv = [[zero] * size for _ in range(size)]
+    for i, (j, s) in enumerate(zip(perm, signs)):
+        ent[i][j] = inv[j][i] = RingTowerElement.constant(spec, s)
+    return Matrix(spec, ent), Matrix(spec, inv)
+
+
+def _rebase_cases():
+    """(name, base, candidate): random complexes of two or more terms
+    over Z/p^2 with level 1, and bases over Z/p that are the base change
+    of the candidate moved by random signed permutations, sheared in one
+    degree, or of the candidate with one more term.  Sheared candidates
+    have ranks of at most 2, so their failing searches stay short."""
+    rng = random.Random(1818)
+
+    def draw(spec, max_rank):
+        while True:
+            cand = random_patch_complex(rng, spec, max_rank=max_rank)
+            if len(cand.ranks) >= 2 and max(cand.ranks) >= 2:
+                return cand
+
+    cases = []
+    for p in (2, 3):
+        high, low = make_patch_ring(p, 2, 1, 1), make_patch_ring(p, 1, 1, 1)
+        for _ in range(2):
+            cand = draw(high, 3)
+            moved = {deg: _signed_change(rng, high, cand.rank(deg)) for deg in cand.degrees}
+            cases.append(("moved", tensor_along(transform_complex(cand, moved), low), cand))
+            longer = make_complex(high, cand.lo, cand.ranks + (0,), [*cand.diffs, Matrix.zero(high, 0, cand.ranks[-1])])
+            cases.append(("ranks", tensor_along(longer, low), cand))
+            cand = draw(high, 2)
+            deg = next(deg for deg in cand.degrees if cand.rank(deg) == 2)
+            a = rng.randrange(1, p * p)
+            sheared = transform_complex(cand, {deg: (shear_matrix(high, 2, a), shear_matrix(high, 2, -a))})
+            cases.append(("sheared", tensor_along(sheared, low), cand))
+    return cases
+
+
+class TestRebaseOnto:
+    @pytest.mark.parametrize("case", _rebase_cases(), ids=lambda c: c[0])
+    def test_agrees_with_the_matrix_search_at_every_budget(self, monkeypatch, case):
+        # the same complex, or None, at every budget pins the attempt at
+        # which each search succeeds, so the order and the count agree
+        _, base, cand = case
+        for budget in range(1, 201):
+            monkeypatch.setattr(patcher, "BASIS_CHANGE_BUDGET", budget)
+            assert _rebase_onto(base, cand) == reference_rebase_onto(base, cand), budget
+
+
+class TestShearedTowers:
+    def test_search_does_no_ring_products_per_attempt(self, monkeypatch):
+        assert patcher.BASIS_CHANGE_BUDGET == 20000
+        calls = []
+        mul = RingTowerElement.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(RingTowerElement, "__mul__", counted)
+        counts = []
+        for budget in (1000, 20000):
+            monkeypatch.setattr(patcher, "BASIS_CHANGE_BUDGET", budget)
+            tower = sheared_tower((1, 2))
+            calls.clear()
+            with pytest.raises(NoCompatibleChain):
+                patch(tower, 2)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_three_levels_rebase_the_last_two(self):
+        limit = patch(sheared_tower((1, 2, 2)), 2)
+        assert (limit.chain, limit.used_basis_change) == ([2, 3], True)
+
+    @pytest.mark.parametrize(
+        "precisions, argv, code",
+        [((1, 2), [], 3), ((1, 2, 2), [], 0), ((1, 2, 3, 3), ["--precision", "3"], 3)],
+        ids=["2-levels", "3-levels", "4-levels"],
+    )
+    def test_patch_finishes_in_a_child(self, tmp_path, precisions, argv, code):
+        # each took 4-25 s through two ring-matrix products per attempt
+        path = tmp_path / "tower.json"
+        path.write_text(canonical_dumps(tower_to_obj(sheared_tower(precisions))))
+        done = run_cli_under_memory_limit(["patch", str(path), "--format", "json", *argv], timeout=30)
+        assert done.returncode == code, done.stderr
+        obj = json.loads(done.stdout)
+        if code:
+            assert obj["error"] == "NoCompatibleChain"
+        else:
+            assert (obj["chain"], obj["used_basis_change"], obj["valid"]) == ([2, 3], True, True)
 
 
 class TestAdversarialCertify:

@@ -7,8 +7,10 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+from patchtower import patcher
 from patchtower.complexes import FiniteModuleData, FreeComplex, _nakayama_choice, _variable_actions, _zero_module, make_complex
 from patchtower.graded import GradedModule, _constant_at
 from patchtower.groebner import ModuleOrder, Vec, _divides, lead, syzygy_generators, vec_scale, vec_sub_shifted
@@ -24,7 +26,8 @@ from patchtower.linalg import (
     smith_quotient,
     smith_transforms,
 )
-from patchtower.rings import RingSpec, RingTowerElement, make_patch_ring
+from patchtower.rings import RingSpec, RingTowerElement, base_change, make_patch_ring
+from patchtower.scenarios import ScenarioParams, _level_data, gen_scenario
 
 import numpy as np
 
@@ -43,6 +46,11 @@ def int_matrix(spec: RingSpec, rows) -> Matrix:
 def euler_characteristic(c: FreeComplex) -> int:
     """The alternating sum of the ranks."""
     return sum((-1) ** d * c.rank(d) for d in c.degrees)
+
+
+def transform_rows(core: HowellCore) -> np.ndarray:
+    """The transform rows T of ``core``: T A is its Howell form."""
+    return core.work[: len(core.pivots), core.active :].copy()
 
 
 def howell_reduce(core: HowellCore, vec: np.ndarray) -> np.ndarray:
@@ -74,6 +82,27 @@ def _exponents_of_degree(q: int, degree: int):
 
     rec((), degree, q)
     return out
+
+
+def monomial_minimal_prime_heights(ring: RingSpec, monomials) -> set[int]:
+    """Brute-force oracle: minimal variable covers of a monomial ideal."""
+    supports = []
+    for x in monomials:
+        (exps,) = x.coeffs.keys()
+        supports.append(frozenset(i for i, e in enumerate(exps) if e))
+    if not supports:
+        return set()
+    if frozenset() in supports:
+        return set()
+    q = ring.q
+    covers = []
+    for size in range(q + 1):
+        for subset in itertools.combinations(range(q), size):
+            sset = frozenset(subset)
+            if all(sup & sset for sup in supports):
+                covers.append(sset)
+    minimal = [c for c in covers if not any(o < c for o in covers)]
+    return {len(c) for c in minimal}
 
 
 def random_graded_module(rng: random.Random, spec: RingSpec, max_size: int = 3, max_degree: int = 2) -> GradedModule:
@@ -674,3 +703,117 @@ class TruncatedQuotient:
         total = self.model.m * len(self.basis)
         spanned = sum(self.model.m - v for _, _, v in self.core.pivots) if self.core is not None else 0
         return self.model.p ** (total - spanned)
+
+
+def transform_complex(c: FreeComplex, changes: dict[int, tuple[Matrix, Matrix]]) -> FreeComplex:
+    """``c`` in a new basis: ``changes[deg]`` is a pair (P, P^-1) of
+    ring matrices, and each differential d leaving ``deg`` becomes
+    P' d P^-1, with P' the change at ``deg + 1``."""
+    diffs = []
+    for idx, d in enumerate(c.diffs):
+        deg = c.lo + idx
+        p_next = changes.get(deg + 1)
+        p_cur = changes.get(deg)
+        out = d
+        if p_next is not None:
+            out = p_next[0] @ out
+        if p_cur is not None:
+            out = out @ p_cur[1]
+        diffs.append(out)
+    return FreeComplex(c.spec, c.lo, c.ranks, diffs, _checked=True)
+
+
+def shear_matrix(spec: RingSpec, size: int, a: int) -> Matrix:
+    """The identity with ``a`` added at entry (0, 1); its inverse is
+    ``shear_matrix(spec, size, -a)``."""
+    return Matrix(spec, [
+        [RingTowerElement.constant(spec, a if (i, j) == (0, 1) else int(i == j)) for j in range(size)]
+        for i in range(size)
+    ])
+
+
+def _signed_permutation_matrices(spec: RingSpec, size: int):
+    one = RingTowerElement.one(spec)
+    zero = RingTowerElement.zero(spec)
+    minus = -one
+    for perm in itertools.permutations(range(size)):
+        for signs in itertools.product((one, minus), repeat=size):
+            ent = [[zero] * size for _ in range(size)]
+            inv = [[zero] * size for _ in range(size)]
+            for i, (j, s) in enumerate(zip(perm, signs)):
+                ent[i][j] = s
+                inv[j][i] = s if s == one else minus
+            yield Matrix(spec, ent), Matrix(spec, inv)
+
+
+def reference_rebase_onto(base_k: FreeComplex, cand: FreeComplex) -> FreeComplex | None:
+    """The matrix search: each signed permutation is a pair of ring
+    matrices, and each attempt past the first degree two ring-matrix
+    products and a base change, with at most
+    ``patcher.BASIS_CHANGE_BUDGET`` attempts (read at call time).
+    ``patcher._rebase_onto`` must return the same complex, or None."""
+    if cand.ranks != base_k.ranks or cand.lo != base_k.lo:
+        return None
+    target = base_k.spec
+    degrees = list(cand.degrees)
+    changes: dict[int, tuple[Matrix, Matrix]] = {}
+    attempts = 0
+
+    def rec(idx: int) -> bool:
+        nonlocal attempts
+        if idx == len(degrees):
+            return True
+        deg = degrees[idx]
+        size = cand.rank(deg)
+        for pair in _signed_permutation_matrices(cand.spec, size):
+            attempts += 1
+            if attempts > patcher.BASIS_CHANGE_BUDGET:
+                return False
+            changes[deg] = pair
+            ok = True
+            if idx > 0:
+                prev = degrees[idx - 1]
+                got = pair[0] @ cand.differential(prev) @ changes[prev][1]
+                ok = got.map_entries(lambda x: base_change(x, target), target) == base_k.differential(prev)
+            if ok and rec(idx + 1):
+                return True
+        changes.pop(deg, None)
+        return False
+
+    if not rec(0):
+        return None
+    return transform_complex(cand, dict(changes))
+
+
+def refresh_level(tower, idx: int, params: ScenarioParams, new_complex: FreeComplex) -> None:
+    """Put ``new_complex`` in level ``idx`` of a generated tower and
+    recompute the data derived from it: the actions and the witness."""
+    params = params.resolved()
+    lev = tower.levels[idx]
+    lev.complex = new_complex
+    lev.x_actions, top = _level_data(params, new_complex)
+    quot = top.quotient_by_columns(top.actions)
+    lev.base_iso = smith_quotient(quot.relations, quot.gens, tower.p, lev.precision).projection % (tower.p**lev.precision)
+
+
+# rank 4 leaves 4!·2^4 = 384 signed permutations per degree, so a search
+# over two degrees passes the basis-change budget
+SHEARED = ScenarioParams(p=3, q=1, r=1, rank=4, seed=0)
+
+
+def sheared_tower(precisions):
+    """The ``SHEARED`` tower at ``precisions`` with the middle term of
+    level n + 1 sheared by n: its basis vector 1 gains n times vector 0.
+    Two levels align by a signed permutation exactly when their shears
+    agree up to sign modulo 3, so ``patch`` must search basis changes:
+    with two levels it finds no chain, with three it rebases chain
+    [2, 3]."""
+    params = replace(SHEARED, precisions=tuple(precisions))
+    tower, _, _ = gen_scenario(params)
+    mid = tower.d - 1
+    for idx in range(1, len(tower.levels)):
+        cx = tower.levels[idx].complex
+        size = cx.rank(mid)
+        change = (shear_matrix(cx.spec, size, idx), shear_matrix(cx.spec, size, -idx))
+        refresh_level(tower, idx, params, transform_complex(cx, {mid: change}))
+    return tower
