@@ -39,7 +39,6 @@ from patchtower.scenarios import (
     gen_scenario,
 )
 from util import (
-    SMALL_PATCH_SPECS,
     TruncatedQuotient,
     random_patch_complex,
     reference_rebase_onto,
