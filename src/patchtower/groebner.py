@@ -12,7 +12,8 @@ it to the remainder.  Pairs wait in a heap keyed by the order key of
 their lcm, ties broken by insertion.  Interreduction keeps the minimal
 leads in one basis and reduces every tail against it: no term below a
 lead is a multiple of that lead, so this is reduction against the
-other elements.
+other elements.  An order memoizes its monomial key per exponent, so
+``lead``, the sorts and the pair heap compute each key once.
 
 Syzygies come from the block-order elimination trick: embed each
 generator g_i as g_i + e_i in a larger free module whose first block
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations, count
+from operator import add, le, neg, sub
 
 Term = tuple[int, tuple[int, ...]]
 Vec = dict[Term, int]
 
 
 def grevlex_key(e: tuple[int, ...]):
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), tuple(map(neg, reversed(e))))
 
 
 def lex_key(e: tuple[int, ...]):
@@ -41,18 +43,28 @@ MONOMIAL_ORDERS = {"grevlex": grevlex_key, "lex": lex_key}
 
 
 class ModuleOrder:
-    """Term order on a free module; ``cut`` makes positions < cut dominant."""
+    """Term order on a free module; ``cut`` makes positions < cut dominant.
+    Each order memoizes its own monomial key per exponent tuple."""
 
-    __slots__ = ("mkey", "cut")
+    __slots__ = ("mkey", "cut", "_mkeys")
 
     def __init__(self, mkey=grevlex_key, cut: int | None = None):
         self.mkey = mkey
         self.cut = cut
+        self._mkeys: dict[tuple[int, ...], object] = {}
+
+    def exp_key(self, e: tuple[int, ...]):
+        if e not in self._mkeys:
+            self._mkeys[e] = self.mkey(e)
+        return self._mkeys[e]
 
     def key(self, term: Term):
         pos, e = term
-        block = 1 if (self.cut is not None and pos < self.cut) else 0
-        return (block, self.mkey(e), -pos)
+        try:
+            k = self._mkeys[e]
+        except KeyError:
+            k = self._mkeys[e] = self.mkey(e)
+        return (1 if (self.cut is not None and pos < self.cut) else 0, k, -pos)
 
 
 def lead(vec: Vec, order: ModuleOrder) -> Term:
@@ -69,7 +81,7 @@ def vec_scale(vec: Vec, c: int, p: int) -> Vec:
 def vec_sub_shifted(target: Vec, src: Vec, c: int, shift: tuple[int, ...], p: int) -> None:
     """target -= c * x^shift * src, in place."""
     for (pos, e), v in src.items():
-        t = (pos, tuple(a + b for a, b in zip(e, shift)))
+        t = (pos, tuple(map(add, e, shift)))
         acc = (target.get(t, 0) - c * v) % p
         if acc:
             target[t] = acc
@@ -78,7 +90,7 @@ def vec_sub_shifted(target: Vec, src: Vec, c: int, shift: tuple[int, ...], p: in
 
 
 def _divides(a: Term, b: Term) -> bool:
-    return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+    return a[0] == b[0] and all(map(le, a[1], b[1]))
 
 
 class _Basis:
@@ -107,8 +119,7 @@ def normal_form(vec: Vec, basis: _Basis) -> Vec:
         lt = lead(work, basis.order)
         for blt, bvec in basis.by_pos.get(lt[0], ()):
             if _divides(blt, lt):
-                shift = tuple(x - y for x, y in zip(lt[1], blt[1]))
-                vec_sub_shifted(work, bvec, work[lt], shift, basis.p)
+                vec_sub_shifted(work, bvec, work[lt], tuple(map(sub, lt[1], blt[1])), basis.p)
                 break
         else:
             rem[lt] = work.pop(lt)
@@ -139,10 +150,10 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
             blt, _ = basis.items[idx]
             if blt[0] != nlt[0]:
                 continue
-            lcm = tuple(max(x, y) for x, y in zip(blt[1], nlt[1]))
-            if is_ideal and all(x + y == z for x, y, z in zip(blt[1], nlt[1], lcm)):
+            lcm = tuple(map(max, blt[1], nlt[1]))
+            if is_ideal and tuple(map(add, blt[1], nlt[1])) == lcm:
                 continue  # coprime leads, S-vector reduces to zero
-            heapq.heappush(pairs, (order.mkey(lcm), next(counter), idx, new_idx, lcm))
+            heapq.heappush(pairs, (order.exp_key(lcm), next(counter), idx, new_idx, lcm))
 
     for i in range(len(basis.items)):
         push_pairs(i)
@@ -151,8 +162,8 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
         _, _, i, j, lcm = heapq.heappop(pairs)
         (lti, vi), (ltj, vj) = basis.items[i], basis.items[j]
         s: Vec = {}
-        vec_sub_shifted(s, vi, p - 1, tuple(a - b for a, b in zip(lcm, lti[1])), p)
-        vec_sub_shifted(s, vj, 1, tuple(a - b for a, b in zip(lcm, ltj[1])), p)
+        vec_sub_shifted(s, vi, p - 1, tuple(map(sub, lcm, lti[1])), p)
+        vec_sub_shifted(s, vj, 1, tuple(map(sub, lcm, ltj[1])), p)
         s = normal_form(s, basis)
         if s:
             basis.add(s)

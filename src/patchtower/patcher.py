@@ -190,14 +190,12 @@ class RInfinityModel:
         """Value of the polynomial on commuting matrices, mod ``modulus``."""
         out = np.zeros((size, size), dtype=np.int64)
         eye = np.eye(size, dtype=np.int64)
-        powers: list[dict[int, np.ndarray]] = [dict() for _ in range(self.g)]
+        powers: list[list[np.ndarray]] = [[eye] for _ in range(self.g)]
 
         def mat_pow(j: int, k: int) -> np.ndarray:
-            if k == 0:
-                return eye
             cache = powers[j]
-            if k not in cache:
-                cache[k] = matmul_mod(mat_pow(j, k - 1), mats[j], modulus)
+            while len(cache) <= k:
+                cache.append(matmul_mod(cache[-1], mats[j], modulus))
             return cache[k]
 
         for e, c in a.items():

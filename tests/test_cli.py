@@ -724,6 +724,23 @@ def test_oversized_power_series_model_is_refused_with_exit_2(tmp_path):
     assert "Traceback" not in done.stdout + done.stderr
 
 
+def test_high_structure_map_exponent_gives_a_verdict(tmp_path):
+    # an image exponent of 1500, admitted under rinf_degree 2000, raised
+    # RecursionError in evaluate_at_matrices and patch exited 1 with a traceback
+    argv = ["gen", "--q", "1", "--r", "0", "--precisions", "1", "2", "--seed", "0"]
+    assert main([*argv, "--out-dir", str(tmp_path), "--format", "json"]) == 0
+    obj = json.loads((tmp_path / "tower.json").read_text())
+    obj["params"]["rinf_degree"] = 2000
+    for level in obj["levels"]:
+        level["i_images"] = [[[[1], 1], [[1500], 3]]]
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps(obj))
+    done = run_cli_under_memory_limit(["patch", str(path), "--format", "json"], timeout=60)
+    assert "Traceback" not in done.stdout + done.stderr
+    got = json.loads(done.stdout)
+    assert (done.returncode, got["valid"], got["i_images"]) == (0, True, [[[[1], 1], [[1500], 3]]])
+
+
 def _graded_module_over(p: int) -> dict:
     # F_p[T1,T2]/(T1, T1^2 - T2): a complete intersection of projdim 2
     return {

@@ -1,6 +1,9 @@
 import random
 from unittest import mock
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from patchtower import groebner as gb
 
 import util
@@ -183,3 +186,80 @@ class TestAgainstReferenceEngine:
             with mock.patch.object(gb, "buchberger", util.reference_buchberger):
                 want = with_steps(lambda: gb.syzygy_generators(vecs, t, p, q))
             assert with_steps(lambda: gb.syzygy_generators(vecs, t, p, q)) == want
+
+
+# (engine monomial key, its parent copy); the parent's lex key was tuple(e)
+MKEYS = [(gb.grevlex_key, util.reference_grevlex_key), (gb.lex_key, tuple)]
+
+
+@st.composite
+def order_pairs(draw, t: int):
+    """A fresh engine order and its parent copy: grevlex or lex, with or without a cut."""
+    mkey, ref_mkey = draw(st.sampled_from(MKEYS))
+    cut = draw(st.none() | st.integers(1, t))
+    return gb.ModuleOrder(mkey, cut), util.ReferenceModuleOrder(ref_mkey, cut)
+
+
+@st.composite
+def term_data(draw):
+    """Rank t, q variables, and exponent tuples with repeats."""
+    q, t = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 4)] * q), min_size=1, max_size=8))
+    return q, t, exps + draw(st.lists(st.sampled_from(exps), max_size=4))
+
+
+def vectors(draw, q: int, t: int, p: int):
+    terms = st.tuples(st.integers(0, t - 1), st.tuples(*[st.integers(0, 4)] * q))
+    return draw(st.dictionaries(terms, st.integers(1, p - 1), max_size=8))
+
+
+class TestTermArithmeticAgainstTheParent:
+    """Order keys, leads and exponent arithmetic equal verbatim copies of
+    the engine before its key memo and ``map`` arithmetic, which
+    ``reference_buchberger`` does not provide: it shares these helpers."""
+
+    @given(term_data(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_keys_at_every_position(self, terms, data):
+        q, t, exps = terms
+        order, ref = data.draw(order_pairs(t))
+        for e in exps:
+            assert gb.grevlex_key(e) == util.reference_grevlex_key(e)
+            assert order.exp_key(e) == ref.mkey(e)
+            # one exponent tuple queried at several positions, cold and warm
+            for pos in range(t):
+                assert order.key((pos, e)) == ref.key((pos, e))
+
+    @given(term_data(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_two_orders_queried_in_turn(self, terms, data):
+        q, t, exps = terms
+        first, first_ref = data.draw(order_pairs(t))
+        second, second_ref = data.draw(order_pairs(t))
+        for e in exps:
+            pos = data.draw(st.integers(0, t - 1))
+            assert first.key((pos, e)) == first_ref.key((pos, e))
+            assert second.key((pos, e)) == second_ref.key((pos, e))
+            assert first.exp_key(e) == first_ref.mkey(e)
+            assert second.exp_key(e) == second_ref.mkey(e)
+
+    @given(term_data(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_leads_divisibility_and_shifted_subtraction(self, terms, data):
+        q, t, _ = terms
+        p = data.draw(st.sampled_from((2, 3, 5, 7)))
+        order, ref = data.draw(order_pairs(t))
+        for _ in range(3):
+            vec = vectors(data.draw, q, t, p)
+            if vec:
+                assert gb.lead(vec, order) == util.reference_lead(vec, ref)
+        a, b = vectors(data.draw, q, t, p), vectors(data.draw, q, t, p)
+        for x in a:
+            for y in b:
+                assert gb._divides(x, y) == util.reference_divides(x, y)
+        shift = data.draw(st.tuples(*[st.integers(0, 3)] * q))
+        c = data.draw(st.integers(-2 * p, 2 * p))
+        got, want = dict(a), dict(a)
+        gb.vec_sub_shifted(got, b, c, shift, p)
+        util.reference_vec_sub_shifted(want, b, c, shift, p)
+        assert list(got.items()) == list(want.items())

@@ -41,6 +41,7 @@ from patchtower.scenarios import (
 from util import (
     TruncatedQuotient,
     random_patch_complex,
+    reference_evaluate_at_matrices,
     reference_rebase_onto,
     refresh_level,
     run_cli_under_memory_limit,
@@ -80,6 +81,25 @@ class TestRInfinityModel:
         mats = [np.array([[0, 0], [1, 0]], dtype=np.int64)]
         val = model.evaluate_at_matrices({(1,): 2, (0,): 1}, mats, 2, 9)
         assert val.tolist() == [[1, 0], [2, 1]]
+
+    def test_evaluate_at_a_high_exponent(self):
+        # the recursive power cache went one frame per power and raised
+        # RecursionError near exponent 1,000; [[1, 1], [0, 1]]^k = [[1, k], [0, 1]]
+        model = RInfinityModel(p=3, m=2, g=1, degree=2000)
+        mats = [np.array([[1, 1], [0, 1]], dtype=np.int64)]
+        val = model.evaluate_at_matrices({(1500,): 2, (1,): 1}, mats, 2, 9)
+        assert val.tolist() == [[3, (2 * 1500 + 1) % 9], [0, 3]]
+
+    def test_evaluate_at_matrices_matches_the_recursive_cache(self):
+        rng = random.Random(1901)
+        for _ in range(60):
+            g, size, modulus = rng.randint(1, 3), rng.randint(1, 3), rng.choice((3, 9, 25))
+            model = RInfinityModel(p=3, m=2, g=g, degree=12)
+            mats = [np.array([[rng.randrange(-modulus, modulus) for _ in range(size)] for _ in range(size)]) for _ in range(g)]
+            a = {tuple(rng.randint(0, 6) for _ in range(g)): rng.randrange(1, 50) for _ in range(rng.randint(0, 4))}
+            want = reference_evaluate_at_matrices(model, a, mats, size, modulus)
+            got = model.evaluate_at_matrices(a, mats, size, modulus)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_quotient_cardinalities(self):
         model = RInfinityModel(p=3, m=2, g=1, degree=2)

@@ -201,6 +201,46 @@ def reference_prune_presentation(gens: int, cols: list[Vec], p: int, q: int) -> 
         alive.remove(pos)
 
 
+def reference_grevlex_key(e: tuple[int, ...]):
+    """``groebner.grevlex_key`` before its ``map`` arithmetic, verbatim."""
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+class ReferenceModuleOrder:
+    """``groebner.ModuleOrder`` before its per-exponent key memo, verbatim:
+    every ``key`` call computes ``mkey`` afresh."""
+
+    __slots__ = ("mkey", "cut")
+
+    def __init__(self, mkey=reference_grevlex_key, cut: int | None = None):
+        self.mkey = mkey
+        self.cut = cut
+
+    def key(self, term):
+        pos, e = term
+        block = 1 if (self.cut is not None and pos < self.cut) else 0
+        return (block, self.mkey(e), -pos)
+
+
+def reference_lead(vec: Vec, order) -> tuple:
+    return max(vec, key=order.key)
+
+
+def reference_vec_sub_shifted(target: Vec, src: Vec, c: int, shift: tuple[int, ...], p: int) -> None:
+    """``groebner.vec_sub_shifted`` with generator-expression exponents, verbatim."""
+    for (pos, e), v in src.items():
+        t = (pos, tuple(a + b for a, b in zip(e, shift)))
+        acc = (target.get(t, 0) - c * v) % p
+        if acc:
+            target[t] = acc
+        else:
+            target.pop(t, None)
+
+
+def reference_divides(a, b) -> bool:
+    return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+
+
 class _ReferenceBasis:
     """Monic basis elements bucketed by lead position (reference engine)."""
 
@@ -531,6 +571,32 @@ def reference_multiplication_matrix(x: RingTowerElement) -> np.ndarray:
         prod = x * RingTowerElement(spec, {e: 1})
         for exps, c in prod.coeffs.items():
             out[index[exps], col] = c
+    return out
+
+
+def reference_evaluate_at_matrices(model: patcher.RInfinityModel, a, mats: list[np.ndarray], size: int, modulus: int) -> np.ndarray:
+    """``RInfinityModel.evaluate_at_matrices`` with its recursive power
+    cache, verbatim: x_j^k is x_j^(k-1) x_j, one recursion level per
+    power, so it fails past the interpreter's recursion limit.  The
+    method must give the same matrix wherever this one returns."""
+    out = np.zeros((size, size), dtype=np.int64)
+    eye = np.eye(size, dtype=np.int64)
+    powers: list[dict[int, np.ndarray]] = [dict() for _ in range(model.g)]
+
+    def mat_pow(j: int, k: int) -> np.ndarray:
+        if k == 0:
+            return eye
+        cache = powers[j]
+        if k not in cache:
+            cache[k] = matmul_mod(mat_pow(j, k - 1), mats[j], modulus)
+        return cache[k]
+
+    for e, c in a.items():
+        term = (c % modulus) * eye
+        for j, k in enumerate(e):
+            if k:
+                term = matmul_mod(term, mat_pow(j, k), modulus)
+        out = (out + term) % modulus
     return out
 
 
