@@ -188,13 +188,13 @@ class TestAgainstReferenceEngine:
             assert with_steps(lambda: gb.syzygy_generators(vecs, t, p, q)) == want
 
 
-# (engine monomial key, its parent copy); the parent's lex key was tuple(e)
+# (engine monomial key, its reference copy); the lex key was always tuple(e)
 MKEYS = [(gb.grevlex_key, util.reference_grevlex_key), (gb.lex_key, tuple)]
 
 
 @st.composite
 def order_pairs(draw, t: int):
-    """A fresh engine order and its parent copy: grevlex or lex, with or without a cut."""
+    """A fresh engine order and its reference copy: grevlex or lex, with or without a cut."""
     mkey, ref_mkey = draw(st.sampled_from(MKEYS))
     cut = draw(st.none() | st.integers(1, t))
     return gb.ModuleOrder(mkey, cut), util.ReferenceModuleOrder(ref_mkey, cut)
@@ -213,7 +213,7 @@ def vectors(draw, q: int, t: int, p: int):
     return draw(st.dictionaries(terms, st.integers(1, p - 1), max_size=8))
 
 
-class TestTermArithmeticAgainstTheParent:
+class TestTermArithmeticAgainstVerbatimCopies:
     """Order keys, leads and exponent arithmetic equal verbatim copies of
     the engine before its key memo and ``map`` arithmetic, which
     ``reference_buchberger`` does not provide: it shares these helpers."""
