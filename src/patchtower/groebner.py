@@ -42,29 +42,32 @@ def lex_key(e: tuple[int, ...]):
 MONOMIAL_ORDERS = {"grevlex": grevlex_key, "lex": lex_key}
 
 
+class _KeyMemo(dict):
+    """Exponent tuple -> monomial key, computed on first lookup."""
+
+    __slots__ = ("mkey",)
+
+    def __init__(self, mkey):
+        self.mkey = mkey
+
+    def __missing__(self, e):
+        return self.setdefault(e, self.mkey(e))
+
+
 class ModuleOrder:
     """Term order on a free module; ``cut`` makes positions < cut dominant.
     Each order memoizes its own monomial key per exponent tuple."""
 
-    __slots__ = ("mkey", "cut", "_mkeys")
+    __slots__ = ("mkey", "cut", "exp_keys")
 
     def __init__(self, mkey=grevlex_key, cut: int | None = None):
         self.mkey = mkey
         self.cut = cut
-        self._mkeys: dict[tuple[int, ...], object] = {}
-
-    def exp_key(self, e: tuple[int, ...]):
-        if e not in self._mkeys:
-            self._mkeys[e] = self.mkey(e)
-        return self._mkeys[e]
+        self.exp_keys = _KeyMemo(mkey)
 
     def key(self, term: Term):
         pos, e = term
-        try:
-            k = self._mkeys[e]
-        except KeyError:
-            k = self._mkeys[e] = self.mkey(e)
-        return (1 if (self.cut is not None and pos < self.cut) else 0, k, -pos)
+        return (1 if (self.cut is not None and pos < self.cut) else 0, self.exp_keys[e], -pos)
 
 
 def lead(vec: Vec, order: ModuleOrder) -> Term:
@@ -153,7 +156,7 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
             lcm = tuple(map(max, blt[1], nlt[1]))
             if is_ideal and tuple(map(add, blt[1], nlt[1])) == lcm:
                 continue  # coprime leads, S-vector reduces to zero
-            heapq.heappush(pairs, (order.exp_key(lcm), next(counter), idx, new_idx, lcm))
+            heapq.heappush(pairs, (order.exp_keys[lcm], next(counter), idx, new_idx, lcm))
 
     for i in range(len(basis.items)):
         push_pairs(i)

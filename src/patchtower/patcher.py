@@ -190,19 +190,17 @@ class RInfinityModel:
         """Value of the polynomial on commuting matrices, mod ``modulus``."""
         out = np.zeros((size, size), dtype=np.int64)
         eye = np.eye(size, dtype=np.int64)
-        powers: list[list[np.ndarray]] = [[eye] for _ in range(self.g)]
-
-        def mat_pow(j: int, k: int) -> np.ndarray:
-            cache = powers[j]
-            while len(cache) <= k:
-                cache.append(matmul_mod(cache[-1], mats[j], modulus))
-            return cache[k]
-
         for e, c in a.items():
             term = (c % modulus) * eye
             for j, k in enumerate(e):
-                if k:
-                    term = matmul_mod(term, mat_pow(j, k), modulus)
+                # square-and-multiply: about 2 log2(k) exact products
+                base = mats[j]
+                while k:
+                    if k & 1:
+                        term = matmul_mod(term, base, modulus)
+                    k >>= 1
+                    if k:
+                        base = matmul_mod(base, base, modulus)
             out = (out + term) % modulus
         return out
 

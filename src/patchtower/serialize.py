@@ -31,8 +31,8 @@ def json_int(x) -> int:
     return x
 
 
-# the largest rank, ring precision, level, variable count or graded
-# exponent a file may give: nothing finishes on a free module of rank
+# the largest rank, ring precision, level, variable count or graded or power-
+# series exponent a file may give: nothing finishes on a free module of rank
 # 2^70, in a ring whose exponent bound is 3^(2^70), or on T^(2^70) over F_p[T]
 MAX_LOADED_SIZE = 2**16
 
@@ -168,11 +168,14 @@ def rinf_to_obj(x: dict) -> list:
     return [[list(e), int(c)] for e, c in sorted(x.items())]
 
 
-def rinf_from_obj(obj) -> dict:
+def rinf_from_obj(obj, g: int) -> dict:
     try:
-        return {tuple(map(json_int, e)): json_int(c) for e, c in obj}
+        out = {tuple(map(json_size, e)): json_int(c) for e, c in obj}
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed power-series element: {exc}") from exc
+    if any(len(e) != g for e in out):
+        raise InvalidInput(f"power-series exponents must have length g={g}, got {sorted(out)[:3]}")
+    return out
 
 
 def int_matrix_to_obj(a: np.ndarray) -> list:
@@ -262,14 +265,14 @@ def tower_from_obj(obj) -> PatchingTower:
         if any(a.shape != (gens, gens) for a in module.actions):
             raise InvalidInput(f"base module action matrices must be {gens}x{gens}")
         base = TowerBase(
-            ideal=[rinf_from_obj(x) for x in base_obj["ring_ideal"]],
+            ideal=[rinf_from_obj(x, g) for x in base_obj["ring_ideal"]],
             module=module,
         )
         levels = []
         for raw in raw_levels:
             level, precision = json_int(raw["level"]), json_int(raw["precision"])
-            i_images = [rinf_from_obj(x) for x in raw["i_images"]]
-            phi_images = [rinf_from_obj(x) for x in raw["phi_images"]]
+            i_images = [rinf_from_obj(x, g) for x in raw["i_images"]]
+            phi_images = [rinf_from_obj(x, g) for x in raw["phi_images"]]
             if len(i_images) != q:
                 raise InvalidInput(f"level {level} needs {q} structure images")
             if len(phi_images) != g:

@@ -741,6 +741,58 @@ def test_high_structure_map_exponent_gives_a_verdict(tmp_path):
     assert (done.returncode, got["valid"], got["i_images"]) == (0, True, [[[[1], 1], [[1500], 3]]])
 
 
+@pytest.mark.parametrize("exponent", [10**9, 2**62, -1])
+def test_structure_map_exponent_outside_the_size_bound_is_refused(tmp_path, exponent):
+    # 10**9 made a billion matrix products in a power cache; -1 sent the
+    # recursive cache down without end and indexed the list cache from its end
+    argv = ["gen", "--q", "1", "--r", "0", "--precisions", "1", "2", "--seed", "0"]
+    assert main([*argv, "--out-dir", str(tmp_path), "--format", "json"]) == 0
+    obj = json.loads((tmp_path / "tower.json").read_text())
+    obj["params"]["rinf_degree"] = 2
+    obj["levels"][-1]["i_images"] = [[[[exponent], 1]]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    done = run_cli_under_memory_limit(["patch", str(path), "--format", "json"], timeout=30)
+    assert "Traceback" not in done.stdout + done.stderr
+    got = json.loads(done.stdout)
+    assert (done.returncode, got["error"]) == (2, "InvalidInput")
+    assert str(exponent) in got["detail"]
+
+
+@pytest.mark.parametrize("exponent", [[], [1, 0]])
+def test_structure_map_exponent_of_the_wrong_length_is_refused(capsys, tmp_path, exponent):
+    # [1, 0] for g = 1 raised IndexError in evaluate_at_matrices, and []
+    # was read as a constant
+    argv = ["gen", "--q", "1", "--r", "0", "--precisions", "1", "2", "--seed", "0"]
+    assert main([*argv, "--out-dir", str(tmp_path), "--format", "json"]) == 0
+    obj = json.loads((tmp_path / "tower.json").read_text())
+    obj["levels"][-1]["i_images"] = [[[exponent, 1]]]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code, out = run(capsys, ["patch", str(path), "--format", "json"])
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "InvalidInput",
+        "detail": f"power-series exponents must have length g=1, got [{tuple(exponent)}]",
+    }
+
+
+def test_structure_map_exponent_at_the_size_bound_gives_a_verdict(tmp_path):
+    argv = ["gen", "--q", "1", "--r", "0", "--precisions", "1", "2", "--seed", "0"]
+    assert main([*argv, "--out-dir", str(tmp_path), "--format", "json"]) == 0
+    obj = json.loads((tmp_path / "tower.json").read_text())
+    obj["params"]["rinf_degree"] = 2
+    for level in obj["levels"]:
+        level["i_images"] = [[[[1], 1], [[2**16], 3]]]
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps(obj))
+    done = run_cli_under_memory_limit(["patch", str(path), "--format", "json"], timeout=30)
+    assert "Traceback" not in done.stdout + done.stderr
+    got = json.loads(done.stdout)
+    assert (done.returncode, got["valid"]) == (0, True)
+
+
 def _graded_module_over(p: int) -> dict:
     # F_p[T1,T2]/(T1, T1^2 - T2): a complete intersection of projdim 2
     return {

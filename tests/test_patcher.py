@@ -20,7 +20,7 @@ from patchtower.errors import (
     TauNotConstant,
     TauOutOfRange,
 )
-from patchtower.linalg import Matrix
+from patchtower.linalg import Matrix, matmul_mod
 from patchtower import patcher
 from patchtower.patcher import (
     PatchLimit,
@@ -89,6 +89,22 @@ class TestRInfinityModel:
         mats = [np.array([[1, 1], [0, 1]], dtype=np.int64)]
         val = model.evaluate_at_matrices({(1500,): 2, (1,): 1}, mats, 2, 9)
         assert val.tolist() == [[3, (2 * 1500 + 1) % 9], [0, 3]]
+
+    def test_evaluate_at_a_huge_exponent_by_squaring(self, monkeypatch):
+        # a power cache made one product per power, so x^(2^62) never finished
+        products = []
+
+        def counted(a, b, N):
+            products.append(N)
+            return matmul_mod(a, b, N)
+
+        monkeypatch.setattr(patcher, "matmul_mod", counted)
+        model = RInfinityModel(p=3, m=2, g=2, degree=2)
+        mats = [np.array([[1, 1], [0, 1]], dtype=np.int64), np.array([[2, 0], [0, 1]], dtype=np.int64)]
+        k = 2**62 + 5
+        val = model.evaluate_at_matrices({(k, 10**9): 1}, mats, 2, 9)
+        assert val.tolist() == [[pow(2, 10**9, 9), k % 9], [0, 1]]
+        assert len(products) <= 2 * (k.bit_length() + (10**9).bit_length())
 
     def test_evaluate_at_matrices_matches_the_recursive_cache(self):
         rng = random.Random(1901)
