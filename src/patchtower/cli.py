@@ -191,9 +191,6 @@ def main(argv=None) -> int:
     except SearchFailure as exc:
         _emit(_error_obj(exc), f"{type(exc).__name__}: {exc}", args.format)
         return EXIT_SEARCH
-    except InvalidInput as exc:
-        _emit(_error_obj(exc), f"{type(exc).__name__}: {exc}", args.format)
-        return EXIT_INVALID
     except PatchTowerError as exc:
         _emit(_error_obj(exc), f"{type(exc).__name__}: {exc}", args.format)
         return EXIT_INVALID

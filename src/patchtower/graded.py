@@ -17,6 +17,7 @@ cross-checked by a brute-force monomial oracle in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import combinations
 from math import comb
 
@@ -67,6 +68,19 @@ def columns_to_matrix(spec: RingSpec, cols: list[Vec], rows: int) -> Matrix:
 
 def _constant_at(v: Vec, pos: int, q: int) -> int:
     return v.get((pos, (0,) * q), 0)
+
+
+def _per_module(fn):
+    """Keep ``fn(m, *args)`` in the module's own cache, once per arguments."""
+
+    @wraps(fn)
+    def cached(m, *args):
+        cache, key = m._cache, (fn.__name__, *args)
+        if key not in cache:
+            cache[key] = fn(m, *args)
+        return cache[key]
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +147,7 @@ def _min_gens_scalar(vectors: list[Vec], t: int, p: int, q: int) -> tuple[list[V
         del vectors[drop]
 
 
+@_per_module
 def presentation_data(m: GradedModule) -> tuple[int, list[Vec]]:
     """Pruned generator count and nonzero relation columns (cached).
 
@@ -140,20 +155,17 @@ def presentation_data(m: GradedModule) -> tuple[int, list[Vec]]:
     pivot: an exact change of presentation that removes one generator
     and one relation.
     """
-    if "pres" not in m._cache:
-        ranks = [m.gens, m.relations.cols]
-        # one row per relation, so pivots are sought relation by relation
-        rels = [list(zip(*m.relations.entries))]
-        _cancel_unit_pivots(ranks, rels)
-        cols = [{(i, e): c for i, x in enumerate(row) for e, c in x.coeffs.items()} for row in rels[0]]
-        m._cache["pres"] = (ranks[0], [col for col in cols if col])
-    return m._cache["pres"]
+    ranks = [m.gens, m.relations.cols]
+    # one row per relation, so pivots are sought relation by relation
+    rels = [list(zip(*m.relations.entries))]
+    _cancel_unit_pivots(ranks, rels)
+    cols = [{(i, e): c for i, x in enumerate(row) for e, c in x.coeffs.items()} for row in rels[0]]
+    return ranks[0], [col for col in cols if col]
 
 
+@_per_module
 def module_is_zero(m: GradedModule) -> bool:
     gens, cols = presentation_data(m)
-    if gens == 0:
-        return True
     return gb.module_is_zero(cols, gens, m.ring.p, m.ring.q)
 
 
@@ -178,6 +190,7 @@ def groebner_basis(generators, order: str = "grevlex") -> list[RingTowerElement]
     return [vec_to_poly(spec, v) for v in basis]
 
 
+@_per_module
 def minimal_graded_resolution(m: GradedModule) -> tuple[FreeComplex, tuple[int, ...]]:
     """Free resolution by iterated syzygies with scalar-unit pruning.
 
@@ -186,15 +199,11 @@ def minimal_graded_resolution(m: GradedModule) -> tuple[FreeComplex, tuple[int, 
     presentations with entries in the maximal ideal every differential
     entry has zero constant term.
     """
-    if "resolution" in m._cache:
-        return m._cache["resolution"]
     ring = m.ring
     p, q = ring.p, ring.q
     gens, cols = presentation_data(m)
     if gens == 0:
-        out = (empty_complex(ring), ())
-        m._cache["resolution"] = out
-        return out
+        return empty_complex(ring), ()
     ranks = [gens]
     steps: list[list[Vec]] = []
     current = cols
@@ -214,12 +223,10 @@ def minimal_graded_resolution(m: GradedModule) -> tuple[FreeComplex, tuple[int, 
     # cochain layout: degree -k has rank ranks[k], differentials run upward
     complex_ranks = list(reversed(ranks))
     complex_diffs = list(reversed(diffs))
-    cx = FreeComplex(ring, -length, complex_ranks, complex_diffs)
-    out = (cx, tuple(ranks))
-    m._cache["resolution"] = out
-    return out
+    return FreeComplex(ring, -length, complex_ranks, complex_diffs), tuple(ranks)
 
 
+@_per_module
 def ext_module(m: GradedModule, i: int) -> GradedModule:
     """The i-th right derived dual: degree-i cohomology of the dual resolution.
 
@@ -231,27 +238,22 @@ def ext_module(m: GradedModule, i: int) -> GradedModule:
     """
     if i < 0:
         raise InvalidParameter("negative dual index")
-    key = ("ext", i)
-    if key not in m._cache:
-        cx, _ = minimal_graded_resolution(m)
-        m._cache[key] = complex_cohomology_module(dual(cx), i)
-    return m._cache[key]
+    cx, _ = minimal_graded_resolution(m)
+    return complex_cohomology_module(dual(cx), i)
 
 
-def annihilator_ideal(m: GradedModule) -> list[RingTowerElement]:
-    if "ann" not in m._cache:
-        gens, cols = presentation_data(m)
-        basis = gb.annihilator(cols, gens, m.ring.p, m.ring.q)
-        m._cache["ann"] = [vec_to_poly(m.ring, v) for v in basis]
-    return m._cache["ann"]
+@_per_module
+def annihilator_ideal(m: GradedModule) -> list[Vec]:
+    gens, cols = presentation_data(m)
+    return gb.annihilator(cols, gens, m.ring.p, m.ring.q)
 
 
-def fitting_ideal(m: GradedModule) -> list[RingTowerElement] | None:
+def fitting_ideal(m: GradedModule) -> list[Vec] | None:
     """Generators of the 0th Fitting ideal, or None when too many minors."""
     gens, cols = presentation_data(m)
     t, s = gens, len(cols)
     if t == 0:
-        return [RingTowerElement.one(m.ring)]
+        return [{(0, (0,) * m.ring.q): 1}]
     if s < t:
         return []
     if comb(s, t) > 120:
@@ -265,10 +267,11 @@ def fitting_ideal(m: GradedModule) -> list[RingTowerElement] | None:
         sub = [[rows_of[i][j] for j in subset] for i in range(t)]
         det = gb.poly_determinant(sub, m.ring.p, m.ring.q)
         if det:
-            out.append(vec_to_poly(m.ring, det))
+            out.append(det)
     return out
 
 
+@_per_module
 def module_dimension(m: GradedModule) -> int:
     """Krull dimension of the support, via the initial ideal of a defining ideal.
 
@@ -276,16 +279,8 @@ def module_dimension(m: GradedModule) -> int:
     the annihilator; both have the same radical, hence the same
     dimension.
     """
-    if "dim" in m._cache:
-        return m._cache["dim"]
-    p, q = m.ring.p, m.ring.q
     fit = fitting_ideal(m)
-    if fit is not None:
-        dim = gb.ideal_dimension([poly_to_vec(x) for x in fit], p, q)
-    else:
-        dim = gb.ideal_dimension([poly_to_vec(x) for x in annihilator_ideal(m)], p, q)
-    m._cache["dim"] = dim
-    return dim
+    return gb.ideal_dimension(annihilator_ideal(m) if fit is None else fit, m.ring.p, m.ring.q)
 
 
 def _koszul_block_columns(step_cols: list[Vec], gens: int):
@@ -300,16 +295,14 @@ def _koszul_block_columns(step_cols: list[Vec], gens: int):
     return out
 
 
+@_per_module
 def module_depth(m: GradedModule) -> int | None:
     """Depth along (T_1..T_q), read from Koszul homology of the cover."""
-    if "depth" in m._cache:
-        return m._cache["depth"]
+    if module_is_zero(m):
+        return None
     ring = m.ring
     p, q = ring.p, ring.q
     gens, rel_cols = presentation_data(m)
-    if gens == 0 or gb.module_is_zero(rel_cols, gens, p, q):
-        m._cache["depth"] = None
-        return None
     # the Koszul complex on T_1..T_q; its transposed differentials are
     # the boundaries from i-subsets down to (i-1)-subsets
     kos = koszul_complex(ring, [RingTowerElement.variable(ring, k) for k in range(q)])
@@ -324,7 +317,6 @@ def module_depth(m: GradedModule) -> int | None:
             for col in rel_cols
         ]
 
-    depth = None
     for i in range(q, -1, -1):
         if i == 0:
             cycles = [{(l, (0,) * q): 1} for l in range(gens)]
@@ -336,30 +328,19 @@ def module_depth(m: GradedModule) -> int | None:
         span = _koszul_block_columns(boundary(i + 1), gens) + block_rel(i)
         basis = gb.prepared_basis(gb.buchberger(span, p), p)
         if any(gb.normal_form(v, basis) for v in cycles):
-            depth = q - i
-            break
+            return q - i
     # exhaustion means the variable ideal acts invertibly; depth along it
     # is undefined, which only happens off the intended input domain
-    m._cache["depth"] = depth
-    return depth
+    return None
 
 
+@_per_module
 def module_grade(m: GradedModule) -> int | None:
     """Least index with a nonzero right derived dual."""
-    if "grade" in m._cache:
-        return m._cache["grade"]
     if module_is_zero(m):
-        m._cache["grade"] = None
         return None
     _, betti = minimal_graded_resolution(m)
-    length = len(betti) - 1
-    grade = None
-    for i in range(length + 1):
-        if not module_is_zero(ext_module(m, i)):
-            grade = i
-            break
-    m._cache["grade"] = grade
-    return grade
+    return next((i for i in range(len(betti)) if not module_is_zero(ext_module(m, i))), None)
 
 
 def module_invariants(m: GradedModule) -> dict:
@@ -400,10 +381,6 @@ def module_invariants(m: GradedModule) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _vec_ideal(elems: list[RingTowerElement]) -> list[Vec]:
-    return [poly_to_vec(x) for x in elems if not x.is_zero()]
-
-
 def support_components(m: GradedModule) -> dict[int, list[Vec]]:
     """Level ideals of the minimal support components, keyed by height.
 
@@ -419,7 +396,7 @@ def support_components(m: GradedModule) -> dict[int, list[Vec]]:
     for h in range(min(q, len(betti) - 1) + 1):
         ext = ext_module(m, h)
         if not module_is_zero(ext):
-            candidates[h] = [gb.buchberger(_vec_ideal(annihilator_ideal(ext)), p)]
+            candidates[h] = [gb.buchberger(annihilator_ideal(ext), p)]
     return _merge_components(candidates, p, q)
 
 
@@ -595,8 +572,7 @@ def verify_height_amplitude(c: FreeComplex) -> HAReport:
         for d, mod in nonzero.items():
             if d == d_plus:
                 continue
-            ann = _vec_ideal(annihilator_ideal(mod))
-            meet = gb.ideal_sum(top_level, ann, p)
+            meet = gb.ideal_sum(top_level, annihilator_ideal(mod), p)
             if gb.ideal_dimension(meet, p, q) == q - amplitude:
                 witnesses.append(d)
         part_ii = {"applicable": True, "pass": not witnesses, "witnesses": witnesses}
@@ -724,9 +700,7 @@ def _duality_check(c: FreeComplex, top: GradedModule, amplitude: int) -> dict:
     d_bottom = c.differential(lo)
     left = GradedModule(ring, c.rank(lo), d_bottom.transpose())
     right = ext_module(top, amplitude)
-    ann_l = _vec_ideal(annihilator_ideal(left))
-    ann_r = _vec_ideal(annihilator_ideal(right))
-    radical_match = gb.radical_equal(ann_l, ann_r, p, q)
+    radical_match = gb.radical_equal(annihilator_ideal(left), annihilator_ideal(right), p, q)
 
     twists = infer_twists(c)
     _, betti = minimal_graded_resolution(top)

@@ -16,7 +16,7 @@ match).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations, product
 from math import comb
 
@@ -131,9 +131,6 @@ class RInfinityModel:
                     continue
                 out[e] = out.get(e, 0) + c1 * c2
         return self.normalize(out)
-
-    def scale(self, a: RinfElem, c: int) -> RinfElem:
-        return self.normalize({e: v * c for e, v in a.items()})
 
     def power(self, a: RinfElem, k: int) -> RinfElem:
         out = self.one()
@@ -317,75 +314,67 @@ def validate_hypotheses(tower: PatchingTower) -> ValidationReport:
         return ValidationReport(False, taus, failures)
 
     model = tower.model()
-    g = tower.g
     quotient = model.quotient(tower.base.ideal)
-
     for lev in tower.levels:
         mods = {dd: cohomology(lev.complex, dd) for dd in lev.complex.degrees}
-        bad_action = None
-        for dd, pres in mods.items():
-            size = pres.gens
-            if size == 0:
-                continue
-            xs = [np.asarray(x, dtype=np.int64) for x in lev.x_actions.get(dd) or []]
-            if len(xs) != g or any(x.shape != (size, size) for x in xs):
-                # malformed input, not a violation, as for the witness
-                raise ShapeMismatch(
-                    f"level {lev.level} degree {dd}: action matrices of shapes "
-                    f"{[x.shape for x in xs]}, expected {g} of shape {(size, size)}"
-                )
-            N = pres.modulus
-            if not all(pres.contains(matmul_mod(x, pres.relations, N)) for x in xs):
-                bad_action = f"level {lev.level} degree {dd}: action does not preserve relations"
+        for hypothesis, cls, check in (
+            ("ii", ActionMismatch, lambda: _check_actions(tower, lev, mods, model)),
+            ("ii", AugmentationNotKilled, lambda: _check_augmentation(tower, lev, model, quotient)),
+            ("iii", BaseMismatch, lambda: _check_base_witness(tower, lev, mods)),
+        ):
+            err = check()
+            if err:
+                fail(lev.level, hypothesis, cls, err)
                 break
-            pairs_ok = all(
-                pres.matrices_equal(matmul_mod(xa, xb, N), matmul_mod(xb, xa, N))
-                for i, xa in enumerate(xs)
-                for xb in xs[i + 1 :]
-            ) and all(
-                pres.matrices_equal(matmul_mod(xa, tb, N), matmul_mod(tb, xa, N))
-                for xa in xs
-                for tb in pres.actions
-            )
-            if not pairs_ok:
-                bad_action = f"level {lev.level} degree {dd}: action matrices do not commute"
-                break
-            for j in range(tower.q):
-                claimed = model.evaluate_at_matrices(
-                    lev.i_images[j], xs, size, tower.p**lev.precision
-                )
-                if not pres.matrices_equal(claimed, pres.actions[j]):
-                    bad_action = (
-                        f"level {lev.level} degree {dd}: variable {j+1} acts differently "
-                        "from its structure-map image"
-                    )
-                    break
-            if bad_action:
-                break
-        if bad_action:
-            fail(lev.level, "ii", ActionMismatch, bad_action)
-            continue
-
-        killed = True
-        for j in range(tower.q):
-            img = _apply_phi(model, lev.phi_images, lev.i_images[j])
-            if not quotient.contains(model.vector(img)):
-                fail(
-                    lev.level,
-                    "ii",
-                    AugmentationNotKilled,
-                    f"level {lev.level}: variable {j+1} image survives in the base quotient",
-                )
-                killed = False
-                break
-        if not killed:
-            continue
-
-        err = _check_base_witness(tower, lev, mods)
-        if err:
-            fail(lev.level, "iii", BaseMismatch, err)
 
     return ValidationReport(not failures, taus, failures)
+
+
+def _check_actions(tower: PatchingTower, lev: TowerLevel, mods, model: RInfinityModel) -> str | None:
+    """First action fault of a level: relations, commutation, structure map."""
+    for dd, pres in mods.items():
+        size = pres.gens
+        if size == 0:
+            continue
+        xs = [np.asarray(x, dtype=np.int64) for x in lev.x_actions.get(dd) or []]
+        if len(xs) != tower.g or any(x.shape != (size, size) for x in xs):
+            # malformed input, not a violation, as for the witness
+            raise ShapeMismatch(
+                f"level {lev.level} degree {dd}: action matrices of shapes "
+                f"{[x.shape for x in xs]}, expected {tower.g} of shape {(size, size)}"
+            )
+        N = pres.modulus
+        if not all(pres.contains(matmul_mod(x, pres.relations, N)) for x in xs):
+            return f"level {lev.level} degree {dd}: action does not preserve relations"
+        pairs_ok = all(
+            pres.matrices_equal(matmul_mod(xa, xb, N), matmul_mod(xb, xa, N))
+            for i, xa in enumerate(xs)
+            for xb in xs[i + 1 :]
+        ) and all(
+            pres.matrices_equal(matmul_mod(xa, tb, N), matmul_mod(tb, xa, N))
+            for xa in xs
+            for tb in pres.actions
+        )
+        if not pairs_ok:
+            return f"level {lev.level} degree {dd}: action matrices do not commute"
+        for j in range(tower.q):
+            claimed = model.evaluate_at_matrices(lev.i_images[j], xs, size, tower.p**lev.precision)
+            if not pres.matrices_equal(claimed, pres.actions[j]):
+                return (
+                    f"level {lev.level} degree {dd}: variable {j+1} acts differently "
+                    "from its structure-map image"
+                )
+    return None
+
+
+def _check_augmentation(
+    tower: PatchingTower, lev: TowerLevel, model: RInfinityModel, quotient: FiniteModuleData
+) -> str | None:
+    """First structure-map image that survives in the base quotient."""
+    for j in range(tower.q):
+        if not quotient.contains(model.vector(_apply_phi(model, lev.phi_images, lev.i_images[j]))):
+            return f"level {lev.level}: variable {j+1} image survives in the base quotient"
+    return None
 
 
 def _apply_phi(model: RInfinityModel, phi_images: list[RinfElem], elem: RinfElem) -> RinfElem:
@@ -579,13 +568,10 @@ def patch(tower: PatchingTower, precision: int) -> PatchLimit:
     ]
 
     minimized = [minimize(lev.complex) for lev in levels]
-    cache: dict[tuple[int, int], FreeComplex] = {}
 
+    @cache
     def reduced(idx: int, k: int) -> FreeComplex:
-        key = (idx, k)
-        if key not in cache:
-            cache[key] = _reduced_complex(minimized[idx], p, q, k)
-        return cache[key]
+        return _reduced_complex(minimized[idx], p, q, k)
 
     def first_chain(step, chain: tuple[int, ...] = (), top: FreeComplex | None = None):
         """The first chain, in lexicographic order, of strictly increasing
@@ -652,7 +638,6 @@ class FreenessCertificate:
     chain: list[int]
     limit: PatchLimit
     reductions: dict[int, FreeComplex]
-    fiber_report: object
     ha_obj: dict
 
     @property
@@ -766,6 +751,5 @@ def certify(tower: PatchingTower, limit: PatchLimit) -> FreenessCertificate:
         chain=list(limit.chain),
         limit=limit,
         reductions=reductions,
-        fiber_report=report,
         ha_obj=report.to_obj(),
     )

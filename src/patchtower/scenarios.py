@@ -29,14 +29,6 @@ from .linalg import MAX_EXPANDED_CELLS, Matrix, _modulus
 from .patcher import PatchingTower, RinfElem, TowerBase, TowerLevel
 from .rings import RingTowerElement, make_patch_ring
 
-PERTURBATIONS = (
-    "tau_not_constant",
-    "tau_out_of_range",
-    "action_mismatch",
-    "augmentation_not_killed",
-    "base_mismatch",
-)
-
 EXPECTED_ERRORS = {
     "tau_not_constant": "TauNotConstant",
     "tau_out_of_range": "TauOutOfRange",
@@ -44,6 +36,8 @@ EXPECTED_ERRORS = {
     "augmentation_not_killed": "AugmentationNotKilled",
     "base_mismatch": "BaseMismatch",
 }
+
+PERTURBATIONS = tuple(EXPECTED_ERRORS)
 
 
 @dataclass(frozen=True)
@@ -246,21 +240,12 @@ def gen_scenario(params: ScenarioParams, perturbation: str | None = None):
 def _apply_perturbation(tower: PatchingTower, params: ScenarioParams, name: str) -> None:
     p = tower.p
     d = tower.d
-    if name == "tau_not_constant":
+    if name in ("tau_not_constant", "tau_out_of_range"):
+        # a rank-1 term inside the window, or just past it
         lev = tower.levels[1]
-        lev.complex = direct_sum(
-            lev.complex,
-            make_complex(lev.complex.spec, d, [1], []),
-        )
+        extra = d if name == "tau_not_constant" else d + 1
+        lev.complex = direct_sum(lev.complex, make_complex(lev.complex.spec, extra, [1], []))
         # refresh dependent data so only the rank profile differs
-        lev.x_actions, _ = _level_data(params, lev.complex)
-        return
-    if name == "tau_out_of_range":
-        lev = tower.levels[1]
-        lev.complex = direct_sum(
-            lev.complex,
-            make_complex(lev.complex.spec, d + 1, [1], []),
-        )
         lev.x_actions, _ = _level_data(params, lev.complex)
         return
     if name == "action_mismatch":

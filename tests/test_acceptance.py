@@ -24,7 +24,7 @@ from patchtower.graded import (
     verify_height_amplitude,
 )
 from patchtower.groebner import ideal_product
-from patchtower.graded import poly_to_vec, vec_to_poly
+from patchtower.graded import vec_to_poly
 from patchtower.linalg import HowellCore
 from patchtower.patcher import certify, patch, validate_hypotheses
 from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
@@ -95,7 +95,7 @@ def test_criterion_2_height_bounded_by_amplitude():
         for dd in c.degrees:
             mod = complex_cohomology_module(c, dd)
             if not module_is_zero(mod):
-                anns.append([poly_to_vec(x) for x in annihilator_ideal(mod)])
+                anns.append(annihilator_ideal(mod))
         if anns:
             prod = anns[0]
             for other in anns[1:]:

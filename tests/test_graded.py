@@ -405,3 +405,42 @@ def test_graded_pool_bytes_are_pinned():
         if sha({k: (list(v) if isinstance(v, tuple) else v) for k, v in inv.items()}) != want["modules"][index]:
             wrong.append(("modules", index))
     assert not wrong
+
+
+class TestPerModuleMemo:
+    def test_no_module_is_asked_twice_whether_it_is_zero(self, monkeypatch):
+        """Complex 28 of the graded pool has amplitude 2 and part iii
+        applies, so the verifier asks for the grade, depth and duals of
+        its top cohomology as well as every degree's zero test."""
+        pool = json.loads((POOL_DATA / "ha_pool.json").read_text())
+        cx = complex_from_obj(pool["complexes"][28])
+        asked = []
+        real = gb.module_is_zero
+
+        def counted(rel_cols, t, p, q):
+            # a module's relation columns are one cached list, so identity
+            # names the module; keeping the lists alive keeps ids unique
+            asked.append(rel_cols)
+            return real(rel_cols, t, p, q)
+
+        monkeypatch.setattr(gb, "module_is_zero", counted)
+        report = verify_height_amplitude(cx)
+        assert report.part_iii["applicable"]
+        assert len(asked) > 1
+        assert len({id(cols) for cols in asked}) == len(asked)
+
+    def test_ext_module_is_kept_per_index(self):
+        t1, t2 = variables(R2)
+        m = GradedModule.quotient_by_ideal(R2, [t1, t2])
+        assert ext_module(m, 2) is ext_module(m, 2)
+        assert ext_module(m, 1) is not ext_module(m, 2)
+
+    def test_equal_modules_keep_their_own_entries(self):
+        t1, t2 = variables(R2)
+        a = GradedModule.quotient_by_ideal(R2, [t1, t2 * t2])
+        b = GradedModule.quotient_by_ideal(R2, [t1, t2 * t2])
+        assert ext_module(a, 1) is not ext_module(b, 1)
+        assert presentation_data(a) is not presentation_data(b)
+        assert presentation_data(a) == presentation_data(b)
+        assert module_invariants(a) == module_invariants(b)
+        assert a._cache is not b._cache and a._cache.keys() == b._cache.keys()

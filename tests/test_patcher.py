@@ -17,6 +17,7 @@ from patchtower.errors import (
     HeightAmplitudeViolated,
     InsufficientTower,
     NoCompatibleChain,
+    ShapeMismatch,
     TauNotConstant,
     TauOutOfRange,
 )
@@ -269,6 +270,51 @@ class TestPerturbations:
 
     def test_expected_error_table_is_total(self):
         assert set(EXPECTED_ERRORS) == set(PERTURBATIONS)
+
+
+def _zero_witness(lev):
+    lev.base_iso = np.zeros_like(np.asarray(lev.base_iso))
+
+
+class TestValidationOrder:
+    def test_first_failure_per_level(self):
+        # the action fault sits on level 3; a zero witness there is
+        # never reached, since only a level's first failure is recorded
+        tower, _, _ = gen_scenario(FAST, perturbation="action_mismatch")
+        _zero_witness(tower.levels[-1])
+        report = validate_hypotheses(tower)
+        assert [(f["level"], f["hypothesis"], f["error_name"]) for f in report.failures] == [
+            (3, "ii", "ActionMismatch")
+        ]
+
+    def test_one_failure_per_faulty_level_in_level_order(self):
+        tower, _, _ = gen_scenario(FAST, perturbation="action_mismatch")
+        _zero_witness(tower.levels[0])
+        report = validate_hypotheses(tower)
+        assert [(f["level"], f["hypothesis"], f["error_name"]) for f in report.failures] == [
+            (1, "iii", "BaseMismatch"),
+            (3, "ii", "ActionMismatch"),
+        ]
+        assert report.failures[0]["detail"] == "level 1: witness is not surjective onto the base module"
+        assert report.failures[1]["detail"] == (
+            "level 3 degree 0: variable 1 acts differently from its structure-map image"
+        )
+
+    def test_action_shape_is_refused_before_any_check_of_its_degree(self, monkeypatch):
+        # level 1 of this tower has one nonzero cohomology degree, of size 3
+        tower, _, _ = gen_scenario(ScenarioParams(p=3, q=1, r=0, precisions=(1, 2), seed=0))
+        lev = tower.levels[0]
+        lev.x_actions[1] = [np.zeros((2, 2), dtype=np.int64)]
+        products = []
+
+        def counted(*args):
+            products.append(args)
+            return matmul_mod(*args)
+
+        monkeypatch.setattr(patcher, "matmul_mod", counted)
+        with pytest.raises(ShapeMismatch, match=r"level 1 degree 1: action matrices of shapes \[\(2, 2\)\]"):
+            validate_hypotheses(tower)
+        assert products == []
 
 
 class TestBasisChangeFallback:
