@@ -12,8 +12,9 @@ are.
     python3 scripts/graded_pass.py --passes 5
 
 It prints each pass's total, the median over items of each item's best
-time over the passes, and one line per item whose output digest differs
-from the reference; it exits 1 if any does.  Unlike the ``ha-graded``
+time over the passes, overall and for each kind (complexes, modules),
+and one line per item whose output digest differs from the reference;
+it exits 1 if any does.  Unlike the ``ha-graded``
 ``item_s`` of ``perfbench/run.py``, which times as many items of a
 repeated order as fit in a time window, a pass times the same items on
 both sides of a comparison.  The script imports ``src/`` next to it; to
@@ -64,6 +65,9 @@ def main(argv=None) -> int:
                 mismatches.add((kind, i))
         print(f"pass {n + 1}: {time.perf_counter() - start:.3f} s over {len(items)} items")
     print(f"per-item median, best of {args.passes}: {statistics.median(best) * 1e3:.3f} ms")
+    for kind in ("complexes", "modules"):
+        times = [t for (k, _), t in zip(items, best) if k == kind]
+        print(f"  {kind}: {statistics.median(times) * 1e3:.3f} ms over {len(times)} items")
     for kind, i in sorted(mismatches):
         print(f"digest mismatch: {kind}[{i}]")
     print(f"{len(items) - len(mismatches)} of {len(items)} digests match the reference")

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from . import groebner as gb
-from .complexes import FreeComplex, _cancel_unit_pivots, dual, empty_complex, koszul_complex, tau_profile
+from .complexes import FreeComplex, _cancel_unit_pivots, dual, empty_complex, tau_profile
 from .errors import InvalidParameter, NotMinimalInput, SpecMismatch, UnsupportedRing
 from .linalg import Matrix
 from .rings import RingSpec, RingTowerElement
@@ -283,54 +283,33 @@ def module_dimension(m: GradedModule) -> int:
     return gb.ideal_dimension(annihilator_ideal(m) if fit is None else fit, m.ring.p, m.ring.q)
 
 
-def _koszul_block_columns(step_cols: list[Vec], gens: int):
-    """Kronecker expansion of a Koszul differential against a module cover."""
-    out = []
-    for j, col in enumerate(step_cols):
-        for l in range(gens):
-            big: Vec = {}
-            for (pos, e), c in col.items():
-                big[(pos * gens + l, e)] = c
-            out.append(big)
-    return out
+def _rank_at_zero(d: Matrix, p: int) -> int:
+    """Rank over F_p of a matrix at T = 0: the reduced basis of its
+    constant columns is their row echelon form."""
+    return len(gb.buchberger([{t: c for t, c in col.items() if not any(t[1])} for col in matrix_columns(d)], p))
 
 
 @_per_module
 def module_depth(m: GradedModule) -> int | None:
-    """Depth along (T_1..T_q), read from Koszul homology of the cover."""
-    if module_is_zero(m):
-        return None
-    ring = m.ring
-    p, q = ring.p, ring.q
-    gens, rel_cols = presentation_data(m)
-    # the Koszul complex on T_1..T_q; its transposed differentials are
-    # the boundaries from i-subsets down to (i-1)-subsets
-    kos = koszul_complex(ring, [RingTowerElement.variable(ring, k) for k in range(q)])
+    """Depth along (T_1..T_q), read from the resolution at T = 0.
 
-    def boundary(i: int) -> list[Vec]:
-        return matrix_columns(kos.differential(i - 1).transpose())
-
-    def block_rel(i: int) -> list[Vec]:
-        return [
-            {(b * gens + pos, e): c for (pos, e), c in col.items()}
-            for b in range(kos.rank(i))
-            for col in rel_cols
-        ]
-
-    for i in range(q, -1, -1):
-        if i == 0:
-            cycles = [{(l, (0,) * q): 1} for l in range(gens)]
-        else:
-            # vectors of the i-th cover whose boundary lands in the relation span
-            bnd_out = _koszul_block_columns(boundary(i), gens)
-            cycles = gb.relations_modulo(bnd_out, block_rel(i - 1), kos.rank(i - 1) * gens, p, q)
-        # boundary(q + 1) has no columns
-        span = _koszul_block_columns(boundary(i + 1), gens) + block_rel(i)
-        basis = gb.prepared_basis(gb.buchberger(span, p), p)
-        if any(gb.normal_form(v, basis) for v in cycles):
+    Koszul homology H_i(T; M) is Tor_i(R/(T), M), and Tor is balanced:
+    it is also the homology of any free resolution F of M tensored with
+    F_p = R/(T) (Bruns-Herzog, section 1.6).  So dim H_i = rank F_i -
+    rk d_i(0) - rk d_{i+1}(0), and the depth is q minus the largest i
+    with H_i nonzero.  When every H_i vanishes, (T)M = M (the zero
+    module included) and the depth along (T) is undefined.
+    """
+    cx, ranks = minimal_graded_resolution(m)
+    p, q = m.ring.p, m.ring.q
+    top = min(q, len(ranks) - 1)
+    # d_i leaves degree -i, and is zero-shaped for i = 0 and past the length
+    rk_above = _rank_at_zero(cx.differential(-top - 1), p)
+    for i in range(top, -1, -1):
+        rk_i = _rank_at_zero(cx.differential(-i), p)
+        if ranks[i] - rk_i - rk_above:
             return q - i
-    # exhaustion means the variable ideal acts invertibly; depth along it
-    # is undefined, which only happens off the intended input domain
+        rk_above = rk_i
     return None
 
 
@@ -396,7 +375,7 @@ def support_components(m: GradedModule) -> dict[int, list[Vec]]:
     for h in range(min(q, len(betti) - 1) + 1):
         ext = ext_module(m, h)
         if not module_is_zero(ext):
-            candidates[h] = [gb.buchberger(annihilator_ideal(ext), p)]
+            candidates[h] = [annihilator_ideal(ext)]
     return _merge_components(candidates, p, q)
 
 

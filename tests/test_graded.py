@@ -20,6 +20,7 @@ from patchtower.graded import (
     matrix_columns,
     minimal_graded_resolution,
     module_dimension,
+    module_depth,
     module_invariants,
     module_is_zero,
     presentation_data,
@@ -35,6 +36,7 @@ from util import (
     random_minimal_graded_complex,
     random_monomial_ideal,
     random_unit_presentation,
+    reference_module_depth,
     reference_prune_presentation,
 )
 
@@ -129,6 +131,37 @@ class TestInvariants:
             assert inv["amplitude"] == inv["projdim"]
             checked += 1
         assert checked >= 6
+
+
+class TestModuleDepth:
+    """Depth read from the resolution at T = 0 against Koszul homology of
+    the cover, which is how it was computed before."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_matches_koszul_reference(self, p, q):
+        """Presentations mixing scalar pivots, units such as 1+T (whose
+        modules have (T)M = M), non-homogeneous columns and zero columns,
+        then homogeneous ones in the maximal ideal."""
+        spec = graded_ring(p, q)
+        rng = random.Random(1000 + 10 * p + q)
+        modules = [random_unit_presentation(rng, spec, max_size=4 if q < 3 else 2) for _ in range(25)]
+        modules += [random_graded_module(rng, spec, max_size=3 if q < 3 else 2) for _ in range(5)]
+        depths = []
+        for m in modules:
+            want = reference_module_depth(m)
+            assert module_depth(m) == want
+            depths.append(want)
+        assert None in depths and any(d is not None for d in depths)
+
+    def test_named_cases(self):
+        t1, t2 = variables(R2)
+        one = RingTowerElement.one(R2)
+        assert module_depth(GradedModule.quotient_by_ideal(R2, [one + t1])) is None
+        assert module_depth(GradedModule.quotient_by_ideal(R2, [t1 + t2 * t2])) == 1
+        assert module_depth(GradedModule.free(graded_ring(5, 3), 2)) == 3
+        assert module_depth(GradedModule.quotient_by_ideal(R2, [one])) is None
+        assert module_depth(GradedModule(R2, 0, Matrix.zero(R2, 0, 0))) is None
 
 
 class TestExt:

@@ -10,9 +10,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from patchtower import groebner as gb
 from patchtower import patcher
-from patchtower.complexes import FiniteModuleData, FreeComplex, _nakayama_choice, _variable_actions, _zero_module, make_complex
-from patchtower.graded import GradedModule, _constant_at
+from patchtower.complexes import FiniteModuleData, FreeComplex, _nakayama_choice, _variable_actions, _zero_module, koszul_complex, make_complex
+from patchtower.graded import GradedModule, _constant_at, matrix_columns, module_is_zero, presentation_data
 from patchtower.groebner import ModuleOrder, Vec, _divides, lead, syzygy_generators, vec_scale, vec_sub_shifted
 from patchtower.linalg import (
     HowellCore,
@@ -199,6 +200,58 @@ def reference_prune_presentation(gens: int, cols: list[Vec], p: int, q: int) -> 
                 new_cols.append(out)
         cols = new_cols
         alive.remove(pos)
+
+
+def _reference_koszul_block_columns(step_cols: list[Vec], gens: int):
+    """Kronecker expansion of a Koszul differential against a module cover."""
+    out = []
+    for j, col in enumerate(step_cols):
+        for l in range(gens):
+            big: Vec = {}
+            for (pos, e), c in col.items():
+                big[(pos * gens + l, e)] = c
+            out.append(big)
+    return out
+
+
+def reference_module_depth(m: GradedModule) -> int | None:
+    """Depth along (T_1..T_q), read from Koszul homology of the cover: for
+    each i from q down, one block syzygy run and one Groebner basis over
+    the Koszul cover K_i (x) R^gens.  No memo, so every call recomputes."""
+    if module_is_zero(m):
+        return None
+    ring = m.ring
+    p, q = ring.p, ring.q
+    gens, rel_cols = presentation_data(m)
+    # the Koszul complex on T_1..T_q; its transposed differentials are
+    # the boundaries from i-subsets down to (i-1)-subsets
+    kos = koszul_complex(ring, [RingTowerElement.variable(ring, k) for k in range(q)])
+
+    def boundary(i: int) -> list[Vec]:
+        return matrix_columns(kos.differential(i - 1).transpose())
+
+    def block_rel(i: int) -> list[Vec]:
+        return [
+            {(b * gens + pos, e): c for (pos, e), c in col.items()}
+            for b in range(kos.rank(i))
+            for col in rel_cols
+        ]
+
+    for i in range(q, -1, -1):
+        if i == 0:
+            cycles = [{(l, (0,) * q): 1} for l in range(gens)]
+        else:
+            # vectors of the i-th cover whose boundary lands in the relation span
+            bnd_out = _reference_koszul_block_columns(boundary(i), gens)
+            cycles = gb.relations_modulo(bnd_out, block_rel(i - 1), kos.rank(i - 1) * gens, p, q)
+        # boundary(q + 1) has no columns
+        span = _reference_koszul_block_columns(boundary(i + 1), gens) + block_rel(i)
+        basis = gb.prepared_basis(gb.buchberger(span, p), p)
+        if any(gb.normal_form(v, basis) for v in cycles):
+            return q - i
+    # exhaustion means the variable ideal acts invertibly; depth along it
+    # is undefined, which only happens off the intended input domain
+    return None
 
 
 def reference_grevlex_key(e: tuple[int, ...]):
