@@ -19,8 +19,8 @@ from patchtower.graded import (
     groebner_basis,
     matrix_columns,
     minimal_graded_resolution,
-    module_dimension,
     module_depth,
+    module_dimension,
     module_invariants,
     module_is_zero,
     presentation_data,
@@ -135,7 +135,7 @@ class TestInvariants:
 
 class TestModuleDepth:
     """Depth read from the resolution at T = 0 against Koszul homology of
-    the cover, which is how it was computed before."""
+    the cover (``reference_module_depth``)."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("q", [1, 2, 3])
