@@ -13,8 +13,9 @@ are.
 
 It prints each pass's total, the median over items of each item's best
 time over the passes, overall and for each kind (complexes, modules),
-and one line per item whose output digest differs from the reference;
-it exits 1 if any does.  Unlike the ``ha-graded``
+each kind's 90th percentile of those best times (the slow tail, which
+the median hides), and one line per item whose output digest differs
+from the reference; it exits 1 if any does.  Unlike the ``ha-graded``
 ``item_s`` of ``perfbench/run.py``, which times as many items of a
 repeated order as fit in a time window, a pass times the same items on
 both sides of a comparison.  The script imports ``src/`` next to it; to
@@ -67,7 +68,8 @@ def main(argv=None) -> int:
     print(f"per-item median, best of {args.passes}: {statistics.median(best) * 1e3:.3f} ms")
     for kind in ("complexes", "modules"):
         times = [t for (k, _), t in zip(items, best) if k == kind]
-        print(f"  {kind}: {statistics.median(times) * 1e3:.3f} ms over {len(times)} items")
+        p90 = statistics.quantiles(times, n=10, method="inclusive")[-1]
+        print(f"  {kind}: {statistics.median(times) * 1e3:.3f} ms over {len(times)} items, p90 {p90 * 1e3:.3f} ms")
     for kind, i in sorted(mismatches):
         print(f"digest mismatch: {kind}[{i}]")
     print(f"{len(items) - len(mismatches)} of {len(items)} digests match the reference")

@@ -279,8 +279,9 @@ def module_dimension(m: GradedModule) -> int:
     the annihilator; both have the same radical, hence the same
     dimension.
     """
+    p, q = m.ring.p, m.ring.q
     fit = fitting_ideal(m)
-    return gb.ideal_dimension(annihilator_ideal(m) if fit is None else fit, m.ring.p, m.ring.q)
+    return gb.ideal_dimension(annihilator_ideal(m) if fit is None else gb.buchberger(fit, p), p, q)
 
 
 def _rank_at_zero(d: Matrix, p: int) -> int:

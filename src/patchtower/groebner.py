@@ -6,14 +6,23 @@ graded reverse lexicographic order by default, full reductions, and
 canonical reduced bases (monic, interreduced, sorted by leading term),
 so equal submodules produce identical bases.
 
-Each reduction step takes the lead term of what is left once, and
+Each reduction step takes the largest term still to reduce from a list
+kept sorted by order key (a key goes in when its term enters the
+vector, and a cancelled term's entry is skipped when it comes up), and
 cancels it with the first basis element whose lead divides it or moves
-it to the remainder.  Pairs wait in a heap keyed by the order key of
-their lcm, ties broken by insertion.  Interreduction keeps the minimal
-leads in one basis and reduces every tail against it: no term below a
-lead is a multiple of that lead, so this is reduction against the
-other elements.  An order memoizes its monomial key per exponent, so
-``lead``, the sorts and the pair heap compute each key once.
+it to the remainder.  Pairs exist only between leads at one position.
+The Gebauer-Moeller criteria prune them (Gebauer and Moeller, J. Symbolic
+Comput. 6, 1988): when an element is added, the chain criterion drops
+pending pairs its lead makes redundant, criteria M and F drop its own
+pairs whose lcm another of its pairs divides or repeats, and for ideals
+only, coprime leads drop a pair; an element whose lead a later lead
+divides gets no new pairs.  Pairs wait in a heap keyed by sugar
+(Giovini et al., ISSAC 1991), then the lcm's order key, then insertion.
+Interreduction keeps the minimal leads in one basis and reduces every
+tail against it: no term below a lead is a multiple of that lead, so
+this is reduction against the other elements.  An order memoizes its
+monomial key per exponent, so ``lead``, the sorts and the pair heap
+compute each key once.
 
 Syzygies come from the block-order elimination trick: embed each
 generator g_i as g_i + e_i in a larger free module whose first block
@@ -24,8 +33,11 @@ syzygy module exactly.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations, count
+from bisect import insort
+from itertools import chain, combinations, count
 from operator import add, le, neg, sub
+
+import numpy as np
 
 Term = tuple[int, tuple[int, ...]]
 Vec = dict[Term, int]
@@ -108,21 +120,47 @@ class _Basis:
         self.by_pos: dict[int, list[tuple[Term, Vec]]] = {}
 
     def add(self, vec: Vec) -> None:
-        lt = lead(vec, self.order)
+        """Append ``vec``, made monic.  Its first term is its lead, as in
+        every remainder of ``normal_form`` and every vector ``buchberger``
+        returns."""
+        lt = next(iter(vec))
         item = (lt, vec_scale(vec, pow(vec[lt], -1, self.p), self.p))
         self.by_pos.setdefault(lt[0], []).append(item)
         self.items.append(item)
 
 
 def normal_form(vec: Vec, basis: _Basis) -> Vec:
-    """Full reduction: every term of the remainder escapes all lead terms."""
+    """Full reduction: every term of the remainder escapes all lead terms.
+
+    The terms still to reduce wait in ``todo`` as ``(key, term)``, sorted,
+    so each step takes the largest; a key goes in when its term enters
+    ``work``, and an entry whose term has cancelled since is skipped.
+    Every term a step adds is below the term it cancels, so a term once
+    reduced or moved to the remainder never comes back.
+    """
+    key, p, by_pos = basis.order.key, basis.p, basis.by_pos
     work = dict(vec)
+    todo = sorted(zip(map(key, work), work))
     rem: Vec = {}
-    while work:
-        lt = lead(work, basis.order)
-        for blt, bvec in basis.by_pos.get(lt[0], ()):
+    while todo:
+        lt = todo.pop()[1]
+        c = work.get(lt)
+        if c is None:
+            continue
+        for blt, bvec in by_pos.get(lt[0], ()):
             if _divides(blt, lt):
-                vec_sub_shifted(work, bvec, work[lt], tuple(map(sub, lt[1], blt[1])), basis.p)
+                # work -= c * x^shift * bvec, as vec_sub_shifted does
+                shift = tuple(map(sub, lt[1], blt[1]))
+                for (pos, e), v in bvec.items():
+                    t = (pos, tuple(map(add, e, shift)))
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = -c * v % p
+                        insort(todo, (key(t), t))
+                    elif acc := (old - c * v) % p:
+                        work[t] = acc
+                    else:
+                        del work[t]
                 break
         else:
             rem[lt] = work.pop(lt)
@@ -140,37 +178,75 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
         g = normal_form(g, basis)
         if g:
             basis.add(g)
-    is_ideal = all(pos == 0 for _, vec in basis.items for (pos, _) in vec)
+    items = basis.items
+    if len(items) < 2:
+        # a remainder is sorted largest term first, and no term below a
+        # lead is a multiple of it, so one element is already reduced
+        return [vec for _, vec in items]
+    is_ideal = all(pos == 0 for _, vec in items for (pos, _) in vec)
+    # an element's sugar less its lead's degree: a seed's sugar is its
+    # largest degree, an S-vector's the larger of its halves' sugars
+    excess = [max(sum(e) for _, e in vec) - sum(lt[1]) for lt, vec in items]
 
-    # (lcm key, insertion counter, i, j, lcm): the counter pops equal
-    # keys first in, first out
+    # (sugar, lcm key, insertion counter, i, j, lcm): the counter pops
+    # equal keys first in, first out; a pair is pending while in ``live``
     pairs: list = []
+    live: dict[tuple[int, int], tuple[int, ...]] = {}
     counter = count()
+    # elements whose lead no later lead divides: only they get new pairs
+    active: list[int] = []
 
-    def push_pairs(new_idx: int) -> None:
-        nlt, _ = basis.items[new_idx]
-        for idx in range(new_idx):
-            blt, _ = basis.items[idx]
-            if blt[0] != nlt[0]:
-                continue
-            lcm = tuple(map(max, blt[1], nlt[1]))
-            if is_ideal and tuple(map(add, blt[1], nlt[1])) == lcm:
-                continue  # coprime leads, S-vector reduces to zero
-            heapq.heappush(pairs, (order.exp_keys[lcm], next(counter), idx, new_idx, lcm))
+    def update(h: int) -> None:
+        """Prune the pending pairs by h's lead, then queue the pairs of h
+        that the other criteria leave."""
+        pos, eh = items[h][0]
+        for (i, j), lcm in list(live.items()):
+            (ipos, ei), ej = items[i][0], items[j][0][1]
+            if (
+                ipos == pos
+                and all(map(le, eh, lcm))
+                and tuple(map(max, ei, eh)) != lcm
+                and tuple(map(max, ej, eh)) != lcm
+            ):
+                del live[i, j]  # chain criterion B
+        new = []
+        for i in active:
+            ipos, ei = items[i][0]
+            if ipos == pos:
+                lcm = tuple(map(max, ei, eh))
+                new.append((lcm, i, is_ideal and tuple(map(add, ei, eh)) == lcm))
+        kept: list = []
+        for k, pair in enumerate(new):
+            # M drops a pair whose lcm another pair's lcm divides, F keeps
+            # the last of equal lcms, and a coprime pair stays to prune
+            # the others before it goes itself
+            lcm = pair[0]
+            if pair[2] or not any(all(map(le, other[0], lcm)) for other in chain(new[k + 1 :], kept)):
+                kept.append(pair)
+        for lcm, i, coprime in kept:
+            if not coprime:
+                live[i, h] = lcm
+                sugar = sum(lcm) + max(excess[i], excess[h])
+                heapq.heappush(pairs, (sugar, order.exp_keys[lcm], next(counter), i, h, lcm))
+        active[:] = [i for i in active if not (items[i][0][0] == pos and all(map(le, eh, items[i][0][1])))]
+        active.append(h)
 
-    for i in range(len(basis.items)):
-        push_pairs(i)
+    for h in range(len(items)):
+        update(h)
 
     while pairs:
-        _, _, i, j, lcm = heapq.heappop(pairs)
-        (lti, vi), (ltj, vj) = basis.items[i], basis.items[j]
+        sugar, _, _, i, j, lcm = heapq.heappop(pairs)
+        if live.pop((i, j), None) is None:
+            continue
+        (lti, vi), (ltj, vj) = items[i], items[j]
         s: Vec = {}
         vec_sub_shifted(s, vi, p - 1, tuple(map(sub, lcm, lti[1])), p)
         vec_sub_shifted(s, vj, 1, tuple(map(sub, lcm, ltj[1])), p)
         s = normal_form(s, basis)
         if s:
             basis.add(s)
-            push_pairs(len(basis.items) - 1)
+            excess.append(sugar - sum(items[-1][0][1]))
+            update(len(items) - 1)
 
     return _reduce_basis(basis)
 
@@ -357,9 +433,9 @@ def monomial_dimension(lead_exps: list[tuple[int, ...]], q: int) -> int:
     return 0
 
 
-def ideal_dimension(i_gens: list[Vec], p: int, q: int) -> int:
-    """dim R/I via the initial ideal of a reduced basis; dim R = q for I = 0."""
-    gb = buchberger(i_gens, p)
+def ideal_dimension(gb: list[Vec], p: int, q: int) -> int:
+    """dim R/I via the initial ideal, from ``gb``, a Groebner basis of I in
+    the default order (as ``buchberger`` returns); dim R = q for I = 0."""
     if not gb:
         return q
     order = ModuleOrder()
@@ -375,31 +451,33 @@ def standard_monomial_counts(rel_gb: list[Vec], shifts: list[int], q: int, max_d
     order these counts are the dimensions of the degree filtration of the
     free module modulo the span.  Only nonzero counts appear, in degree
     order.
+
+    One table holds every exponent vector of degree <= max_degree less
+    the smallest counted shift (stars and bars: q bars among D + q
+    slots); each position keeps the rows of its own degree range that no
+    lead at that position divides.
     """
     order = ModuleOrder()
     leads_by_pos: dict[int, list[tuple[int, ...]]] = {}
     for g in rel_gb:
         pos, e = lead(g, order)
         leads_by_pos.setdefault(pos, []).append(e)
-
-    def monomials(prefix, remaining, slots):
-        # every exponent vector with total degree <= remaining, exactly once
-        if slots == 0:
-            yield prefix
-            return
-        for k in range(remaining + 1):
-            yield from monomials(prefix + (k,), remaining - k, slots - 1)
-
-    counts: dict[int, int] = {}
-    for pos, shift in enumerate(shifts):
-        if shift > max_degree:
-            continue
-        leads = leads_by_pos.get(pos, [])
-        for e in monomials((), max_degree - shift, q):
-            if not any(all(x >= y for x, y in zip(e, le)) for le in leads):
-                d = sum(e) + shift
-                counts[d] = counts.get(d, 0) + 1
-    return dict(sorted(counts.items()))
+    counted = [(pos, shift) for pos, shift in enumerate(shifts) if shift <= max_degree]
+    if not counted:
+        return {}
+    low = min(shift for _, shift in counted)
+    bars = np.array(list(combinations(range(max_degree - low + q), q)), dtype=np.int64)
+    table = np.diff(bars, axis=1, prepend=-1) - 1
+    degree = table.sum(axis=1)
+    counts = np.zeros(max_degree - low + 1, dtype=np.int64)
+    for pos, shift in counted:
+        top = max_degree - shift
+        keep = degree <= top
+        if pos in leads_by_pos:
+            leads = np.array(leads_by_pos[pos], dtype=np.int64)
+            keep &= ~(table[:, None, :] >= leads).all(axis=2).any(axis=1)
+        counts[shift - low :] += np.bincount(degree[keep], minlength=top + 1)
+    return {d + low: n for d, n in enumerate(counts.tolist()) if n}
 
 
 def poly_determinant(rows: list[list[Vec]], p: int, q: int) -> Vec:

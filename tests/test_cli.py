@@ -823,6 +823,28 @@ def test_large_graded_prime_is_decided_at_once(tmp_path, p, code):
         assert got["error"] == "InvalidParameter"
 
 
+def test_invariants_refusal_after_a_long_syzygy_run(tmp_path):
+    # the resolution of this 2-generator module over F_7[T1,T2,T3] spent
+    # about a minute in one syzygy run before the refusal, with only the
+    # coprime criterion pruning pairs and pairs taken by lcm alone
+    ring = graded_ring(7, 3)
+    cols = [
+        {(1, (1, 0, 2)): 3, (1, (0, 1, 2)): 5, (0, (0, 0, 0)): 6},
+        {(0, (0, 0, 1)): 1, (0, (1, 2, 0)): 2},
+        {(1, (1, 0, 2)): 2, (1, (1, 1, 1)): 3, (0, (0, 1, 0)): 1, (1, (0, 0, 0)): 3},
+        {(1, (1, 2, 0)): 2, (0, (1, 0, 0)): 3},
+    ]
+    mod = GradedModule(ring, 2, graded.columns_to_matrix(ring, cols, 2))
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(serialize.graded_module_to_obj(mod)))
+    done = run_cli_under_memory_limit(["invariants", str(path), "--format", "json"], timeout=30)
+    assert done.returncode == 2
+    assert json.loads(done.stdout) == {
+        "error": "UnsupportedRing",
+        "detail": "minimization over the graded model hit a non-scalar unit entry",
+    }
+
+
 POOL = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "data" / "ha_pool.json").read_text())
 
 

@@ -384,6 +384,27 @@ class TestAgainstReferences:
         assert min(got) == -2 and got[HILBERT_DEGREE] == 2
 
 
+    @pytest.mark.parametrize(
+        "q, cols, shifts",
+        [
+            pytest.param(0, [{(1, ()): 1}], [-2, 0, HILBERT_DEGREE], id="q=0"),
+            pytest.param(2, [{(0, (1, 0)): 1}], [HILBERT_DEGREE, HILBERT_DEGREE], id="D=0"),
+            pytest.param(2, [{(1, (1, 1)): 1}], [HILBERT_DEGREE + 1, 0], id="shift-past-max-degree"),
+            pytest.param(2, [], [HILBERT_DEGREE + 1, HILBERT_DEGREE + 5], id="every-shift-past-max-degree"),
+            pytest.param(
+                3,
+                [{(0, (2, 0, 1)): 1, (0, (0, 1, 2)): 2}, {(0, (0, 3, 0)): 1, (0, (1, 1, 1)): 1}],
+                [HILBERT_DEGREE - 20],
+                id="D=20-q=3",
+            ),
+            pytest.param(2, [{(1, (1, 0)): 1}, {(1, (0, 2)): 1}], [1, -1, 3], id="positions-without-leads"),
+        ],
+    )
+    def test_standard_counts_at_the_edges(self, q, cols, shifts):
+        got = gb.standard_monomial_counts(gb.buchberger(cols, 3), shifts, q, HILBERT_DEGREE)
+        want = reference_shifted_hilbert(cols, len(shifts), shifts, 3, q)
+        assert list(got.items()) == list(want.items())
+
 class TestPruning:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("q", [2, 3])
