@@ -149,7 +149,8 @@ def normal_form(vec: Vec, basis: _Basis) -> Vec:
             continue
         for blt, bvec in by_pos.get(lt[0], ()):
             if _divides(blt, lt):
-                # work -= c * x^shift * bvec, as vec_sub_shifted does
+                # work -= c * x^shift * bvec as vec_sub_shifted does, inline
+                # so that each term entering work gets its key queued
                 shift = tuple(map(sub, lt[1], blt[1]))
                 for (pos, e), v in bvec.items():
                     t = (pos, tuple(map(add, e, shift)))
