@@ -15,7 +15,10 @@ It prints each pass's total, the median over items of each item's best
 time over the passes, overall and for each kind (complexes, modules),
 each kind's 90th percentile of those best times (the slow tail, which
 the median hides), and one line per item whose output digest differs
-from the reference; it exits 1 if any does.  Unlike the ``ha-graded``
+from the reference; it exits 1 if any does.  After the timed passes it
+makes one untimed pass with ``groebner.buchberger`` and
+``groebner.normal_form`` wrapped, and prints how many times each ran
+(calls from inside ``groebner`` included).  Unlike the ``ha-graded``
 ``item_s`` of ``perfbench/run.py``, which times as many items of a
 repeated order as fit in a time window, a pass times the same items on
 both sides of a comparison.  The script imports ``src/`` next to it; to
@@ -45,6 +48,33 @@ def load_child():
     return child
 
 
+def count_calls(child, pool: dict, items: list[tuple[str, int]]) -> dict[str, int]:
+    """Calls of ``buchberger`` and ``normal_form`` over one pass, counted
+    by wrappers on the ``patchtower.groebner`` module attributes, which
+    the engine's own calls look up too."""
+    from patchtower import groebner
+
+    counts = {"buchberger": 0, "normal_form": 0}
+    real = {name: getattr(groebner, name) for name in counts}
+
+    def wrap(name):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real[name](*args, **kwargs)
+
+        return counted
+
+    for name in counts:
+        setattr(groebner, name, wrap(name))
+    try:
+        for kind, i in items:
+            child.graded_item(kind, pool[kind][i])
+    finally:
+        for name, fn in real.items():
+            setattr(groebner, name, fn)
+    return counts
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--passes", type=int, default=5, help="whole passes over the pool (default 5)")
@@ -70,6 +100,8 @@ def main(argv=None) -> int:
         times = [t for (k, _), t in zip(items, best) if k == kind]
         p90 = statistics.quantiles(times, n=10, method="inclusive")[-1]
         print(f"  {kind}: {statistics.median(times) * 1e3:.3f} ms over {len(times)} items, p90 {p90 * 1e3:.3f} ms")
+    counts = count_calls(child, pool, items)
+    print(f"one untimed pass: {counts['buchberger']} Buchberger runs, {counts['normal_form']} normal forms")
     for kind, i in sorted(mismatches):
         print(f"digest mismatch: {kind}[{i}]")
     print(f"{len(items) - len(mismatches)} of {len(items)} digests match the reference")

@@ -281,7 +281,7 @@ def module_dimension(m: GradedModule) -> int:
     """
     p, q = m.ring.p, m.ring.q
     fit = fitting_ideal(m)
-    return gb.ideal_dimension(annihilator_ideal(m) if fit is None else gb.buchberger(fit, p), p, q)
+    return gb.ideal_dimension(annihilator_ideal(m) if fit is None else gb.buchberger(fit, p), q)
 
 
 def _rank_at_zero(d: Matrix, p: int) -> int:
@@ -393,7 +393,7 @@ def _merge_components(candidates: dict[int, list[list[Vec]]], p: int, q: int) ->
         for level in candidates[h]:
             for lower in merged.values():
                 level = gb.saturate(level, lower, p, q)
-            if gb.ideal_dimension(level, p, q) == q - h:
+            if gb.ideal_dimension(level, q) == q - h:
                 pieces.append(level)
         if pieces:
             total = pieces[0]
@@ -553,7 +553,7 @@ def verify_height_amplitude(c: FreeComplex) -> HAReport:
             if d == d_plus:
                 continue
             meet = gb.ideal_sum(top_level, annihilator_ideal(mod), p)
-            if gb.ideal_dimension(meet, p, q) == q - amplitude:
+            if gb.ideal_dimension(meet, q) == q - amplitude:
                 witnesses.append(d)
         part_ii = {"applicable": True, "pass": not witnesses, "witnesses": witnesses}
     else:

@@ -15,8 +15,7 @@ The Gebauer-Moeller criteria prune them (Gebauer and Moeller, J. Symbolic
 Comput. 6, 1988): when an element is added, the chain criterion drops
 pending pairs its lead makes redundant, criteria M and F drop its own
 pairs whose lcm another of its pairs divides or repeats, and for ideals
-only, coprime leads drop a pair; an element whose lead a later lead
-divides gets no new pairs.  Pairs wait in a heap keyed by sugar
+only, coprime leads drop a pair.  Pairs wait in a heap keyed by sugar
 (Giovini et al., ISSAC 1991), then the lcm's order key, then insertion.
 Interreduction keeps the minimal leads in one basis and reduces every
 tail against it: no term below a lead is a multiple of that lead, so
@@ -35,9 +34,13 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from itertools import chain, combinations, count
+from math import comb
 from operator import add, le, neg, sub
 
 import numpy as np
+
+from .errors import ExpansionTooLarge
+from .linalg import MAX_EXPANDED_CELLS
 
 Term = tuple[int, tuple[int, ...]]
 Vec = dict[Term, int]
@@ -172,10 +175,7 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
     """Reduced Groebner basis of the submodule generated by ``gens``."""
     order = order or ModuleOrder()
     basis = _Basis(order, p)
-    seeds = [g for g in gens if g]
-    # deterministic seeding: largest leads first keeps reductions short
-    seeds.sort(key=lambda v: order.key(lead(v, order)), reverse=True)
-    for g in seeds:
+    for g in gens:
         g = normal_form(g, basis)
         if g:
             basis.add(g)
@@ -194,8 +194,6 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
     pairs: list = []
     live: dict[tuple[int, int], tuple[int, ...]] = {}
     counter = count()
-    # elements whose lead no later lead divides: only they get new pairs
-    active: list[int] = []
 
     def update(h: int) -> None:
         """Prune the pending pairs by h's lead, then queue the pairs of h
@@ -211,7 +209,7 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
             ):
                 del live[i, j]  # chain criterion B
         new = []
-        for i in active:
+        for i in range(h):
             ipos, ei = items[i][0]
             if ipos == pos:
                 lcm = tuple(map(max, ei, eh))
@@ -229,8 +227,6 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
                 live[i, h] = lcm
                 sugar = sum(lcm) + max(excess[i], excess[h])
                 heapq.heappush(pairs, (sugar, order.exp_keys[lcm], next(counter), i, h, lcm))
-        active[:] = [i for i in active if not (items[i][0][0] == pos and all(map(le, eh, items[i][0][1])))]
-        active.append(h)
 
     for h in range(len(items)):
         update(h)
@@ -268,13 +264,6 @@ def _reduce_basis(basis: _Basis) -> list[Vec]:
     return out[::-1]
 
 
-def prepared_basis(gb: list[Vec], p: int) -> _Basis:
-    basis = _Basis(ModuleOrder(), p)
-    for g in gb:
-        basis.add(g)
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # syzygies and derived module operations
 # ---------------------------------------------------------------------------
@@ -310,13 +299,20 @@ def relations_modulo(gens: list[Vec], modulus_cols: list[Vec], t: int, p: int, q
 
 
 def module_is_zero(rel_cols: list[Vec], t: int, p: int, q: int) -> bool:
-    """Is R^t equal to the column span, i.e. the cokernel zero?"""
+    """Is R^t equal to the column span, i.e. the cokernel zero?
+
+    Exactly when every constant term (i, 0), i < t, is a lead of the
+    reduced basis: if e_i is in the span, some lead divides (i, 0), and
+    leads are minimal.  Conversely, constants sit below every other term,
+    so the element with lead (i, 0) is e_i plus constants at later
+    positions; by descending induction on i, every e_i is in the span.
+    """
     if t == 0:
         return True
-    gb = buchberger(rel_cols, p)
-    basis = prepared_basis(gb, p)
     zero_e = (0,) * q
-    return all(not normal_form({(i, zero_e): 1}, basis) for i in range(t))
+    # every vector buchberger returns has its lead as its first term
+    leads = {next(iter(g)) for g in buchberger(rel_cols, p)}
+    return all((i, zero_e) in leads for i in range(t))
 
 
 def annihilator(rel_cols: list[Vec], t: int, p: int, q: int) -> list[Vec]:
@@ -434,7 +430,7 @@ def monomial_dimension(lead_exps: list[tuple[int, ...]], q: int) -> int:
     return 0
 
 
-def ideal_dimension(gb: list[Vec], p: int, q: int) -> int:
+def ideal_dimension(gb: list[Vec], q: int) -> int:
     """dim R/I via the initial ideal, from ``gb``, a Groebner basis of I in
     the default order (as ``buchberger`` returns); dim R = q for I = 0."""
     if not gb:
@@ -456,7 +452,10 @@ def standard_monomial_counts(rel_gb: list[Vec], shifts: list[int], q: int, max_d
     One table holds every exponent vector of degree <= max_degree less
     the smallest counted shift (stars and bars: q bars among D + q
     slots); each position keeps the rows of its own degree range that no
-    lead at that position divides.
+    lead at that position divides.  The table (rows x q cells) and the
+    divisibility broadcast (rows x q x the most leads at one position)
+    are counted first and refused with ``ExpansionTooLarge`` past
+    ``MAX_EXPANDED_CELLS``.
     """
     order = ModuleOrder()
     leads_by_pos: dict[int, list[tuple[int, ...]]] = {}
@@ -467,6 +466,13 @@ def standard_monomial_counts(rel_gb: list[Vec], shifts: list[int], q: int, max_d
     if not counted:
         return {}
     low = min(shift for _, shift in counted)
+    rows = comb(max_degree - low + q, q)
+    cells = rows * q * max(1, *(len(leads_by_pos.get(pos, ())) for pos, _ in counted))
+    if cells > MAX_EXPANDED_CELLS:
+        raise ExpansionTooLarge(
+            f"counting standard monomials to degree {max_degree - low} in {q} variables"
+            f" needs {cells} cells, past {MAX_EXPANDED_CELLS}"
+        )
     bars = np.array(list(combinations(range(max_degree - low + q), q)), dtype=np.int64)
     table = np.diff(bars, axis=1, prepend=-1) - 1
     degree = table.sum(axis=1)

@@ -919,3 +919,18 @@ def test_unbounded_size_is_invalid_input(capsys, tmp_path, command, obj, detail)
     path.write_text(json.dumps(obj))
     code, out = run(capsys, [command, str(path), "--format", "json"])
     assert (code, json.loads(out)) == (2, {"error": "InvalidInput", "detail": detail})
+
+
+@pytest.mark.parametrize("k, degree, cells", [(20000, 20005, 400260042), (4090, 4095, 16781312)], ids=["T1^20000", "T1^4090"])
+def test_graded_duality_table_past_the_cell_bound_exits_2(tmp_path, k, degree, cells):
+    # d = [[T1, 0], [T2, T1^k]] gives left shifts [0, 1 - k], so the
+    # Hilbert count to degree 6 lists the C(k + 7, 2) exponent pairs of
+    # degree <= k + 5; at k = 20000 that was 2.0e8 tuples and a
+    # MemoryError traceback with exit 1
+    t1, t2, t1k = [[[1, 0], 1]], [[[0, 1], 1]], [[[k, 0], 1]]
+    obj = {"ring": GRADED_Q2, "lo": 0, "ranks": [2, 2], "differentials": [[[t1, []], [t2, t1k]]]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(obj))
+    done = run_cli_under_memory_limit(["verify-ha", str(path), "--format", "json"], timeout=60)
+    detail = f"counting standard monomials to degree {degree} in 2 variables needs {cells} cells, past 16777216"
+    assert (done.returncode, json.loads(done.stdout), done.stderr) == (2, {"error": "ExpansionTooLarge", "detail": detail}, "")

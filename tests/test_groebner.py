@@ -32,21 +32,30 @@ class TestBuchberger:
 
     def test_same_ideal_same_basis(self):
         rng = random.Random(9)
-        base = [poly(2, {(2, 0): 1, (0, 1): 1}), poly(2, {(1, 1): 2, (0, 0): 0, (0, 2): 1})]
-        ref = gb.buchberger(base, 3)
-        for _ in range(5):
-            mixed = [dict(g) for g in base]
-            # add random multiples of one generator to the other
-            f = {}
-            shift = (rng.randrange(2), rng.randrange(2))
-            for (pos, e), c in base[0].items():
-                f[(pos, tuple(a + b for a, b in zip(e, shift)))] = c
-            g2 = dict(mixed[1])
-            for t, c in f.items():
-                g2[t] = (g2.get(t, 0) + c) % 3
-            mixed[1] = {t: c for t, c in g2.items() if c}
-            rng.shuffle(mixed)
-            assert gb.buchberger(mixed, 3) == ref
+        ideal = [poly(2, {(2, 0): 1, (0, 1): 1}), poly(2, {(1, 1): 2, (0, 0): 0, (0, 2): 1})]
+        # g_i + e_(2+i) over five positions, in the block order that
+        # syzygy_generators uses for t = 2
+        gens = [
+            {(0, (1, 0)): 1, (1, (0, 1)): 2},
+            {(0, (0, 2)): 1, (1, (1, 0)): 4, (1, (0, 0)): 3},
+            {(1, (2, 0)): 1, (0, (1, 1)): 1},
+        ]
+        module = [g | {(2 + i, (0, 0)): 1} for i, g in enumerate(gens)]
+        for base, p, order in [(ideal, 3, None), (module, 5, gb.ModuleOrder(gb.grevlex_key, cut=2))]:
+            ref = gb.buchberger(base, p, order)
+            for _ in range(5):
+                mixed = [dict(g) for g in base]
+                # add random multiples of one generator to the other
+                f = {}
+                shift = (rng.randrange(2), rng.randrange(2))
+                for (pos, e), c in base[0].items():
+                    f[(pos, tuple(a + b for a, b in zip(e, shift)))] = c
+                g2 = dict(mixed[1])
+                for t, c in f.items():
+                    g2[t] = (g2.get(t, 0) + c) % p
+                mixed[1] = {t: c for t, c in g2.items() if c}
+                rng.shuffle(mixed)
+                assert gb.buchberger(mixed, p, order) == ref
 
 
 class TestSyzygies:
@@ -100,14 +109,45 @@ class TestIdealOperations:
         assert not gb.radical_member(poly(2, {(0, 1): 1}), sq, 3, 2)
 
     def test_dimensions(self):
-        assert gb.ideal_dimension([poly(2, {(1, 0): 1})], 3, 2) == 1
-        assert gb.ideal_dimension([poly(2, {(1, 0): 1}), poly(2, {(0, 1): 1})], 3, 2) == 0
-        assert gb.ideal_dimension([], 3, 2) == 2
-        assert gb.ideal_dimension([poly(2, {(0, 0): 1})], 3, 2) == -1
+        assert gb.ideal_dimension([poly(2, {(1, 0): 1})], 2) == 1
+        assert gb.ideal_dimension([poly(2, {(1, 0): 1}), poly(2, {(0, 1): 1})], 2) == 0
+        assert gb.ideal_dimension([], 2) == 2
+        assert gb.ideal_dimension([poly(2, {(0, 0): 1})], 2) == -1
 
     def test_module_zero(self):
         assert gb.module_is_zero([poly(2, {(0, 0): 1})], 1, 3, 2)
         assert not gb.module_is_zero([poly(2, {(1, 0): 1})], 1, 3, 2)
+        assert gb.module_is_zero([], 0, 3, 2)
+        e0t1_e1 = {(0, (1, 0)): 1, (1, (0, 0)): 1}  # e_0 T1 + e_1
+        cases = [
+            # zero only through e_0 T1 + e_1: e_1 is no column's lead
+            ([e0t1_e1, {(0, (0, 0)): 1}], 2, True),
+            # e_1 = -T1 e_0, so e_0 survives
+            ([e0t1_e1], 2, False),
+            # e_1 + e_2 and e_2 give e_1; e_0 survives modulo T2 e_0
+            ([{(1, (0, 0)): 1, (2, (0, 0)): 1}, {(2, (0, 0)): 2}, {(0, (0, 1)): 1}], 3, False),
+            ([{(0, (0, 0)): 1, (1, (0, 1)): 1}, {(1, (0, 0)): 2, (2, (1, 0)): 1}, {(2, (0, 0)): 1}], 3, True),
+        ]
+        for cols, t, want in cases:
+            assert gb.module_is_zero(cols, t, 3, 2) == util.reference_module_is_zero(cols, t, 3, 2) == want
+        rng = random.Random(1303)
+        seen = set()
+        for _ in range(300):
+            p, q, t = rng.choice((2, 3, 5, 7)), rng.randint(1, 3), rng.randint(1, 4)
+            cols = []
+            for _ in range(rng.randint(0, t + 2)):
+                col = {}
+                for _ in range(rng.randint(1, 3)):
+                    # constants half the time, so that zero modules occur
+                    e = [0] * q
+                    if rng.random() < 0.5:
+                        e[rng.randrange(q)] += rng.randint(1, 2)
+                    col[(rng.randrange(t), tuple(e))] = rng.randrange(1, p)
+                cols.append(col)
+            got = gb.module_is_zero(cols, t, p, q)
+            assert got == util.reference_module_is_zero(cols, t, p, q)
+            seen.add((got, t > 1))
+        assert seen == {(True, True), (False, True), (True, False), (False, False)}
 
     def test_standard_counts(self):
         basis = gb.buchberger([poly(2, {(1, 0): 1})], 3)

@@ -214,6 +214,24 @@ def _reference_koszul_block_columns(step_cols: list[Vec], gens: int):
     return out
 
 
+def _reference_basis(reduced: list[Vec], p: int) -> gb._Basis:
+    """A reduced basis in the default order, ready for ``gb.normal_form``."""
+    basis = gb._Basis(ModuleOrder(), p)
+    for g in reduced:
+        basis.add(g)
+    return basis
+
+
+def reference_module_is_zero(rel_cols: list[Vec], t: int, p: int, q: int) -> bool:
+    """``groebner.module_is_zero`` as a normal-form test: every unit
+    vector e_i reduces to zero against the reduced basis of the span."""
+    if t == 0:
+        return True
+    basis = _reference_basis(gb.buchberger(rel_cols, p), p)
+    zero_e = (0,) * q
+    return all(not gb.normal_form({(i, zero_e): 1}, basis) for i in range(t))
+
+
 def reference_module_depth(m: GradedModule) -> int | None:
     """Depth along (T_1..T_q), read from Koszul homology of the cover: for
     each i from q down, one block syzygy run and one Groebner basis over
@@ -246,7 +264,7 @@ def reference_module_depth(m: GradedModule) -> int | None:
             cycles = gb.relations_modulo(bnd_out, block_rel(i - 1), kos.rank(i - 1) * gens, p, q)
         # boundary(q + 1) has no columns
         span = _reference_koszul_block_columns(boundary(i + 1), gens) + block_rel(i)
-        basis = gb.prepared_basis(gb.buchberger(span, p), p)
+        basis = _reference_basis(gb.buchberger(span, p), p)
         if any(gb.normal_form(v, basis) for v in cycles):
             return q - i
     # exhaustion means the variable ideal acts invertibly; depth along it
