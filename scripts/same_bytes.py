@@ -25,7 +25,10 @@ default precision (exit 3, and chain [2, 3] rebased) and at (1, 2, 3, 3)
 patched at precision 3 (exit 3).  Last come, for each graded complex of
 ``perfbench/data/ha_pool.json`` (which is read and left as it is), its
 ``minimize`` and ``verify-ha`` outputs, and for each pooled graded
-module its ``invariants`` output, all with ``--format json``.
+module its ``invariants`` output, all with ``--format json``.  The last
+line is the ``verify-ha --format json`` output of d = [[T1, 0], [T2,
+T1^4090]] over F_3[T1,T2], whose Hilbert counts run from degree -4089
+to 6.
 
 Two checkouts give the same canonical bytes exactly when this prints
 the same lines on both, so a "same bytes" claim is one ``diff``:
@@ -182,6 +185,15 @@ def ha_pool():
     return lines
 
 
+def wide_exponent(k: int = 4090):
+    """(name, sha256) of ``verify-ha`` on d = [[T1, 0], [T2, T1^k]]."""
+    ring = {"p": 3, "m": 1, "n": 0, "q": 2, "kind": "graded"}
+    t1, t2, t1k = [[[1, 0], 1]], [[[0, 1], 1]], [[[k, 0], 1]]
+    obj = {"ring": ring, "lo": 0, "ranks": [2, 2], "differentials": [[[t1, []], [t2, t1k]]]}
+    with tempfile.TemporaryDirectory() as tmp:
+        return [command_digest("verify-ha", f"wide-exponent-T1^{k}", obj, tmp)]
+
+
 def grid():
     for q, r, precisions in CLASSES:
         for seed in SEEDS:
@@ -201,5 +213,5 @@ if __name__ == "__main__":
             print(name, sha, flush=True)
     for name, sha in basis_change() + sheared():
         print(name, sha, flush=True)
-    for name, sha in ha_pool():
+    for name, sha in ha_pool() + wide_exponent():
         print(name, sha, flush=True)

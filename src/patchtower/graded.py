@@ -552,7 +552,7 @@ def verify_height_amplitude(c: FreeComplex) -> HAReport:
         for d, mod in nonzero.items():
             if d == d_plus:
                 continue
-            meet = gb.ideal_sum(top_level, annihilator_ideal(mod), p)
+            meet = gb.buchberger([*top_level, *annihilator_ideal(mod)], p)
             if gb.ideal_dimension(meet, q) == q - amplitude:
                 witnesses.append(d)
         part_ii = {"applicable": True, "pass": not witnesses, "witnesses": witnesses}

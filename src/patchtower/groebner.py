@@ -27,20 +27,19 @@ Syzygies come from the block-order elimination trick: embed each
 generator g_i as g_i + e_i in a larger free module whose first block
 dominates; basis elements supported on the second block generate the
 syzygy module exactly.
+
+Standard-monomial counts and Krull dimensions both read the numerator
+K(t) of the Hilbert series K(t)/(1-t)^q of R/L for the monomial ideal L
+of the leads (Bayer and Stillman, J. Symbolic Comput. 14, 1992), built
+by a loop over the minimal leads with one recursive call per colon.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
-from itertools import chain, combinations, count
-from math import comb
+from itertools import accumulate, chain, count
 from operator import add, le, neg, sub
-
-import numpy as np
-
-from .errors import ExpansionTooLarge
-from .linalg import MAX_EXPANDED_CELLS
 
 Term = tuple[int, tuple[int, ...]]
 Vec = dict[Term, int]
@@ -315,21 +314,28 @@ def module_is_zero(rel_cols: list[Vec], t: int, p: int, q: int) -> bool:
     return all((i, zero_e) in leads for i in range(t))
 
 
-def annihilator(rel_cols: list[Vec], t: int, p: int, q: int) -> list[Vec]:
-    """The ideal of ring elements acting as zero on coker(rel_cols in R^t).
+def _block_colon(parts: list[Vec], cols: list[Vec], width: int, p: int, q: int) -> list[Vec]:
+    """Ring elements f with f * parts[b] in span(cols) for every b, by one
+    syzygy computation: block b of R^(len(parts) * width) holds parts[b]
+    on the diagonal vector and a copy of every column."""
 
-    One syzygy computation: f annihilates iff f * (e_1,...,e_t), viewed
-    inside the t-fold block sum, falls in the blockwise relation span.
-    """
+    def shifted(vec: Vec, b: int) -> Vec:
+        return {(b * width + pos, e): c for (pos, e), c in vec.items()}
+
+    diag: Vec = {}
+    for b, part in enumerate(parts):
+        diag.update(shifted(part, b))
+    blocks = [shifted(col, b) for b in range(len(parts)) for col in cols]
+    return buchberger(relations_modulo([diag], blocks, len(parts) * width, p, q), p)
+
+
+def annihilator(rel_cols: list[Vec], t: int, p: int, q: int) -> list[Vec]:
+    """The ideal of ring elements acting as zero on coker(rel_cols in R^t):
+    f annihilates iff f * e_i falls in the relation span for every i."""
     zero_e = (0,) * q
     if t == 0:
         return [{(0, zero_e): 1}]
-    diag: Vec = {(i * t + i, zero_e): 1 for i in range(t)}
-    blocks = []
-    for i in range(t):
-        for col in rel_cols:
-            blocks.append({(i * t + pos, e): c for (pos, e), c in col.items()})
-    return buchberger(relations_modulo([diag], blocks, t * t, p, q), p)
+    return _block_colon([{(i, zero_e): 1} for i in range(t)], rel_cols, t, p, q)
 
 
 def ideal_quotient(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> list[Vec]:
@@ -337,16 +343,7 @@ def ideal_quotient(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> list
     j_gens = [g for g in j_gens if g]
     if not j_gens:
         return [{(0, (0,) * q): 1}]
-    s = len(j_gens)
-    diag: Vec = {}
-    for jdx, g in enumerate(j_gens):
-        for (pos, e), c in g.items():
-            diag[(jdx, e)] = c
-    blocks = []
-    for jdx in range(s):
-        for f in i_gens:
-            blocks.append({(jdx, e): c for (pos, e), c in f.items()})
-    return buchberger(relations_modulo([diag], blocks, s, p, q), p)
+    return _block_colon(j_gens, i_gens, 1, p, q)
 
 
 def saturate(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> list[Vec]:
@@ -357,10 +354,6 @@ def saturate(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> list[Vec]:
         if nxt == cur:
             return cur
         cur = nxt
-
-
-def ideal_sum(i_gens: list[Vec], j_gens: list[Vec], p: int) -> list[Vec]:
-    return buchberger(list(i_gens) + list(j_gens), p)
 
 
 def poly_mul(a: Vec, b: Vec, p: int) -> Vec:
@@ -408,35 +401,47 @@ def radical_equal(i_gens: list[Vec], j_gens: list[Vec], p: int, q: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dimension theory of monomial data
+# Hilbert numerators of monomial data
 # ---------------------------------------------------------------------------
 
 
-def monomial_dimension(lead_exps: list[tuple[int, ...]], q: int) -> int:
-    """Krull dimension of R/L for the monomial ideal with the given generators.
+def _hilbert_numerator(exps: list[tuple[int, ...]]) -> list[int]:
+    """Coefficients of K(t), where K(t)/(1-t)^q is the Hilbert series of
+    R/L for the monomial ideal L the exponents generate; [] when L = R.
 
-    -1 when L contains a constant.  Otherwise the largest size of a
-    variable subset S such that no generator is supported inside S.
+    Over the minimal generators m_1..m_r sorted by degree,
+    K = 1 - sum_i t^deg(m_i) K((m_1..m_(i-1)) : m_i), and the colon is
+    generated by the lcm(m_j, m_i) / m_i, j < i: calls nest once per
+    colon, not once per generator.
     """
-    if any(all(x == 0 for x in e) for e in lead_exps):
-        return -1
-    supports = [frozenset(i for i, x in enumerate(e) if x) for e in lead_exps]
-    for size in range(q, 0, -1):
-        for subset in combinations(range(q), size):
-            sset = frozenset(subset)
-            if all(not sup <= sset for sup in supports):
-                return size
-    # no lead is constant, so the empty subset always qualifies
-    return 0
+    mins: list[tuple[int, ...]] = []
+    for e in sorted(exps, key=sum):
+        if not any(all(map(le, m, e)) for m in mins):
+            mins.append(e)
+    k = [1]
+    for i, m in enumerate(mins):
+        colon = _hilbert_numerator([tuple(map(sub, map(max, e, m), m)) for e in mins[:i]])
+        k += [0] * (sum(m) + len(colon) - len(k))
+        for d, c in enumerate(colon, sum(m)):
+            k[d] -= c
+    while k and not k[-1]:
+        k.pop()
+    return k
 
 
 def ideal_dimension(gb: list[Vec], q: int) -> int:
-    """dim R/I via the initial ideal, from ``gb``, a Groebner basis of I in
-    the default order (as ``buchberger`` returns); dim R = q for I = 0."""
-    if not gb:
-        return q
+    """dim R/I from ``gb``, a Groebner basis of I in the default order (as
+    ``buchberger`` returns): q less the number of times (1 - t) divides
+    the numerator K of R/in(I), or -1 when K = 0, that is I = R."""
     order = ModuleOrder()
-    return monomial_dimension([lead(g, order)[1] for g in gb], q)
+    k = _hilbert_numerator([lead(g, order)[1] for g in gb])
+    if not k:
+        return -1
+    dim = q
+    while sum(k) == 0:
+        k = list(accumulate(k))[:-1]  # K / (1 - t)
+        dim -= 1
+    return dim
 
 
 def standard_monomial_counts(rel_gb: list[Vec], shifts: list[int], q: int, max_degree: int) -> dict[int, int]:
@@ -449,42 +454,26 @@ def standard_monomial_counts(rel_gb: list[Vec], shifts: list[int], q: int, max_d
     free module modulo the span.  Only nonzero counts appear, in degree
     order.
 
-    One table holds every exponent vector of degree <= max_degree less
-    the smallest counted shift (stars and bars: q bars among D + q
-    slots); each position keeps the rows of its own degree range that no
-    lead at that position divides.  The table (rows x q cells) and the
-    divisibility broadcast (rows x q x the most leads at one position)
-    are counted first and refused with ``ExpansionTooLarge`` past
-    ``MAX_EXPANDED_CELLS``.
+    Position j's counts are the coefficients of K(t)/(1-t)^q for the
+    numerator K of its leads, truncated at ``max_degree - shifts[j]``.
     """
     order = ModuleOrder()
     leads_by_pos: dict[int, list[tuple[int, ...]]] = {}
     for g in rel_gb:
         pos, e = lead(g, order)
         leads_by_pos.setdefault(pos, []).append(e)
-    counted = [(pos, shift) for pos, shift in enumerate(shifts) if shift <= max_degree]
-    if not counted:
-        return {}
-    low = min(shift for _, shift in counted)
-    rows = comb(max_degree - low + q, q)
-    cells = rows * q * max(1, *(len(leads_by_pos.get(pos, ())) for pos, _ in counted))
-    if cells > MAX_EXPANDED_CELLS:
-        raise ExpansionTooLarge(
-            f"counting standard monomials to degree {max_degree - low} in {q} variables"
-            f" needs {cells} cells, past {MAX_EXPANDED_CELLS}"
-        )
-    bars = np.array(list(combinations(range(max_degree - low + q), q)), dtype=np.int64)
-    table = np.diff(bars, axis=1, prepend=-1) - 1
-    degree = table.sum(axis=1)
-    counts = np.zeros(max_degree - low + 1, dtype=np.int64)
-    for pos, shift in counted:
+    counts: dict[int, int] = {}
+    for pos, shift in enumerate(shifts):
         top = max_degree - shift
-        keep = degree <= top
-        if pos in leads_by_pos:
-            leads = np.array(leads_by_pos[pos], dtype=np.int64)
-            keep &= ~(table[:, None, :] >= leads).all(axis=2).any(axis=1)
-        counts[shift - low :] += np.bincount(degree[keep], minlength=top + 1)
-    return {d + low: n for d, n in enumerate(counts.tolist()) if n}
+        if top < 0:
+            continue
+        series = _hilbert_numerator(leads_by_pos.get(pos, []))[: top + 1]
+        series += [0] * (top + 1 - len(series))
+        for _ in range(q):
+            series = list(accumulate(series))  # divide by (1 - t)
+        for d, n in enumerate(series, shift):
+            counts[d] = counts.get(d, 0) + n
+    return {d: counts[d] for d in sorted(counts) if counts[d]}
 
 
 def poly_determinant(rows: list[list[Vec]], p: int, q: int) -> Vec:

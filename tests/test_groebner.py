@@ -1,4 +1,6 @@
 import random
+import time
+from math import comb
 from unittest import mock
 
 from hypothesis import given, settings
@@ -149,9 +151,40 @@ class TestIdealOperations:
             seen.add((got, t > 1))
         assert seen == {(True, True), (False, True), (True, False), (False, False)}
 
+    def test_dimensions_match_the_subset_search(self):
+        rng = random.Random(2401)
+        cases = [([], 0), ([], 3), ([(0, 0, 0)], 3), ([(0, 2), (1, 0), (0, 0)], 2), ([()], 0)]
+        for _ in range(2000):
+            q = rng.randint(1, 5)
+            leads = []
+            for _ in range(rng.randint(0, 8)):
+                # zero entries half the time, so that supports vary
+                leads.append(tuple(rng.randint(1, 3) if rng.random() < 0.5 else 0 for _ in range(q)))
+            cases.append((leads, q))
+        seen = set()
+        for leads, q in cases:
+            got = gb.ideal_dimension([{(0, e): 1} for e in leads], q)
+            assert got == util.reference_monomial_dimension(leads, q)
+            seen.add(got)
+        assert seen == {-1, 0, 1, 2, 3, 4, 5}
+
     def test_standard_counts(self):
         basis = gb.buchberger([poly(2, {(1, 0): 1})], 3)
         assert gb.standard_monomial_counts(basis, [0], 2, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
+
+    def test_standard_counts_below_every_monomial_of_one_degree(self):
+        # the 1,326 monomials of degree 50 in 3 variables: below 50 every
+        # monomial is standard, from 50 on none is; the numerator nests
+        # one call per colon, where one call per lead would pass Python's
+        # 1,000-frame limit
+        d, q = 50, 3
+        leads = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+        assert len(leads) == comb(d + q - 1, q - 1) == 1326
+        start = time.perf_counter()
+        got = gb.standard_monomial_counts([{(0, e): 1} for e in leads], [0], q, d + 10)
+        elapsed = time.perf_counter() - start
+        assert got == {k: comb(k + q - 1, q - 1) for k in range(d)}
+        assert elapsed < 20
 
     def test_determinant(self):
         t1 = poly(2, {(1, 0): 1})

@@ -232,6 +232,24 @@ def reference_module_is_zero(rel_cols: list[Vec], t: int, p: int, q: int) -> boo
     return all(not gb.normal_form({(i, zero_e): 1}, basis) for i in range(t))
 
 
+def reference_monomial_dimension(lead_exps: list[tuple[int, ...]], q: int) -> int:
+    """Krull dimension of R/L for the monomial ideal with the given generators.
+
+    -1 when L contains a constant.  Otherwise the largest size of a
+    variable subset S such that no generator is supported inside S.
+    """
+    if any(all(x == 0 for x in e) for e in lead_exps):
+        return -1
+    supports = [frozenset(i for i, x in enumerate(e) if x) for e in lead_exps]
+    for size in range(q, 0, -1):
+        for subset in itertools.combinations(range(q), size):
+            sset = frozenset(subset)
+            if all(not sup <= sset for sup in supports):
+                return size
+    # no lead is constant, so the empty subset always qualifies
+    return 0
+
+
 def reference_module_depth(m: GradedModule) -> int | None:
     """Depth along (T_1..T_q), read from Koszul homology of the cover: for
     each i from q down, one block syzygy run and one Groebner basis over
