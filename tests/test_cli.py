@@ -927,9 +927,8 @@ K4090_SHA256 = "91a695f5ad7f620c01d85352622b7aa6ecc5fd7a518b5e0e09b2dfc60c5b48b7
 @pytest.mark.parametrize("k", [20000, 4090], ids=["T1^20000", "T1^4090"])
 def test_graded_duality_with_a_large_exponent_is_answered(tmp_path, k):
     # d = [[T1, 0], [T2, T1^k]] gives left shifts [0, 1 - k], so the
-    # Hilbert counts run from degree 1 - k to 6; a table of every exponent
-    # pair of degree <= k + 5 died with MemoryError at k = 20000, and a
-    # refusal of that table exited 2 from k = 4090 on
+    # Hilbert counts are k + 6 numbers, from degree 1 - k to 6, over the
+    # C(k + 7, 2) exponent pairs of degree <= k + 5 (2.0e8 at k = 20000)
     t1, t2, t1k = [[[1, 0], 1]], [[[0, 1], 1]], [[[k, 0], 1]]
     obj = {"ring": GRADED_Q2, "lo": 0, "ranks": [2, 2], "differentials": [[[t1, []], [t2, t1k]]]}
     path = tmp_path / "wide.json"
@@ -941,5 +940,5 @@ def test_graded_duality_with_a_large_exponent_is_answered(tmp_path, k):
     assert report["all_pass"] and left == report["duality"]["hilbert_right"]
     assert (len(left), left[str(1 - k)], left["0"]) == (k + 6, 1, k + 1)
     if k == 4090:
-        # the output of the table counter before the refusal
+        # the bytes of the exponent-table counter, which answered k = 4090
         assert hashlib.sha256(done.stdout.encode("utf-8")).hexdigest() == K4090_SHA256
