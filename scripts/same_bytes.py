@@ -10,6 +10,8 @@ of the tower, padded levels included.  The grid is
 p=3; (q, r) in {(1,0), (1,1), (2,0), (2,1), (2,2)} at small precisions and
 seeds 0-7; two level-3 q=2 towers, whose rank-729 ring makes scalar
 expansion take Kronecker products of two non-identity factors; two
+three-variable towers, (q, r) = (3, 1) and (3, 2) at precisions (1, 2)
+and seed 3, whose expansions join three companion powers; two
 rank-3 towers at seed 0 (every other point has rank 1): (q, r) = (2, 0)
 at precisions (1, 2), whose levels are one-term complexes of rank 3, and
 (1, 1) at (1, 2, 2), whose rank-3 differentials are padded to rank 4 at
@@ -74,6 +76,12 @@ SEEDS = range(8)
 LEVEL3 = [
     (2, 0, (1, 2, 1), 0),
     (2, 2, (1, 2, 2), 7),
+]
+# (q, r, precisions, seed): three variables, so the Kronecker index
+# order of scalar expansion is pinned past two factors
+THREE_VARIABLES = [
+    (3, 1, (1, 2), 3),
+    (3, 2, (1, 2), 3),
 ]
 # (q, r, precisions, seed, rank)
 RANK3 = [
@@ -198,7 +206,7 @@ def grid():
     for q, r, precisions in CLASSES:
         for seed in SEEDS:
             yield q, r, precisions, seed, None
-    for q, r, precisions, seed in LEVEL3:
+    for q, r, precisions, seed in LEVEL3 + THREE_VARIABLES:
         yield q, r, precisions, seed, None
     for q, r, precisions, seed, rank in RANK3:
         yield q, r, precisions, seed, None, rank

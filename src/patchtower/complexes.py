@@ -29,10 +29,10 @@ from .linalg import (
     HowellCore,
     Matrix,
     QuotientStructure,
+    SparseExpansion,
     _echelon,
-    _monomial_matrix,
+    _variable_expansions,
     expand_scalars,
-    matmul_mod,
     smith_quotient,
     smith_transforms,
 )
@@ -405,6 +405,10 @@ def cohomology(c: FreeComplex, degree: int) -> FiniteModuleData:
     differential in or out, is its own cohomology and is built directly,
     with no elimination; one whose actions would pass 4 x
     ``MAX_EXPANDED_CELLS`` cells is refused with ``ExpansionTooLarge``.
+    A top degree, with a differential in and none out, has its whole
+    ambient module as kernel: it is embedded as the scaled quotient
+    projection, with no identity matrix, and refused the same way when
+    its dense work would pass that bound.
     """
     spec = c.spec
     if spec.kind == "graded":
@@ -455,7 +459,7 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         deg = c.lo + idx
         if d.rows and d.cols:
             smiths[deg] = smith_transforms(expand_scalars(d), d.rows * rho, p, m, track_v=True)
-    mults = [_monomial_matrix(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q)]
+    mults = _variable_expansions(spec)
 
     out: dict[int, FiniteModuleData] = {}
     for degree in c.degrees:
@@ -471,32 +475,56 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
             out[degree] = _free_module(spec, rk, mults)
             continue
         if sm_out is None:
-            kernel = np.eye(amb, dtype=np.int64)
+            # the kernel is the whole ambient module: its embedding is the
+            # scaled projection, and the generators are unit columns
+            qs = sm_in.quotient()
+            _check_top_degree(rk, amb, qs.summands)
+            kernel, embed = None, qs.embed
+            ek = qs.embedded_basis()
         else:
             kernel = sm_out.column_kernel()
-        embed = (lambda cols: cols % N) if sm_in is None else sm_in.quotient().embed
+            embed = (lambda cols: cols % N) if sm_in is None else sm_in.quotient().embed
+            ek = embed(kernel)
 
-        ek = embed(kernel)
         base = (p * ek) % N
         # residue coordinates modulo p * span(kernel) as well, so that
         # every column of ek2 is killed by p (Nakayama)
         ek2 = smith_quotient(base, len(ek), p, m).embed(ek) if base.any() else ek
         chosen = _nakayama_choice(ek2, p, m)
-        gens = kernel[:, chosen]
+        if kernel is None:
+            gens = np.zeros((amb, len(chosen)), dtype=np.int64)
+            gens[chosen, np.arange(len(chosen))] = 1
+        else:
+            gens = kernel[:, chosen]
         solver = HowellCore(ek[:, chosen].T, p, m)
         relations = solver.kernel_rows().T
-        actions = _variable_actions(mults, gens, rk, embed, solver, N)
+        actions = _variable_actions(mults, gens, rk, embed, solver)
 
         out[degree] = FiniteModuleData(p, m, gens.shape[1], relations, actions)
     return out
 
 
-def _free_module(spec: RingSpec, rk: int, mults) -> FiniteModuleData:
+def _check_top_degree(rk: int, amb: int, summands: int) -> None:
+    """Refuse a degree with no differential out whose dense work would
+    pass 4 x ``MAX_EXPANDED_CELLS`` cells: its generators (amb x at most
+    ``summands``), its embedded kernel (summands x amb) and the Howell
+    work matrix of the chosen generators (at most summands x 2 summands)
+    are counted before anything is allocated."""
+    cells = 2 * summands * (amb + summands)
+    if cells > 4 * MAX_EXPANDED_CELLS:
+        raise ExpansionTooLarge(
+            f"the cohomology of a top degree of rank {rk} ({amb} coordinates, {summands} summands,"
+            f" {cells} cells) exceeds {4 * MAX_EXPANDED_CELLS} cells"
+        )
+
+
+def _free_module(spec: RingSpec, rk: int, mults: tuple[SparseExpansion, ...]) -> FiniteModuleData:
     """A degree with no differential in or out: its cohomology is the
     free module itself, on the standard basis with no relations, and
     variable j acts on its rk blocks of rho monomial coordinates as
-    I_rk (x) ``mults[j]``.  The action cells and the identity are
-    counted before anything is allocated."""
+    I_rk (x) ``mults[j]``, scattered dense from its sparse entries.  The
+    q amb^2 action cells, plus rk^2, are counted before anything is
+    allocated."""
     amb = rk * spec.coefficient_rank
     cells = len(mults) * amb * amb + rk * rk
     if cells > 4 * MAX_EXPANDED_CELLS:
@@ -504,19 +532,17 @@ def _free_module(spec: RingSpec, rk: int, mults) -> FiniteModuleData:
             f"the actions on a free degree of rank {rk} ({len(mults)} x {amb}^2 cells)"
             f" exceed {4 * MAX_EXPANDED_CELLS} cells"
         )
-    # a one-variable monomial matrix is already reduced mod p^m
-    ident = np.eye(rk, dtype=np.int64)
-    actions = tuple(np.kron(ident, mult) for mult in mults)
+    actions = tuple(mult.block_diagonal(rk) for mult in mults)
     return FiniteModuleData(spec.p, spec.m, amb, np.zeros((amb, 0), dtype=np.int64), actions)
 
 
-def _variable_actions(mults, gens: np.ndarray, rk: int, embed, solver, N: int) -> tuple[np.ndarray, ...]:
+def _variable_actions(mults: tuple[SparseExpansion, ...], gens: np.ndarray, rk: int, embed, solver) -> tuple[np.ndarray, ...]:
     """Matrix of each variable on the cohomology generators ``gens``.
 
     ``mults[j]`` multiplies by variable j on one block of rho monomial
     coordinates, and the ambient free module is rk such blocks: one
-    product moves every block, ``embed`` takes the images to quotient
-    coordinates, and one solve against ``solver`` (the embedded
+    sparse product moves every block, ``embed`` takes the images to
+    quotient coordinates, and one solve against ``solver`` (the embedded
     generators, one per row) writes all g images in the generators.
     """
     amb, g = gens.shape
@@ -524,7 +550,7 @@ def _variable_actions(mults, gens: np.ndarray, rk: int, embed, solver, N: int) -
     blocks = gens.reshape(rk, rho, g).transpose(1, 0, 2).reshape(rho, rk * g)
     actions = []
     for mult in mults:
-        moved = matmul_mod(mult, blocks, N).reshape(rho, rk, g).transpose(1, 0, 2)
+        moved = mult.product(blocks).reshape(rho, rk, g).transpose(1, 0, 2)
         x = solver.solve(embed(moved.reshape(amb, g)).T)
         if x is None:
             raise AssertionError("variable action left the cohomology span")

@@ -9,28 +9,33 @@ Two layers:
   and cardinality question about a finite module, and Howell forms,
   which give cohomology its relation kernel and batched solve.
   Patch-ring matrices enter this layer through ``expand_scalars`` (the
-  regular representation on the monomial basis).
+  regular representation on the monomial basis), which is sparse from
+  the ring entries on: the matrix of T^a is the nonzero columns of a
+  companion-matrix power per variable, joined across the variables by
+  Kronecker index arithmetic, and no dense rho x rho or expanded array
+  is built unless a caller asks for it.
 
 The Smith kernel is a sparse-row elimination in Python integers: the
 scalar expansions it diagonalizes are almost empty (a padded 486 x 486
-differential has 487 nonzeros), so it keeps each row as a dict of its
-nonzero residues, visits only the rows that meet the pivot column, and
-finds pivots with one forward-only cursor per valuation layer.  Its
+differential has 487 nonzeros), so it fills its row dicts straight from
+the expansion's nonzeros, keeps each row as a dict of its nonzero
+residues, visits only the rows that meet the pivot column, and finds
+pivots with one forward-only cursor per valuation layer.  Its
 transforms stay sparse: quotient coordinates are one exact sparse
 product with the kept rows of U, each term reduced before the sum, and
 only the kernel columns of V and whatever matrix a caller reads itself
 (the dense U, V or quotient projection) are gathered into dense arrays.
 Howell forms and every other operation use numpy int64 arrays with
-vectorised modular row operations.  Every other matrix product over
-Z/p^m outside the elimination loops goes through ``matmul_mod``, which
-picks one of two exact paths by the largest partial sum the product can
-reach: float32 BLAS below 2^24, Python integers past it.
+vectorised modular row operations.  Every other dense matrix product
+over Z/p^m outside the elimination loops goes through ``matmul_mod``,
+which picks one of two exact paths by the largest partial sum the
+product can reach: float32 BLAS below 2^24, Python integers past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -422,12 +427,24 @@ class QuotientStructure:
         moduli = self.p ** np.array(self.exponents, dtype=np.int64)
         return out % moduli.reshape((-1,) + (1,) * (out.ndim - 1))
 
+    @property
+    def _scales(self) -> np.ndarray:
+        """p^(m - e) per summand: the summand of order p^e sits in Z/p^m
+        as p^(m - e) Z/p^m."""
+        return (self.p ** (self.m - np.array(self.exponents, dtype=np.int64)))[:, None]
+
     def embed(self, x: np.ndarray) -> np.ndarray:
         """The coordinates of each column of a 2-d x scaled into
-        (Z/p^m)^summands, where the summand of order p^e sits as
-        p^(m - e) Z/p^m."""
-        scales = self.p ** (self.m - np.array(self.exponents, dtype=np.int64))
-        return self._product(x) * scales[:, None] % (self.p**self.m)
+        (Z/p^m)^summands."""
+        return self._product(x) * self._scales % (self.p**self.m)
+
+    def embedded_basis(self) -> np.ndarray:
+        """``embed`` of the ambient identity: the scaled summands x ambient
+        projection, gathered from the sparse rows with no product."""
+        out = _gather(self.rows, self.ambient)
+        out *= self._scales
+        out %= self.p**self.m
+        return out
 
     def divisors(self) -> tuple[int, ...]:
         return tuple(sorted(self.p**e for e in self.exponents))
@@ -549,21 +566,28 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
     cursor per layer that only moves forward, instead of a scan of every
     row at every step.
 
+    ``rel_cols`` is a dense array or a ``SparseExpansion``, whose
+    nonzeros fill the row dicts and the column index directly, in the
+    row-major order a dense scan meets them.
+
     Every step is the same arithmetic on the same residues as the dense
     loop it replaced (``tests/test_linalg.py::reference_smith``); only the
     zeros are skipped, so pivots, U and V agree bit for bit.
     """
     N = _modulus(p, m)
-    a = _residues(_as_array(rel_cols, cols_hint=0), N)
-    if a.ndim != 2 or a.shape[1] == 0:
-        a = np.zeros((ambient, 0), dtype=np.int64)
-    nrows, ncols = a.shape
+    if isinstance(rel_cols, SparseExpansion):
+        (nrows, ncols), ii, jj, xs = rel_cols.shape, rel_cols.rows, rel_cols.cols, rel_cols.vals
+    else:
+        a = _residues(_as_array(rel_cols, cols_hint=0), N)
+        if a.ndim != 2 or a.shape[1] == 0:
+            a = np.zeros((ambient, 0), dtype=np.int64)
+        nrows, ncols = a.shape
+        flat = a.ravel()
+        at = np.flatnonzero(flat != 0)  # several times faster than np.nonzero(a)
+        (ii, jj), xs = divmod(at, ncols), flat[at]
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     in_col: list[set[int]] = [set() for _ in range(ncols)]
-    flat = a.ravel()
-    at = np.flatnonzero(flat != 0)  # several times faster than np.nonzero(a)
-    ii, jj = divmod(at, ncols)
-    for i, j, x in zip(ii.tolist(), jj.tolist(), flat[at].tolist()):
+    for i, j, x in zip(ii.tolist(), jj.tolist(), xs.tolist()):
         rows[i][j] = x
         in_col[j].add(i)
     U = [{i: 1} for i in range(ambient)]
@@ -627,76 +651,150 @@ def smith_quotient(rel_cols: np.ndarray, ambient: int, p: int, m: int) -> Quotie
 # ---------------------------------------------------------------------------
 
 
-def _monomial_matrix(spec: RingSpec, exps: tuple[int, ...]) -> np.ndarray:
-    """Multiplication by T^exps: the Kronecker product over the variables
-    of C^(a_i), where C multiplies 1, T, ..., T^(p^n - 1) by T.  Only a
-    product of two non-identity factors can leave [0, p^m) and is reduced."""
-    rho, N = spec.coefficient_rank, _modulus(spec.p, spec.m)
-    _dense_shape(rho, rho)
-    rewrite = np.zeros(spec.exponent_bound, dtype=np.int64)  # T^(p^n)
-    for k, c in _rewrite_rule(spec.p, spec.m, spec.n):
-        rewrite[k] = c
-    out = np.ones((1, 1), dtype=np.int64)
-    for i, a in enumerate(exps):
-        power = _companion_power(rewrite, a, N)
-        out = np.kron(out, power) if i else power
-        if a and any(exps[:i]):
-            out %= N
-    return out
-
-
-def _companion_power(rewrite: np.ndarray, a: int, N: int) -> np.ndarray:
-    """C^a, where C shifts 1, ..., T^(B-1) up one degree and its last
-    column ``rewrite`` holds T^B.  Column j is T^(j+a): e_(j+a) while
-    j + a < B, and past that C^(j+a-B+1) e_(B-1), each step of C being
-    a shift plus the top entry times ``rewrite``: O(a B), no product.
-    Entries stay below N(N-1), which ``_modulus`` keeps inside int64."""
-    B = rewrite.size
-    out = np.eye(B, k=-a, dtype=np.int64)
-    col = np.zeros(B, dtype=np.int64)
-    col[-1] = 1  # T^(B-1)
-    for k in range(1, a + 1):
-        col = np.concatenate(([0], col[:-1])) + col[-1] * rewrite
-        col %= N
-        if a - k < B:
-            out[:, B - 1 - a + k] = col
-    return out
-
-
-def multiplication_matrix(x: RingTowerElement) -> np.ndarray:
-    """Matrix of multiplication by x on the monomial basis, over Z/p^m:
-    the sum of c times the matrix of T^a over the terms c T^a of x."""
-    spec, N = x.spec, x.spec.modulus
-    if len(x.coeffs) == 1 and 1 in x.coeffs.values():
-        return _monomial_matrix(spec, *x.coeffs)
-    out = np.zeros(_dense_shape(spec.coefficient_rank, spec.coefficient_rank), dtype=np.int64)
-    for exps, c in x.coeffs.items():
-        term = _monomial_matrix(spec, exps)
-        out += term if c == 1 else term * c % N
-    return out % N
-
-
 def _dense_shape(rows: int, cols: int) -> tuple[int, int]:
     if rows * cols > MAX_EXPANDED_CELLS:
         raise ExpansionTooLarge(f"a dense {rows}x{cols} expansion exceeds {MAX_EXPANDED_CELLS} cells")
     return rows, cols
 
 
-def expand_scalars(a: Matrix) -> np.ndarray:
+_NONE = np.zeros(0, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class SparseExpansion:
+    """A matrix over Z/N, N = ``modulus``, by its nonzero entries.
+
+    Entry (rows[k], cols[k]) is vals[k], a residue in (0, N), and each
+    cell is listed once.  ``size`` counts the dense cells, which are
+    written only by ``dense``, for a caller that reads them.
+    """
+
+    shape: tuple[int, int]
+    modulus: int
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    vals: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of_entries(cls, shape, N: int, rows, cols, vals) -> "SparseExpansion":
+        """The entries, each a residue mod N, summed per cell mod N,
+        with the cells that cancel dropped, in row-major order (the
+        order in which a dense scan meets them)."""
+        width = max(shape[1], 1)
+        keys = rows * width + cols
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], vals[order]
+        if keys.size:
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            keys, vals = keys[starts], np.add.reduceat(vals, starts) % N
+        keep = vals != 0
+        rows, cols = np.divmod(keys[keep], width)
+        return cls(tuple(shape), N, rows, cols, vals[keep])
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def block_diagonal(self, blocks: int) -> np.ndarray:
+        """The dense I_blocks (x) self, written in one scatter."""
+        (r, c), at = self.shape, np.arange(blocks, dtype=np.int64)[:, None]
+        out = np.zeros((blocks * r, blocks * c), dtype=np.int64)
+        out[(at * r + self.rows).ravel(), (at * c + self.cols).ravel()] = np.tile(self.vals, blocks)
+        return out
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """``self @ x`` mod N for a 2-d x, exactly: each term is reduced
+        mod N before the terms of a row are summed."""
+        N = self.modulus
+        x = _residues(x, N)
+        out = np.zeros((self.shape[0], x.shape[1]), dtype=np.int64)
+        np.add.at(out, self.rows, self.vals[:, None] * x[self.cols] % N)
+        return out % N
+
+
+def _power(p: int, m: int, n: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, residues) of the nonzero entries of C^a over Z/p^m,
+    each cell once, where C multiplies 1, T, ..., T^(B-1), B = p^n, by T.
+    Column j is T^(j+a): e_(j+a) while j + a < B, and past that
+    C^(j+a-B+1) e_(B-1), each step of C being a shift plus the top entry
+    times the rewrite column of T^B: O(a B), keeping only the nonzeros.
+    Entries stay below N(N-1), which ``_modulus`` keeps inside int64."""
+    B, N = p**n, _modulus(p, m)
+    rows, cols = [np.arange(a, B)], [np.arange(B - a)]
+    vals = [np.ones(B - a, dtype=np.int64)]
+    if a:
+        rewrite = np.zeros(B, dtype=np.int64)
+        for k, c in _rewrite_rule(p, m, n):
+            rewrite[k] = c
+        col = np.zeros(B, dtype=np.int64)
+        col[-1] = 1  # T^(B-1)
+        for j in range(B - a, B):
+            col = np.concatenate(([0], col[:-1])) + col[-1] * rewrite
+            col %= N
+            at = np.flatnonzero(col)
+            rows.append(at)
+            cols.append(np.full(at.size, j))
+            vals.append(col[at])
+    return tuple(np.concatenate(x) for x in (rows, cols, vals))
+
+
+def _monomial_expansion(spec: RingSpec, exps: tuple[int, ...]) -> SparseExpansion:
+    """Multiplication by T^exps on the monomial basis: the Kronecker
+    product over the variables of C^(a_i), the first variable outermost,
+    joined by index arithmetic: each pair of nonzeros gives the cell
+    (r B + r', c B + c') and the residue of the product of the entries,
+    so no cell repeats, and only the products that vanish are dropped.
+    Its rho x rho cells are counted against ``MAX_EXPANDED_CELLS``."""
+    rho, N = spec.coefficient_rank, _modulus(spec.p, spec.m)
+    _dense_shape(rho, rho)
+    B = spec.exponent_bound
+    rows = cols = np.zeros(1, dtype=np.int64)
+    vals = np.ones(1, dtype=np.int64)
+    for a in exps:
+        r, c, v = _power(spec.p, spec.m, spec.n, a)
+        rows = (rows[:, None] * B + r).ravel()
+        cols = (cols[:, None] * B + c).ravel()
+        vals = (vals[:, None] * v % N).ravel()
+    keep = vals != 0
+    return SparseExpansion((rho, rho), N, rows[keep], cols[keep], vals[keep])
+
+
+@lru_cache(maxsize=64)
+def _variable_expansions(spec: RingSpec) -> tuple[SparseExpansion, ...]:
+    """Multiplication by each variable of ``spec``, kept for the last 64
+    rings: every cohomology computation over a ring reads them."""
+    return tuple(_monomial_expansion(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q))
+
+
+def expand_scalars(a: Matrix) -> SparseExpansion:
     """Regular representation of a patch-ring matrix over Z/p^m.
 
-    Returns the (rows*rho) x (cols*rho) integer matrix of the same map
-    on underlying free Z/p^m-modules, rho = p^(n q).  Functorial:
-    expand(AB) = expand(A) @ expand(B) mod p^m.
+    Returns the (rows*rho) x (cols*rho) matrix of the same map on the
+    underlying free Z/p^m-modules, rho = p^(n q), sparse: block (i, j)
+    is the sum of c times the matrix of T^e over the terms c T^e of
+    entry (i, j), each term reduced mod p^m before the sum.  Its dense
+    cells are counted against ``MAX_EXPANDED_CELLS`` before anything is
+    built.  Functorial: expand(AB) = expand(A) @ expand(B) mod p^m.
     """
     spec = a.spec
     if spec.kind == "graded":
         raise SpecMismatch("graded matrices have no finite expansion")
-    rho = spec.coefficient_rank
-    out = np.zeros(_dense_shape(a.rows * rho, a.cols * rho), dtype=np.int64)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.entries[i][j]
-            if not x.is_zero():
-                out[i * rho : (i + 1) * rho, j * rho : (j + 1) * rho] = multiplication_matrix(x)
-    return out
+    rho, N = spec.coefficient_rank, spec.modulus
+    shape = _dense_shape(a.rows * rho, a.cols * rho)
+    monomials: dict[tuple[int, ...], SparseExpansion] = {}
+    rows, cols, vals = [_NONE], [_NONE], [_NONE]
+    for i, row in enumerate(a.entries):
+        for j, x in enumerate(row):
+            for exps, c in x.coeffs.items():
+                if exps not in monomials:
+                    monomials[exps] = _monomial_expansion(spec, exps)
+                mono = monomials[exps]
+                rows.append(mono.rows + i * rho)
+                cols.append(mono.cols + j * rho)
+                vals.append(mono.vals * c % N)
+    return SparseExpansion.of_entries(shape, N, *map(np.concatenate, (rows, cols, vals)))

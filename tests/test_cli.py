@@ -709,6 +709,26 @@ def test_oversized_free_degree_is_refused_with_exit_2(tmp_path):
     assert "Traceback" not in done.stdout + done.stderr
 
 
+def test_tall_top_degree_is_refused_with_exit_2(tmp_path):
+    # every level ranks [1, 3000] with d = (T, 0, ..., 0)^T: the
+    # expansions are only 9000 x 3 and 27000 x 9 cells, but the top
+    # degree's cohomology built an 8998 x 9000 embedded kernel and died in
+    # numpy with exit 1; the child's address space is capped at 2 GiB
+    argv = ["gen", "--q", "1", "--r", "1", "--precisions", "1", "2", "--seed", "5"]
+    assert main([*argv, "--out-dir", str(tmp_path), "--format", "json"]) == 0
+    obj = json.loads((tmp_path / "tower.json").read_text())
+    t, zero = [[[1], 1]], []
+    for level in obj["levels"]:
+        level["complex"]["ranks"] = [1, 3000]
+        level["complex"]["differentials"] = [[[t]] + [[zero]] * 2999]
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(obj))
+    done = run_cli_under_memory_limit(["patch", str(path), "--format", "json"])
+    assert "Traceback" not in done.stdout + done.stderr
+    got = json.loads(done.stdout)
+    assert (done.returncode, got["error"]) == (2, "ExpansionTooLarge")
+    assert got["detail"].startswith("the cohomology of a top degree of rank 3000 (9000 coordinates")
+
 def test_oversized_power_series_model_is_refused_with_exit_2(tmp_path):
     # the base quotient of a degree-2^40 model in two variables listed
     # (2^40+1)^2 exponent vectors before any check

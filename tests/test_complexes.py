@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,10 +31,11 @@ from patchtower.rings import (
     graded_ring,
     make_patch_ring,
 )
-from patchtower.scenarios import ScenarioParams, _level_data, _limit_complex, _pad_contractible
+from patchtower.scenarios import ScenarioParams, _level_data, _limit_complex, _pad_contractible, gen_scenario
 from patchtower.serialize import complex_from_obj, complex_to_obj
 from util import (
     SMALL_PATCH_SPECS,
+    dense_variable_actions,
     euler_characteristic,
     fingerprint,
     howell_reduce,
@@ -329,11 +331,15 @@ class TestVariableActions:
         seen = []
         real = complexes._variable_actions
 
-        def checked(mults, gens, rk, embed, solver, N):
-            got = real(mults, gens, rk, embed, solver, N)
-            want = reference_variable_actions(mults, gens, rk, embed, solver, N)
+        def checked(mults, gens, rk, embed, solver):
+            got = real(mults, gens, rk, embed, solver)
+            dense = [mult.dense() for mult in mults]
+            want = reference_variable_actions(dense, gens, rk, embed, solver, spec.modulus)
             assert len(got) == len(want) == spec.q
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
+            # and the dense product of the moved reference copy
+            copied = dense_variable_actions(dense, gens, rk, embed, solver, spec.modulus)
+            assert all(np.array_equal(x, y) for x, y in zip(got, copied))
             seen.append((rk, gens.shape[1]))
             return got
 
@@ -418,6 +424,83 @@ class TestSparseQuotientsInCohomology:
         for level in (3, 5):
             c = _pad_contractible(_limit_complex(params, level, 2), 0)
             assert_same_modules(complexes._all_cohomology(c), reference_all_cohomology(c))
+
+
+def tall_complex(spec, rank: int):
+    """Ranks [1, rank] with d = (T, 0, ..., 0)^T: a top degree whose
+    kernel is its whole ambient module, rank * rho coordinates."""
+    t, zero = RingTowerElement.variable(spec, 0), RingTowerElement.zero(spec)
+    return make_complex(spec, 0, [1, rank], [Matrix(spec, [[t]] + [[zero]] * (rank - 1))])
+
+
+class TestTopDegrees:
+    """A degree with a differential in and none out: its kernel is the
+    whole ambient module, embedded as the scaled quotient projection,
+    with unit columns at the Nakayama choice as generators."""
+
+    @pytest.mark.parametrize("spec", FREE_SPECS, ids=lambda s: f"p{s.p}-m{s.m}-n{s.n}-q{s.q}")
+    def test_no_ambient_identity(self, spec):
+        for rank in (1, 3):
+            c = tall_complex(spec, rank)
+            with identity_sizes() as eyes:
+                got = complexes._all_cohomology(c)
+            assert rank * spec.coefficient_rank not in eyes
+            assert_same_modules(got, reference_all_cohomology(c))
+
+    def test_refused_before_allocation(self):
+        # level 2 of the q=1 tower (rho = 9): 455 x 9 coordinates with
+        # 4,087 summands count 2 * 4087 * (4095 + 4087) cells, inside
+        # 4 x MAX_EXPANDED_CELLS; rank 456 counts 67,174,400, past it
+        spec = make_patch_ring(3, 2, 2, 1)
+        assert 2 * 4087 * (4095 + 4087) <= 4 * MAX_EXPANDED_CELLS < 2 * 4096 * (4104 + 4096)
+        real = complexes._check_top_degree
+        counted = []
+
+        def check(rk, amb, summands):
+            counted.append((rk, amb, summands))
+            return real(rk, amb, summands)
+
+        with (
+            mock.patch.object(complexes, "_check_top_degree", check),
+            identity_sizes() as eyes,
+            pytest.raises(ExpansionTooLarge, match="top degree of rank 456 "),
+        ):
+            complexes._all_cohomology(tall_complex(spec, 456))
+        assert counted == [(456, 4104, 4096)] and 4104 not in eyes
+        real(455, 4095, 4087)
+
+
+class TestCohomologyMemory:
+    """tracemalloc peaks of ``_all_cohomology``, with the cohomology
+    cache cleared: scalar expansion stays sparse into the Smith kernel,
+    and no ambient identity or dense rho x rho matrix is made."""
+
+    @staticmethod
+    def peak_mib(c) -> float:
+        complexes._COHOMOLOGY_CACHE.clear()
+        tracemalloc.start()
+        try:
+            complexes._all_cohomology(c)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_padded_dense_level(self):
+        # the padded level-5 complex of the q=1, r=1 tower at precisions
+        # (1, 2, 2, 2, 2), seed 14: its differential expands to 486 x 486
+        # cells with 487 nonzeros; 2.74 MiB with dense expansion
+        tower, _, _ = gen_scenario(ScenarioParams(3, 1, 1, precisions=(1, 2, 2, 2, 2), seed=14))
+        c = tower.levels[4].complex
+        assert c.ranks == (2, 2)
+        assert self.peak_mib(c) < 1
+
+    def test_three_variable_level(self):
+        # q=3, r=1 at precisions (1, 2), level 2: rho = 729; 21.7 MiB
+        # with dense expansion
+        tower, _, _ = gen_scenario(ScenarioParams(3, 3, 1, precisions=(1, 2), seed=0))
+        c = tower.levels[1].complex
+        assert c.spec.coefficient_rank == 729
+        assert self.peak_mib(c) < 10
 
 
 @contextlib.contextmanager

@@ -13,14 +13,17 @@ from patchtower.linalg import (
     Matrix,
     QuotientStructure,
     elementary_divisors,
+    SparseExpansion,
+    _monomial_expansion,
     expand_scalars,
     matmul_mod,
-    multiplication_matrix,
     smith_quotient,
     smith_transforms,
 )
 from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
 from util import (
+    SMALL_PATCH_SPECS,
+    dense_expand_scalars,
     int_matrix,
     monomial_basis,
     random_patch_complex,
@@ -165,6 +168,11 @@ def ring_elements(draw, spec):
     return RingTowerElement(spec, draw(st.dictionaries(exps, st.integers(-2 * N, 2 * N), max_size=5)))
 
 
+def multiplication_matrix(x: RingTowerElement) -> np.ndarray:
+    """The dense matrix of multiplication by x: its 1 x 1 expansion."""
+    return expand_scalars(Matrix(x.spec, [[x]])).dense()
+
+
 class TestExpandScalars:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -198,10 +206,10 @@ class TestExpandScalars:
             Matrix(spec, [[data.draw(ring_elements(spec)) for _ in range(2)] for _ in range(2)])
             for _ in range(2)
         )
-        ea, eb = expand_scalars(a), expand_scalars(b)
-        assert np.array_equal(expand_scalars(a @ b), matmul_mod(ea, eb, N))
+        ea, eb = expand_scalars(a).dense(), expand_scalars(b).dense()
+        assert np.array_equal(expand_scalars(a @ b).dense(), matmul_mod(ea, eb, N))
         total = Matrix(spec, [[a[i, j] + b[i, j] for j in range(2)] for i in range(2)])
-        assert np.array_equal(expand_scalars(total), (ea + eb) % N)
+        assert np.array_equal(expand_scalars(total).dense(), (ea + eb) % N)
 
     @pytest.mark.parametrize("which", ["zero", "one", "variable"])
     def test_graded_rings_are_refused(self, which):
@@ -212,21 +220,22 @@ class TestExpandScalars:
             "variable": RingTowerElement.variable(spec, 1),
         }[which]
         with pytest.raises(UnsupportedRing):
-            multiplication_matrix(x)
+            _monomial_expansion(spec, next(iter(x.coeffs), (0, 0)))
         with pytest.raises(SpecMismatch):
             expand_scalars(Matrix(spec, [[x]]))
 
     def test_oversized_expansion_is_a_typed_error(self):
-        # rho = 3^9: the 2 x 2 expansion would take 11.5 GiB and one
-        # multiplication matrix 2.9 GiB; the child's address space is
-        # capped at 2 GiB, so a regression ends there in MemoryError
+        # rho = 3^9: the 2 x 2 expansion would take 11.5 GiB dense and one
+        # multiplication matrix 2.9 GiB; both keep the dense cell bound,
+        # and the child's address space is capped at 2 GiB, so a
+        # regression ends there in MemoryError
         code = "\n".join([
             "from patchtower.errors import ExpansionTooLarge",
-            "from patchtower.linalg import Matrix, expand_scalars, multiplication_matrix",
+            "from patchtower.linalg import Matrix, _monomial_expansion, expand_scalars",
             "from patchtower.rings import RingTowerElement, make_patch_ring",
             "spec = make_patch_ring(3, 2, 3, 3)",
             "for call in (lambda: expand_scalars(Matrix.identity(spec, 2)),",
-            "             lambda: multiplication_matrix(RingTowerElement.variable(spec, 0))):",
+            "             lambda: _monomial_expansion(spec, (1, 0, 0))):",
             "    try:",
             "        call()",
             "    except ExpansionTooLarge as exc:",
@@ -238,17 +247,17 @@ class TestExpandScalars:
     def test_multiplication_by_t(self):
         spec = make_patch_ring(3, 1, 1, 1)
         t = RingTowerElement.variable(spec, 0)
-        got = expand_scalars(Matrix(spec, [[t]]))
+        got = expand_scalars(Matrix(spec, [[t]])).dense()
         assert got.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
     def test_identity_expands_to_identity(self):
         spec = make_patch_ring(3, 1, 1, 1)
-        got = expand_scalars(Matrix.identity(spec, 2))
+        got = expand_scalars(Matrix.identity(spec, 2)).dense()
         assert (got == np.eye(6, dtype=np.int64)).all()
 
     def test_no_variables_is_trivial(self):
         spec = make_patch_ring(3, 2, 1, 0)
-        got = expand_scalars(int_matrix(spec, [[5]]))
+        got = expand_scalars(int_matrix(spec, [[5]])).dense()
         assert got.tolist() == [[5]]
 
     def test_functorial_on_products_and_sums(self):
@@ -263,19 +272,76 @@ class TestExpandScalars:
         for _ in range(10):
             a = Matrix(spec, [[rand_elem(), rand_elem()], [rand_elem(), rand_elem()]])
             b = Matrix(spec, [[rand_elem(), rand_elem()], [rand_elem(), rand_elem()]])
-            ea, eb = expand_scalars(a), expand_scalars(b)
-            assert (expand_scalars(a @ b) == (ea @ eb) % 4).all()
+            ea, eb = expand_scalars(a).dense(), expand_scalars(b).dense()
+            assert (expand_scalars(a @ b).dense() == (ea @ eb) % 4).all()
             sum_entries = [
                 [a.entries[i][j] + b.entries[i][j] for j in range(2)] for i in range(2)
             ]
-            assert (expand_scalars(Matrix(spec, sum_entries)) == (ea + eb) % 4).all()
+            assert (expand_scalars(Matrix(spec, sum_entries)).dense() == (ea + eb) % 4).all()
 
     def test_units_expand_to_invertible(self):
         spec = make_patch_ring(3, 1, 1, 1)
         one_plus_t = RingTowerElement.one(spec) + RingTowerElement.variable(spec, 0)
-        e = expand_scalars(Matrix(spec, [[one_plus_t]]))
-        inv = expand_scalars(Matrix(spec, [[one_plus_t.invert()]]))
+        e = expand_scalars(Matrix(spec, [[one_plus_t]])).dense()
+        inv = expand_scalars(Matrix(spec, [[one_plus_t.invert()]])).dense()
         assert ((e @ inv) % 3 == np.eye(3, dtype=np.int64)).all()
+
+
+# q up to 3, so the Kronecker index order is pinned past two factors
+EXPANSION_SPECS = SMALL_PATCH_SPECS + [
+    make_patch_ring(3, 2, 1, 2),
+    make_patch_ring(2, 3, 1, 3),
+    make_patch_ring(3, 2, 1, 3),
+    make_patch_ring(5, 2, 1, 1),
+]
+
+
+class TestSparseExpansion:
+    """``expand_scalars`` against the dense reference
+    ``util.dense_expand_scalars`` on the ``random_patch_complex`` corpus."""
+
+    @pytest.mark.parametrize("spec", EXPANSION_SPECS, ids=lambda s: f"p{s.p}-m{s.m}-n{s.n}-q{s.q}")
+    def test_random_differentials_match_dense_reference(self, spec):
+        N = spec.modulus
+        seen = 0
+        for seed in range(8):
+            for d in random_patch_complex(random.Random(seed), spec, max_rank=3).diffs:
+                got, want = expand_scalars(d), dense_expand_scalars(d)
+                assert got.shape == want.shape and got.size == want.size
+                assert np.array_equal(got.dense(), want)
+                # each nonzero cell once, a residue, in row-major order
+                keys = got.rows * got.shape[1] + got.cols
+                assert (np.diff(keys) > 0).all()
+                assert ((got.vals > 0) & (got.vals < N)).all()
+                assert got.vals.size == np.count_nonzero(want)
+                seen += 1
+        assert seen
+
+    @pytest.mark.parametrize("spec", EXPANSION_SPECS, ids=lambda s: f"p{s.p}-m{s.m}-n{s.n}-q{s.q}")
+    def test_every_monomial_matches_ring_products(self, spec):
+        for e in monomial_basis(spec):
+            x = RingTowerElement(spec, {e: 1})
+            assert np.array_equal(multiplication_matrix(x), reference_multiplication_matrix(x))
+
+    def test_cells_that_cancel_are_dropped(self):
+        # over Z/9 with T^3 = 6T + 6T^2, x = T^2 + 3T sends T to
+        # 6T + 6T^2 + 3T^2 = 6T: both terms meet in cell (2, 1) and cancel
+        spec = make_patch_ring(3, 2, 1, 1)
+        x = RingTowerElement(spec, {(2,): 1, (1,): 3})
+        got = expand_scalars(Matrix(spec, [[x]]))
+        assert np.array_equal(got.dense(), reference_multiplication_matrix(x))
+        assert got.dense()[2, 1] == 0 and (2, 1) not in set(zip(got.rows.tolist(), got.cols.tolist()))
+        assert got.dense()[1, 1] == 6
+
+    def test_product_reduces_each_term(self):
+        # int64 products of residues near 3^19 would wrap if summed unreduced
+        spec = make_patch_ring(3, 19, 1, 1)
+        N = spec.modulus
+        x = RingTowerElement(spec, {(0,): N - 1, (1,): N - 2, (2,): N - 1})
+        a = expand_scalars(Matrix(spec, [[x]]))
+        vec = np.full((3, 2), N - 1, dtype=np.int64)
+        want = (a.dense().astype(object) @ vec.astype(object)) % N
+        assert np.array_equal(a.product(vec), want.astype(np.int64))
 
 
 class TestDivisors:
@@ -448,10 +514,11 @@ class TestSmithTransforms:
         a, p, m = case
         rows = a.shape[0]
         pivot_vals, U, V = reference_smith(a, rows, p, m)
-        sd = smith_transforms(a, rows, p, m, track_v=True)
-        assert sd.pivot_vals == pivot_vals
-        assert np.array_equal(sd.U, U)
-        assert np.array_equal(sd.V, V)
+        for given_as in (a, sparse_of(a, p**m)):
+            sd = smith_transforms(given_as, rows, p, m, track_v=True)
+            assert sd.pivot_vals == pivot_vals
+            assert np.array_equal(sd.U, U)
+            assert np.array_equal(sd.V, V)
         assert elementary_divisors(a, rows, p, m) == reference_divisors(a, rows, p, m)
 
     def test_padded_level_five_differential(self):
@@ -460,8 +527,8 @@ class TestSmithTransforms:
         t = RingTowerElement.variable(spec, 0)
         one, zero = RingTowerElement.one(spec), RingTowerElement.zero(spec)
         a = expand_scalars(Matrix(spec, [[t, zero], [zero, one]]))
-        assert a.shape == (486, 486)
-        assert_smith_witness(a, 3, 2)
+        assert (a.shape, a.vals.size) == ((486, 486), 487)
+        assert_smith_witness(a.dense(), 3, 2)
 
 
 def reference_quotient(pivot_vals, U: np.ndarray, p: int, m: int):
@@ -481,12 +548,20 @@ def reference_column_kernel(pivot_vals, V: np.ndarray, p: int, m: int) -> np.nda
     return np.array(cols, dtype=np.int64).reshape(len(cols), V.shape[0]).T
 
 
+def sparse_of(a: np.ndarray, N: int) -> SparseExpansion:
+    """The nonzero entries of a dense array, as a ``SparseExpansion``."""
+    rows, cols = np.nonzero(a % N)
+    return SparseExpansion.of_entries(a.shape, N, rows, cols, a[rows, cols] % N)
+
+
 def assert_matches_reference(a: np.ndarray, p: int, m: int) -> None:
+    """``smith_transforms`` on a dense array and on its sparse form
+    against the dense reference loop."""
     rows = a.shape[0]
     pivot_vals, U, V = reference_smith(a, rows, p, m)
     exponents, projection = reference_quotient(pivot_vals, U, p, m)
-    for track_v in (True, False):
-        sd = smith_transforms(a, rows, p, m, track_v=track_v)
+    for track_v, given_as in itertools.product((True, False), (a, sparse_of(a, p**m))):
+        sd = smith_transforms(given_as, rows, p, m, track_v=track_v)
         assert sd.pivot_vals == pivot_vals
         assert np.array_equal(sd.U, U)
         qs = sd.quotient()
@@ -515,13 +590,20 @@ class TestSmithAtRealShapes:
     )
     def test_expanded_differentials(self, spec, shapes):
         rng = random.Random(7)
-        mats: list[np.ndarray] = []
-        while len(mats) < len(shapes):
-            mats += [expand_scalars(d) for d in random_patch_complex(rng, spec).diffs]
-        mats = mats[: len(shapes)]
+        diffs: list[Matrix] = []
+        while len(diffs) < len(shapes):
+            diffs += random_patch_complex(rng, spec).diffs
+        mats = [expand_scalars(d) for d in diffs[: len(shapes)]]
         assert [a.shape for a in mats] == shapes
         N = spec.modulus
-        for a in mats:
+        for sparse, d in zip(mats, diffs):
+            a = sparse.dense()
+            assert np.array_equal(a, dense_expand_scalars(d))
+            # the expansion itself, as the cohomology path hands it over
+            want = smith_transforms(a, a.shape[0], spec.p, spec.m, track_v=True)
+            got = smith_transforms(sparse, a.shape[0], spec.p, spec.m, track_v=True)
+            assert got.pivot_vals == want.pivot_vals
+            assert np.array_equal(got.U, want.U) and np.array_equal(got.V, want.V)
             assert_matches_reference(a, spec.p, spec.m)
             # a multiple of p puts every pivot past layer 0
             assert_matches_reference(a * spec.p % N, spec.p, spec.m)

@@ -12,22 +12,23 @@ from pathlib import Path
 
 from patchtower import groebner as gb
 from patchtower import patcher
-from patchtower.complexes import FiniteModuleData, FreeComplex, _nakayama_choice, _variable_actions, _zero_module, koszul_complex, make_complex
+from patchtower.complexes import FiniteModuleData, FreeComplex, _nakayama_choice, _zero_module, koszul_complex, make_complex
+from patchtower.errors import ExpansionTooLarge, SpecMismatch
 from patchtower.graded import GradedModule, _constant_at, matrix_columns, module_is_zero, presentation_data
 from patchtower.groebner import ModuleOrder, Vec, _divides, lead, syzygy_generators, vec_scale, vec_sub_shifted
 from patchtower.linalg import (
+    MAX_EXPANDED_CELLS,
     HowellCore,
     Matrix,
     QuotientStructure,
     _as_array,
-    _monomial_matrix,
+    _modulus,
     _reduce_row,
-    expand_scalars,
     matmul_mod,
     smith_quotient,
     smith_transforms,
 )
-from patchtower.rings import RingSpec, RingTowerElement, base_change, make_patch_ring
+from patchtower.rings import RingSpec, RingTowerElement, _rewrite_rule, base_change, make_patch_ring
 from patchtower.scenarios import ScenarioParams, _level_data, gen_scenario
 
 import numpy as np
@@ -608,10 +609,110 @@ def reference_embed(qs: QuotientStructure, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def dense_monomial_matrix(spec: RingSpec, exps: tuple[int, ...]) -> np.ndarray:
+    """Multiplication by T^exps: the Kronecker product over the variables
+    of C^(a_i), where C multiplies 1, T, ..., T^(p^n - 1) by T.  Only a
+    product of two non-identity factors can leave [0, p^m) and is reduced.
+    The dense reference for ``linalg._monomial_expansion``."""
+    rho, N = spec.coefficient_rank, _modulus(spec.p, spec.m)
+    dense_shape(rho, rho)
+    rewrite = np.zeros(spec.exponent_bound, dtype=np.int64)  # T^(p^n)
+    for k, c in _rewrite_rule(spec.p, spec.m, spec.n):
+        rewrite[k] = c
+    out = np.ones((1, 1), dtype=np.int64)
+    for i, a in enumerate(exps):
+        power = dense_companion_power(rewrite, a, N)
+        out = np.kron(out, power) if i else power
+        if a and any(exps[:i]):
+            out %= N
+    return out
+
+
+def dense_companion_power(rewrite: np.ndarray, a: int, N: int) -> np.ndarray:
+    """C^a, where C shifts 1, ..., T^(B-1) up one degree and its last
+    column ``rewrite`` holds T^B.  Column j is T^(j+a): e_(j+a) while
+    j + a < B, and past that C^(j+a-B+1) e_(B-1), each step of C being
+    a shift plus the top entry times ``rewrite``: O(a B), no product.
+    Entries stay below N(N-1), which ``_modulus`` keeps inside int64."""
+    B = rewrite.size
+    out = np.eye(B, k=-a, dtype=np.int64)
+    col = np.zeros(B, dtype=np.int64)
+    col[-1] = 1  # T^(B-1)
+    for k in range(1, a + 1):
+        col = np.concatenate(([0], col[:-1])) + col[-1] * rewrite
+        col %= N
+        if a - k < B:
+            out[:, B - 1 - a + k] = col
+    return out
+
+
+def dense_multiplication_matrix(x: RingTowerElement) -> np.ndarray:
+    """Matrix of multiplication by x on the monomial basis, over Z/p^m:
+    the sum of c times the matrix of T^a over the terms c T^a of x."""
+    spec, N = x.spec, x.spec.modulus
+    if len(x.coeffs) == 1 and 1 in x.coeffs.values():
+        return dense_monomial_matrix(spec, *x.coeffs)
+    out = np.zeros(dense_shape(spec.coefficient_rank, spec.coefficient_rank), dtype=np.int64)
+    for exps, c in x.coeffs.items():
+        term = dense_monomial_matrix(spec, exps)
+        out += term if c == 1 else term * c % N
+    return out % N
+
+
+def dense_shape(rows: int, cols: int) -> tuple[int, int]:
+    if rows * cols > MAX_EXPANDED_CELLS:
+        raise ExpansionTooLarge(f"a dense {rows}x{cols} expansion exceeds {MAX_EXPANDED_CELLS} cells")
+    return rows, cols
+
+
+def dense_expand_scalars(a: Matrix) -> np.ndarray:
+    """Regular representation of a patch-ring matrix over Z/p^m.
+
+    Returns the (rows*rho) x (cols*rho) integer matrix of the same map
+    on underlying free Z/p^m-modules, rho = p^(n q).  Functorial:
+    expand(AB) = expand(A) @ expand(B) mod p^m.  The dense reference:
+    ``linalg.expand_scalars(a).dense()`` must give the same array.
+    """
+    spec = a.spec
+    if spec.kind == "graded":
+        raise SpecMismatch("graded matrices have no finite expansion")
+    rho = spec.coefficient_rank
+    out = np.zeros(dense_shape(a.rows * rho, a.cols * rho), dtype=np.int64)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            x = a.entries[i][j]
+            if not x.is_zero():
+                out[i * rho : (i + 1) * rho, j * rho : (j + 1) * rho] = dense_multiplication_matrix(x)
+    return out
+
+
+def dense_variable_actions(mults, gens: np.ndarray, rk: int, embed, solver, N: int) -> tuple[np.ndarray, ...]:
+    """Matrix of each variable on the cohomology generators ``gens``.
+
+    ``mults[j]`` multiplies by variable j on one block of rho monomial
+    coordinates, and the ambient free module is rk such blocks: one
+    product moves every block, ``embed`` takes the images to quotient
+    coordinates, and one solve against ``solver`` (the embedded
+    generators, one per row) writes all g images in the generators.
+    The dense reference for ``complexes._variable_actions``.
+    """
+    amb, g = gens.shape
+    rho = amb // rk
+    blocks = gens.reshape(rk, rho, g).transpose(1, 0, 2).reshape(rho, rk * g)
+    actions = []
+    for mult in mults:
+        moved = matmul_mod(mult, blocks, N).reshape(rho, rk, g).transpose(1, 0, 2)
+        x = solver.solve(embed(moved.reshape(amb, g)).T)
+        if x is None:
+            raise AssertionError("variable action left the cohomology span")
+        actions.append(x.T)
+    return tuple(actions)
+
+
 def reference_all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
-    """Cohomology with the dense embedding and Nakayama step: every
-    quotient coordinate is a ``matmul_mod`` product with the dense
-    projection.  ``complexes._all_cohomology`` must give the same
+    """Cohomology with the dense expansion, embedding, Nakayama step and
+    actions: every quotient coordinate is a ``matmul_mod`` product with
+    the dense projection, and the top degree's kernel is the identity.  ``complexes._all_cohomology`` must give the same
     generators, relations and actions."""
     spec = c.spec
     p, m = spec.p, spec.m
@@ -620,7 +721,7 @@ def reference_all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
     smiths = {}
     for idx, d in enumerate(c.diffs):
         if d.rows and d.cols:
-            smiths[c.lo + idx] = smith_transforms(expand_scalars(d), d.rows * rho, p, m, track_v=True)
+            smiths[c.lo + idx] = smith_transforms(dense_expand_scalars(d), d.rows * rho, p, m, track_v=True)
     out = {}
     for degree in c.degrees:
         rk = c.rank(degree)
@@ -642,15 +743,16 @@ def reference_all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         chosen = _nakayama_choice(ek2, p, m)
         gens = kernel[:, chosen]
         solver = HowellCore(ek[:, chosen].T, p, m)
-        mults = [_monomial_matrix(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q)]
-        actions = _variable_actions(mults, gens, rk, embed, solver, N)
+        mults = [dense_monomial_matrix(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q)]
+        actions = dense_variable_actions(mults, gens, rk, embed, solver, N)
         out[degree] = FiniteModuleData(p, m, gens.shape[1], solver.kernel_rows().T, actions)
     return out
 
 
 def reference_multiplication_matrix(x: RingTowerElement) -> np.ndarray:
     """The per-column loop: one ring product per basis monomial.
-    ``linalg.multiplication_matrix`` must give the same matrix."""
+    ``linalg.expand_scalars`` of the 1 x 1 matrix [[x]] must give the
+    same matrix."""
     spec = x.spec
     basis = monomial_basis(spec)
     index = {e: k for k, e in enumerate(basis)}
@@ -771,7 +873,7 @@ def random_patch_complex(rng: random.Random, spec: RingSpec, max_rank: int = 2, 
         prev = diffs[k - 1]
         # rows of the next differential are ring-vectors x with x @ prev = 0;
         # in expanded coordinates that is the column kernel of expand(prev^T)
-        expanded_t = expand_scalars(prev.transpose())
+        expanded_t = dense_expand_scalars(prev.transpose())
         lk = column_kernel(expanded_t, spec.p, spec.m, prev.rows * rho)
         rows = []
         for _ in range(ranks[k + 1]):
