@@ -567,8 +567,9 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
     row at every step.
 
     ``rel_cols`` is a dense array or a ``SparseExpansion``, whose
-    nonzeros fill the row dicts and the column index directly, in the
-    row-major order a dense scan meets them.
+    nonzeros fill the row dicts and the column index directly; each row
+    is cleared by its own arithmetic, so the order of the entries moves
+    no residue.
 
     Every step is the same arithmetic on the same residues as the dense
     loop it replaced (``tests/test_linalg.py::reference_smith``); only the
