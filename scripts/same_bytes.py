@@ -33,9 +33,12 @@ T1^4090]] over F_3[T1,T2], whose Hilbert counts run from degree -4089
 to 6.
 
 Two checkouts give the same canonical bytes exactly when this prints
-the same lines on both, so a "same bytes" claim is one ``diff``:
+the same lines on both.  ``tests/data/same_bytes.txt`` holds the
+committed lines, and ``tests/test_same_bytes.py`` recomputes them and
+names each line that differs.  A change that exists to move an output
+regenerates that file:
 
-    python3 scripts/same_bytes.py > after.txt
+    python3 scripts/same_bytes.py > tests/data/same_bytes.txt
 
 The script reads ``src/`` and the tower helpers in ``tests/util.py``
 next to it; to print another commit's lines, copy this script and
@@ -108,8 +111,9 @@ def _digest(data: bytes) -> str:
 
 
 def command_digest(command: str, name: str, obj, tmp: str, extra=()):
-    """(name, sha256) of ``command --format json`` on one input file."""
-    path = Path(tmp) / "input.json"
+    """(name, sha256) of ``command --format json`` on one input file,
+    written to a fresh directory under ``tmp``."""
+    path = Path(tempfile.mkdtemp(dir=tmp)) / "input.json"
     path.write_text(canonical_dumps(obj))
     code, out = _run([command, str(path), "--format", "json", *extra])
     return f"{name}/{command}[exit={code}]", _digest(out)
@@ -215,11 +219,15 @@ def grid():
         yield q, r, precisions, seed, perturbation
 
 
-if __name__ == "__main__":
+def lines():
+    """Every ``name sha256`` line, in the order printed."""
     for point in grid():
         for name, sha in round_trip(*point):
-            print(name, sha, flush=True)
-    for name, sha in basis_change() + sheared():
-        print(name, sha, flush=True)
-    for name, sha in ha_pool() + wide_exponent():
-        print(name, sha, flush=True)
+            yield f"{name} {sha}"
+    for name, sha in basis_change() + sheared() + ha_pool() + wide_exponent():
+        yield f"{name} {sha}"
+
+
+if __name__ == "__main__":
+    for line in lines():
+        print(line, flush=True)
