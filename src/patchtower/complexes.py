@@ -29,7 +29,7 @@ from .linalg import (
     HowellCore,
     Matrix,
     QuotientStructure,
-    SparseExpansion,
+    SparseMatrix,
     _echelon,
     _variable_expansions,
     expand_scalars,
@@ -491,12 +491,14 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         # every column of ek2 is killed by p (Nakayama)
         ek2 = smith_quotient(base, len(ek), p, m).embed(ek) if base.any() else ek
         chosen = _nakayama_choice(ek2, p, m)
+        del base, ek2  # free before the Howell step and the actions
         if kernel is None:
             gens = np.zeros((amb, len(chosen)), dtype=np.int64)
             gens[chosen, np.arange(len(chosen))] = 1
         else:
             gens = kernel[:, chosen]
         solver = HowellCore(ek[:, chosen].T, p, m)
+        del ek  # the Howell work holds the chosen columns
         relations = solver.kernel_rows().T
         actions = _variable_actions(mults, gens, rk, embed, solver)
 
@@ -518,7 +520,7 @@ def _check_top_degree(rk: int, amb: int, summands: int) -> None:
         )
 
 
-def _free_module(spec: RingSpec, rk: int, mults: tuple[SparseExpansion, ...]) -> FiniteModuleData:
+def _free_module(spec: RingSpec, rk: int, mults: tuple[SparseMatrix, ...]) -> FiniteModuleData:
     """A degree with no differential in or out: its cohomology is the
     free module itself, on the standard basis with no relations, and
     variable j acts on its rk blocks of rho monomial coordinates as
@@ -536,7 +538,7 @@ def _free_module(spec: RingSpec, rk: int, mults: tuple[SparseExpansion, ...]) ->
     return FiniteModuleData(spec.p, spec.m, amb, np.zeros((amb, 0), dtype=np.int64), actions)
 
 
-def _variable_actions(mults: tuple[SparseExpansion, ...], gens: np.ndarray, rk: int, embed, solver) -> tuple[np.ndarray, ...]:
+def _variable_actions(mults: tuple[SparseMatrix, ...], gens: np.ndarray, rk: int, embed, solver) -> tuple[np.ndarray, ...]:
     """Matrix of each variable on the cohomology generators ``gens``.
 
     ``mults[j]`` multiplies by variable j on one block of rho monomial

@@ -15,16 +15,20 @@ Two layers:
   Kronecker index arithmetic, and no dense rho x rho or expanded array
   is built unless a caller asks for it.
 
-The Smith kernel is a sparse-row elimination in Python integers: the
-scalar expansions it diagonalizes are almost empty (a padded 486 x 486
-differential has 487 nonzeros), so it fills its row dicts straight from
-the expansion's nonzeros, keeps each row as a dict of its nonzero
-residues, visits only the rows that meet the pivot column, and finds
-pivots with one forward-only cursor per valuation layer.  Its
-transforms stay sparse: quotient coordinates are one exact sparse
-product with the kept rows of U, each term reduced before the sum, and
-only the kernel columns of V and whatever matrix a caller reads itself
-(the dense U, V or quotient projection) are gathered into dense arrays.
+One sparse type, ``SparseMatrix`` (a matrix over Z/N by its nonzero
+entries), carries every sparse matrix across this layer: scalar
+expansions into the Smith kernel, the kept rows of its row transform
+that give quotient coordinates, and the transform rows and columns
+that a caller reads.  Its one product with a dense vector or matrix is
+exact: each term is reduced mod N before the sum.  The Smith kernel is
+a sparse-row elimination in Python integers: the scalar expansions it
+diagonalizes are almost empty (a padded 486 x 486 differential has 487
+nonzeros), so it fills its row dicts straight from the nonzeros of its
+input, keeps each row as a dict of its nonzero residues, visits only
+the rows that meet the pivot column, and finds pivots with one
+forward-only cursor per valuation layer.  Only the kernel columns of V
+and whatever matrix a caller reads itself (the dense U, V or quotient
+projection) are made dense.
 Howell forms and every other operation use numpy int64 arrays with
 vectorised modular row operations.  Every other dense matrix product
 over Z/p^m outside the elimination loops goes through ``matmul_mod``,
@@ -194,6 +198,86 @@ def matmul_mod(a, b, N: int) -> np.ndarray:
     if a.shape[-1] * (N - 1) ** 2 < _FLOAT32_EXACT:
         return (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int64) % N
     return ((a.astype(object) @ b.astype(object)) % N).astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """A matrix over Z/N, N = ``modulus``, by its nonzero entries.
+
+    Entry (rows[k], cols[k]) is vals[k], a residue in (0, N), and each
+    cell is listed once, in no set order.  ``size`` counts the
+    dense cells, which are written only by ``dense`` and
+    ``block_diagonal``, for a caller that reads them.
+    """
+
+    shape: tuple[int, int]
+    modulus: int
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    vals: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of_entries(cls, shape, N: int, rows, cols, vals) -> "SparseMatrix":
+        """The entries, each a residue mod N, summed per cell mod N,
+        with the cells that cancel dropped, in row-major order (the
+        order in which a dense scan meets them)."""
+        width = max(shape[1], 1)
+        keys = rows * width + cols
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], vals[order]
+        if keys.size:
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            keys, vals = keys[starts], np.add.reduceat(vals, starts) % N
+        keep = vals != 0
+        rows, cols = np.divmod(keys[keep], width)
+        return cls(tuple(shape), N, rows, cols, vals[keep])
+
+    @classmethod
+    def of_rows(cls, vectors: list[dict[int, int]], width: int, N: int) -> "SparseMatrix":
+        """The len(vectors) x width matrix whose row i is the dict
+        ``vectors[i]`` of {column: residue}, as the Smith kernel keeps it."""
+        lengths = np.fromiter(map(len, vectors), dtype=np.int64, count=len(vectors))
+        total = int(lengths.sum())
+        cols = np.fromiter(chain.from_iterable(vectors), dtype=np.int64, count=total)
+        vals = np.fromiter(chain.from_iterable(map(dict.values, vectors)), dtype=np.int64, count=total)
+        return cls((len(vectors), width), N, np.repeat(np.arange(len(vectors)), lengths), cols, vals)
+
+    @classmethod
+    def of_dense(cls, a: np.ndarray, N: int) -> "SparseMatrix":
+        """The nonzero residues mod N of a 2-d int64 array, row-major."""
+        flat = _residues(a, N).ravel()
+        at = np.flatnonzero(flat)  # several times faster than np.nonzero(a)
+        rows, cols = np.divmod(at, max(a.shape[1], 1))
+        return cls(a.shape, N, rows, cols, flat[at])
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def block_diagonal(self, blocks: int) -> np.ndarray:
+        """The dense I_blocks (x) self, written in one scatter."""
+        (r, c), at = self.shape, np.arange(blocks, dtype=np.int64)[:, None]
+        out = np.zeros((blocks * r, blocks * c), dtype=np.int64)
+        out[(at * r + self.rows).ravel(), (at * c + self.cols).ravel()] = np.tile(self.vals, blocks)
+        return out
+
+    def product(self, x) -> np.ndarray:
+        """``self @ x`` mod N, exactly, for a vector or 2-d x of any int64
+        entries: x is reduced into [0, N) and each term mod N before the
+        terms of a row are summed, so a row sum stays below width * N.
+        ``_modulus`` keeps (N - 1)^2 below 2^63, so N is below 2^31.5 and
+        the sum fits int64 for every width below 2^31.5, past any x that
+        fits in memory."""
+        N = self.modulus
+        x = _residues(x, N)
+        out = np.zeros(self.shape[:1] + x.shape[1:], dtype=np.int64)
+        np.add.at(out, self.rows, self.vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.cols] % N)
+        return out % N
 
 
 def _valuations(col: np.ndarray, p: int, m: int) -> np.ndarray:
@@ -378,21 +462,17 @@ class QuotientStructure:
     """Canonical coordinates on (Z/p^m)^ambient modulo a column span.
 
     Coordinate i of x, one per cyclic summand, is ``rows[i] . x`` taken
-    modulo p**exponents[i].  The rows are the kept rows of the Smith row
-    transform, kept sparse as ``{index: residue}`` dicts, and every
-    coordinate comes from one exact sparse product: each term is reduced
-    mod N = p^m before the terms of a row are summed, so a row sum stays
-    below ambient * N.  ``_modulus`` keeps (N - 1)^2 below 2^63, so N is
-    below 2^31.5 and the sum fits int64 for every ambient below 2^31.5,
-    past any x that fits in memory.  ``projection``, the dense summands x
-    ambient matrix, is built only for a caller that reads it.
+    modulo p**exponents[i].  ``rows``, a summands x ambient
+    ``SparseMatrix``, holds the kept rows of the Smith row transform, and
+    every coordinate comes from its one exact ``product``.
+    ``projection``, the dense summands x ambient matrix, is built only
+    for a caller that reads it.
     """
 
     p: int
     m: int
-    ambient: int
     exponents: tuple[int, ...]
-    rows: list[dict[int, int]] = field(repr=False)
+    rows: SparseMatrix = field(repr=False)
 
     @property
     def summands(self) -> int:
@@ -400,30 +480,12 @@ class QuotientStructure:
 
     @cached_property
     def projection(self) -> np.ndarray:
-        return _gather(self.rows, self.ambient)
-
-    @cached_property
-    def _sparse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(where each row's terms start, term columns, term residues):
-        the rows laid end to end, as in CSR.  An empty row gets one zero
-        term, so that every row owns a segment (a row exists only when
-        ambient > 0, so column 0 does too)."""
-        lengths, cols, vals = _flatten([row or {0: 0} for row in self.rows])
-        return np.cumsum(lengths) - lengths, cols, vals
-
-    def _product(self, x) -> np.ndarray:
-        """``rows @ x`` mod N, exactly, for a vector or 2-d x of any int64
-        entries."""
-        N = self.p**self.m
-        x = _residues(x, N)
-        starts, cols, vals = self._sparse
-        terms = vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[cols] % N
-        return np.add.reduceat(terms, starts, axis=0) % N
+        return self.rows.dense()
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Quotient coordinates of x, or of each column of a 2-d x; they
         all vanish exactly when x lies in the column span."""
-        out = self._product(x)
+        out = self.rows.product(x)
         moduli = self.p ** np.array(self.exponents, dtype=np.int64)
         return out % moduli.reshape((-1,) + (1,) * (out.ndim - 1))
 
@@ -436,12 +498,12 @@ class QuotientStructure:
     def embed(self, x: np.ndarray) -> np.ndarray:
         """The coordinates of each column of a 2-d x scaled into
         (Z/p^m)^summands."""
-        return self._product(x) * self._scales % (self.p**self.m)
+        return self.rows.product(x) * self._scales % (self.p**self.m)
 
     def embedded_basis(self) -> np.ndarray:
         """``embed`` of the ambient identity: the scaled summands x ambient
-        projection, gathered from the sparse rows with no product."""
-        out = _gather(self.rows, self.ambient)
+        projection, scattered from the sparse rows with no product."""
+        out = self.rows.dense()
         out *= self._scales
         out %= self.p**self.m
         return out
@@ -454,11 +516,11 @@ class QuotientStructure:
 class SmithData:
     """U A V = D with D diagonal of prime powers; pivot_vals lists the exponents.
 
-    The transforms are kept sparse, as the kernel left them: ``u_rows[i]``
-    is row i of U and ``v_cols[j]`` column j of V (None when V was not
-    tracked), each a ``{index: residue}`` dict of its nonzero entries.
-    ``quotient`` and ``column_kernel`` gather only the rows and columns
-    they return; the dense ``U`` and ``V`` are built on first access.
+    The transforms are kept as the kernel left them: ``u_rows[i]`` is row
+    i of U and ``v_cols[j]`` column j of V (None when V was not tracked),
+    each a ``{index: residue}`` dict of its nonzero entries.  ``quotient``
+    and ``column_kernel`` convert only the rows and columns they return;
+    the dense ``U`` and ``V`` are built on first access.
     """
 
     p: int
@@ -471,60 +533,37 @@ class SmithData:
 
     @cached_property
     def U(self) -> np.ndarray:
-        return _gather(self.u_rows, self.rows)
+        return SparseMatrix.of_rows(self.u_rows, self.rows, self.p**self.m).dense()
 
     @cached_property
     def V(self) -> np.ndarray | None:
-        return None if self.v_cols is None else _gather(self.v_cols, self.cols).T
+        return None if self.v_cols is None else SparseMatrix.of_rows(self.v_cols, self.cols, self.p**self.m).dense().T
+
+    def _kept(self, n: int) -> tuple[list[int], tuple[int, ...]]:
+        """The pivots of positive exponent and every index past the pivots
+        up to n, with their exponents (m past the pivots)."""
+        k = len(self.pivot_vals)
+        kept = [i for i, v in enumerate(self.pivot_vals) if v > 0] + list(range(k, n))
+        return kept, tuple(self.pivot_vals[i] if i < k else self.m for i in kept)
 
     def quotient(self) -> QuotientStructure:
         """Canonical coordinates of (Z/p^m)^rows modulo the column span:
-        the U rows of the pivots of positive exponent and every U row past
-        the pivots, handed over sparse, as the kernel left them."""
-        exponents = []
-        kept = []
-        for idx, v in enumerate(self.pivot_vals):
-            if v > 0:
-                exponents.append(v)
-                kept.append(idx)
-        for idx in range(len(self.pivot_vals), self.rows):
-            exponents.append(self.m)
-            kept.append(idx)
-        return QuotientStructure(self.p, self.m, self.rows, tuple(exponents), [self.u_rows[i] for i in kept])
+        the kept rows of U, each with the exponent of its summand."""
+        kept, exponents = self._kept(self.rows)
+        rows = SparseMatrix.of_rows([self.u_rows[i] for i in kept], self.rows, self.p**self.m)
+        return QuotientStructure(self.p, self.m, exponents, rows)
 
     def column_kernel(self) -> np.ndarray:
-        """Columns generating {v : A v = 0}, from the diagonal form: column
-        idx of V times p^(m - v) for each pivot of exponent v > 0, and every
-        column past the pivots."""
+        """Columns generating {v : A v = 0}, from the diagonal form: the
+        kept columns of V, each times p^(m - e) for its exponent e."""
         if self.v_cols is None:
             raise ValueError("column transform was not tracked")
         p, m = self.p, self.m
-        N = p**m
-        cols = [
-            {i: x * p ** (m - v) % N for i, x in self.v_cols[idx].items()}
-            for idx, v in enumerate(self.pivot_vals)
-            if v > 0
-        ]
-        cols += self.v_cols[len(self.pivot_vals) :]
-        return _gather(cols, self.cols).T
-
-
-def _flatten(vectors: list[dict[int, int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lengths, indices, residues) of the sparse vectors laid end to end."""
-    lengths = np.fromiter(map(len, vectors), dtype=np.int64, count=len(vectors))
-    total = int(lengths.sum())
-    indices = np.fromiter(chain.from_iterable(vectors), dtype=np.int64, count=total)
-    residues = np.fromiter(chain.from_iterable(map(dict.values, vectors)), dtype=np.int64, count=total)
-    return lengths, indices, residues
-
-
-def _gather(vectors: list[dict[int, int]], width: int) -> np.ndarray:
-    """The len(vectors) x width array whose row i is the dict vectors[i],
-    written in one scatter."""
-    lengths, indices, residues = _flatten(vectors)
-    out = np.zeros((len(vectors), width), dtype=np.int64)
-    out[np.repeat(np.arange(len(vectors)), lengths), indices] = residues
-    return out
+        kept, exponents = self._kept(self.cols)
+        out = SparseMatrix.of_rows([self.v_cols[i] for i in kept], self.cols, p**m).dense().T
+        out *= p ** (m - np.array(exponents, dtype=np.int64))
+        out %= p**m
+        return out
 
 
 def _axpy(y: dict[int, int], t: int, x, N: int) -> None:
@@ -566,29 +605,23 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
     cursor per layer that only moves forward, instead of a scan of every
     row at every step.
 
-    ``rel_cols`` is a dense array or a ``SparseExpansion``, whose
-    nonzeros fill the row dicts and the column index directly; each row
-    is cleared by its own arithmetic, so the order of the entries moves
-    no residue.
+    ``rel_cols`` is a ``SparseMatrix`` or a dense array, which is first
+    made one; its nonzeros fill the row dicts and the column index
+    directly, and each row is cleared by its own arithmetic, so the
+    order of the entries moves no residue.
 
     Every step is the same arithmetic on the same residues as the dense
     loop it replaced (``tests/test_linalg.py::reference_smith``); only the
     zeros are skipped, so pivots, U and V agree bit for bit.
     """
     N = _modulus(p, m)
-    if isinstance(rel_cols, SparseExpansion):
-        (nrows, ncols), ii, jj, xs = rel_cols.shape, rel_cols.rows, rel_cols.cols, rel_cols.vals
-    else:
-        a = _residues(_as_array(rel_cols, cols_hint=0), N)
-        if a.ndim != 2 or a.shape[1] == 0:
-            a = np.zeros((ambient, 0), dtype=np.int64)
-        nrows, ncols = a.shape
-        flat = a.ravel()
-        at = np.flatnonzero(flat != 0)  # several times faster than np.nonzero(a)
-        (ii, jj), xs = divmod(at, ncols), flat[at]
+    if not isinstance(rel_cols, SparseMatrix):
+        a = _as_array(rel_cols)
+        rel_cols = SparseMatrix.of_dense(a if a.ndim == 2 and a.shape[1] else np.zeros((ambient, 0), dtype=np.int64), N)
+    nrows, ncols = rel_cols.shape
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     in_col: list[set[int]] = [set() for _ in range(ncols)]
-    for i, j, x in zip(ii.tolist(), jj.tolist(), xs.tolist()):
+    for i, j, x in zip(rel_cols.rows.tolist(), rel_cols.cols.tolist(), rel_cols.vals.tolist()):
         rows[i][j] = x
         in_col[j].add(i)
     U = [{i: 1} for i in range(ambient)]
@@ -661,63 +694,6 @@ def _dense_shape(rows: int, cols: int) -> tuple[int, int]:
 _NONE = np.zeros(0, dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class SparseExpansion:
-    """A matrix over Z/N, N = ``modulus``, by its nonzero entries.
-
-    Entry (rows[k], cols[k]) is vals[k], a residue in (0, N), and each
-    cell is listed once.  ``size`` counts the dense cells, which are
-    written only by ``dense``, for a caller that reads them.
-    """
-
-    shape: tuple[int, int]
-    modulus: int
-    rows: np.ndarray = field(repr=False)
-    cols: np.ndarray = field(repr=False)
-    vals: np.ndarray = field(repr=False)
-
-    @classmethod
-    def of_entries(cls, shape, N: int, rows, cols, vals) -> "SparseExpansion":
-        """The entries, each a residue mod N, summed per cell mod N,
-        with the cells that cancel dropped, in row-major order (the
-        order in which a dense scan meets them)."""
-        width = max(shape[1], 1)
-        keys = rows * width + cols
-        order = np.argsort(keys, kind="stable")
-        keys, vals = keys[order], vals[order]
-        if keys.size:
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            keys, vals = keys[starts], np.add.reduceat(vals, starts) % N
-        keep = vals != 0
-        rows, cols = np.divmod(keys[keep], width)
-        return cls(tuple(shape), N, rows, cols, vals[keep])
-
-    @property
-    def size(self) -> int:
-        return self.shape[0] * self.shape[1]
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.int64)
-        out[self.rows, self.cols] = self.vals
-        return out
-
-    def block_diagonal(self, blocks: int) -> np.ndarray:
-        """The dense I_blocks (x) self, written in one scatter."""
-        (r, c), at = self.shape, np.arange(blocks, dtype=np.int64)[:, None]
-        out = np.zeros((blocks * r, blocks * c), dtype=np.int64)
-        out[(at * r + self.rows).ravel(), (at * c + self.cols).ravel()] = np.tile(self.vals, blocks)
-        return out
-
-    def product(self, x: np.ndarray) -> np.ndarray:
-        """``self @ x`` mod N for a 2-d x, exactly: each term is reduced
-        mod N before the terms of a row are summed."""
-        N = self.modulus
-        x = _residues(x, N)
-        out = np.zeros((self.shape[0], x.shape[1]), dtype=np.int64)
-        np.add.at(out, self.rows, self.vals[:, None] * x[self.cols] % N)
-        return out % N
-
-
 def _power(p: int, m: int, n: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, columns, residues) of the nonzero entries of C^a over Z/p^m,
     each cell once, where C multiplies 1, T, ..., T^(B-1), B = p^n, by T.
@@ -744,7 +720,7 @@ def _power(p: int, m: int, n: int, a: int) -> tuple[np.ndarray, np.ndarray, np.n
     return tuple(np.concatenate(x) for x in (rows, cols, vals))
 
 
-def _monomial_expansion(spec: RingSpec, exps: tuple[int, ...]) -> SparseExpansion:
+def _monomial_expansion(spec: RingSpec, exps: tuple[int, ...]) -> SparseMatrix:
     """Multiplication by T^exps on the monomial basis: the Kronecker
     product over the variables of C^(a_i), the first variable outermost,
     joined by index arithmetic: each pair of nonzeros gives the cell
@@ -762,17 +738,17 @@ def _monomial_expansion(spec: RingSpec, exps: tuple[int, ...]) -> SparseExpansio
         cols = (cols[:, None] * B + c).ravel()
         vals = (vals[:, None] * v % N).ravel()
     keep = vals != 0
-    return SparseExpansion((rho, rho), N, rows[keep], cols[keep], vals[keep])
+    return SparseMatrix((rho, rho), N, rows[keep], cols[keep], vals[keep])
 
 
 @lru_cache(maxsize=64)
-def _variable_expansions(spec: RingSpec) -> tuple[SparseExpansion, ...]:
+def _variable_expansions(spec: RingSpec) -> tuple[SparseMatrix, ...]:
     """Multiplication by each variable of ``spec``, kept for the last 64
     rings: every cohomology computation over a ring reads them."""
     return tuple(_monomial_expansion(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q))
 
 
-def expand_scalars(a: Matrix) -> SparseExpansion:
+def expand_scalars(a: Matrix) -> SparseMatrix:
     """Regular representation of a patch-ring matrix over Z/p^m.
 
     Returns the (rows*rho) x (cols*rho) matrix of the same map on the
@@ -787,7 +763,7 @@ def expand_scalars(a: Matrix) -> SparseExpansion:
         raise SpecMismatch("graded matrices have no finite expansion")
     rho, N = spec.coefficient_rank, spec.modulus
     shape = _dense_shape(a.rows * rho, a.cols * rho)
-    monomials: dict[tuple[int, ...], SparseExpansion] = {}
+    monomials: dict[tuple[int, ...], SparseMatrix] = {}
     rows, cols, vals = [_NONE], [_NONE], [_NONE]
     for i, row in enumerate(a.entries):
         for j, x in enumerate(row):
@@ -798,4 +774,4 @@ def expand_scalars(a: Matrix) -> SparseExpansion:
                 rows.append(mono.rows + i * rho)
                 cols.append(mono.cols + j * rho)
                 vals.append(mono.vals * c % N)
-    return SparseExpansion.of_entries(shape, N, *map(np.concatenate, (rows, cols, vals)))
+    return SparseMatrix.of_entries(shape, N, *map(np.concatenate, (rows, cols, vals)))

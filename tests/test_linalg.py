@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patchtower.errors import InvalidParameter, SpecMismatch, UnsupportedRing
@@ -13,7 +13,7 @@ from patchtower.linalg import (
     Matrix,
     QuotientStructure,
     elementary_divisors,
-    SparseExpansion,
+    SparseMatrix,
     _monomial_expansion,
     expand_scalars,
     matmul_mod,
@@ -35,6 +35,7 @@ from util import (
     transform_rows,
 )
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # (p, m) of Z/4 and Z/9
 Z4 = (2, 2)
 Z9 = (3, 2)
@@ -296,9 +297,75 @@ EXPANSION_SPECS = SMALL_PATCH_SPECS + [
 ]
 
 
+@st.composite
+def sparse_cases(draw):
+    """A matrix of residues mod N of any shape, empty ones and rows with
+    no entries included, and a vector or 2-d block of any int64 entries
+    (negative, past N, near int64's bounds) to multiply it with; N runs
+    up to 3^19, whose residues have products near 2^60."""
+    p, m = draw(st.sampled_from([(2, 2), (3, 2), (5, 1), (3, 19)]))
+    N = p**m
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 8))
+    residue = st.one_of(st.just(0), st.integers(1, N - 1), st.integers(N - 3, N - 1))
+    a = np.array(draw(st.lists(residue, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64)
+    k = draw(st.one_of(st.none(), st.integers(0, 3)))
+    shape = (cols,) if k is None else (cols, k)
+    entry = st.one_of(st.integers(-3 * N, 3 * N), st.integers(N - 3, N + 3), st.integers(INT64_MIN, INT64_MAX))
+    x = draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return a.reshape(rows, cols), np.array(x, dtype=np.int64).reshape(shape), N
+
+
+def sparse_forms(a: np.ndarray, N: int) -> list[SparseMatrix]:
+    """The residue matrix ``a`` through each constructor: ``of_dense``;
+    ``of_entries`` on every cell given twice, as a - 1 and 1 in reverse
+    order, so that cells are summed and the zero cells cancel; and
+    ``of_rows`` on one ``{column: residue}`` dict per row."""
+    ii, jj = np.indices(a.shape).reshape(2, -1)
+    twice = [np.concatenate(pair)[::-1] for pair in ((ii, ii), (jj, jj), ((a.ravel() - 1) % N, np.ones_like(ii)))]
+    by_rows = [{j: int(x) for j, x in enumerate(row) if x} for row in a]
+    return [
+        SparseMatrix.of_dense(a, N),
+        SparseMatrix.of_entries(a.shape, N, *twice),
+        SparseMatrix.of_rows(by_rows, a.shape[1], N),
+    ]
+
+
 class TestSparseExpansion:
-    """``expand_scalars`` against the dense reference
-    ``util.dense_expand_scalars`` on the ``random_patch_complex`` corpus."""
+    """``SparseMatrix`` against dense arrays, and ``expand_scalars``
+    against the dense reference ``util.dense_expand_scalars`` on the
+    ``random_patch_complex`` corpus."""
+
+    @given(sparse_cases())
+    # 8 terms of (3^19 - 1)^2 pass 2^63 unless each is reduced first
+    @example((np.full((2, 8), 3**19 - 1), np.full((8, 3), -1), 3**19))
+    @example((np.full((2, 8), 3**19 - 2), np.full(8, 3**19 - 2), 3**19))
+    @settings(max_examples=300, deadline=None)
+    def test_constructors_and_product_match_dense(self, case):
+        a, x, N = case
+        want = (a.astype(object) @ x.astype(object)) % N
+        for sparse in sparse_forms(a, N):
+            assert (sparse.shape, sparse.size) == (a.shape, a.size)
+            assert np.array_equal(sparse.dense(), a)
+            # each nonzero cell once, a residue
+            assert sparse.vals.size == np.count_nonzero(a) and ((sparse.vals > 0) & (sparse.vals < N)).all()
+            assert np.array_equal(sparse.block_diagonal(2), np.kron(np.eye(2, dtype=np.int64), a))
+            got = sparse.product(x)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want.astype(np.int64))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)], ids=["0x4", "4x0", "0x0"])
+    def test_empty_shapes(self, shape):
+        a = np.zeros(shape, dtype=np.int64)
+        for sparse in sparse_forms(a, 9):
+            assert sparse.shape == shape and sparse.vals.size == 0
+            for x in (np.arange(shape[1]) - 5, np.arange(3 * shape[1]).reshape(shape[1], 3), np.zeros((shape[1], 0))):
+                assert np.array_equal(sparse.product(x), np.zeros(shape[:1] + x.shape[1:], dtype=np.int64))
+            # ambient = shape[0]: every coordinate is a summand of order 9
+            sd = smith_transforms(sparse, shape[0], 3, 2, track_v=True)
+            qs = sd.quotient()
+            assert qs.exponents == (2,) * shape[0] and qs.rows.shape == (shape[0], shape[0])
+            assert np.array_equal(qs.embedded_basis(), np.eye(shape[0], dtype=np.int64))
+            assert np.array_equal(sd.column_kernel(), np.eye(shape[1], dtype=np.int64))
 
     @pytest.mark.parametrize("spec", EXPANSION_SPECS, ids=lambda s: f"p{s.p}-m{s.m}-n{s.n}-q{s.q}")
     def test_random_differentials_match_dense_reference(self, spec):
@@ -548,10 +615,10 @@ def reference_column_kernel(pivot_vals, V: np.ndarray, p: int, m: int) -> np.nda
     return np.array(cols, dtype=np.int64).reshape(len(cols), V.shape[0]).T
 
 
-def sparse_of(a: np.ndarray, N: int) -> SparseExpansion:
-    """The nonzero entries of a dense array, as a ``SparseExpansion``."""
+def sparse_of(a: np.ndarray, N: int) -> SparseMatrix:
+    """The nonzero entries of a dense array, as a ``SparseMatrix``."""
     rows, cols = np.nonzero(a % N)
-    return SparseExpansion.of_entries(a.shape, N, rows, cols, a[rows, cols] % N)
+    return SparseMatrix.of_entries(a.shape, N, rows, cols, a[rows, cols] % N)
 
 
 def assert_matches_reference(a: np.ndarray, p: int, m: int) -> None:
@@ -640,7 +707,6 @@ class TestOverflowGuard:
             assert_smith_witness(a, p, m)
 
 
-INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def straddling_moduli(bound: int, width: int) -> tuple[int, int]:
@@ -765,7 +831,7 @@ class TestSparseQuotientCoords:
                 assert np.array_equal(qs.embed(x), reference_embed(qs, x))
 
     def test_rows_without_terms(self):
-        qs = QuotientStructure(3, 2, 3, (2, 1, 2), [{}, {1: 4}, {}])
+        qs = QuotientStructure(3, 2, (2, 1, 2), SparseMatrix.of_rows([{}, {1: 4}, {}], 3, 9))
         x = np.array([[5, -1], [7, 20], [8, 9]], dtype=np.int64)
         assert np.array_equal(qs.coords(x), reference_coords(qs, x))
         assert np.array_equal(qs.embed(x), reference_embed(qs, x))
@@ -781,7 +847,7 @@ class TestSparseQuotientCoords:
         assert width * (N - 17) ** 2 > INT64_MAX
         rows = [{j: N - 1 - (i + j) % 5 for j in range(width)} for i in range(3)]
         exponents = (m, 1, m)
-        qs = QuotientStructure(p, m, width, exponents, rows)
+        qs = QuotientStructure(p, m, exponents, SparseMatrix.of_rows(rows, width, N))
         # the last column keeps each reduced term near N, and so the sum
         x = np.array([[N - 1 - (j * k) % 7 for k in range(3)] + [1 + j % 2] for j in range(width)], dtype=np.int64)
         exact = (qs.projection.astype(object) @ x.astype(object)) % N
