@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -236,17 +235,16 @@ class SparseMatrix:
     def of_rows(cls, vectors: list[dict[int, int]], width: int, N: int) -> "SparseMatrix":
         """The len(vectors) x width matrix whose row i is the dict
         ``vectors[i]`` of {column: residue}, as the Smith kernel keeps it."""
-        lengths = np.fromiter(map(len, vectors), dtype=np.int64, count=len(vectors))
-        total = int(lengths.sum())
-        cols = np.fromiter(chain.from_iterable(vectors), dtype=np.int64, count=total)
-        vals = np.fromiter(chain.from_iterable(map(dict.values, vectors)), dtype=np.int64, count=total)
-        return cls((len(vectors), width), N, np.repeat(np.arange(len(vectors)), lengths), cols, vals)
+        rows = [i for i, row in enumerate(vectors) for _ in row]
+        cols = [c for row in vectors for c in row]
+        vals = [x for row in vectors for x in row.values()]
+        return cls((len(vectors), width), N, *(np.array(x, dtype=np.int64) for x in (rows, cols, vals)))
 
     @classmethod
     def of_dense(cls, a: np.ndarray, N: int) -> "SparseMatrix":
         """The nonzero residues mod N of a 2-d int64 array, row-major."""
         flat = _residues(a, N).ravel()
-        at = np.flatnonzero(flat)  # several times faster than np.nonzero(a)
+        at = np.flatnonzero(flat != 0)  # several times faster than np.nonzero(a)
         rows, cols = np.divmod(at, max(a.shape[1], 1))
         return cls(a.shape, N, rows, cols, flat[at])
 
