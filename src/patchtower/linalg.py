@@ -204,9 +204,9 @@ class SparseMatrix:
     """A matrix over Z/N, N = ``modulus``, by its nonzero entries.
 
     Entry (rows[k], cols[k]) is vals[k], a residue in (0, N), and each
-    cell is listed once, in no set order.  ``size`` counts the
-    dense cells, which are written only by ``dense`` and
-    ``block_diagonal``, for a caller that reads them.
+    cell is listed once, in no set order.  ``size`` counts the dense
+    cells, which are written only by ``dense`` and ``block_diagonal``,
+    for a caller that reads them.
     """
 
     shape: tuple[int, int]
