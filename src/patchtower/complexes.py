@@ -486,12 +486,16 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
             embed = (lambda cols: cols % N) if sm_in is None else sm_in.quotient().embed
             ek = embed(kernel)
 
-        base = (p * ek) % N
         # residue coordinates modulo p * span(kernel) as well, so that
-        # every column of ek2 is killed by p (Nakayama)
-        ek2 = smith_quotient(base, len(ek), p, m).embed(ek) if base.any() else ek
+        # every column of ek2 is killed by p (Nakayama).  The quotient is
+        # taken only over the rows where ek has an entry: span(ek) lives
+        # there, and dropping rows that are zero in every column moves no
+        # F_p column rank profile, which is all the choice reads.
+        sub = ek[np.flatnonzero(ek.any(axis=1))]
+        base = (p * sub) % N
+        ek2 = smith_quotient(base, len(sub), p, m).embed(sub) if base.any() else sub
         chosen = _nakayama_choice(ek2, p, m)
-        del base, ek2  # free before the Howell step and the actions
+        del sub, base, ek2  # free before the Howell step and the actions
         if kernel is None:
             gens = np.zeros((amb, len(chosen)), dtype=np.int64)
             gens[chosen, np.arange(len(chosen))] = 1

@@ -296,13 +296,16 @@ def _echelon(work: np.ndarray, active: int, p: int, m: int):
 
     Updates touch only the rows with a nonzero entry in the pivot column
     and only columns from the pivot rightward (everything to the left of
-    the pivot is already zero below the previous pivot row).
+    the pivot is already zero below the previous pivot row).  Only the
+    active columns with an entry at the start are visited, found in one
+    scan: every update subtracts a multiple of the pivot row, so a column
+    that is zero in every row stays zero.
     """
     N = p**m
     nrows = work.shape[0]
     pivots = []
     r = 0
-    for j in range(active):
+    for j in np.flatnonzero(work[:, :active].any(axis=0)).tolist():
         if r >= nrows:
             break
         col = work[r:, j]
@@ -324,7 +327,7 @@ def _echelon(work: np.ndarray, active: int, p: int, m: int):
         nzb = np.nonzero(work[r + 1 :, j])[0]
         if nzb.size:
             t = work[r + 1 + nzb, j] // pv
-            sub[nzb] = (sub[nzb] - np.outer(t, work[r, j:])) % N
+            sub[nzb] = (sub[nzb] - t[:, None] * work[r, j:]) % N
         pivots.append((r, j, vmin))
         r += 1
     return pivots
@@ -402,7 +405,7 @@ class HowellCore:
             nza = np.nonzero(t)[0]
             if nza.size:
                 sub = work[:r, j:]
-                sub[nza] = (sub[nza] - np.outer(t[nza], work[r, j:])) % N
+                sub[nza] = (sub[nza] - t[nza, None] * work[r, j:]) % N
         return work, pivots
 
     # -- views ----------------------------------------------------------
@@ -439,7 +442,7 @@ class HowellCore:
             if (e % pv).any():
                 return None
             coef[rows, r] = e // pv
-            rhs[rows] = (rhs[rows] - np.outer(coef[rows, r], self.work[r, : self.active])) % N
+            rhs[rows] = (rhs[rows] - coef[rows, r, None] * self.work[r, : self.active]) % N
         if rhs.any():
             return None
         x = matmul_mod(coef, self.work[: len(self.pivots), self.active :], N)
@@ -601,7 +604,10 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
     passed over, and the row swapped out of position k into the pivot's
     place, are thus never live again, so the pivot row is found by one
     cursor per layer that only moves forward, instead of a scan of every
-    row at every step.
+    row at every step.  A pivot row with one entry, the shape of almost
+    every row of a padded expansion, needs no column scan: the cursor
+    has already found that p^(v+1) does not divide that entry, so it is
+    the pivot, and its row clears touch no other column.
 
     ``rel_cols`` is a ``SparseMatrix`` or a dense array, which is first
     made one; its nonzeros fill the row dicts and the column index
@@ -640,7 +646,8 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
                 break
             i = row_at[cursor]
             prow = rows[i]
-            j = col_at[min(col_pos[c] for c, x in prow.items() if x % pmod)]
+            single = len(prow) == 1
+            j = next(iter(prow)) if single else col_at[min(col_pos[c] for c, x in prow.items() if x % pmod)]
             row_at[k], row_at[cursor] = i, row_at[k]
             other = col_at[k]
             col_at[k], col_at[col_pos[j]] = j, other
@@ -651,7 +658,7 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
                 for c in prow:
                     prow[c] = prow[c] * uinv % N
                 U[i] = {c: x * uinv % N for c, x in U[i].items()}
-            rest = [(c, x) for c, x in prow.items() if c != j]
+            rest = [] if single else [(c, x) for c, x in prow.items() if c != j]
             rows[i] = {}
             for r in in_col[j]:
                 row = rows[r]

@@ -130,15 +130,13 @@ def _check_pm(p: int, m: int) -> None:
 
 @lru_cache(maxsize=None)
 def _rewrite_rule(p: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
-    # T^(p^n) = -sum_{0<k<p^n} C(p^n, k) T^k  (mod p^m)
-    pn = p**n
-    N = p**m
-    rule = []
-    for k in range(1, pn):
-        c = (-comb(pn, k)) % N
-        if c:
-            rule.append((k, c))
-    return tuple(rule)
+    # T^(p^n) = -sum_{0<k<p^n} C(p^n, k) T^k  (mod p^m).  By Kummer's
+    # theorem v_p(C(p^n, k)) = n - v_p(k) for 0 < k < p^n, so a term
+    # survives mod p^m exactly when v_p(k) > n - m: only those k, the
+    # multiples of p^max(n-m+1, 0), are visited, and none of them vanishes.
+    pn, N = p**n, p**m
+    step = p ** max(n - m + 1, 0)
+    return tuple((k, -comb(pn, k) % N) for k in range(step, pn, step))
 
 
 def _normalize(spec: RingSpec, coeffs) -> dict[tuple[int, ...], int]:
