@@ -425,6 +425,44 @@ class TestSparseQuotientsInCohomology:
             c = _pad_contractible(_limit_complex(params, level, 2), 0)
             assert_same_modules(complexes._all_cohomology(c), reference_all_cohomology(c))
 
+    def test_nakayama_quotient_on_the_kernel_rows(self):
+        # levels 1-4 of the padded q=1, r=1 towers at precisions
+        # (1, 2, 2, 2): the kernel of [[T, 0], [0, 1]] lives in the first
+        # block, so its columns have zero rows, and the Nakayama quotient
+        # of degree 0 is taken over fewer than the 2 rho ambient rows
+        # (over all of them in the full-ambient reference)
+        params = ScenarioParams(3, 1, 1, precisions=(1, 2, 2, 2)).resolved()
+        real = complexes.smith_quotient
+        for level, precision in enumerate(params.precisions, 1):
+            c = _pad_contractible(_limit_complex(params, level, precision), 0)
+            ambients = []
+
+            def counted(rel, ambient, p, m):
+                ambients.append(ambient)
+                return real(rel, ambient, p, m)
+
+            with mock.patch.object(complexes, "smith_quotient", counted):
+                got = complexes._all_cohomology(c)
+            assert_same_modules(got, reference_all_cohomology(c))
+            if precision == 1:
+                assert not ambients  # p kills every module over F_3
+            else:
+                assert ambients[0] < 2 * c.spec.coefficient_rank
+
+    def test_no_quotient_when_p_kills_the_kernel(self):
+        # d = 3 over (Z/9)[T]/((1+T)^3 - 1): the kernel 3 (Z/9)^3 and the
+        # cokernel (Z/3)^3, scaled into Z/9, are both killed by 3
+        spec = make_patch_ring(3, 2, 1, 1)
+        c = make_complex(spec, 0, [1, 1], [single(spec, RingTowerElement.constant(spec, 3))])
+
+        def refuse(*_):
+            raise AssertionError("a Nakayama quotient was taken")
+
+        with mock.patch.object(complexes, "smith_quotient", refuse):
+            got = complexes._all_cohomology(c)
+        assert [got[d].gens for d in (0, 1)] == [3, 3]
+        assert_same_modules(got, reference_all_cohomology(c))
+
 
 def tall_complex(spec, rank: int):
     """Ranks [1, rank] with d = (T, 0, ..., 0)^T: a top degree whose

@@ -14,6 +14,7 @@ from patchtower.linalg import (
     QuotientStructure,
     elementary_divisors,
     SparseMatrix,
+    _echelon,
     _monomial_expansion,
     expand_scalars,
     matmul_mod,
@@ -28,6 +29,7 @@ from util import (
     monomial_basis,
     random_patch_complex,
     reference_coords,
+    reference_echelon,
     reference_embed,
     reference_multiplication_matrix,
     reference_solve,
@@ -92,6 +94,39 @@ class TestHowell:
                     c = rng.randrange(N)
                     b[i] = [(x + c * y) % N for x, y in zip(b[i], b[j])]
             assert howell(a, spec).tolist() == howell(b, spec).tolist()
+
+
+@st.composite
+def echelon_inputs(draw):
+    """A matrix over Z/N, N in {2, 9, 25, 27}, with some columns zeroed
+    wherever they fall (leading, interior, trailing), 0 to 5 rows, and an
+    ``active`` block that may stop short of the width, as HowellCore's
+    carry block does."""
+    p, m = draw(st.sampled_from([(2, 1), (3, 2), (5, 2), (3, 3)]))
+    N = p**m
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 8))
+    entries = st.one_of(st.just(0), st.sampled_from([p % N, p ** (m - 1), N - 1]), st.integers(0, N - 1))
+    a = np.array(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), dtype=np.int64)
+    a = a.reshape(rows, cols)
+    a[:, draw(st.lists(st.booleans(), min_size=cols, max_size=cols))] = 0
+    return a, draw(st.integers(0, cols)), p, m
+
+
+class TestEchelon:
+    @given(echelon_inputs())
+    @settings(max_examples=300, deadline=None)
+    @example((np.array([[0, 3, 0, 1, 0, 0], [0, 6, 0, 4, 0, 0], [0, 0, 0, 2, 0, 0]]), 6, 3, 2))
+    @example((np.array([[0, 0, 5, 10, 0]]), 5, 5, 2))
+    @example((np.zeros((0, 4), dtype=np.int64), 4, 2, 1))
+    @example((np.array([[0, 2, 1, 0], [0, 1, 0, 1], [0, 0, 0, 1]]), 2, 3, 3))
+    @example((np.array([[0, 0, 9, 1], [0, 0, 18, 2]]), 2, 3, 3))
+    def test_matches_reference_loop(self, case):
+        # the same pivots and the same worked array, on copies of one input
+        a, active, p, m = case
+        got, want = a.copy(), a.copy()
+        assert _echelon(got, active, p, m) == reference_echelon(want, active, p, m)
+        assert np.array_equal(got, want)
 
 
 def brute_kernel(a: np.ndarray, N: int) -> set:
@@ -538,6 +573,17 @@ def assert_smith_witness(a: np.ndarray, p: int, m: int) -> None:
     assert list(sd.pivot_vals) == sorted(sd.pivot_vals)
 
 
+def padded_expansion(p: int, m: int, n: int, seed: int) -> np.ndarray:
+    """The scalar expansion of diag(T, 1), a companion block beside a
+    unit block, with its rows and columns shuffled."""
+    spec = make_patch_ring(p, m, n, 1)
+    t = RingTowerElement.variable(spec, 0)
+    one, zero = RingTowerElement.one(spec), RingTowerElement.zero(spec)
+    a = expand_scalars(Matrix(spec, [[t, zero], [zero, one]])).dense()
+    rng = np.random.default_rng(seed)
+    return a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])]
+
+
 @st.composite
 def smith_inputs(draw):
     p = draw(st.sampled_from([2, 3, 5]))
@@ -568,6 +614,15 @@ class TestSmithTransforms:
 
     @given(smith_inputs())
     @settings(max_examples=200, deadline=None)
+    # a permuted padded expansion: almost every pivot row has one entry
+    @example((padded_expansion(3, 2, 3, seed=0), 3, 2))
+    # rows whose only entry is p times a unit: their pivots come at v > 0
+    @example((np.array([[0, 6, 0], [3, 0, 0], [0, 0, 0], [0, 0, 12]]), 3, 3))
+    # single-entry rows beside rows with several, at v = 0 and v = 1
+    @example((np.array([[0, 0, 3, 0], [1, 2, 0, 4], [2, 0, 1, 3]]), 5, 2))
+    @example((np.array([[0, 5, 0], [1, 2, 3], [0, 0, 10], [5, 0, 0]]), 5, 2))
+    @example((np.array([[6]]), 2, 3))
+    @example((np.zeros((3, 0), dtype=np.int64), 3, 2))
     def test_matches_reference_loop(self, case):
         a, p, m = case
         rows = a.shape[0]

@@ -15,13 +15,14 @@ from patchtower.errors import (
 )
 from patchtower.rings import (
     RingTowerElement,
+    _rewrite_rule,
     base_change,
     coefficient_ring,
     graded_ring,
     is_prime,
     make_patch_ring,
 )
-from util import SMALL_PATCH_SPECS, monomial_basis, reference_ring_map
+from util import SMALL_PATCH_SPECS, monomial_basis, reference_rewrite_rule, reference_ring_map
 
 F3T = make_patch_ring(3, 1, 1, 1)
 Z4T = make_patch_ring(2, 2, 1, 1)
@@ -238,6 +239,16 @@ def _base_change_cases(spec):
 def test_base_change_matches_the_reference_on_every_element(spec, target, want):
     for x in all_elements(spec):
         assert base_change(x, target) == want(x)
+
+
+def test_rewrite_rule_matches_every_binomial():
+    # the Kummer step visits only the multiples of p^max(n-m+1, 0); the
+    # reference reads C(p^n, k) mod p^m for every 0 < k < p^n.  The grid
+    # holds every p^n <= 5000, n = 0 included, on both sides of n = m.
+    grid = [(p, m, n) for p in (2, 3, 5, 7) for n in range(13) if p**n <= 5000 for m in range(1, 6)]
+    assert {n < m for p, m, n in grid} == {True, False} and (2, 1, 12) in grid
+    for p, m, n in grid:
+        assert _rewrite_rule(p, m, n) == reference_rewrite_rule(p, m, n), (p, m, n)
 
 
 def test_graded_ring_polynomials_are_untruncated():

@@ -24,11 +24,12 @@ from patchtower.linalg import (
     _as_array,
     _modulus,
     _reduce_row,
+    _valuations,
     matmul_mod,
     smith_quotient,
     smith_transforms,
 )
-from patchtower.rings import RingSpec, RingTowerElement, _rewrite_rule, base_change, make_patch_ring
+from patchtower.rings import RingSpec, RingTowerElement, base_change, make_patch_ring
 from patchtower.scenarios import ScenarioParams, _level_data, gen_scenario
 
 import numpy as np
@@ -609,6 +610,57 @@ def reference_embed(qs: QuotientStructure, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def reference_rewrite_rule(p: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """T^(p^n) = -sum C(p^n, k) T^k mod p^m over every 0 < k < p^n,
+    keeping the terms that do not vanish; each binomial comes exactly from
+    the one before it.  ``rings._rewrite_rule``, which visits only the k
+    that Kummer's theorem leaves, must give the same rule."""
+    pn, N = p**n, p**m
+    rule = []
+    binom = 1
+    for k in range(1, pn):
+        binom = binom * (pn - k + 1) // k
+        c = -binom % N
+        if c:
+            rule.append((k, c))
+    return tuple(rule)
+
+
+def reference_echelon(work: np.ndarray, active: int, p: int, m: int):
+    """The per-column echelon loop: every active column in turn, each
+    scanned below the current row.  ``linalg._echelon``, which visits
+    only the columns with an entry, must return the same pivots and leave
+    the same array."""
+    N = p**m
+    nrows = work.shape[0]
+    pivots = []
+    r = 0
+    for j in range(active):
+        if r >= nrows:
+            break
+        col = work[r:, j]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        vals = _valuations(col[nz], p, m)
+        k = int(np.argmin(vals))
+        vmin = int(vals[k])
+        i = r + int(nz[k])
+        if i != r:
+            work[[r, i]] = work[[i, r]]
+        pv = p**vmin
+        unit = int(work[r, j]) // pv
+        if unit % N != 1:
+            work[r, j:] = (work[r, j:] * pow(unit % N, -1, N)) % N
+        nzb = np.nonzero(work[r + 1 :, j])[0]
+        if nzb.size:
+            t = work[r + 1 + nzb, j] // pv
+            work[r + 1 + nzb, j:] = (work[r + 1 + nzb, j:] - np.outer(t, work[r, j:])) % N
+        pivots.append((r, j, vmin))
+        r += 1
+    return pivots
+
+
 def dense_monomial_matrix(spec: RingSpec, exps: tuple[int, ...]) -> np.ndarray:
     """Multiplication by T^exps: the Kronecker product over the variables
     of C^(a_i), where C multiplies 1, T, ..., T^(p^n - 1) by T.  Only a
@@ -617,7 +669,7 @@ def dense_monomial_matrix(spec: RingSpec, exps: tuple[int, ...]) -> np.ndarray:
     rho, N = spec.coefficient_rank, _modulus(spec.p, spec.m)
     dense_shape(rho, rho)
     rewrite = np.zeros(spec.exponent_bound, dtype=np.int64)  # T^(p^n)
-    for k, c in _rewrite_rule(spec.p, spec.m, spec.n):
+    for k, c in reference_rewrite_rule(spec.p, spec.m, spec.n):
         rewrite[k] = c
     out = np.ones((1, 1), dtype=np.int64)
     for i, a in enumerate(exps):
