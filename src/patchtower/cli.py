@@ -37,6 +37,8 @@ def _load_json(path: str):
         raise InvalidInput(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"malformed JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(obj, text: str | None, fmt: str) -> None:
@@ -122,11 +124,14 @@ def cmd_gen(args) -> int:
     )
     tower, sidecar, _ = gen_scenario(params, perturbation=args.perturbation)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tower_path = out_dir / "tower.json"
     sidecar_path = out_dir / "expected.json"
-    tower_path.write_text(serialize.canonical_dumps(serialize.tower_to_obj(tower)))
-    sidecar_path.write_text(serialize.canonical_dumps(sidecar))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        tower_path.write_text(serialize.canonical_dumps(serialize.tower_to_obj(tower)))
+        sidecar_path.write_text(serialize.canonical_dumps(sidecar))
+    except OSError as exc:
+        raise InvalidInput(f"cannot write to {out_dir}: {exc}") from exc
     _emit(
         {"tower": str(tower_path), "expected": str(sidecar_path)},
         f"wrote {tower_path} and {sidecar_path}",

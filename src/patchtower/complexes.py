@@ -30,6 +30,7 @@ from .linalg import (
     Matrix,
     QuotientStructure,
     SparseMatrix,
+    _as_array,
     _echelon,
     _variable_expansions,
     expand_scalars,
@@ -430,10 +431,11 @@ def _zero_module(spec: RingSpec) -> FiniteModuleData:
     return FiniteModuleData(spec.p, spec.m, 0, zero, (zero,) * spec.q)
 
 
-def _nakayama_choice(ek2: np.ndarray, p: int, m: int) -> list[int]:
+def _nakayama_choice(ek2, p: int, m: int) -> list[int]:
     """Indices of the columns of ``ek2`` that form its first basis.
 
-    Every column of ``ek2`` is killed by p: it holds coordinates of
+    ``ek2`` is a ``SparseMatrix`` or a dense array, which is first made
+    one.  Every column of ``ek2`` is killed by p: it holds coordinates of
     span(kernel) modulo p * span(kernel), or p * kernel is already zero.
     So each entry is p^(m-1) times a residue mod p, and the Z/p^m-span of
     the columns is the F_p-span of ``ek2 // p^(m-1)``.  Keeping each
@@ -441,14 +443,36 @@ def _nakayama_choice(ek2: np.ndarray, p: int, m: int) -> list[int]:
     lexicographically first basis: the pivot columns of a row echelon
     form over F_p.
     """
+    N = p**m
+    if not isinstance(ek2, SparseMatrix):
+        ek2 = SparseMatrix.of_dense(_as_array(ek2), N)
     top = p ** (m - 1)
-    if (ek2 % top).any():
+    if (ek2.vals % top).any():
         raise AssertionError("Nakayama coordinates are not killed by p")
-    work = (ek2 // top) % p
-    return [j for _, j, _ in _echelon(work, work.shape[1], p, 1)]
+    rows = [{j: x // top for j, x in row.items()} for row in ek2.row_dicts()]
+    return [j for _, j, _ in _echelon(rows, ek2.shape[1], p, 1)]
+
+
+def _transpose(rows, height: int) -> list[dict[int, int]]:
+    """The ``height`` columns of the matrix whose (index, row dict) pairs
+    ``rows`` lists, as row dicts."""
+    out: list[dict[int, int]] = [{} for _ in range(height)]
+    for i, row in rows:
+        for k, x in row.items():
+            out[k][i] = x
+    return out
 
 
 def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
+    """Cohomology of every degree of ``c``.
+
+    Past the Smith forms everything stays on ``{index: residue}`` dicts
+    in Python integers: the kernel columns come from V, the embedded
+    kernel is kept by its nonempty rows, and the Nakayama quotient, the
+    Howell form of the chosen generators and the solves of the variable
+    actions take them as ``SparseMatrix`` inputs.  Only the relations and
+    the actions of each returned module are made dense.
+    """
     spec = c.spec
     p, m = spec.p, spec.m
     N = p**m
@@ -474,39 +498,49 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         if sm_out is None and sm_in is None:
             out[degree] = _free_module(spec, rk, mults)
             continue
+        if sm_in is None:
+            width, embed = amb, (lambda rows: rows)
+        else:
+            qs = sm_in.quotient()
+            width, embed = qs.summands, qs.embed_rows
         if sm_out is None:
             # the kernel is the whole ambient module: its embedding is the
             # scaled projection, and the generators are unit columns
-            qs = sm_in.quotient()
-            _check_top_degree(rk, amb, qs.summands)
-            kernel, embed = None, qs.embed
+            _check_top_degree(rk, amb, width)
+            kernel, count = None, amb
             ek = qs.embedded_basis()
         else:
-            kernel = sm_out.column_kernel()
-            embed = (lambda cols: cols % N) if sm_in is None else sm_in.quotient().embed
-            ek = embed(kernel)
+            kernel = sm_out.kernel_columns()
+            count = len(kernel)
+            krows: dict[int, dict[int, int]] = {}
+            for k, col in enumerate(kernel):
+                for i, x in col.items():
+                    krows.setdefault(i, {})[k] = x
+            ek = embed(krows)
 
         # residue coordinates modulo p * span(kernel) as well, so that
         # every column of ek2 is killed by p (Nakayama).  The quotient is
         # taken only over the rows where ek has an entry: span(ek) lives
         # there, and dropping rows that are zero in every column moves no
         # F_p column rank profile, which is all the choice reads.
-        sub = ek[np.flatnonzero(ek.any(axis=1))]
-        base = (p * sub) % N
-        ek2 = smith_quotient(base, len(sub), p, m).embed(sub) if base.any() else sub
-        chosen = _nakayama_choice(ek2, p, m)
-        del sub, base, ek2  # free before the Howell step and the actions
-        if kernel is None:
-            gens = np.zeros((amb, len(chosen)), dtype=np.int64)
-            gens[chosen, np.arange(len(chosen))] = 1
+        sub = [ek[i] for i in sorted(ek)]
+        base = [{k: y for k, x in row.items() if (y := p * x % N)} for row in sub]
+        if any(base):
+            qs2 = smith_quotient(SparseMatrix.of_rows(base, count, N), len(sub), p, m)
+            ek2 = qs2.embed_rows(dict(enumerate(sub)))
+            ek2 = [ek2.get(i, {}) for i in range(qs2.summands)]
         else:
-            gens = kernel[:, chosen]
-        solver = HowellCore(ek[:, chosen].T, p, m)
-        del ek  # the Howell work holds the chosen columns
+            ek2 = sub
+        chosen = _nakayama_choice(SparseMatrix.of_rows(ek2, count, N), p, m)
+        cols = [{k: 1} for k in chosen] if kernel is None else [kernel[k] for k in chosen]
+        gens = SparseMatrix.of_rows(cols, amb, N).transpose()
+        at = {k: g for g, k in enumerate(chosen)}
+        picked = ((i, {at[k]: x for k, x in row.items() if k in at}) for i, row in ek.items())
+        solver = HowellCore(SparseMatrix.of_rows(_transpose(picked, len(chosen)), width, N), p, m)
         relations = solver.kernel_rows().T
-        actions = _variable_actions(mults, gens, rk, embed, solver)
+        actions = _variable_actions(mults, gens, embed, solver)
 
-        out[degree] = FiniteModuleData(p, m, gens.shape[1], relations, actions)
+        out[degree] = FiniteModuleData(p, m, len(chosen), relations, actions)
     return out
 
 
@@ -542,22 +576,36 @@ def _free_module(spec: RingSpec, rk: int, mults: tuple[SparseMatrix, ...]) -> Fi
     return FiniteModuleData(spec.p, spec.m, amb, np.zeros((amb, 0), dtype=np.int64), actions)
 
 
-def _variable_actions(mults: tuple[SparseMatrix, ...], gens: np.ndarray, rk: int, embed, solver) -> tuple[np.ndarray, ...]:
+def _variable_actions(mults: tuple[SparseMatrix, ...], gens: SparseMatrix, embed, solver) -> tuple[np.ndarray, ...]:
     """Matrix of each variable on the cohomology generators ``gens``.
 
-    ``mults[j]`` multiplies by variable j on one block of rho monomial
-    coordinates, and the ambient free module is rk such blocks: one
-    sparse product moves every block, ``embed`` takes the images to
-    quotient coordinates, and one solve against ``solver`` (the embedded
+    ``gens`` holds one generator per column, and its ambient free module
+    is blocks of rho monomial coordinates, on each of which ``mults[j]``
+    multiplies by variable j.  So a generator's entry at (block b,
+    coordinate i) moves to column i of ``mults[j]`` in block b: an index
+    gather, with only the columns that the generators meet read off the
+    sparse entries.  ``embed`` takes the moved rows to quotient
+    coordinates, and one solve against ``solver`` (the embedded
     generators, one per row) writes all g images in the generators.
     """
-    amb, g = gens.shape
-    rho = amb // rk
-    blocks = gens.reshape(rk, rho, g).transpose(1, 0, 2).reshape(rho, rk * g)
+    N = gens.modulus
+    entries = list(zip(gens.rows.tolist(), gens.cols.tolist(), gens.vals.tolist()))
     actions = []
     for mult in mults:
-        moved = mult.product(blocks).reshape(rho, rk, g).transpose(1, 0, 2)
-        x = solver.solve(embed(moved.reshape(amb, g)).T)
+        rho = mult.shape[0]
+        columns = {}
+        for i in {c % rho for c, _, _ in entries}:
+            at = np.flatnonzero(mult.cols == i)
+            columns[i] = list(zip(mult.rows[at].tolist(), mult.vals[at].tolist()))
+        moved: dict[int, dict[int, int]] = {}
+        for c, k, x in entries:
+            b, i = divmod(c, rho)
+            for r, u in columns[i]:
+                row = moved.setdefault(b * rho + r, {})
+                row[k] = row.get(k, 0) + u * x
+        moved = {c: kept for c, row in moved.items() if (kept := {k: y for k, x in row.items() if (y := x % N)})}
+        rhs = SparseMatrix.of_rows(_transpose(embed(moved).items(), gens.shape[1]), solver.active, N)
+        x = solver.solve(rhs)
         if x is None:
             raise AssertionError("variable action left the cohomology span")
         actions.append(x.T)

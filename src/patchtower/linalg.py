@@ -26,14 +26,17 @@ diagonalizes are almost empty (a padded 486 x 486 differential has 487
 nonzeros), so it fills its row dicts straight from the nonzeros of its
 input, keeps each row as a dict of its nonzero residues, visits only
 the rows that meet the pivot column, and finds pivots with one
-forward-only cursor per valuation layer.  Only the kernel columns of V
-and whatever matrix a caller reads itself (the dense U, V or quotient
-projection) are made dense.
-Howell forms and every other operation use numpy int64 arrays with
-vectorised modular row operations.  Every other dense matrix product
-over Z/p^m outside the elimination loops goes through ``matmul_mod``,
-which picks one of two exact paths by the largest partial sum the
-product can reach: float32 BLAS below 2^24, Python integers past it.
+forward-only cursor per valuation layer.  Howell forms run the same
+way, on ``{column: residue}`` row dicts in Python integers with a
+column index of the rows, and take a ``SparseMatrix`` in and their
+right-hand sides as one; the quotient coordinates of a matrix kept by
+its nonempty row dicts are ``QuotientStructure.embed_rows``.  Only what
+a caller reads itself (the dense U, V, kernel columns or quotient
+projection, the Howell and kernel rows, a solve's result) is made
+dense.  Every dense matrix product over Z/p^m goes through
+``matmul_mod``, which picks one of two exact paths by the largest
+partial sum the product can reach: float32 BLAS below 2^24, Python
+integers past it.
 """
 
 from __future__ import annotations
@@ -252,6 +255,16 @@ class SparseMatrix:
     def size(self) -> int:
         return self.shape[0] * self.shape[1]
 
+    def transpose(self) -> "SparseMatrix":
+        return SparseMatrix(self.shape[::-1], self.modulus, self.cols, self.rows, self.vals)
+
+    def row_dicts(self) -> list[dict[int, int]]:
+        """Each row as a ``{column: residue}`` dict of its nonzero entries."""
+        out: list[dict[int, int]] = [{} for _ in range(self.shape[0])]
+        for i, j, x in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
+            out[i][j] = x
+        return out
+
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.int64)
         out[self.rows, self.cols] = self.vals
@@ -278,175 +291,228 @@ class SparseMatrix:
         return out % N
 
 
-def _valuations(col: np.ndarray, p: int, m: int) -> np.ndarray:
-    """p-adic valuation of each entry, with val(0) = m."""
-    val = np.zeros(col.shape, dtype=np.int64)
-    cur = col.copy()
-    nonzero = col != 0
-    for _ in range(m - 1):
-        div = nonzero & (cur % p == 0) & (val < m)
-        val += div
-        cur = np.where(div, cur // p, cur)
-    val[~nonzero] = m
-    return val
+def _valuation(x: int, p: int) -> int:
+    """The p-adic valuation of a nonzero residue."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
-def _echelon(work: np.ndarray, active: int, p: int, m: int):
-    """In-place echelon over active columns; returns pivot list (row, col, val).
+def _echelon(rows: list[dict[int, int]], active: int, p: int, m: int) -> list[tuple[int, int, int]]:
+    """In-place echelon of the row dicts over the columns below ``active``;
+    returns the pivot list (row, col, val).
 
-    Updates touch only the rows with a nonzero entry in the pivot column
-    and only columns from the pivot rightward (everything to the left of
-    the pivot is already zero below the previous pivot row).  Only the
-    active columns with an entry at the start are visited, found in one
-    scan: every update subtracts a multiple of the pivot row, so a column
-    that is zero in every row stays zero.
+    Each row is a ``{column: residue}`` dict of its nonzero entries, and
+    the list is reordered as the pivot rows are swapped into place.  The
+    active columns with an entry at the start are visited in order: every
+    update subtracts a multiple of the pivot row, so a column that is zero
+    in every row stays zero.  At column j the pivot is the row of least
+    valuation there, the first in row order among ties, among the rows
+    from the current one down; it is swapped into place, scaled so that
+    its entry is p^v, and subtracted from each row below with an entry in
+    column j.  A column index of row ids, kept up to date as rows gain
+    entries, finds those rows without a scan.
     """
     N = p**m
-    nrows = work.shape[0]
+    n = len(rows)
+    store = rows[:]  # by row id
+    row_at = list(range(n))
+    pos = list(range(n))
+    in_col: dict[int, set[int]] = {}
+    for i, row in enumerate(store):
+        for c in row:
+            if c < active:
+                in_col.setdefault(c, set()).add(i)
     pivots = []
     r = 0
-    for j in np.flatnonzero(work[:, :active].any(axis=0)).tolist():
-        if r >= nrows:
+    for j in sorted(in_col):
+        if r >= n:
             break
-        col = work[r:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+        live = [i for i in in_col[j] if pos[i] >= r and j in store[i]]
+        if not live:
             continue
-        vals = _valuations(col[nz], p, m)
-        k = int(np.argmin(vals))
-        vmin = int(vals[k])
-        i = r + int(nz[k])
-        if i != r:
-            work[[r, i]] = work[[i, r]]
+        vmin, _, i = min((_valuation(store[i][j], p), pos[i], i) for i in live)
+        other = row_at[r]
+        row_at[r], row_at[pos[i]] = i, other
+        pos[other], pos[i] = pos[i], r
+        prow = store[i]
         pv = p**vmin
-        unit = int(work[r, j]) // pv
-        if unit % N != 1:
-            uinv = pow(unit % N, -1, N)
-            work[r, j:] = (work[r, j:] * uinv) % N
-        sub = work[r + 1 :, j:]
-        nzb = np.nonzero(work[r + 1 :, j])[0]
-        if nzb.size:
-            t = work[r + 1 + nzb, j] // pv
-            sub[nzb] = (sub[nzb] - t[:, None] * work[r, j:]) % N
+        unit = prow[j] // pv
+        if unit != 1:
+            uinv = pow(unit, -1, N)
+            for c in prow:
+                prow[c] = prow[c] * uinv % N
+        items = list(prow.items())
+        for k in live:
+            if k != i:
+                _axpy(store[k], store[k][j] // pv, items, N)
+                for c, _ in items:
+                    if c < active:
+                        in_col[c].add(k)
         pivots.append((r, j, vmin))
         r += 1
+    rows[:] = [store[i] for i in row_at]
     return pivots
 
 
-def _reduce_row(vec: np.ndarray, work: np.ndarray, pivots, p: int, m: int) -> np.ndarray:
-    N = p**m
-    vec = vec % N
-    for r, j, v in pivots:
-        e = int(vec[j])
-        if e == 0:
-            continue
+def _reduce_row(vec: dict[int, int], rows: list[dict[int, int]], at: dict[int, tuple[int, int]], p: int, N: int) -> None:
+    """Reduce the row dict ``vec`` in place by the echelon ``rows``, whose
+    pivots ``at`` maps from column to (row, val): pivot by pivot in column
+    order, subtract the multiple of the pivot row that clears vec's entry
+    when p^val divides it.  A pivot row is zero left of its pivot column,
+    so the next pivot to act is the first pivot column where vec has an
+    entry past the last one visited."""
+    done = -1
+    while True:
+        j = min((c for c in vec if c > done and c in at), default=None)
+        if j is None:
+            return
+        done = j
+        r, v = at[j]
         pv = p**v
-        if e % pv == 0:
-            vec = (vec - (e // pv) * work[r]) % N
-    return vec
+        if vec[j] % pv == 0:
+            _axpy(vec, vec[j] // pv, list(rows[r].items()), N)
+
+
+def _dense_rows(rows: list[dict[int, int]], lo: int, hi: int) -> np.ndarray:
+    """Columns lo to hi - 1 of the row dicts, as a dense int64 array."""
+    out = np.zeros((len(rows), hi - lo), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            if lo <= c < hi:
+                out[i, c - lo] = x
+    return out
 
 
 class HowellCore:
-    """Howell canonical form of an integer matrix over Z/p^m.
+    """Howell canonical form of a matrix over Z/p^m.
 
     Carries a companion block so that row operations are witnessed:
     ``transform @ original == howell`` mod p^m.  Pivoting happens on the
     first ``active`` columns only; rows whose active part vanishes
     collect span elements of the active-block kernel (complete by the
     Howell span property).
+
+    ``a`` is a ``SparseMatrix`` or a dense array, which is first made
+    one.  The work is a list of ``{column: residue}`` row dicts in Python
+    integers, the carry block in columns ``active`` onward, and only the
+    views a caller reads (the Howell rows, the kernel rows and a solve's
+    result) are made dense.  Every step is the same arithmetic on the
+    same residues as the dense loop it replaced
+    (``tests/util.py::DenseHowell``), so pivots and rows agree bit for bit.
     """
 
-    def __init__(self, a: np.ndarray, p: int, m: int, carry: bool = True):
+    def __init__(self, a, p: int, m: int, carry: bool = True):
         self.p, self.m = p, m
-        self.N = _modulus(p, m)
-        a = _as_array(a)
-        self.active = a.shape[1]
-        self.orig_rows = a.shape[0]
+        self.N = N = _modulus(p, m)
+        if not isinstance(a, SparseMatrix):
+            a = SparseMatrix.of_dense(_as_array(a), N)
+        self.orig_rows, self.active = a.shape
+        self.width = self.active + (self.orig_rows if carry else 0)
+        rows = a.row_dicts()
         if carry:
-            work = np.hstack([a % self.N, np.eye(a.shape[0], dtype=np.int64)])
-        else:
-            work = a % self.N
-        self.work, self.pivots = self._howellize(work)
+            for i, row in enumerate(rows):
+                row[self.active + i] = 1
+        self.pivots = self._howellize(rows)
+        self.rows = rows
 
-    def _howellize(self, work):
-        p, m, N = self.p, self.m, self.N
+    def _howellize(self, rows: list[dict[int, int]]) -> list[tuple[int, int, int]]:
+        p, m, N, active = self.p, self.m, self.N, self.active
         while True:
-            pivots = _echelon(work, self.active, p, m)
+            pivots = _echelon(rows, active, p, m)
+            at = {j: (r, v) for r, j, v in pivots}
             grew = False
             tails = []
             for r, j, v in pivots:
                 if v == 0:
                     continue
-                cand = (work[r] * (p ** (m - v))) % N
-                cand = _reduce_row(cand, work, pivots, p, m)
-                if cand[: self.active].any():
-                    work = np.vstack([work, cand[None, :]])
+                s = p ** (m - v)
+                cand = {c: y for c, x in rows[r].items() if (y := x * s % N)}
+                _reduce_row(cand, rows, at, p, N)
+                if any(c < active for c in cand):
+                    rows.append(cand)
                     grew = True
-                elif cand.any():
+                elif cand:
                     # pure-carry remainder: a kernel witness, kept as a tail row
                     tails.append(cand)
-            if grew:
-                continue
-            npiv = len(pivots)
-            old_tails = [row for row in work[npiv:] if row.any()]
-            rows = [work[:npiv]]
-            if old_tails:
-                rows.append(np.array(old_tails))
-            if tails:
-                rows.append(np.array(tails))
-            work = np.vstack(rows) if len(rows) > 1 else work[:npiv].copy()
-            break
+            if not grew:
+                break
+        npiv = len(pivots)
+        rows[npiv:] = [row for row in rows[npiv:] if row] + tails
         # reduce entries above each pivot into [0, p^v)
+        in_col: dict[int, set[int]] = {}
+        for k, row in enumerate(rows[:npiv]):
+            for c in row:
+                if c < active:
+                    in_col.setdefault(c, set()).add(k)
         for r, j, v in pivots:
-            if r == 0:
-                continue
             pv = p**v
-            t = work[:r, j] // pv
-            nza = np.nonzero(t)[0]
-            if nza.size:
-                sub = work[:r, j:]
-                sub[nza] = (sub[nza] - t[nza, None] * work[r, j:]) % N
-        return work, pivots
+            items = list(rows[r].items())
+            for k in [k for k in in_col[j] if k < r]:
+                t = rows[k].get(j, 0) // pv
+                if t:
+                    _axpy(rows[k], t, items, N)
+                    for c, _ in items:
+                        if c < active:
+                            in_col[c].add(k)
+        return pivots
 
     # -- views ----------------------------------------------------------
 
     def howell_rows(self) -> np.ndarray:
-        return self.work[: len(self.pivots), : self.active].copy()
+        return _dense_rows(self.rows[: len(self.pivots)], 0, self.active)
 
     def kernel_rows(self) -> np.ndarray:
         """Generators of {x : x A = 0} as rows (Howell-canonical)."""
-        tail = self.work[len(self.pivots) :, self.active :]
-        if tail.size == 0:
+        tail = self.rows[len(self.pivots) :]
+        if not tail or self.width == self.active:
             return np.zeros((0, self.orig_rows), dtype=np.int64)
-        inner = HowellCore(tail, self.p, self.m, carry=False)
+        a = self.active
+        tail = [{c - a: x for c, x in row.items()} for row in tail]
+        inner = HowellCore(SparseMatrix.of_rows(tail, self.orig_rows, self.N), self.p, self.m, carry=False)
         return inner.howell_rows()
 
-    def solve(self, b: np.ndarray) -> np.ndarray | None:
+    def solve(self, b) -> np.ndarray | None:
         """Some x with x A = b, or None.
 
-        A 2-d ``b`` holds one right-hand side per row and gets one
-        solution per row, or None when any row has none.  Each pivot
-        touches only the rows with a nonzero entry in its column; the
-        coefficients collected there combine the transform rows in one
-        product.
+        ``b`` is a ``SparseMatrix`` or a dense array.  A 2-d ``b`` holds
+        one right-hand side per row and gets one solution per row, or None
+        when any row has none.  Each row is cleared pivot by pivot in
+        column order, as ``_reduce_row`` visits them, and the multiples
+        taken combine the transform rows into its solution.
         """
-        N = self.N
-        rhs = np.atleast_2d(np.asarray(b, dtype=np.int64) % N)
-        coef = np.zeros((rhs.shape[0], len(self.pivots)), dtype=np.int64)
-        for r, j, v in self.pivots:
-            rows = np.flatnonzero(rhs[:, j])
-            if rows.size == 0:
-                continue
-            pv = self.p**v
-            e = rhs[rows, j]
-            if (e % pv).any():
+        p, N, a = self.p, self.N, self.active
+        flat = not isinstance(b, SparseMatrix) and np.ndim(b) == 1
+        if not isinstance(b, SparseMatrix):
+            b = SparseMatrix.of_dense(np.atleast_2d(np.asarray(b, dtype=np.int64)), N)
+        at = {j: (r, v) for r, j, v in self.pivots}
+        split = [
+            ([(c, x) for c, x in row.items() if c < a], [(c - a, x) for c, x in row.items() if c >= a])
+            for row in self.rows[: len(self.pivots)]
+        ]
+        x = np.zeros((b.shape[0], self.width - a), dtype=np.int64)
+        for k, vec in enumerate(b.row_dicts()):
+            acc: dict[int, int] = {}
+            done = -1
+            while True:
+                j = min((c for c in vec if c > done and c in at), default=None)
+                if j is None:
+                    break
+                done = j
+                r, v = at[j]
+                pv = p**v
+                if vec[j] % pv:
+                    return None
+                t = vec[j] // pv
+                _axpy(vec, t, split[r][0], N)
+                _axpy(acc, -t, split[r][1], N)
+            if vec:
                 return None
-            coef[rows, r] = e // pv
-            rhs[rows] = (rhs[rows] - coef[rows, r, None] * self.work[r, : self.active]) % N
-        if rhs.any():
-            return None
-        x = matmul_mod(coef, self.work[: len(self.pivots), self.active :], N)
-        return x if np.ndim(b) == 2 else x[0]
+            for c, y in acc.items():
+                x[k, c] = y
+        return x[0] if flat else x
 
 
 def elementary_divisors(rel: np.ndarray, ambient: int, p: int, m: int) -> tuple[int, ...]:
@@ -490,24 +556,34 @@ class QuotientStructure:
         moduli = self.p ** np.array(self.exponents, dtype=np.int64)
         return out % moduli.reshape((-1,) + (1,) * (out.ndim - 1))
 
-    @property
-    def _scales(self) -> np.ndarray:
-        """p^(m - e) per summand: the summand of order p^e sits in Z/p^m
-        as p^(m - e) Z/p^m."""
-        return (self.p ** (self.m - np.array(self.exponents, dtype=np.int64)))[:, None]
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """The coordinates of each column of a 2-d x scaled into
-        (Z/p^m)^summands."""
-        return self.rows.product(x) * self._scales % (self.p**self.m)
-
-    def embedded_basis(self) -> np.ndarray:
-        """``embed`` of the ambient identity: the scaled summands x ambient
-        projection, scattered from the sparse rows with no product."""
-        out = self.rows.dense()
-        out *= self._scales
-        out %= self.p**self.m
+    def embed_rows(self, x: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+        """The quotient coordinates of each column of the matrix whose row
+        c is the dict ``x[c]`` of its nonzero residues (absent when zero),
+        scaled into (Z/p^m)^summands, where the summand of order p^e sits
+        as p^(m - e) Z/p^m: row i of the result is p^(m - e_i) times the
+        sum of rows[i, c] x[c], reduced mod p^m.  Only its nonempty rows
+        are returned, as dicts."""
+        p, m = self.p, self.m
+        N = p**m
+        out: dict[int, dict[int, int]] = {}
+        for i, c, u in zip(self.rows.rows.tolist(), self.rows.cols.tolist(), self.rows.vals.tolist()):
+            xc = x.get(c)
+            if xc:
+                _axpy(out.setdefault(i, {}), N - u, list(xc.items()), N)
+        for i, row in list(out.items()):
+            s = p ** (m - self.exponents[i])
+            if s != 1:
+                row = {k: z for k, y in row.items() if (z := y * s % N)}
+            if row:
+                out[i] = row
+            else:
+                del out[i]
         return out
+
+    def embedded_basis(self) -> dict[int, dict[int, int]]:
+        """``embed_rows`` of the ambient identity: the scaled kept rows,
+        with no product."""
+        return self.embed_rows({c: {c: 1} for c in self.rows.cols.tolist()})
 
     def divisors(self) -> tuple[int, ...]:
         return tuple(sorted(self.p**e for e in self.exponents))
@@ -520,7 +596,7 @@ class SmithData:
     The transforms are kept as the kernel left them: ``u_rows[i]`` is row
     i of U and ``v_cols[j]`` column j of V (None when V was not tracked),
     each a ``{index: residue}`` dict of its nonzero entries.  ``quotient``
-    and ``column_kernel`` convert only the rows and columns they return;
+    and ``kernel_columns`` read only the rows and columns they return;
     the dense ``U`` and ``V`` are built on first access.
     """
 
@@ -554,17 +630,19 @@ class SmithData:
         rows = SparseMatrix.of_rows([self.u_rows[i] for i in kept], self.rows, self.p**self.m)
         return QuotientStructure(self.p, self.m, exponents, rows)
 
-    def column_kernel(self) -> np.ndarray:
+    def kernel_columns(self) -> list[dict[int, int]]:
         """Columns generating {v : A v = 0}, from the diagonal form: the
-        kept columns of V, each times p^(m - e) for its exponent e."""
+        kept columns of V, each times p^(m - e) for its exponent e, as
+        ``{index: residue}`` dicts of their nonzero entries."""
         if self.v_cols is None:
             raise ValueError("column transform was not tracked")
         p, m = self.p, self.m
+        N = p**m
         kept, exponents = self._kept(self.cols)
-        out = SparseMatrix.of_rows([self.v_cols[i] for i in kept], self.cols, p**m).dense().T
-        out *= p ** (m - np.array(exponents, dtype=np.int64))
-        out %= p**m
-        return out
+        return [
+            {c: y for c, x in self.v_cols[i].items() if (y := x * p ** (m - e) % N)}
+            for i, e in zip(kept, exponents)
+        ]
 
 
 def _axpy(y: dict[int, int], t: int, x, N: int) -> None:

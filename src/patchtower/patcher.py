@@ -157,21 +157,26 @@ class RInfinityModel:
             v[self._index[e]] = c
         return v
 
+    def check_quotient(self, generators: int) -> None:
+        """Refuse a quotient by ``generators`` ideal generators whose dense
+        relation array, at least one square of the basis, would pass
+        ``MAX_EXPANDED_CELLS`` cells; the basis is counted, not built."""
+        size = comb(self.degree + self.g, self.g)
+        cells = size * max(generators, 1) * size
+        if cells > MAX_EXPANDED_CELLS:
+            raise ExpansionTooLarge(
+                f"the degree-{self.degree} model has {size} monomials, and its quotient by"
+                f" {generators} generators {cells} cells, past {MAX_EXPANDED_CELLS}"
+            )
+
     def quotient(self, ideal: list[RinfElem]) -> FiniteModuleData:
         """The model modulo an ideal, as a Z/p^m-module on the monomial basis.
 
         The ideal's Z/p^m-span is spanned by the monomial multiples of
         its generators, which become the relation columns.  Their dense
-        array, at least one square of the basis, is counted before the
-        basis is built and refused past ``MAX_EXPANDED_CELLS`` cells.
+        array is counted by ``check_quotient`` before the basis is built.
         """
-        size = comb(self.degree + self.g, self.g)
-        cells = size * max(len(ideal), 1) * size
-        if cells > MAX_EXPANDED_CELLS:
-            raise ExpansionTooLarge(
-                f"the degree-{self.degree} model has {size} monomials, and its quotient by"
-                f" {len(ideal)} generators {cells} cells, past {MAX_EXPANDED_CELLS}"
-            )
+        self.check_quotient(len(ideal))
         basis = self.basis()
         cols = []
         for gen in ideal:

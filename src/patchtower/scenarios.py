@@ -26,7 +26,7 @@ from .complexes import (
 )
 from .errors import ExpansionTooLarge, InvalidParams
 from .linalg import MAX_EXPANDED_CELLS, Matrix, _modulus
-from .patcher import PatchingTower, RinfElem, TowerBase, TowerLevel
+from .patcher import PatchingTower, RInfinityModel, RinfElem, TowerBase, TowerLevel
 from .rings import RingTowerElement, make_patch_ring
 
 EXPECTED_ERRORS = {
@@ -89,6 +89,9 @@ class ScenarioParams:
         # every level's ring computes p^m; a huge m is refused before it is
         for m in self.precisions:
             _modulus(self.p, m)
+        # the power-series model that ``patch`` builds, with its own degree
+        # check, and its largest quotient: by the q structure-map images
+        RInfinityModel(self.p, max(self.precisions), self.q - self.r, self.rinf_degree).check_quotient(self.q)
 
 
 def _limit_complex(params: ScenarioParams, level: int, precision: int) -> FreeComplex:

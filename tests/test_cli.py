@@ -962,3 +962,71 @@ def test_graded_duality_with_a_large_exponent_is_answered(tmp_path, k):
     if k == 4090:
         # the bytes of the exponent-table counter, which answered k = 4090
         assert hashlib.sha256(done.stdout.encode("utf-8")).hexdigest() == K4090_SHA256
+
+
+@pytest.mark.parametrize("command", ["patch", "verify-ha", "invariants", "minimize"])
+@pytest.mark.parametrize("kind", ["directory", "name-too-long", "not-utf-8"])
+def test_unreadable_input_file_is_invalid_input(capsys, tmp_path, command, kind):
+    # a directory, a path that open() refuses and bytes that are not
+    # UTF-8 escaped the loader with a traceback and exit 1
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "name-too-long":
+        path = tmp_path / ("x" * 300 + ".json")
+    else:
+        path.write_bytes(b"\xff\xfe{")
+    code, out = run(capsys, [command, str(path), "--format", "json"])
+    got = json.loads(out)
+    assert (code, got["error"]) == (2, "InvalidInput")
+    assert got["detail"].startswith(f"cannot read {path}: ")
+
+
+def test_missing_and_malformed_input_keep_their_messages(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out = run(capsys, ["patch", str(missing), "--format", "json"])
+    assert (code, json.loads(out)) == (2, {"error": "InvalidInput", "detail": f"no such file: {missing}"})
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    code, out = run(capsys, ["patch", str(bad), "--format", "json"])
+    assert (code, json.loads(out)["detail"]) == (2, f"malformed JSON in {bad}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")
+
+
+def test_out_dir_below_a_file_is_invalid_input(capsys, tmp_path):
+    # mkdir under a regular file raised NotADirectoryError with exit 1
+    blocker = tmp_path / "x.json"
+    blocker.write_text("{}")
+    out_dir = blocker / "sub"
+    code, out = run(capsys, ["gen", "--q", "1", "--r", "1", "--out-dir", str(out_dir), "--format", "json"])
+    got = json.loads(out)
+    assert (code, got["error"]) == (2, "InvalidInput")
+    assert got["detail"].startswith(f"cannot write to {out_dir}: ")
+    assert blocker.read_text() == "{}"
+
+
+@pytest.mark.parametrize(
+    "degree, error, detail",
+    [
+        pytest.param("0", "InvalidParameter", "truncation degree must be >= 1", id="degree-0"),
+        pytest.param("-3", "InvalidParameter", "truncation degree must be >= 1", id="degree-negative"),
+        pytest.param(
+            "100000",
+            "ExpansionTooLarge",
+            "the degree-100000 model has 100001 monomials, and its quotient by 1 generators 10000200001 cells, past 16777216",
+            id="degree-100000",
+        ),
+    ],
+)
+def test_gen_refuses_a_power_series_degree_that_patch_refuses(capsys, tmp_path, degree, error, detail):
+    # gen wrote these towers with exit 0, and patch then refused them
+    argv = ["gen", "--q", "1", "--r", "0", "--rinf-degree", degree, "--out-dir", str(tmp_path), "--format", "json"]
+    code, out = run(capsys, argv)
+    assert (code, json.loads(out)) == (2, {"error": error, "detail": detail})
+    assert not any(tmp_path.iterdir())
+
+
+def test_gen_keeps_a_power_series_degree_that_patch_accepts(capsys, tmp_path):
+    argv = ["gen", "--q", "1", "--r", "0", "--rinf-degree", "1", "--out-dir", str(tmp_path), "--format", "json"]
+    assert run(capsys, argv)[0] == 0
+    code, out = run(capsys, ["patch", str(tmp_path / "tower.json"), "--format", "json"])
+    assert code == 0 and "error" not in json.loads(out)

@@ -286,7 +286,7 @@ class TestNakayamaChoice:
 
         def checked(ek2, p, m):
             got = real(ek2, p, m)
-            assert got == reference_nakayama_choice(ek2, p, m)
+            assert got == reference_nakayama_choice(ek2.dense(), p, m)
             seen.append(got)
             return got
 
@@ -331,14 +331,25 @@ class TestVariableActions:
         seen = []
         real = complexes._variable_actions
 
-        def checked(mults, gens, rk, embed, solver):
-            got = real(mults, gens, rk, embed, solver)
+        def checked(mults, gens, embed, solver):
+            got = real(mults, gens, embed, solver)
+            rk = gens.shape[0] // spec.coefficient_rank
+
+            def dense_embed(x):
+                # ``embed`` on the rows of x, scattered dense
+                rows = {c: {k: int(y) for k, y in enumerate(row) if y} for c, row in enumerate(x % spec.modulus)}
+                out = np.zeros((solver.active, x.shape[1]), dtype=np.int64)
+                for i, row in embed(rows).items():
+                    out[i, list(row)] = list(row.values())
+                return out
+
             dense = [mult.dense() for mult in mults]
-            want = reference_variable_actions(dense, gens, rk, embed, solver, spec.modulus)
+            embed_, gens = dense_embed, gens.dense()
+            want = reference_variable_actions(dense, gens, rk, embed_, solver, spec.modulus)
             assert len(got) == len(want) == spec.q
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
             # and the dense product of the moved reference copy
-            copied = dense_variable_actions(dense, gens, rk, embed, solver, spec.modulus)
+            copied = dense_variable_actions(dense, gens, rk, embed_, solver, spec.modulus)
             assert all(np.array_equal(x, y) for x, y in zip(got, copied))
             seen.append((rk, gens.shape[1]))
             return got
@@ -546,6 +557,24 @@ class TestCohomologyMemory:
         # actions: 61.3 MiB, and 79.6 MiB with them kept alive
         c = tall_complex(make_patch_ring(3, 2, 2, 1), 100)
         assert self.peak_mib(c) < 70
+
+    @pytest.mark.parametrize("rank, bound_mib", [(100, 36.6), (200, 147.3)])
+    def test_tall_top_degree_within_its_counted_cells(self, rank, bound_mib):
+        # the peak stays within 1.5 x the int64 cells that
+        # _check_top_degree counts for the degree: 61.2 and 246 MiB with
+        # the dense embedded basis, Nakayama coordinates and Howell work
+        counted = []
+        real = complexes._check_top_degree
+
+        def check(rk, amb, summands):
+            counted.append(2 * summands * (amb + summands))
+            return real(rk, amb, summands)
+
+        with mock.patch.object(complexes, "_check_top_degree", check):
+            peak = self.peak_mib(tall_complex(make_patch_ring(3, 2, 2, 1), rank))
+        bound = 1.5 * counted[0] * 8 / 2**20
+        assert round(bound, 1) == bound_mib
+        assert peak <= bound
 
 
 @contextlib.contextmanager

@@ -14,6 +14,7 @@ from patchtower.linalg import (
     QuotientStructure,
     elementary_divisors,
     SparseMatrix,
+    _dense_rows,
     _echelon,
     _monomial_expansion,
     expand_scalars,
@@ -24,10 +25,15 @@ from patchtower.linalg import (
 from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
 from util import (
     SMALL_PATCH_SPECS,
+    DenseHowell,
+    dense_column_kernel,
     dense_expand_scalars,
+    embed_dense,
+    dense_work,
     int_matrix,
     monomial_basis,
     random_patch_complex,
+    dense_echelon,
     reference_coords,
     reference_echelon,
     reference_embed,
@@ -122,11 +128,78 @@ class TestEchelon:
     @example((np.array([[0, 2, 1, 0], [0, 1, 0, 1], [0, 0, 0, 1]]), 2, 3, 3))
     @example((np.array([[0, 0, 9, 1], [0, 0, 18, 2]]), 2, 3, 3))
     def test_matches_reference_loop(self, case):
-        # the same pivots and the same worked array, on copies of one input
+        # the same pivots and the same worked array, on copies of one
+        # input: the dense one-scan loop, and the row dicts of _echelon
         a, active, p, m = case
         got, want = a.copy(), a.copy()
-        assert _echelon(got, active, p, m) == reference_echelon(want, active, p, m)
+        rows = SparseMatrix.of_dense(a, p**m).row_dicts()
+        pivots = reference_echelon(want, active, p, m)
+        assert dense_echelon(got, active, p, m) == pivots
         assert np.array_equal(got, want)
+        assert _echelon(rows, active, p, m) == pivots
+        assert np.array_equal(_dense_rows(rows, 0, a.shape[1]), want)
+
+
+@st.composite
+def howell_cases(draw):
+    """A matrix over Z/p^m, p in {2, 3, 5} and m <= 3, with 0 to 5 rows
+    (or one row of 1 to 3 nonzeros, the shape cohomology passes) and 0 to
+    6 columns, each row scaled by a power of p; the carry block on or
+    off; and right-hand sides that are combinations of its rows, some
+    with an arbitrary vector added, which may make them unsolvable."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 3))
+    N = p**m
+    cols = draw(st.integers(0, 6))
+    if cols and draw(st.booleans()):
+        a = np.zeros((1, cols), dtype=np.int64)
+        for j in draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=min(3, cols), unique=True)):
+            a[0, j] = draw(st.integers(1, N - 1))
+    else:
+        rows = draw(st.integers(0, 5))
+        a = np.array(draw(st.lists(st.integers(0, N - 1), min_size=rows * cols, max_size=rows * cols)), dtype=np.int64)
+        a = a.reshape(rows, cols)
+    scales = draw(st.lists(st.integers(0, m), min_size=a.shape[0], max_size=a.shape[0]))
+    a = a * p ** np.array(scales, dtype=np.int64).reshape(-1, 1) % N
+    rhs = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = np.array(draw(st.lists(st.integers(0, N - 1), min_size=a.shape[0], max_size=a.shape[0])), dtype=np.int64)
+        b = (x @ a) % N
+        if draw(st.integers(0, 3)) == 0:
+            b = (b + np.array(draw(st.lists(st.integers(0, N - 1), min_size=cols, max_size=cols)), dtype=np.int64)) % N
+        rhs.append(b)
+    return a, p, m, draw(st.booleans()), np.array(rhs, dtype=np.int64).reshape(len(rhs), cols)
+
+
+class TestSparseHowell:
+    """``HowellCore`` on row dicts against the dense int64 elimination it
+    replaced (``util.DenseHowell``): the same pivots, Howell rows,
+    transform and tail rows, kernel rows and solutions."""
+
+    @given(howell_cases())
+    @settings(max_examples=400, deadline=None)
+    @example((np.zeros((0, 4), dtype=np.int64), 3, 2, True, np.zeros((1, 4), dtype=np.int64)))
+    @example((np.zeros((3, 0), dtype=np.int64), 2, 3, True, np.zeros((2, 0), dtype=np.int64)))
+    @example((np.zeros((3, 0), dtype=np.int64), 5, 1, False, np.zeros((1, 0), dtype=np.int64)))
+    @example((np.array([[0, 3, 6]]), 3, 2, True, np.array([[0, 3, 6], [0, 1, 0]])))
+    @example((np.array([[4, 0, 2, 0]]), 2, 3, False, np.array([[4, 0, 2, 0], [0, 0, 6, 0]])))
+    def test_matches_dense_reference(self, case):
+        a, p, m, carry, rhs = case
+        want = DenseHowell(a, p, m, carry)
+        for got in (HowellCore(SparseMatrix.of_dense(a, p**m), p, m, carry), HowellCore(a, p, m, carry)):
+            assert got.pivots == want.pivots
+            assert np.array_equal(got.howell_rows(), want.howell_rows())
+            assert np.array_equal(dense_work(got), want.work)
+            if carry:
+                assert np.array_equal(transform_rows(got), want.work[: len(want.pivots), a.shape[1] :])
+            kernel = got.kernel_rows()
+            assert kernel.dtype == np.int64 and np.array_equal(kernel, want.kernel_rows())
+            solves = [(got.solve(SparseMatrix.of_dense(rhs, p**m)), want.solve(rhs)), (got.solve(rhs), want.solve(rhs))]
+            solves += [(got.solve(b), want.solve(b)) for b in rhs]
+            for x, y in solves:
+                assert (x is None) == (y is None)
+                if y is not None:
+                    assert x.shape == y.shape and np.array_equal(x, y)
 
 
 def brute_kernel(a: np.ndarray, N: int) -> set:
@@ -682,7 +755,7 @@ def assert_matches_reference(a: np.ndarray, p: int, m: int) -> None:
         assert np.array_equal(qs.projection, projection)
         if track_v:
             assert np.array_equal(sd.V, V)
-            assert np.array_equal(sd.column_kernel(), reference_column_kernel(pivot_vals, V, p, m))
+            assert np.array_equal(dense_column_kernel(sd), reference_column_kernel(pivot_vals, V, p, m))
         else:
             assert sd.V is None
 
@@ -847,7 +920,7 @@ def quotient_cases(draw):
 
 
 class TestSparseQuotientCoords:
-    """``QuotientStructure.coords`` and ``embed`` against the dense
+    """``QuotientStructure.coords`` and ``embed_rows`` against the dense
     gather-and-``matmul_mod`` path they replaced."""
 
     @given(quotient_cases())
@@ -860,7 +933,7 @@ class TestSparseQuotientCoords:
         assert got.shape == (qs.summands,) + x.shape[1:]
         assert np.array_equal(got, reference_coords(qs, x))
         if x.ndim == 2:
-            assert np.array_equal(qs.embed(x), reference_embed(qs, x))
+            assert np.array_equal(embed_dense(qs, x), reference_embed(qs, x))
         if a.shape[1]:
             assert not qs.coords(a).any()
 
@@ -874,13 +947,13 @@ class TestSparseQuotientCoords:
             assert got.shape == (ambient,) + x.shape[1:]
             assert np.array_equal(got, reference_coords(qs, x))
             if x.ndim == 2:
-                assert np.array_equal(qs.embed(x), reference_embed(qs, x))
+                assert np.array_equal(embed_dense(qs, x), reference_embed(qs, x))
 
     def test_rows_without_terms(self):
         qs = QuotientStructure(3, 2, (2, 1, 2), SparseMatrix.of_rows([{}, {1: 4}, {}], 3, 9))
         x = np.array([[5, -1], [7, 20], [8, 9]], dtype=np.int64)
         assert np.array_equal(qs.coords(x), reference_coords(qs, x))
-        assert np.array_equal(qs.embed(x), reference_embed(qs, x))
+        assert np.array_equal(embed_dense(qs, x), reference_embed(qs, x))
         assert np.array_equal(qs.coords(x[:, 1]), reference_coords(qs, x[:, 1]))
 
     @pytest.mark.parametrize("p, m", [(3, 19), (2**31 - 1, 1)], ids=["3^19", "(2^31-1)^1"])
@@ -902,14 +975,14 @@ class TestSparseQuotientCoords:
         for shift in (0, -N, N, -2 * N):
             assert np.array_equal(qs.coords(x + shift), coords)
             assert np.array_equal(qs.coords(x[:, 0] + shift), coords[:, 0])
-            assert np.array_equal(qs.embed(x + shift), embedded)
+            assert np.array_equal(embed_dense(qs, x + shift), embedded)
         rng = random.Random(31)
         a = np.array([[rng.randrange(N) for _ in range(4)] for _ in range(7)], dtype=np.int64)
         a[:, 3] = a[:, 0] * p % N
         real = smith_quotient(a, 7, p, m)
         y = np.array([[N - 1 - rng.randrange(3) for _ in range(3)] for _ in range(7)], dtype=np.int64)
         assert np.array_equal(real.coords(y), reference_coords(real, y))
-        assert np.array_equal(real.embed(y), reference_embed(real, y))
+        assert np.array_equal(embed_dense(real, y), reference_embed(real, y))
         assert not real.coords(a).any()
 
 

@@ -21,10 +21,10 @@ from patchtower.linalg import (
     HowellCore,
     Matrix,
     QuotientStructure,
+    SparseMatrix,
     _as_array,
+    _dense_rows,
     _modulus,
-    _reduce_row,
-    _valuations,
     matmul_mod,
     smith_quotient,
     smith_transforms,
@@ -51,14 +51,177 @@ def euler_characteristic(c: FreeComplex) -> int:
     return sum((-1) ** d * c.rank(d) for d in c.degrees)
 
 
+def dense_work(core: HowellCore) -> np.ndarray:
+    """The work rows of ``core`` (Howell rows, then tail rows) as one dense
+    array, the carry block from column ``core.active`` on."""
+    return _dense_rows(core.rows, 0, core.width)
+
+
 def transform_rows(core: HowellCore) -> np.ndarray:
     """The transform rows T of ``core``: T A is its Howell form."""
-    return core.work[: len(core.pivots), core.active :].copy()
+    return dense_work(core)[: len(core.pivots), core.active :]
 
 
 def howell_reduce(core: HowellCore, vec: np.ndarray) -> np.ndarray:
     """The canonical representative of ``vec`` modulo the Howell span of ``core``."""
-    return _reduce_row(np.asarray(vec, dtype=np.int64), core.work[:, : core.active], core.pivots, core.p, core.m)
+    return dense_reduce_row(np.asarray(vec, dtype=np.int64), dense_work(core)[:, : core.active], core.pivots, core.p, core.m)
+
+
+# -- the dense Howell elimination, the reference for ``linalg.HowellCore`` --
+
+
+def dense_valuations(col: np.ndarray, p: int, m: int) -> np.ndarray:
+    """p-adic valuation of each entry, with val(0) = m."""
+    val = np.zeros(col.shape, dtype=np.int64)
+    cur = col.copy()
+    nonzero = col != 0
+    for _ in range(m - 1):
+        div = nonzero & (cur % p == 0) & (val < m)
+        val += div
+        cur = np.where(div, cur // p, cur)
+    val[~nonzero] = m
+    return val
+
+
+def dense_echelon(work: np.ndarray, active: int, p: int, m: int):
+    """In-place echelon over active columns; returns pivot list (row, col, val).
+
+    Updates touch only the rows with a nonzero entry in the pivot column
+    and only columns from the pivot rightward (everything to the left of
+    the pivot is already zero below the previous pivot row).  Only the
+    active columns with an entry at the start are visited, found in one
+    scan: every update subtracts a multiple of the pivot row, so a column
+    that is zero in every row stays zero.  ``linalg._echelon`` must give
+    the same pivots and rows on row dicts.
+    """
+    N = p**m
+    nrows = work.shape[0]
+    pivots = []
+    r = 0
+    for j in np.flatnonzero(work[:, :active].any(axis=0)).tolist():
+        if r >= nrows:
+            break
+        col = work[r:, j]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        vals = dense_valuations(col[nz], p, m)
+        k = int(np.argmin(vals))
+        vmin = int(vals[k])
+        i = r + int(nz[k])
+        if i != r:
+            work[[r, i]] = work[[i, r]]
+        pv = p**vmin
+        unit = int(work[r, j]) // pv
+        if unit % N != 1:
+            uinv = pow(unit % N, -1, N)
+            work[r, j:] = (work[r, j:] * uinv) % N
+        sub = work[r + 1 :, j:]
+        nzb = np.nonzero(work[r + 1 :, j])[0]
+        if nzb.size:
+            t = work[r + 1 + nzb, j] // pv
+            sub[nzb] = (sub[nzb] - t[:, None] * work[r, j:]) % N
+        pivots.append((r, j, vmin))
+        r += 1
+    return pivots
+
+
+def dense_reduce_row(vec: np.ndarray, work: np.ndarray, pivots, p: int, m: int) -> np.ndarray:
+    N = p**m
+    vec = vec % N
+    for r, j, v in pivots:
+        e = int(vec[j])
+        if e == 0:
+            continue
+        pv = p**v
+        if e % pv == 0:
+            vec = (vec - (e // pv) * work[r]) % N
+    return vec
+
+
+class DenseHowell:
+    """The dense Howell form that ``linalg.HowellCore`` replaced: one
+    int64 work array, [A | I] with the carry block, and vectorised
+    modular row operations.  ``HowellCore`` must give the same pivots,
+    work rows, kernel rows and solutions."""
+
+    def __init__(self, a: np.ndarray, p: int, m: int, carry: bool = True):
+        self.p, self.m = p, m
+        self.N = _modulus(p, m)
+        a = _as_array(a)
+        self.active = a.shape[1]
+        self.orig_rows = a.shape[0]
+        if carry:
+            work = np.hstack([a % self.N, np.eye(a.shape[0], dtype=np.int64)])
+        else:
+            work = a % self.N
+        self.work, self.pivots = self._howellize(work)
+
+    def _howellize(self, work):
+        p, m, N = self.p, self.m, self.N
+        while True:
+            pivots = dense_echelon(work, self.active, p, m)
+            grew = False
+            tails = []
+            for r, j, v in pivots:
+                if v == 0:
+                    continue
+                cand = (work[r] * (p ** (m - v))) % N
+                cand = dense_reduce_row(cand, work, pivots, p, m)
+                if cand[: self.active].any():
+                    work = np.vstack([work, cand[None, :]])
+                    grew = True
+                elif cand.any():
+                    tails.append(cand)
+            if grew:
+                continue
+            npiv = len(pivots)
+            old_tails = [row for row in work[npiv:] if row.any()]
+            rows = [work[:npiv]]
+            if old_tails:
+                rows.append(np.array(old_tails))
+            if tails:
+                rows.append(np.array(tails))
+            work = np.vstack(rows) if len(rows) > 1 else work[:npiv].copy()
+            break
+        for r, j, v in pivots:
+            if r == 0:
+                continue
+            pv = p**v
+            t = work[:r, j] // pv
+            nza = np.nonzero(t)[0]
+            if nza.size:
+                sub = work[:r, j:]
+                sub[nza] = (sub[nza] - t[nza, None] * work[r, j:]) % N
+        return work, pivots
+
+    def howell_rows(self) -> np.ndarray:
+        return self.work[: len(self.pivots), : self.active].copy()
+
+    def kernel_rows(self) -> np.ndarray:
+        tail = self.work[len(self.pivots) :, self.active :]
+        if tail.size == 0:
+            return np.zeros((0, self.orig_rows), dtype=np.int64)
+        return DenseHowell(tail, self.p, self.m, carry=False).howell_rows()
+
+    def solve(self, b: np.ndarray) -> np.ndarray | None:
+        N = self.N
+        rhs = np.atleast_2d(np.asarray(b, dtype=np.int64) % N)
+        coef = np.zeros((rhs.shape[0], len(self.pivots)), dtype=np.int64)
+        for r, j, v in self.pivots:
+            rows = np.flatnonzero(rhs[:, j])
+            if rows.size == 0:
+                continue
+            pv = self.p**v
+            e = rhs[rows, j]
+            if (e % pv).any():
+                return None
+            coef[rows, r] = e // pv
+            rhs[rows] = (rhs[rows] - coef[rows, r, None] * self.work[r, : self.active]) % N
+        if rhs.any():
+            return None
+        x = matmul_mod(coef, self.work[: len(self.pivots), self.active :], N)
+        return x if np.ndim(b) == 2 else x[0]
 
 
 def random_homogeneous_poly(rng: random.Random, spec: RingSpec, degree: int) -> RingTowerElement:
@@ -602,12 +765,27 @@ def reference_coords(qs: QuotientStructure, x) -> np.ndarray:
 
 def reference_embed(qs: QuotientStructure, x: np.ndarray) -> np.ndarray:
     """The dense product, then one row scaling by p^(m - e) per summand.
-    ``QuotientStructure.embed`` must give the same columns."""
+    ``QuotientStructure.embed_rows`` must give the same columns."""
     N = qs.p**qs.m
     out = matmul_mod(qs.projection, x, N)
     for i, e in enumerate(qs.exponents):
         out[i] = (out[i] * qs.p ** (qs.m - e)) % N
     return out
+
+
+def embed_dense(qs: QuotientStructure, x: np.ndarray) -> np.ndarray:
+    """``QuotientStructure.embed_rows`` of the columns of a 2-d x, any
+    int64 entries, read and returned dense."""
+    rows = {c: {k: int(y) for k, y in enumerate(row) if y} for c, row in enumerate(np.asarray(x) % (qs.p**qs.m))}
+    out = np.zeros((qs.summands, x.shape[1]), dtype=np.int64)
+    for i, row in qs.embed_rows(rows).items():
+        out[i, list(row)] = list(row.values())
+    return out
+
+
+def dense_column_kernel(sd) -> np.ndarray:
+    """``SmithData.kernel_columns`` as a dense cols x kernel array."""
+    return SparseMatrix.of_rows(sd.kernel_columns(), sd.cols, sd.p**sd.m).dense().T
 
 
 def reference_rewrite_rule(p: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -628,9 +806,9 @@ def reference_rewrite_rule(p: int, m: int, n: int) -> tuple[tuple[int, int], ...
 
 def reference_echelon(work: np.ndarray, active: int, p: int, m: int):
     """The per-column echelon loop: every active column in turn, each
-    scanned below the current row.  ``linalg._echelon``, which visits
-    only the columns with an entry, must return the same pivots and leave
-    the same array."""
+    scanned below the current row.  ``dense_echelon``, which visits only
+    the columns with an entry, and ``linalg._echelon`` on row dicts must
+    return the same pivots and leave the same rows."""
     N = p**m
     nrows = work.shape[0]
     pivots = []
@@ -642,7 +820,7 @@ def reference_echelon(work: np.ndarray, active: int, p: int, m: int):
         nz = np.nonzero(col)[0]
         if nz.size == 0:
             continue
-        vals = _valuations(col[nz], p, m)
+        vals = dense_valuations(col[nz], p, m)
         k = int(np.argmin(vals))
         vmin = int(vals[k])
         i = r + int(nz[k])
@@ -782,7 +960,7 @@ def reference_all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
             out[degree] = _zero_module(spec)
             continue
         sm_out = smiths.get(degree)
-        kernel = np.eye(amb, dtype=np.int64) if sm_out is None else sm_out.column_kernel()
+        kernel = np.eye(amb, dtype=np.int64) if sm_out is None else dense_column_kernel(sm_out)
         sm_in = smiths.get(degree - 1)
         qs = None if sm_in is None else sm_in.quotient()
 
@@ -794,7 +972,7 @@ def reference_all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         ek2 = reference_embed(smith_quotient(base, len(ek), p, m), ek) if base.any() else ek
         chosen = _nakayama_choice(ek2, p, m)
         gens = kernel[:, chosen]
-        solver = HowellCore(ek[:, chosen].T, p, m)
+        solver = DenseHowell(ek[:, chosen].T, p, m)
         mults = [dense_monomial_matrix(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q)]
         actions = dense_variable_actions(mults, gens, rk, embed, solver, N)
         out[degree] = FiniteModuleData(p, m, gens.shape[1], solver.kernel_rows().T, actions)
@@ -883,8 +1061,9 @@ def reference_solve(core: HowellCore, b: np.ndarray) -> np.ndarray | None:
     the multiples of the transform rows.  ``HowellCore.solve`` must give
     the same x."""
     N = core.N
+    work = dense_work(core)
     vec = np.asarray(b, dtype=np.int64) % N
-    acc = np.zeros(core.work.shape[1] - core.active, dtype=np.int64)
+    acc = np.zeros(work.shape[1] - core.active, dtype=np.int64)
     for r, j, v in core.pivots:
         e = int(vec[j])
         if e == 0:
@@ -893,8 +1072,8 @@ def reference_solve(core: HowellCore, b: np.ndarray) -> np.ndarray | None:
         if e % pv:
             return None
         t = e // pv
-        vec = (vec - t * core.work[r, : core.active]) % N
-        acc = (acc + t * core.work[r, core.active :]) % N
+        vec = (vec - t * work[r, : core.active]) % N
+        acc = (acc + t * work[r, core.active :]) % N
     if vec.any():
         return None
     return acc
