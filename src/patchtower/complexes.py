@@ -505,7 +505,7 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
             width, embed = qs.summands, qs.embed_rows
         if sm_out is None:
             # the kernel is the whole ambient module: its embedding is the
-            # scaled projection, and the generators are unit columns
+            # scaled kept rows of U, and the generators are unit columns
             _check_top_degree(rk, amb, width)
             kernel, count = None, amb
             ek = qs.embedded_basis()
