@@ -19,6 +19,17 @@ quartiles (``statistics.quantiles``, inclusive), the change's win count
 (pairs in which its value is the better one) and the gap between the
 medians.  ``gap_exceeds_parent_iqr`` says whether the change's median is
 better than the parent's by more than the parent's interquartile range.
+
+Each run also keeps, under ``diagnostics``, the medians of ``item_raw_s``
+(item time before the calibration scaling) and ``calib_s`` (the
+calibration kernel's time) that ``perfbench/run.py`` prints in its table
+above the result line; ``item_s`` is the first scaled by the second.  The
+summary's ``diagnostics`` block gives their per-side medians and the
+number of pairs in which the change's value is the lower one.  They are
+diagnostics, not end-to-end metrics: they say whether an ``item_s`` move
+on code a workload never runs came from the calibration.  The table
+prints 4 decimals, so ``ha-graded``'s ``item_raw_s`` (about 0.4 ms) is
+read to 0.1 ms.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DIAGNOSTICS = ("item_raw_s", "calib_s")
 
 
 def git(*args: str) -> bytes:
@@ -49,14 +61,19 @@ def export(ref: str, into: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run; its last stdout line is the result."""
+    """One ``perfbench/run.py`` run: its last stdout line is the result,
+    and the table rows above it named in ``DIAGNOSTICS`` give their
+    medians (the table's third column)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         return {"exit": done.returncode, "stderr": done.stderr[-2000:]}
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    rows = (line.split() for line in lines[:-1])
+    result["diagnostics"] = {row[0]: float(row[2]) for row in rows if len(row) > 2 and row[0] in DIAGNOSTICS}
+    return result
 
 
 def metric(result: dict, name: str) -> float | None:
@@ -90,6 +107,17 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "median_gap": gap,
             "relative_gap": gap / stats["parent"]["median"] if stats["parent"]["median"] else None,
             "gap_exceeds_parent_iqr": gap > iqr,
+        }
+    out["diagnostics"] = {}
+    for name in DIAGNOSTICS:
+        values = {side: [pair[side].get("diagnostics", {}).get(name) for pair in pairs] for side in ("parent", "change")}
+        if any(x is None for vals in values.values() for x in vals):
+            out["diagnostics"][name] = {"missing": True}
+            continue
+        out["diagnostics"][name] = {
+            **{side: {"median": statistics.median(vals)} for side, vals in values.items()},
+            "change_lower": sum(c < p for p, c in zip(values["parent"], values["change"])),
+            "pairs": len(pairs),
         }
     return out
 

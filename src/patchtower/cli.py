@@ -37,7 +37,9 @@ def _load_json(path: str):
         raise InvalidInput(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"malformed JSON in {path}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # a directory, bytes that are not UTF-8, nesting past the recursion
+        # limit or an integer past the digit limit of int()
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
 
 

@@ -30,7 +30,6 @@ from .linalg import (
     Matrix,
     QuotientStructure,
     SparseMatrix,
-    _as_array,
     _echelon,
     _variable_expansions,
     expand_scalars,
@@ -431,26 +430,23 @@ def _zero_module(spec: RingSpec) -> FiniteModuleData:
     return FiniteModuleData(spec.p, spec.m, 0, zero, (zero,) * spec.q)
 
 
-def _nakayama_choice(ek2, p: int, m: int) -> list[int]:
+def _nakayama_choice(ek2: list[dict[int, int]], count: int, p: int, m: int) -> list[int]:
     """Indices of the columns of ``ek2`` that form its first basis.
 
-    ``ek2`` is a ``SparseMatrix`` or a dense array, which is first made
-    one.  Every column of ``ek2`` is killed by p: it holds coordinates of
-    span(kernel) modulo p * span(kernel), or p * kernel is already zero.
-    So each entry is p^(m-1) times a residue mod p, and the Z/p^m-span of
-    the columns is the F_p-span of ``ek2 // p^(m-1)``.  Keeping each
-    column that lies outside the span of the columns before it gives the
-    lexicographically first basis: the pivot columns of a row echelon
-    form over F_p.
+    ``ek2`` gives a matrix of ``count`` columns as one ``{column:
+    residue}`` dict per row.  Every column of ``ek2`` is killed by p: it
+    holds coordinates of span(kernel) modulo p * span(kernel), or p *
+    kernel is already zero.  So each entry is p^(m-1) times a residue mod
+    p, and the Z/p^m-span of the columns is the F_p-span of
+    ``ek2 // p^(m-1)``.  Keeping each column that lies outside the span of
+    the columns before it gives the lexicographically first basis: the
+    pivot columns of a row echelon form over F_p.
     """
-    N = p**m
-    if not isinstance(ek2, SparseMatrix):
-        ek2 = SparseMatrix.of_dense(_as_array(ek2), N)
     top = p ** (m - 1)
-    if (ek2.vals % top).any():
+    if any(x % top for row in ek2 for x in row.values()):
         raise AssertionError("Nakayama coordinates are not killed by p")
-    rows = [{j: x // top for j, x in row.items()} for row in ek2.row_dicts()]
-    return [j for _, j, _ in _echelon(rows, ek2.shape[1], p, 1)]
+    rows = [{j: x // top for j, x in row.items()} for row in ek2]
+    return [j for _, j, _ in _echelon(rows, count, p, 1)]
 
 
 def _transpose(rows, height: int) -> list[dict[int, int]]:
@@ -468,10 +464,11 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
 
     Past the Smith forms everything stays on ``{index: residue}`` dicts
     in Python integers: the kernel columns come from V, the embedded
-    kernel is kept by its nonempty rows, and the Nakayama quotient, the
+    kernel is kept by its nonempty rows, and the Nakayama choice, the
     Howell form of the chosen generators and the solves of the variable
-    actions take them as ``SparseMatrix`` inputs.  Only the relations and
-    the actions of each returned module are made dense.
+    actions take row dicts; only the Nakayama quotient's Smith form takes
+    a ``SparseMatrix``.  Only the relations and the actions of each
+    returned module are made dense.
     """
     spec = c.spec
     p, m = spec.p, spec.m
@@ -531,12 +528,11 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
             ek2 = [ek2.get(i, {}) for i in range(qs2.summands)]
         else:
             ek2 = sub
-        chosen = _nakayama_choice(SparseMatrix.of_rows(ek2, count, N), p, m)
-        cols = [{k: 1} for k in chosen] if kernel is None else [kernel[k] for k in chosen]
-        gens = SparseMatrix.of_rows(cols, amb, N).transpose()
+        chosen = _nakayama_choice(ek2, count, p, m)
+        gens = [{k: 1} for k in chosen] if kernel is None else [kernel[k] for k in chosen]
         at = {k: g for g, k in enumerate(chosen)}
         picked = ((i, {at[k]: x for k, x in row.items() if k in at}) for i, row in ek.items())
-        solver = HowellCore(SparseMatrix.of_rows(_transpose(picked, len(chosen)), width, N), p, m)
+        solver = HowellCore(_transpose(picked, len(chosen)), width, p, m)
         relations = solver.kernel_rows().T
         actions = _variable_actions(mults, gens, embed, solver)
 
@@ -545,11 +541,13 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
 
 
 def _check_top_degree(rk: int, amb: int, summands: int) -> None:
-    """Refuse a degree with no differential out whose dense work would
-    pass 4 x ``MAX_EXPANDED_CELLS`` cells: its generators (amb x at most
-    ``summands``), its embedded kernel (summands x amb) and the Howell
-    work matrix of the chosen generators (at most summands x 2 summands)
-    are counted before anything is allocated."""
+    """Refuse a degree with no differential out whose count, 2 summands
+    (amb + summands) cells, passes 4 x ``MAX_EXPANDED_CELLS``, before
+    anything is allocated.  Only its relations and its q g x g actions,
+    g at most ``summands``, are dense; the generators, the embedded
+    kernel and the Howell work stay in row dicts, so the count is larger
+    than what is allocated.  It is kept as it is, since a bound fitted to
+    the dense arrays moves an exit code (ROADMAP item 5)."""
     cells = 2 * summands * (amb + summands)
     if cells > 4 * MAX_EXPANDED_CELLS:
         raise ExpansionTooLarge(
@@ -576,20 +574,20 @@ def _free_module(spec: RingSpec, rk: int, mults: tuple[SparseMatrix, ...]) -> Fi
     return FiniteModuleData(spec.p, spec.m, amb, np.zeros((amb, 0), dtype=np.int64), actions)
 
 
-def _variable_actions(mults: tuple[SparseMatrix, ...], gens: SparseMatrix, embed, solver) -> tuple[np.ndarray, ...]:
+def _variable_actions(mults: tuple[SparseMatrix, ...], gens: list[dict[int, int]], embed, solver) -> tuple[np.ndarray, ...]:
     """Matrix of each variable on the cohomology generators ``gens``.
 
-    ``gens`` holds one generator per column, and its ambient free module
-    is blocks of rho monomial coordinates, on each of which ``mults[j]``
-    multiplies by variable j.  So a generator's entry at (block b,
-    coordinate i) moves to column i of ``mults[j]`` in block b: an index
-    gather, with only the columns that the generators meet read off the
-    sparse entries.  ``embed`` takes the moved rows to quotient
+    ``gens`` holds each generator as a ``{coordinate: residue}`` dict,
+    and their ambient free module is blocks of rho monomial coordinates,
+    on each of which ``mults[j]`` multiplies by variable j.  So a
+    generator's entry at (block b, coordinate i) moves to column i of
+    ``mults[j]`` in block b: an index gather, with only the columns that
+    the generators meet read off the sparse entries.  ``embed`` takes the moved rows to quotient
     coordinates, and one solve against ``solver`` (the embedded
     generators, one per row) writes all g images in the generators.
     """
-    N = gens.modulus
-    entries = list(zip(gens.rows.tolist(), gens.cols.tolist(), gens.vals.tolist()))
+    N = solver.N
+    entries = [(c, k, x) for k, col in enumerate(gens) for c, x in col.items()]
     actions = []
     for mult in mults:
         rho = mult.shape[0]
@@ -604,8 +602,7 @@ def _variable_actions(mults: tuple[SparseMatrix, ...], gens: SparseMatrix, embed
                 row = moved.setdefault(b * rho + r, {})
                 row[k] = row.get(k, 0) + u * x
         moved = {c: kept for c, row in moved.items() if (kept := {k: y for k, x in row.items() if (y := x % N)})}
-        rhs = SparseMatrix.of_rows(_transpose(embed(moved).items(), gens.shape[1]), solver.active, N)
-        x = solver.solve(rhs)
+        x = solver.solve(_transpose(embed(moved).items(), len(gens)))
         if x is None:
             raise AssertionError("variable action left the cohomology span")
         actions.append(x.T)

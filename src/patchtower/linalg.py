@@ -16,27 +16,27 @@ Two layers:
   is built unless a caller asks for it.
 
 One sparse type, ``SparseMatrix`` (a matrix over Z/N by its nonzero
-entries), carries every sparse matrix across this layer: scalar
-expansions into the Smith kernel, the kept rows of its row transform
-that give quotient coordinates, and the transform rows and columns
-that a caller reads.  Its one product with a dense vector or matrix is
-exact: each term is reduced mod N before the sum.  The Smith kernel is
-a sparse-row elimination in Python integers: the scalar expansions it
-diagonalizes are almost empty (a padded 486 x 486 differential has 487
-nonzeros), so it fills its row dicts straight from the nonzeros of its
-input, keeps each row as a dict of its nonzero residues, visits only
-the rows that meet the pivot column, and finds pivots with one
-forward-only cursor per valuation layer.  Howell forms run the same
-way, on ``{column: residue}`` row dicts in Python integers with a
-column index of the rows, and take a ``SparseMatrix`` in and their
-right-hand sides as one; the quotient coordinates of a matrix kept by
-its nonempty row dicts are ``QuotientStructure.embed_rows``.  Only what
-a caller reads itself (the dense U, V, kernel columns or quotient
-projection, the Howell and kernel rows, a solve's result) is made
-dense.  Every dense matrix product over Z/p^m goes through
-``matmul_mod``, which picks one of two exact paths by the largest
-partial sum the product can reach: float32 BLAS below 2^24, Python
-integers past it.
+entries), carries a sparse matrix across the numpy boundaries of this
+layer: scalar expansions into the Smith kernel, the kept rows of its
+row transform that give quotient coordinates, and the transform rows
+and columns that a caller reads dense.  Its one product with a dense
+vector or matrix is exact: each term is reduced mod N before the sum.
+The Smith kernel is a sparse-row elimination in Python integers: the
+scalar expansions it diagonalizes are almost empty (a padded 486 x 486
+differential has 487 nonzeros), so it fills its row dicts straight
+from the nonzeros of its input, keeps each row as a dict of its
+nonzero residues, visits only the rows that meet the pivot column, and
+finds pivots with one forward-only cursor per valuation layer.  Howell
+forms run the same way, on ``{column: residue}`` row dicts in Python
+integers with a column index of the rows, and take their input rows
+and their right-hand sides as such dicts; the quotient coordinates of
+a matrix kept by its nonempty row dicts are
+``QuotientStructure.embed_rows``.  Only what a caller reads itself
+(the dense U, V, kernel columns or quotient projection, the Howell and
+kernel rows, a solve's result) is made dense.  Every dense matrix
+product over Z/p^m goes through ``matmul_mod``, which picks one of two
+exact paths by the largest partial sum the product can reach: float32
+BLAS below 2^24, Python integers past it.
 """
 
 from __future__ import annotations
@@ -255,16 +255,6 @@ class SparseMatrix:
     def size(self) -> int:
         return self.shape[0] * self.shape[1]
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.shape[::-1], self.modulus, self.cols, self.rows, self.vals)
-
-    def row_dicts(self) -> list[dict[int, int]]:
-        """Each row as a ``{column: residue}`` dict of its nonzero entries."""
-        out: list[dict[int, int]] = [{} for _ in range(self.shape[0])]
-        for i, j, x in zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()):
-            out[i][j] = x
-        return out
-
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.int64)
         out[self.rows, self.cols] = self.vals
@@ -376,13 +366,13 @@ def _reduce_row(vec: dict[int, int], rows: list[dict[int, int]], at: dict[int, t
             _axpy(vec, vec[j] // pv, list(rows[r].items()), N)
 
 
-def _dense_rows(rows: list[dict[int, int]], lo: int, hi: int) -> np.ndarray:
-    """Columns lo to hi - 1 of the row dicts, as a dense int64 array."""
-    out = np.zeros((len(rows), hi - lo), dtype=np.int64)
+def _dense_rows(rows: list[dict[int, int]], width: int) -> np.ndarray:
+    """The columns below ``width`` of the row dicts, as a dense int64 array."""
+    out = np.zeros((len(rows), width), dtype=np.int64)
     for i, row in enumerate(rows):
         for c, x in row.items():
-            if lo <= c < hi:
-                out[i, c - lo] = x
+            if c < width:
+                out[i, c] = x
     return out
 
 
@@ -395,26 +385,25 @@ class HowellCore:
     collect span elements of the active-block kernel (complete by the
     Howell span property).
 
-    ``a`` is a ``SparseMatrix`` or a dense array, which is first made
-    one.  The work is a list of ``{column: residue}`` row dicts in Python
-    integers, the carry block in columns ``active`` onward, and only the
-    views a caller reads (the Howell rows, the kernel rows and a solve's
-    result) are made dense.  Every step is the same arithmetic on the
-    same residues as the dense loop it replaced
+    ``rows`` gives the matrix, ``active`` columns wide, as one
+    ``{column: residue}`` dict of nonzero residues per row.  The work is
+    a copy of them in Python integers, the carry block in columns
+    ``active`` onward, so the caller's list and dicts stay as they were.
+    Only the views a caller reads (the Howell rows, the kernel rows and a
+    solve's result) are made dense.  Every step is the same arithmetic on
+    the same residues as the dense loop it replaced
     (``tests/util.py::DenseHowell``), so pivots and rows agree bit for bit.
     """
 
-    def __init__(self, a, p: int, m: int, carry: bool = True):
+    def __init__(self, rows: list[dict[int, int]], active: int, p: int, m: int, carry: bool = True):
         self.p, self.m = p, m
-        self.N = N = _modulus(p, m)
-        if not isinstance(a, SparseMatrix):
-            a = SparseMatrix.of_dense(_as_array(a), N)
-        self.orig_rows, self.active = a.shape
-        self.width = self.active + (self.orig_rows if carry else 0)
-        rows = a.row_dicts()
+        self.N = _modulus(p, m)
+        self.orig_rows, self.active = len(rows), active
+        self.width = active + (self.orig_rows if carry else 0)
+        rows = [dict(row) for row in rows]
         if carry:
             for i, row in enumerate(rows):
-                row[self.active + i] = 1
+                row[active + i] = 1
         self.pivots = self._howellize(rows)
         self.rows = rows
 
@@ -462,7 +451,7 @@ class HowellCore:
     # -- views ----------------------------------------------------------
 
     def howell_rows(self) -> np.ndarray:
-        return _dense_rows(self.rows[: len(self.pivots)], 0, self.active)
+        return _dense_rows(self.rows[: len(self.pivots)], self.active)
 
     def kernel_rows(self) -> np.ndarray:
         """Generators of {x : x A = 0} as rows (Howell-canonical)."""
@@ -471,48 +460,29 @@ class HowellCore:
             return np.zeros((0, self.orig_rows), dtype=np.int64)
         a = self.active
         tail = [{c - a: x for c, x in row.items()} for row in tail]
-        inner = HowellCore(SparseMatrix.of_rows(tail, self.orig_rows, self.N), self.p, self.m, carry=False)
-        return inner.howell_rows()
+        return HowellCore(tail, self.orig_rows, self.p, self.m, carry=False).howell_rows()
 
-    def solve(self, b) -> np.ndarray | None:
-        """Some x with x A = b, or None.
+    def solve(self, b: list[dict[int, int]]) -> np.ndarray | None:
+        """Some x with x A = b, one row per right-hand side, or None when
+        any has none.
 
-        ``b`` is a ``SparseMatrix`` or a dense array.  A 2-d ``b`` holds
-        one right-hand side per row and gets one solution per row, or None
-        when any row has none.  Each row is cleared pivot by pivot in
-        column order, as ``_reduce_row`` visits them, and the multiples
-        taken combine the transform rows into its solution.
+        Each right-hand side is a ``{column: residue}`` dict over the
+        active columns.  ``_reduce_row`` clears it by the full pivot rows,
+        carry block included: an active entry it leaves (where p^v does
+        not divide a pivot entry) means no solution, and what it leaves in
+        the carry block is minus x.
         """
-        p, N, a = self.p, self.N, self.active
-        flat = not isinstance(b, SparseMatrix) and np.ndim(b) == 1
-        if not isinstance(b, SparseMatrix):
-            b = SparseMatrix.of_dense(np.atleast_2d(np.asarray(b, dtype=np.int64)), N)
+        a, N = self.active, self.N
         at = {j: (r, v) for r, j, v in self.pivots}
-        split = [
-            ([(c, x) for c, x in row.items() if c < a], [(c - a, x) for c, x in row.items() if c >= a])
-            for row in self.rows[: len(self.pivots)]
-        ]
-        x = np.zeros((b.shape[0], self.width - a), dtype=np.int64)
-        for k, vec in enumerate(b.row_dicts()):
-            acc: dict[int, int] = {}
-            done = -1
-            while True:
-                j = min((c for c in vec if c > done and c in at), default=None)
-                if j is None:
-                    break
-                done = j
-                r, v = at[j]
-                pv = p**v
-                if vec[j] % pv:
+        x = np.zeros((len(b), self.width - a), dtype=np.int64)
+        for k, row in enumerate(b):
+            vec = dict(row)
+            _reduce_row(vec, self.rows, at, self.p, N)
+            for c, y in vec.items():
+                if c < a:
                     return None
-                t = vec[j] // pv
-                _axpy(vec, t, split[r][0], N)
-                _axpy(acc, -t, split[r][1], N)
-            if vec:
-                return None
-            for c, y in acc.items():
-                x[k, c] = y
-        return x[0] if flat else x
+                x[k, c - a] = N - y
+        return x
 
 
 def elementary_divisors(rel: np.ndarray, ambient: int, p: int, m: int) -> tuple[int, ...]:

@@ -541,6 +541,20 @@ def _rebase_onto(base_k: FreeComplex, cand: FreeComplex) -> FreeComplex | None:
     return FreeComplex(cand.spec, cand.lo, cand.ranks, diffs, _checked=True)
 
 
+def chain_covers(levels, precision: int) -> bool:
+    """Whether strictly increasing levels cover the steps 1 to
+    ``precision``, step k taking a level whose level and precision are
+    both at least k.  ``levels`` gives the (level, precision) pairs in
+    tower order.  Step k takes the first eligible pair after that of step
+    k - 1: eligibility only narrows as k grows, so no other choice leaves
+    the later steps more pairs."""
+    k = 1
+    for level, prec in levels:
+        if k <= precision and min(level, prec) >= k:
+            k += 1
+    return k > precision
+
+
 def patch(tower: PatchingTower, precision: int) -> PatchLimit:
     """Select a compatible chain of levels and assemble the limit.
 
@@ -563,6 +577,8 @@ def patch(tower: PatchingTower, precision: int) -> PatchLimit:
         raise InsufficientTower(
             f"no level covers every precision step up to {precision}"
         )
+    if not chain_covers(((lev.level, lev.precision) for lev in levels), precision):
+        raise InsufficientTower(f"no chain of strictly increasing levels covers the precision steps up to {precision}")
     eligible = [
         [
             idx

@@ -26,7 +26,7 @@ from .complexes import (
 )
 from .errors import ExpansionTooLarge, InvalidParams
 from .linalg import MAX_EXPANDED_CELLS, Matrix, _modulus
-from .patcher import PatchingTower, RInfinityModel, RinfElem, TowerBase, TowerLevel
+from .patcher import PatchingTower, RInfinityModel, RinfElem, TowerBase, TowerLevel, chain_covers
 from .rings import RingTowerElement, make_patch_ring
 
 EXPECTED_ERRORS = {
@@ -70,6 +70,10 @@ class ScenarioParams:
             raise InvalidParams("need at least two levels")
         if any(m < 1 for m in self.precisions):
             raise InvalidParams("precisions must be >= 1")
+        # the precision that the sidecar promises and ``patch`` defaults to
+        target = min(max(self.precisions), len(self.precisions))
+        if not chain_covers(enumerate(self.precisions, start=1), target):
+            raise InvalidParams(f"no chain of levels covers the precision steps up to {target}")
         if self.rank < 1:
             raise InvalidParams("rank must be >= 1")
         # the rank of every level's complex; ``patch`` would not load more

@@ -25,13 +25,14 @@ from patchtower.graded import (
 )
 from patchtower.groebner import ideal_product
 from patchtower.graded import vec_to_poly
-from patchtower.linalg import HowellCore
 from patchtower.patcher import certify, patch, validate_hypotheses
 from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
 from patchtower.scenarios import PERTURBATIONS, ScenarioParams, gen_scenario
 from util import (
     SMALL_PATCH_SPECS,
+    dense_solve,
     fingerprint,
+    howell_core,
     monomial_minimal_prime_heights,
     random_graded_consistent_complex,
     random_graded_module,
@@ -145,7 +146,7 @@ def _independent_linear_forms(rng, spec, count):
                 row[e.index(1)] = c
             rows.append(row)
         # regular exactly when the coefficient rows are independent mod p
-        if HowellCore(np.array(rows, dtype=np.int64), spec.p, 1).kernel_rows().shape[0] == 0:
+        if howell_core(np.array(rows, dtype=np.int64), spec.p, 1).kernel_rows().shape[0] == 0:
             return forms
 
 
@@ -242,20 +243,20 @@ def test_criterion_6_howell_matches_exhaustive_enumeration():
                 np.array([[rng.randrange(N) for _ in range(cols)] for _ in range(3)])
             )
         for a in small:
-            core = HowellCore(a, p, m)
+            core = howell_core(a, p, m)
             got = _span(core.kernel_rows(), N, a.shape[0])
             want = _enumeration_kernel(a, N)
             assert got == want, a
             # solving: a reachable target and an enumeration-checked failure
             x = np.array([rng.randrange(N) for _ in range(a.shape[0])])
             b = (x @ a) % N
-            assert ((core.solve(b) @ a) % N == b).all()
+            assert ((dense_solve(core, b) @ a) % N == b).all()
             bad = np.array([rng.randrange(N) for _ in range(a.shape[1])])
             reachable = any(
                 not ((np.array(v) @ a - bad) % N).any()
                 for v in itertools.product(range(N), repeat=a.shape[0])
             )
-            assert (core.solve(bad) is not None) == reachable, (a, bad)
+            assert (dense_solve(core, bad) is not None) == reachable, (a, bad)
             cases += 1
     report(6, cases > 400, f"{cases} matrices, kernels and solves all match enumeration")
 

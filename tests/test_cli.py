@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -10,11 +11,12 @@ import pytest
 from patchtower import graded, serialize
 from patchtower.cli import main
 from patchtower.complexes import koszul_complex, make_complex
-from patchtower.errors import ExpansionTooLarge, InvalidInput, InvalidParameter, InvalidParams
+from patchtower.errors import ExpansionTooLarge, InsufficientTower, InvalidInput, InvalidParameter, InvalidParams
 from patchtower.graded import GradedModule
 from patchtower.linalg import Matrix
 from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
-from patchtower.scenarios import ScenarioParams
+from patchtower.patcher import certify, patch
+from patchtower.scenarios import ScenarioParams, gen_scenario
 from util import run_cli_under_memory_limit
 
 
@@ -160,6 +162,53 @@ class TestGenPatch:
     def test_invalid_params_exit_code(self, capsys, tmp_path):
         code, out = run(capsys, ["gen", "--q", "1", "--r", "2", "--out-dir", str(tmp_path), "--format", "json"])
         assert code == 2
+
+    @pytest.mark.parametrize("precisions", [["2", "1"], ["1", "1", "3"]], ids=["2-1", "1-1-3"])
+    def test_gen_refuses_precisions_that_no_chain_covers(self, capsys, tmp_path, precisions):
+        # gen wrote these towers with exit 0 and a sidecar promising a
+        # certificate, which patch then refused with exit 2 and exit 3
+        argv = ["gen", "--q", "1", "--r", "1", "--precisions", *precisions, "--out-dir", str(tmp_path), "--format", "json"]
+        code, out = run(capsys, argv)
+        assert (code, json.loads(out)["error"]) == (2, "InvalidParams")
+        assert not (tmp_path / "tower.json").exists()
+
+    @pytest.mark.parametrize("precisions", [(2, 1), (1, 1, 3)], ids=["2-1", "1-1-3"])
+    def test_patch_refuses_a_tower_that_no_chain_covers(self, capsys, tmp_path, precisions):
+        # (1, 1, 3) has a level covering each step but no increasing chain
+        # of them, and patch searched for one until NoCompatibleChain (exit 3)
+        with mock.patch.object(ScenarioParams, "validate", lambda self: None):
+            tower, _, _ = gen_scenario(ScenarioParams(p=2, q=1, r=1, precisions=precisions))
+        path = tmp_path / "tower.json"
+        path.write_text(serialize.canonical_dumps(serialize.tower_to_obj(tower)))
+        code, out = run(capsys, ["patch", str(path), "--format", "json"])
+        assert (code, json.loads(out)["error"]) == (2, "InsufficientTower")
+
+    def test_every_tower_gen_accepts_patches_to_its_sidecar(self):
+        # every list of 2 or 3 precisions in {1, 2, 3}: patch and certify
+        # reach what the sidecar says for every list that gen accepts, and
+        # patch refuses the tower of every list that gen refuses
+        refused = 0
+        for q, r in [(1, 1), (1, 0), (2, 0)]:
+            for precisions in itertools.chain(*(itertools.product((1, 2, 3), repeat=n) for n in (2, 3))):
+                params = ScenarioParams(p=2, q=q, r=r, precisions=precisions)
+                target = min(max(precisions), len(precisions))
+                try:
+                    tower, sidecar, _ = gen_scenario(params)
+                except InvalidParams:
+                    refused += 1
+                    with mock.patch.object(ScenarioParams, "validate", lambda self: None):
+                        tower, _, _ = gen_scenario(params)
+                    with pytest.raises(InsufficientTower):
+                        patch(tower, target)
+                    continue
+                want = sidecar["expected"]
+                assert want["target_precision"] == target
+                cert = serialize.certificate_to_obj(certify(tower, patch(tower, target)))
+                assert cert["valid"] is True
+                assert (cert["precision"], cert["rank"], cert["tau"]) == (target, want["rank"], want["tau"])
+                assert cert["limit_differentials"] == want["limit_differentials"]
+        # the 16 lists per (q, r) that gen wrote and patch then refused
+        assert refused == 3 * 16
 
     def test_tower_file_roundtrip(self, capsys, tmp_path):
         run(capsys, ["gen", "--q", "1", "--r", "0", "--seed", "8", "--out-dir", str(tmp_path), "--format", "json"])
@@ -965,15 +1014,21 @@ def test_graded_duality_with_a_large_exponent_is_answered(tmp_path, k):
 
 
 @pytest.mark.parametrize("command", ["patch", "verify-ha", "invariants", "minimize"])
-@pytest.mark.parametrize("kind", ["directory", "name-too-long", "not-utf-8"])
+@pytest.mark.parametrize("kind", ["directory", "name-too-long", "not-utf-8", "deeply-nested", "5000-digit-integer"])
 def test_unreadable_input_file_is_invalid_input(capsys, tmp_path, command, kind):
-    # a directory, a path that open() refuses and bytes that are not
-    # UTF-8 escaped the loader with a traceback and exit 1
+    # a directory, a path that open() refuses, bytes that are not UTF-8,
+    # nesting past the recursion limit (RecursionError) and an integer
+    # past int()'s digit limit (a ValueError that is not a JSONDecodeError)
+    # escaped the loader with a traceback and exit 1
     path = tmp_path / "input.json"
     if kind == "directory":
         path.mkdir()
     elif kind == "name-too-long":
         path = tmp_path / ("x" * 300 + ".json")
+    elif kind == "deeply-nested":
+        path.write_text("[" * 200_000)
+    elif kind == "5000-digit-integer":
+        path.write_text('{"p": ' + "7" * 5000 + "}")
     else:
         path.write_bytes(b"\xff\xfe{")
     code, out = run(capsys, [command, str(path), "--format", "json"])

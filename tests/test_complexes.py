@@ -24,7 +24,7 @@ from patchtower.complexes import (
     tensor_along,
 )
 from patchtower.errors import ExpansionTooLarge, NotAComplex, ShapeMismatch, UnsupportedRing
-from patchtower.linalg import MAX_EXPANDED_CELLS, HowellCore, Matrix, smith_quotient
+from patchtower.linalg import MAX_EXPANDED_CELLS, Matrix, _dense_rows, smith_quotient
 from patchtower.rings import (
     RingTowerElement,
     coefficient_ring,
@@ -35,13 +35,16 @@ from patchtower.scenarios import ScenarioParams, _level_data, _limit_complex, _p
 from patchtower.serialize import complex_from_obj, complex_to_obj
 from util import (
     SMALL_PATCH_SPECS,
+    dense_solve,
     dense_variable_actions,
     euler_characteristic,
     fingerprint,
+    howell_core,
     howell_reduce,
     random_patch_complex,
     reference_all_cohomology,
     reference_solve,
+    row_dicts,
 )
 
 F3T = make_patch_ring(3, 1, 1, 1)
@@ -236,7 +239,7 @@ def reference_nakayama_choice(ek2: np.ndarray, p: int, m: int) -> list[int]:
             continue
         chosen.append(l)
         rows.append(w)
-        core = HowellCore(np.array(rows), p, m, carry=False)
+        core = howell_core(np.array(rows), p, m, carry=False)
     return chosen
 
 
@@ -276,7 +279,8 @@ class TestNakayamaChoice:
     @settings(max_examples=300, deadline=None)
     def test_matches_greedy_loop(self, case):
         ek2, p, m = case
-        assert complexes._nakayama_choice(ek2, p, m) == reference_nakayama_choice(ek2, p, m)
+        got = complexes._nakayama_choice(row_dicts(ek2, p**m), ek2.shape[1], p, m)
+        assert got == reference_nakayama_choice(ek2, p, m)
 
     @given(st.sampled_from(NAKAYAMA_SPECS), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -284,9 +288,9 @@ class TestNakayamaChoice:
         seen = []
         real = complexes._nakayama_choice
 
-        def checked(ek2, p, m):
-            got = real(ek2, p, m)
-            assert got == reference_nakayama_choice(ek2.dense(), p, m)
+        def checked(ek2, count, p, m):
+            got = real(ek2, count, p, m)
+            assert got == reference_nakayama_choice(_dense_rows(ek2, count), p, m)
             seen.append(got)
             return got
 
@@ -306,7 +310,7 @@ class TestNakayamaChoice:
         ek2 = np.zeros((2, 3), dtype=np.int64)
         ek2[1, 2] = p ** (m - 2)
         with pytest.raises(AssertionError):
-            complexes._nakayama_choice(ek2, p, m)
+            complexes._nakayama_choice(row_dicts(ek2, p**m), ek2.shape[1], p, m)
 
 
 def reference_variable_actions(mults, gens, rk, embed, solver, N):
@@ -329,11 +333,12 @@ class TestVariableActions:
     @pytest.mark.parametrize("spec", NAKAYAMA_SPECS, ids=lambda s: f"p{s.p}-m{s.m}-n{s.n}-q{s.q}")
     def test_match_block_product_and_column_loop(self, spec):
         seen = []
+        ranks = []  # of the degrees still to reach ``_variable_actions``
         real = complexes._variable_actions
 
         def checked(mults, gens, embed, solver):
             got = real(mults, gens, embed, solver)
-            rk = gens.shape[0] // spec.coefficient_rank
+            rk = ranks.pop(0)
 
             def dense_embed(x):
                 # ``embed`` on the rows of x, scattered dense
@@ -344,19 +349,27 @@ class TestVariableActions:
                 return out
 
             dense = [mult.dense() for mult in mults]
-            embed_, gens = dense_embed, gens.dense()
+            embed_, gens = dense_embed, _dense_rows(gens, rk * spec.coefficient_rank).T
             want = reference_variable_actions(dense, gens, rk, embed_, solver, spec.modulus)
             assert len(got) == len(want) == spec.q
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
             # and the dense product of the moved reference copy
-            copied = dense_variable_actions(dense, gens, rk, embed_, solver, spec.modulus)
+            copied = dense_variable_actions(dense, gens, rk, embed_, lambda b: dense_solve(solver, b), spec.modulus)
             assert all(np.array_equal(x, y) for x, y in zip(got, copied))
             seen.append((rk, gens.shape[1]))
             return got
 
         with mock.patch.object(complexes, "_variable_actions", checked):
             for seed in range(10):
-                complexes._all_cohomology(random_patch_complex(random.Random(seed), spec, max_rank=3))
+                c = random_patch_complex(random.Random(seed), spec, max_rank=3)
+                # every degree of nonzero rank with a differential in or out, in order
+                ranks[:] = [
+                    c.rank(deg)
+                    for deg in c.degrees
+                    if c.rank(deg) and any(d.rows and d.cols for d in (c.differential(deg - 1), c.differential(deg)))
+                ]
+                complexes._all_cohomology(c)
+                assert not ranks
         # blocks are reshaped only when a degree has rank >= 2
         assert any(rk >= 2 and g for rk, g in seen)
 

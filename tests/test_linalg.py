@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,17 +30,20 @@ from util import (
     DenseHowell,
     dense_column_kernel,
     dense_expand_scalars,
+    dense_solve,
     embed_dense,
     dense_work,
     int_matrix,
     monomial_basis,
     random_patch_complex,
     dense_echelon,
+    howell_core,
     reference_coords,
     reference_echelon,
     reference_embed,
     reference_multiplication_matrix,
     reference_solve,
+    row_dicts,
     run_under_memory_limit,
     transform_rows,
 )
@@ -50,7 +55,7 @@ Z9 = (3, 2)
 
 
 def howell(rows, spec) -> np.ndarray:
-    return HowellCore(np.array(rows, dtype=np.int64), *spec).howell_rows()
+    return howell_core(np.array(rows, dtype=np.int64), *spec).howell_rows()
 
 
 class TestHowell:
@@ -65,7 +70,7 @@ class TestHowell:
 
     def test_witness_transform(self):
         a = np.array([[3, 1, 4], [6, 2, 0], [0, 3, 3]], dtype=np.int64)
-        core = HowellCore(a, *Z9)
+        core = howell_core(a, *Z9)
         assert ((transform_rows(core) @ a) % 9).tolist() == core.howell_rows().tolist()
 
     @given(
@@ -132,12 +137,12 @@ class TestEchelon:
         # input: the dense one-scan loop, and the row dicts of _echelon
         a, active, p, m = case
         got, want = a.copy(), a.copy()
-        rows = SparseMatrix.of_dense(a, p**m).row_dicts()
+        rows = row_dicts(a, p**m)
         pivots = reference_echelon(want, active, p, m)
         assert dense_echelon(got, active, p, m) == pivots
         assert np.array_equal(got, want)
         assert _echelon(rows, active, p, m) == pivots
-        assert np.array_equal(_dense_rows(rows, 0, a.shape[1]), want)
+        assert np.array_equal(_dense_rows(rows, a.shape[1]), want)
 
 
 @st.composite
@@ -186,20 +191,20 @@ class TestSparseHowell:
     def test_matches_dense_reference(self, case):
         a, p, m, carry, rhs = case
         want = DenseHowell(a, p, m, carry)
-        for got in (HowellCore(SparseMatrix.of_dense(a, p**m), p, m, carry), HowellCore(a, p, m, carry)):
-            assert got.pivots == want.pivots
-            assert np.array_equal(got.howell_rows(), want.howell_rows())
-            assert np.array_equal(dense_work(got), want.work)
-            if carry:
-                assert np.array_equal(transform_rows(got), want.work[: len(want.pivots), a.shape[1] :])
-            kernel = got.kernel_rows()
-            assert kernel.dtype == np.int64 and np.array_equal(kernel, want.kernel_rows())
-            solves = [(got.solve(SparseMatrix.of_dense(rhs, p**m)), want.solve(rhs)), (got.solve(rhs), want.solve(rhs))]
-            solves += [(got.solve(b), want.solve(b)) for b in rhs]
-            for x, y in solves:
-                assert (x is None) == (y is None)
-                if y is not None:
-                    assert x.shape == y.shape and np.array_equal(x, y)
+        got = howell_core(a, p, m, carry)
+        assert got.pivots == want.pivots
+        assert np.array_equal(got.howell_rows(), want.howell_rows())
+        assert np.array_equal(dense_work(got), want.work)
+        if carry:
+            assert np.array_equal(transform_rows(got), want.work[: len(want.pivots), a.shape[1] :])
+        kernel = got.kernel_rows()
+        assert kernel.dtype == np.int64 and np.array_equal(kernel, want.kernel_rows())
+        solves = [(dense_solve(got, rhs), want.solve(rhs))]
+        solves += [(dense_solve(got, b), want.solve(b)) for b in rhs]
+        for x, y in solves:
+            assert (x is None) == (y is None)
+            if y is not None:
+                assert x.shape == y.shape and np.array_equal(x, y)
 
 
 def brute_kernel(a: np.ndarray, N: int) -> set:
@@ -222,18 +227,18 @@ def span_of_rows(k: np.ndarray, N: int) -> set:
 
 class TestKernelAndSolve:
     def test_kernel_of_two_over_z4(self):
-        k = HowellCore(np.array([[2]]), *Z4).kernel_rows()
+        k = howell_core(np.array([[2]]), *Z4).kernel_rows()
         assert span_of_rows(k, 4) == {(0,), (2,)}
 
     def test_solve_by_substitution(self):
-        x = HowellCore(np.array([[2]]), *Z4).solve(np.array([2]))
+        x = dense_solve(howell_core(np.array([[2]]), *Z4), np.array([2]))
         assert (x @ np.array([[2]])) % 4 == np.array([[2]])
 
     def test_identity_kernel_trivial(self):
-        assert HowellCore(np.eye(2, dtype=np.int64), *Z4).kernel_rows().shape[0] == 0
+        assert howell_core(np.eye(2, dtype=np.int64), *Z4).kernel_rows().shape[0] == 0
 
     def test_no_solution(self):
-        assert HowellCore(np.array([[2]]), *Z4).solve(np.array([1])) is None
+        assert dense_solve(howell_core(np.array([[2]]), *Z4), np.array([1])) is None
 
     @pytest.mark.parametrize("spec", [Z4, Z9], ids=["Z4", "Z9"])
     def test_kernel_matches_enumeration(self, spec):
@@ -244,15 +249,32 @@ class TestKernelAndSolve:
             rows = rng.randrange(1, 4)
             cols = rng.randrange(1, 4)
             a = np.array([[rng.randrange(N) for _ in range(cols)] for _ in range(rows)])
-            k = HowellCore(a, p, m).kernel_rows()
+            k = howell_core(a, p, m).kernel_rows()
             assert span_of_rows(k, N) == brute_kernel(a, N)
+
+    def test_leaves_the_callers_rows_as_they_were(self):
+        # over Z/4 the row [1, 3] becomes the first pivot row, ahead of
+        # [2, 0], and the Howell step appends a kernel row to the work;
+        # the benchmark's tracer reads the row count of the first argument
+        # after the call returns
+        rows = [{0: 2}, {0: 1, 1: 3}]
+        before, ids = [dict(row) for row in rows], [id(row) for row in rows]
+        core = HowellCore(rows, 2, *Z4)
+        assert core.rows[0][0] == 1 and len(core.rows) == 3
+        assert rows == before and [id(row) for row in rows] == ids
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        )
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer._shape(rows)[0] == 2
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matrix_without_columns(self, k):
         # a k x 0 matrix maps every x to the empty row, so every x of
         # length k solves x A = () and the kernel is all of (Z/9)^k
-        core = HowellCore(np.zeros((k, 0), dtype=np.int64), *Z9)
-        x = core.solve(np.zeros(0, dtype=np.int64))
+        core = howell_core(np.zeros((k, 0), dtype=np.int64), *Z9)
+        x = dense_solve(core, np.zeros(0, dtype=np.int64))
         assert x.shape == (k,)
         kernel = core.kernel_rows()
         assert kernel.shape[1] == k
@@ -804,7 +826,7 @@ class TestOverflowGuard:
     def test_refuses_moduli_past_int64(self, p, m):
         a = np.array([[1, 2], [3, 4]], dtype=np.int64)
         with pytest.raises(InvalidParameter):
-            HowellCore(a, p, m)
+            howell_core(a, p, m)
         with pytest.raises(InvalidParameter):
             smith_transforms(a, 2, p, m)
         with pytest.raises(InvalidParameter):
@@ -820,7 +842,7 @@ class TestOverflowGuard:
                 [[rng.randrange(N) * p ** rng.randrange(3) % N for _ in range(cols)] for _ in range(rows)],
                 dtype=np.int64,
             )
-            core = HowellCore(a, p, m)
+            core = howell_core(a, p, m)
             h = core.howell_rows().astype(object)
             assert ((exact_product(transform_rows(core), a) - h) % N == 0).all()
             assert_smith_witness(a, p, m)
@@ -1008,14 +1030,14 @@ class TestBatchedSolve:
     @settings(max_examples=300, deadline=None)
     def test_rows_match_one_column_solves(self, case):
         a, rhs, p, m = case
-        core = HowellCore(a, p, m)
+        core = howell_core(a, p, m)
         one_by_one = [reference_solve(core, b) for b in rhs]
         for b, want in zip(rhs, one_by_one):
-            got = core.solve(b)
+            got = dense_solve(core, b)
             assert (got is None) == (want is None)
             if want is not None:
                 assert np.array_equal(got, want)
-        got = core.solve(rhs)
+        got = dense_solve(core, rhs)
         if any(x is None for x in one_by_one):
             assert got is None
         else:
@@ -1024,8 +1046,8 @@ class TestBatchedSolve:
 
     def test_one_unsolvable_row_refuses_the_batch(self):
         # over Z/9, [1, 0] is outside the row span of [[3, 0], [0, 1]]
-        core = HowellCore(np.array([[3, 0], [0, 1]], dtype=np.int64), 3, 2)
+        core = howell_core(np.array([[3, 0], [0, 1]], dtype=np.int64), 3, 2)
         rhs = np.array([[3, 2], [6, 0], [1, 0]], dtype=np.int64)
-        assert core.solve(rhs[:2]).tolist() == [[1, 2], [2, 0]]
-        assert core.solve(rhs[2]) is None
-        assert core.solve(rhs) is None
+        assert dense_solve(core, rhs[:2]).tolist() == [[1, 2], [2, 0]]
+        assert dense_solve(core, rhs[2]) is None
+        assert dense_solve(core, rhs) is None

@@ -51,10 +51,31 @@ def euler_characteristic(c: FreeComplex) -> int:
     return sum((-1) ** d * c.rank(d) for d in c.degrees)
 
 
+def row_dicts(a, N: int) -> list[dict[int, int]]:
+    """Each row of the 2-d array ``a`` as a ``{column: residue mod N}``
+    dict of its nonzero residues: the input form of ``HowellCore``, its
+    ``solve`` and ``complexes._nakayama_choice``."""
+    return [{j: x % N for j, x in enumerate(row) if x % N} for row in np.asarray(a, dtype=np.int64).tolist()]
+
+
+def howell_core(a, p: int, m: int, carry: bool = True) -> HowellCore:
+    """``HowellCore`` of the dense matrix ``a``, its entries read mod p^m."""
+    a = _as_array(a)
+    return HowellCore(row_dicts(a, p**m), a.shape[1], p, m, carry)
+
+
+def dense_solve(core: HowellCore, b) -> np.ndarray | None:
+    """``core.solve`` of a 2-d b, one right-hand side per row, or of a
+    vector b, whose solution is then a vector."""
+    b = np.asarray(b, dtype=np.int64)
+    x = core.solve(row_dicts(np.atleast_2d(b), core.N))
+    return x if x is None or b.ndim == 2 else x[0]
+
+
 def dense_work(core: HowellCore) -> np.ndarray:
     """The work rows of ``core`` (Howell rows, then tail rows) as one dense
     array, the carry block from column ``core.active`` on."""
-    return _dense_rows(core.rows, 0, core.width)
+    return _dense_rows(core.rows, core.width)
 
 
 def transform_rows(core: HowellCore) -> np.ndarray:
@@ -741,7 +762,7 @@ def row_kernel(a: np.ndarray, p: int, m: int, nrows_hint: int | None = None) -> 
     a = _as_array(a)
     if a.shape[0] == 0:
         return np.zeros((0, nrows_hint or 0), dtype=np.int64)
-    return HowellCore(a, p, m).kernel_rows()
+    return howell_core(a, p, m).kernel_rows()
 
 
 def column_kernel(a: np.ndarray, p: int, m: int, ncols: int) -> np.ndarray:
@@ -916,14 +937,15 @@ def dense_expand_scalars(a: Matrix) -> np.ndarray:
     return out
 
 
-def dense_variable_actions(mults, gens: np.ndarray, rk: int, embed, solver, N: int) -> tuple[np.ndarray, ...]:
+def dense_variable_actions(mults, gens: np.ndarray, rk: int, embed, solve, N: int) -> tuple[np.ndarray, ...]:
     """Matrix of each variable on the cohomology generators ``gens``.
 
     ``mults[j]`` multiplies by variable j on one block of rho monomial
     coordinates, and the ambient free module is rk such blocks: one
     product moves every block, ``embed`` takes the images to quotient
-    coordinates, and one solve against ``solver`` (the embedded
-    generators, one per row) writes all g images in the generators.
+    coordinates, and one ``solve`` of a dense 2-d right-hand side against
+    the embedded generators, one per row, writes all g images in the
+    generators.
     The dense reference for ``complexes._variable_actions``.
     """
     amb, g = gens.shape
@@ -932,7 +954,7 @@ def dense_variable_actions(mults, gens: np.ndarray, rk: int, embed, solver, N: i
     actions = []
     for mult in mults:
         moved = matmul_mod(mult, blocks, N).reshape(rho, rk, g).transpose(1, 0, 2)
-        x = solver.solve(embed(moved.reshape(amb, g)).T)
+        x = solve(embed(moved.reshape(amb, g)).T)
         if x is None:
             raise AssertionError("variable action left the cohomology span")
         actions.append(x.T)
@@ -970,11 +992,11 @@ def reference_all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         ek = embed(kernel)
         base = (p * ek) % N
         ek2 = reference_embed(smith_quotient(base, len(ek), p, m), ek) if base.any() else ek
-        chosen = _nakayama_choice(ek2, p, m)
+        chosen = _nakayama_choice(row_dicts(ek2, N), ek2.shape[1], p, m)
         gens = kernel[:, chosen]
         solver = DenseHowell(ek[:, chosen].T, p, m)
         mults = [dense_monomial_matrix(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q)]
-        actions = dense_variable_actions(mults, gens, rk, embed, solver, N)
+        actions = dense_variable_actions(mults, gens, rk, embed, solver.solve, N)
         out[degree] = FiniteModuleData(p, m, gens.shape[1], solver.kernel_rows().T, actions)
     return out
 
@@ -1170,7 +1192,7 @@ class TruncatedQuotient:
                 if prod:
                     rows.append(self._coords(prod))
         arr = np.array(rows, dtype=np.int64) if rows else np.zeros((0, len(self.basis)), dtype=np.int64)
-        self.core = HowellCore(arr, model.p, model.m, carry=False) if arr.size else None
+        self.core = howell_core(arr, model.p, model.m, carry=False) if arr.size else None
 
     def _coords(self, a) -> np.ndarray:
         v = np.zeros(len(self.index), dtype=np.int64)
