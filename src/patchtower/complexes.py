@@ -406,9 +406,9 @@ def cohomology(c: FreeComplex, degree: int) -> FiniteModuleData:
     with no elimination; one whose actions would pass 4 x
     ``MAX_EXPANDED_CELLS`` cells is refused with ``ExpansionTooLarge``.
     A top degree, with a differential in and none out, has its whole
-    ambient module as kernel: it is embedded as the scaled quotient
-    projection, with no identity matrix, and refused the same way when
-    its dense work would pass that bound.
+    ambient module as kernel, on unit columns kept as row dicts with no
+    identity matrix, and is refused the same way when its dense work
+    would pass that bound.
     """
     spec = c.spec
     if spec.kind == "graded":
@@ -501,19 +501,19 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
             qs = sm_in.quotient()
             width, embed = qs.summands, qs.embed_rows
         if sm_out is None:
-            # the kernel is the whole ambient module: its embedding is the
-            # scaled kept rows of U, and the generators are unit columns
+            # the kernel is the whole ambient module, on unit columns;
+            # the identity is its own transpose
             _check_top_degree(rk, amb, width)
-            kernel, count = None, amb
-            ek = qs.embedded_basis()
+            kernel = [{k: 1} for k in range(amb)]
+            krows = dict(enumerate(kernel))
         else:
             kernel = sm_out.kernel_columns()
-            count = len(kernel)
-            krows: dict[int, dict[int, int]] = {}
+            krows = {}
             for k, col in enumerate(kernel):
                 for i, x in col.items():
                     krows.setdefault(i, {})[k] = x
-            ek = embed(krows)
+        count = len(kernel)
+        ek = embed(krows)
 
         # residue coordinates modulo p * span(kernel) as well, so that
         # every column of ek2 is killed by p (Nakayama).  The quotient is
@@ -523,13 +523,13 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         sub = [ek[i] for i in sorted(ek)]
         base = [{k: y for k, x in row.items() if (y := p * x % N)} for row in sub]
         if any(base):
-            qs2 = smith_quotient(SparseMatrix.of_rows(base, count, N), len(sub), p, m)
+            qs2 = smith_quotient(SparseMatrix.of_rows(base, count), len(sub), p, m)
             ek2 = qs2.embed_rows(dict(enumerate(sub)))
             ek2 = [ek2.get(i, {}) for i in range(qs2.summands)]
         else:
             ek2 = sub
         chosen = _nakayama_choice(ek2, count, p, m)
-        gens = [{k: 1} for k in chosen] if kernel is None else [kernel[k] for k in chosen]
+        gens = [kernel[k] for k in chosen]
         at = {k: g for g, k in enumerate(chosen)}
         picked = ((i, {at[k]: x for k, x in row.items() if k in at}) for i, row in ek.items())
         solver = HowellCore(_transpose(picked, len(chosen)), width, p, m)

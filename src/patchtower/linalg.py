@@ -16,11 +16,9 @@ Two layers:
   is built unless a caller asks for it.
 
 One sparse type, ``SparseMatrix`` (a matrix over Z/N by its nonzero
-entries), carries a sparse matrix across the numpy boundaries of this
-layer: scalar expansions into the Smith kernel, the kept rows of its
-row transform that give quotient coordinates, and the transform rows
-and columns that a caller reads dense.  Its one product with a dense
-vector or matrix is exact: each term is reduced mod N before the sum.
+entries), carries a sparse matrix into this layer: the scalar
+expansions and other inputs of the Smith kernel, and the variable
+matrices that cohomology gathers columns from or writes block diagonal.
 The Smith kernel is a sparse-row elimination in Python integers: the
 scalar expansions it diagonalizes are almost empty (a padded 486 x 486
 differential has 487 nonzeros), so it fills its row dicts straight
@@ -29,11 +27,13 @@ nonzero residues, visits only the rows that meet the pivot column, and
 finds pivots with one forward-only cursor per valuation layer.  Howell
 forms run the same way, on ``{column: residue}`` row dicts in Python
 integers with a column index of the rows, and take their input rows
-and their right-hand sides as such dicts; the quotient coordinates of
-a matrix kept by its nonempty row dicts are
+and their right-hand sides as such dicts.  A Smith quotient keeps the
+kept rows of U as the kernel leaves them, as such dicts: the quotient
+coordinates of a dense vector or matrix are sums over them in Python
+integers, and those of a matrix kept by its nonempty row dicts are
 ``QuotientStructure.embed_rows``.  Only what a caller reads itself
-(the dense U, V, kernel columns or quotient projection, the Howell and
-kernel rows, a solve's result) is made dense.  Every dense matrix
+(the quotient projection, the Howell and kernel rows, a solve's
+result) is made dense.  Every dense matrix
 product over Z/p^m goes through ``matmul_mod``, which picks one of two
 exact paths by the largest partial sum the product can reach: float32
 BLAS below 2^24, Python integers past it.
@@ -91,12 +91,6 @@ class Matrix:
     def zero(cls, spec: RingSpec, rows: int, cols: int) -> "Matrix":
         z = RingTowerElement.zero(spec)
         return cls(spec, [[z] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def identity(cls, spec: RingSpec, size: int) -> "Matrix":
-        z = RingTowerElement.zero(spec)
-        o = RingTowerElement.one(spec)
-        return cls(spec, [[o if i == j else z for j in range(size)] for i in range(size)])
 
     # -- structure -----------------------------------------------------
 
@@ -204,16 +198,15 @@ def matmul_mod(a, b, N: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """A matrix over Z/N, N = ``modulus``, by its nonzero entries.
+    """A matrix over Z/N by its nonzero entries.
 
     Entry (rows[k], cols[k]) is vals[k], a residue in (0, N), and each
     cell is listed once, in no set order.  ``size`` counts the dense
-    cells, which are written only by ``dense`` and ``block_diagonal``,
-    for a caller that reads them.
+    cells, which are written only by ``block_diagonal``, for a caller
+    that reads them.
     """
 
     shape: tuple[int, int]
-    modulus: int
     rows: np.ndarray = field(repr=False)
     cols: np.ndarray = field(repr=False)
     vals: np.ndarray = field(repr=False)
@@ -232,16 +225,16 @@ class SparseMatrix:
             keys, vals = keys[starts], np.add.reduceat(vals, starts) % N
         keep = vals != 0
         rows, cols = np.divmod(keys[keep], width)
-        return cls(tuple(shape), N, rows, cols, vals[keep])
+        return cls(tuple(shape), rows, cols, vals[keep])
 
     @classmethod
-    def of_rows(cls, vectors: list[dict[int, int]], width: int, N: int) -> "SparseMatrix":
+    def of_rows(cls, vectors: list[dict[int, int]], width: int) -> "SparseMatrix":
         """The len(vectors) x width matrix whose row i is the dict
         ``vectors[i]`` of {column: residue}, as the Smith kernel keeps it."""
         rows = [i for i, row in enumerate(vectors) for _ in row]
         cols = [c for row in vectors for c in row]
         vals = [x for row in vectors for x in row.values()]
-        return cls((len(vectors), width), N, *(np.array(x, dtype=np.int64) for x in (rows, cols, vals)))
+        return cls((len(vectors), width), *(np.array(x, dtype=np.int64) for x in (rows, cols, vals)))
 
     @classmethod
     def of_dense(cls, a: np.ndarray, N: int) -> "SparseMatrix":
@@ -249,16 +242,11 @@ class SparseMatrix:
         flat = _residues(a, N).ravel()
         at = np.flatnonzero(flat != 0)  # several times faster than np.nonzero(a)
         rows, cols = np.divmod(at, max(a.shape[1], 1))
-        return cls(a.shape, N, rows, cols, flat[at])
+        return cls(a.shape, rows, cols, flat[at])
 
     @property
     def size(self) -> int:
         return self.shape[0] * self.shape[1]
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.int64)
-        out[self.rows, self.cols] = self.vals
-        return out
 
     def block_diagonal(self, blocks: int) -> np.ndarray:
         """The dense I_blocks (x) self, written in one scatter."""
@@ -266,19 +254,6 @@ class SparseMatrix:
         out = np.zeros((blocks * r, blocks * c), dtype=np.int64)
         out[(at * r + self.rows).ravel(), (at * c + self.cols).ravel()] = np.tile(self.vals, blocks)
         return out
-
-    def product(self, x) -> np.ndarray:
-        """``self @ x`` mod N, exactly, for a vector or 2-d x of any int64
-        entries: x is reduced into [0, N) and each term mod N before the
-        terms of a row are summed, so a row sum stays below width * N.
-        ``_modulus`` keeps (N - 1)^2 below 2^63, so N is below 2^31.5 and
-        the sum fits int64 for every width below 2^31.5, past any x that
-        fits in memory."""
-        N = self.modulus
-        x = _residues(x, N)
-        out = np.zeros(self.shape[:1] + x.shape[1:], dtype=np.int64)
-        np.add.at(out, self.rows, self.vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.cols] % N)
-        return out % N
 
 
 def _valuation(x: int, p: int) -> int:
@@ -499,17 +474,18 @@ class QuotientStructure:
     """Canonical coordinates on (Z/p^m)^ambient modulo a column span.
 
     Coordinate i of x, one per cyclic summand, is ``rows[i] . x`` taken
-    modulo p**exponents[i].  ``rows``, a summands x ambient
-    ``SparseMatrix``, holds the kept rows of the Smith row transform, and
-    every coordinate comes from its one exact ``product``.
-    ``projection``, the dense summands x ambient matrix, is built only
-    for a caller that reads it.
+    modulo p**exponents[i].  ``rows`` holds the kept rows of the Smith
+    row transform as the kernel leaves them, one ``{index: residue}``
+    dict of nonzero entries per summand, and every coordinate is a sum
+    over one of them.  ``projection``, the dense summands x ambient
+    matrix, is built only for a caller that reads it.
     """
 
     p: int
     m: int
+    ambient: int
     exponents: tuple[int, ...]
-    rows: SparseMatrix = field(repr=False)
+    rows: list[dict[int, int]] = field(repr=False)
 
     @property
     def summands(self) -> int:
@@ -517,43 +493,42 @@ class QuotientStructure:
 
     @cached_property
     def projection(self) -> np.ndarray:
-        return self.rows.dense()
+        return _dense_rows(self.rows, self.ambient)
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
+    def coords(self, x) -> np.ndarray:
         """Quotient coordinates of x, or of each column of a 2-d x; they
-        all vanish exactly when x lies in the column span."""
-        out = self.rows.product(x)
-        moduli = self.p ** np.array(self.exponents, dtype=np.int64)
-        return out % moduli.reshape((-1,) + (1,) * (out.ndim - 1))
+        all vanish exactly when x lies in the column span.  Each is a sum
+        in Python integers, reduced mod p^e once, so it is exact for any
+        int64 x."""
+        x = np.asarray(x, dtype=np.int64)
+        vecs = x.T.tolist() if x.ndim == 2 else [x.tolist()]
+        moduli = [self.p**e for e in self.exponents]
+        out = [[sum(u * v[c] for c, u in row.items()) % q for v in vecs] for row, q in zip(self.rows, moduli)]
+        out = np.array(out, dtype=np.int64).reshape(self.summands, len(vecs))
+        return out if x.ndim == 2 else out[:, 0]
 
     def embed_rows(self, x: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
         """The quotient coordinates of each column of the matrix whose row
         c is the dict ``x[c]`` of its nonzero residues (absent when zero),
         scaled into (Z/p^m)^summands, where the summand of order p^e sits
         as p^(m - e) Z/p^m: row i of the result is p^(m - e_i) times the
-        sum of rows[i, c] x[c], reduced mod p^m.  Only its nonempty rows
+        sum of rows[i][c] x[c], reduced mod p^m.  Only its nonempty rows
         are returned, as dicts."""
         p, m = self.p, self.m
         N = p**m
         out: dict[int, dict[int, int]] = {}
-        for i, c, u in zip(self.rows.rows.tolist(), self.rows.cols.tolist(), self.rows.vals.tolist()):
-            xc = x.get(c)
-            if xc:
-                _axpy(out.setdefault(i, {}), N - u, list(xc.items()), N)
-        for i, row in list(out.items()):
-            s = p ** (m - self.exponents[i])
-            if s != 1:
+        for i, (urow, e) in enumerate(zip(self.rows, self.exponents)):
+            row: dict[int, int] = {}
+            for c, u in urow.items():
+                xc = x.get(c)
+                if xc:
+                    _axpy(row, N - u, xc.items(), N)
+            if e != m:
+                s = p ** (m - e)
                 row = {k: z for k, y in row.items() if (z := y * s % N)}
             if row:
                 out[i] = row
-            else:
-                del out[i]
         return out
-
-    def embedded_basis(self) -> dict[int, dict[int, int]]:
-        """``embed_rows`` of the ambient identity: the scaled kept rows,
-        with no product."""
-        return self.embed_rows({c: {c: 1} for c in self.rows.cols.tolist()})
 
     def divisors(self) -> tuple[int, ...]:
         return tuple(sorted(self.p**e for e in self.exponents))
@@ -566,8 +541,8 @@ class SmithData:
     The transforms are kept as the kernel left them: ``u_rows[i]`` is row
     i of U and ``v_cols[j]`` column j of V (None when V was not tracked),
     each a ``{index: residue}`` dict of its nonzero entries.  ``quotient``
-    and ``kernel_columns`` read only the rows and columns they return;
-    the dense ``U`` and ``V`` are built on first access.
+    hands on the kept rows of U as they are, and ``kernel_columns``
+    reads only the columns of V that it returns.
     """
 
     p: int
@@ -577,14 +552,6 @@ class SmithData:
     pivot_vals: tuple[int, ...]
     u_rows: list[dict[int, int]] = field(repr=False)
     v_cols: list[dict[int, int]] | None = field(repr=False)
-
-    @cached_property
-    def U(self) -> np.ndarray:
-        return SparseMatrix.of_rows(self.u_rows, self.rows, self.p**self.m).dense()
-
-    @cached_property
-    def V(self) -> np.ndarray | None:
-        return None if self.v_cols is None else SparseMatrix.of_rows(self.v_cols, self.cols, self.p**self.m).dense().T
 
     def _kept(self, n: int) -> tuple[list[int], tuple[int, ...]]:
         """The pivots of positive exponent and every index past the pivots
@@ -597,8 +564,7 @@ class SmithData:
         """Canonical coordinates of (Z/p^m)^rows modulo the column span:
         the kept rows of U, each with the exponent of its summand."""
         kept, exponents = self._kept(self.rows)
-        rows = SparseMatrix.of_rows([self.u_rows[i] for i in kept], self.rows, self.p**self.m)
-        return QuotientStructure(self.p, self.m, exponents, rows)
+        return QuotientStructure(self.p, self.m, self.rows, exponents, [self.u_rows[i] for i in kept])
 
     def kernel_columns(self) -> list[dict[int, int]]:
         """Columns generating {v : A v = 0}, from the diagonal form: the
@@ -791,7 +757,7 @@ def _monomial_expansion(spec: RingSpec, exps: tuple[int, ...]) -> SparseMatrix:
         cols = (cols[:, None] * B + c).ravel()
         vals = (vals[:, None] * v % N).ravel()
     keep = vals != 0
-    return SparseMatrix((rho, rho), N, rows[keep], cols[keep], vals[keep])
+    return SparseMatrix((rho, rho), rows[keep], cols[keep], vals[keep])
 
 
 @lru_cache(maxsize=64)

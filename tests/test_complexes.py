@@ -45,6 +45,7 @@ from util import (
     reference_all_cohomology,
     reference_solve,
     row_dicts,
+    sparse_dense,
 )
 
 F3T = make_patch_ring(3, 1, 1, 1)
@@ -348,7 +349,7 @@ class TestVariableActions:
                     out[i, list(row)] = list(row.values())
                 return out
 
-            dense = [mult.dense() for mult in mults]
+            dense = [sparse_dense(mult) for mult in mults]
             embed_, gens = dense_embed, _dense_rows(gens, rk * spec.coefficient_rank).T
             want = reference_variable_actions(dense, gens, rk, embed_, solver, spec.modulus)
             assert len(got) == len(want) == spec.q
@@ -497,8 +498,8 @@ def tall_complex(spec, rank: int):
 
 class TestTopDegrees:
     """A degree with a differential in and none out: its kernel is the
-    whole ambient module, embedded as the scaled quotient projection,
-    with unit columns at the Nakayama choice as generators."""
+    whole ambient module on unit columns, kept as row dicts and embedded
+    like any other kernel, with no ambient identity matrix."""
 
     @pytest.mark.parametrize("spec", FREE_SPECS, ids=lambda s: f"p{s.p}-m{s.m}-n{s.n}-q{s.q}")
     def test_no_ambient_identity(self, spec):

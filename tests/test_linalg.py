@@ -38,6 +38,7 @@ from util import (
     random_patch_complex,
     dense_echelon,
     howell_core,
+    identity_matrix,
     reference_coords,
     reference_echelon,
     reference_embed,
@@ -45,6 +46,9 @@ from util import (
     reference_solve,
     row_dicts,
     run_under_memory_limit,
+    smith_u,
+    smith_v,
+    sparse_dense,
     transform_rows,
 )
 
@@ -301,7 +305,7 @@ def ring_elements(draw, spec):
 
 def multiplication_matrix(x: RingTowerElement) -> np.ndarray:
     """The dense matrix of multiplication by x: its 1 x 1 expansion."""
-    return expand_scalars(Matrix(x.spec, [[x]])).dense()
+    return sparse_dense(expand_scalars(Matrix(x.spec, [[x]])))
 
 
 class TestExpandScalars:
@@ -337,10 +341,10 @@ class TestExpandScalars:
             Matrix(spec, [[data.draw(ring_elements(spec)) for _ in range(2)] for _ in range(2)])
             for _ in range(2)
         )
-        ea, eb = expand_scalars(a).dense(), expand_scalars(b).dense()
-        assert np.array_equal(expand_scalars(a @ b).dense(), matmul_mod(ea, eb, N))
+        ea, eb = sparse_dense(expand_scalars(a)), sparse_dense(expand_scalars(b))
+        assert np.array_equal(sparse_dense(expand_scalars(a @ b)), matmul_mod(ea, eb, N))
         total = Matrix(spec, [[a[i, j] + b[i, j] for j in range(2)] for i in range(2)])
-        assert np.array_equal(expand_scalars(total).dense(), (ea + eb) % N)
+        assert np.array_equal(sparse_dense(expand_scalars(total)), (ea + eb) % N)
 
     @pytest.mark.parametrize("which", ["zero", "one", "variable"])
     def test_graded_rings_are_refused(self, which):
@@ -365,7 +369,8 @@ class TestExpandScalars:
             "from patchtower.linalg import Matrix, _monomial_expansion, expand_scalars",
             "from patchtower.rings import RingTowerElement, make_patch_ring",
             "spec = make_patch_ring(3, 2, 3, 3)",
-            "for call in (lambda: expand_scalars(Matrix.identity(spec, 2)),",
+            "o, z = RingTowerElement.one(spec), RingTowerElement.zero(spec)",
+            "for call in (lambda: expand_scalars(Matrix(spec, [[o, z], [z, o]])),",
             "             lambda: _monomial_expansion(spec, (1, 0, 0))):",
             "    try:",
             "        call()",
@@ -378,17 +383,17 @@ class TestExpandScalars:
     def test_multiplication_by_t(self):
         spec = make_patch_ring(3, 1, 1, 1)
         t = RingTowerElement.variable(spec, 0)
-        got = expand_scalars(Matrix(spec, [[t]])).dense()
+        got = sparse_dense(expand_scalars(Matrix(spec, [[t]])))
         assert got.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
 
     def test_identity_expands_to_identity(self):
         spec = make_patch_ring(3, 1, 1, 1)
-        got = expand_scalars(Matrix.identity(spec, 2)).dense()
+        got = sparse_dense(expand_scalars(identity_matrix(spec, 2)))
         assert (got == np.eye(6, dtype=np.int64)).all()
 
     def test_no_variables_is_trivial(self):
         spec = make_patch_ring(3, 2, 1, 0)
-        got = expand_scalars(int_matrix(spec, [[5]])).dense()
+        got = sparse_dense(expand_scalars(int_matrix(spec, [[5]])))
         assert got.tolist() == [[5]]
 
     def test_functorial_on_products_and_sums(self):
@@ -403,18 +408,18 @@ class TestExpandScalars:
         for _ in range(10):
             a = Matrix(spec, [[rand_elem(), rand_elem()], [rand_elem(), rand_elem()]])
             b = Matrix(spec, [[rand_elem(), rand_elem()], [rand_elem(), rand_elem()]])
-            ea, eb = expand_scalars(a).dense(), expand_scalars(b).dense()
-            assert (expand_scalars(a @ b).dense() == (ea @ eb) % 4).all()
+            ea, eb = sparse_dense(expand_scalars(a)), sparse_dense(expand_scalars(b))
+            assert (sparse_dense(expand_scalars(a @ b)) == (ea @ eb) % 4).all()
             sum_entries = [
                 [a.entries[i][j] + b.entries[i][j] for j in range(2)] for i in range(2)
             ]
-            assert (expand_scalars(Matrix(spec, sum_entries)).dense() == (ea + eb) % 4).all()
+            assert (sparse_dense(expand_scalars(Matrix(spec, sum_entries))) == (ea + eb) % 4).all()
 
     def test_units_expand_to_invertible(self):
         spec = make_patch_ring(3, 1, 1, 1)
         one_plus_t = RingTowerElement.one(spec) + RingTowerElement.variable(spec, 0)
-        e = expand_scalars(Matrix(spec, [[one_plus_t]])).dense()
-        inv = expand_scalars(Matrix(spec, [[one_plus_t.invert()]])).dense()
+        e = sparse_dense(expand_scalars(Matrix(spec, [[one_plus_t]])))
+        inv = sparse_dense(expand_scalars(Matrix(spec, [[one_plus_t.invert()]])))
         assert ((e @ inv) % 3 == np.eye(3, dtype=np.int64)).all()
 
 
@@ -429,10 +434,10 @@ EXPANSION_SPECS = SMALL_PATCH_SPECS + [
 
 @st.composite
 def sparse_cases(draw):
-    """A matrix of residues mod N of any shape, empty ones and rows with
-    no entries included, and a vector or 2-d block of any int64 entries
-    (negative, past N, near int64's bounds) to multiply it with; N runs
-    up to 3^19, whose residues have products near 2^60."""
+    """A matrix of residues mod N = p^m of any shape, empty ones and rows
+    with no entries included, and a vector or 2-d block of any int64
+    entries (negative, past N, near int64's bounds) to multiply it with;
+    N runs up to 3^19, whose residues have products near 2^60."""
     p, m = draw(st.sampled_from([(2, 2), (3, 2), (5, 1), (3, 19)]))
     N = p**m
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 8))
@@ -442,7 +447,7 @@ def sparse_cases(draw):
     shape = (cols,) if k is None else (cols, k)
     entry = st.one_of(st.integers(-3 * N, 3 * N), st.integers(N - 3, N + 3), st.integers(INT64_MIN, INT64_MAX))
     x = draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape)))
-    return a.reshape(rows, cols), np.array(x, dtype=np.int64).reshape(shape), N
+    return a.reshape(rows, cols), np.array(x, dtype=np.int64).reshape(shape), p, m
 
 
 def sparse_forms(a: np.ndarray, N: int) -> list[SparseMatrix]:
@@ -456,7 +461,7 @@ def sparse_forms(a: np.ndarray, N: int) -> list[SparseMatrix]:
     return [
         SparseMatrix.of_dense(a, N),
         SparseMatrix.of_entries(a.shape, N, *twice),
-        SparseMatrix.of_rows(by_rows, a.shape[1], N),
+        SparseMatrix.of_rows(by_rows, a.shape[1]),
     ]
 
 
@@ -467,26 +472,30 @@ class TestSparseExpansion:
 
     @given(sparse_cases())
     # 8 terms of (3^19 - 1)^2 pass 2^63 unless each is reduced first
-    @example((np.full((2, 8), 3**19 - 1), np.full((8, 3), -1), 3**19))
-    @example((np.full((2, 8), 3**19 - 2), np.full(8, 3**19 - 2), 3**19))
+    @example((np.full((2, 8), 3**19 - 1), np.full((8, 3), -1), 3, 19))
+    @example((np.full((2, 8), 3**19 - 2), np.full(8, 3**19 - 2), 3, 19))
     # empty shapes, ambient 0 among them, and rows with no entries
-    @example((np.zeros((0, 4), dtype=np.int64), np.arange(4) - 5, 9))
-    @example((np.zeros((4, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64), 9))
-    @example((np.zeros((0, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64), 9))
-    @example((np.array([[0, 0, 0], [0, 4, 0], [0, 0, 0]]), np.array([[5, -1], [7, 20], [8, 9]]), 9))
+    @example((np.zeros((0, 4), dtype=np.int64), np.arange(4) - 5, 3, 2))
+    @example((np.zeros((4, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64), 3, 2))
+    @example((np.zeros((0, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64), 3, 2))
+    @example((np.array([[0, 0, 0], [0, 4, 0], [0, 0, 0]]), np.array([[5, -1], [7, 20], [8, 9]]), 3, 2))
     @settings(max_examples=300, deadline=None)
     def test_constructors_and_product_match_dense(self, case):
-        a, x, N = case
-        want = (a.astype(object) @ x.astype(object)) % N
+        a, x, p, m = case
+        N = p**m
         for sparse in sparse_forms(a, N):
             assert (sparse.shape, sparse.size) == (a.shape, a.size)
-            assert np.array_equal(sparse.dense(), a)
+            assert np.array_equal(sparse_dense(sparse), a)
             # each nonzero cell once, a residue
             assert sparse.vals.size == np.count_nonzero(a) and ((sparse.vals > 0) & (sparse.vals < N)).all()
             assert np.array_equal(sparse.block_diagonal(2), np.kron(np.eye(2, dtype=np.int64), a))
-            got = sparse.product(x)
-            assert got.dtype == np.int64 and got.shape == want.shape
-            assert np.array_equal(got, want.astype(np.int64))
+        # the product, as the coordinates of a quotient whose kept rows are
+        # the rows of a, each a summand of order N
+        by_rows = [{j: int(y) for j, y in enumerate(row) if y} for row in a]
+        got = QuotientStructure(p, m, a.shape[1], (m,) * a.shape[0], by_rows).coords(x)
+        want = (a.astype(object) @ x.astype(object)) % N
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want.astype(np.int64))
 
     @pytest.mark.parametrize("spec", EXPANSION_SPECS, ids=lambda s: f"p{s.p}-m{s.m}-n{s.n}-q{s.q}")
     def test_random_differentials_match_dense_reference(self, spec):
@@ -496,7 +505,7 @@ class TestSparseExpansion:
             for d in random_patch_complex(random.Random(seed), spec, max_rank=3).diffs:
                 got, want = expand_scalars(d), dense_expand_scalars(d)
                 assert got.shape == want.shape and got.size == want.size
-                assert np.array_equal(got.dense(), want)
+                assert np.array_equal(sparse_dense(got), want)
                 # each nonzero cell once, a residue, in row-major order
                 keys = got.rows * got.shape[1] + got.cols
                 assert (np.diff(keys) > 0).all()
@@ -517,9 +526,9 @@ class TestSparseExpansion:
         spec = make_patch_ring(3, 2, 1, 1)
         x = RingTowerElement(spec, {(2,): 1, (1,): 3})
         got = expand_scalars(Matrix(spec, [[x]]))
-        assert np.array_equal(got.dense(), reference_multiplication_matrix(x))
-        assert got.dense()[2, 1] == 0 and (2, 1) not in set(zip(got.rows.tolist(), got.cols.tolist()))
-        assert got.dense()[1, 1] == 6
+        assert np.array_equal(sparse_dense(got), reference_multiplication_matrix(x))
+        assert sparse_dense(got)[2, 1] == 0 and (2, 1) not in set(zip(got.rows.tolist(), got.cols.tolist()))
+        assert sparse_dense(got)[1, 1] == 6
 
     def test_product_reduces_each_term(self):
         # int64 products of residues near 3^19 would wrap if summed unreduced
@@ -527,9 +536,13 @@ class TestSparseExpansion:
         N = spec.modulus
         x = RingTowerElement(spec, {(0,): N - 1, (1,): N - 2, (2,): N - 1})
         a = expand_scalars(Matrix(spec, [[x]]))
+        assert ((a.vals > 0) & (a.vals < N)).all()
+        # and its product, as the coordinates of a quotient whose kept rows
+        # are its rows, each a summand of order N
         vec = np.full((3, 2), N - 1, dtype=np.int64)
-        want = (a.dense().astype(object) @ vec.astype(object)) % N
-        assert np.array_equal(a.product(vec), want.astype(np.int64))
+        want = (sparse_dense(a).astype(object) @ vec.astype(object)) % N
+        by_rows = [{j: int(y) for j, y in enumerate(row) if y} for row in sparse_dense(a)]
+        assert np.array_equal(QuotientStructure(3, 19, 3, (19,) * 3, by_rows).coords(vec), want.astype(np.int64))
 
 
 class TestDivisors:
@@ -662,9 +675,9 @@ def assert_smith_witness(a: np.ndarray, p: int, m: int) -> None:
     d = np.zeros((rows, cols), dtype=object)
     for i, v in enumerate(sd.pivot_vals):
         d[i, i] = p**v
-    assert ((exact_product(exact_product(sd.U, a), sd.V) - d) % N == 0).all()
-    assert rank_mod_p(sd.U, p) == rows
-    assert rank_mod_p(sd.V, p) == cols
+    assert ((exact_product(exact_product(smith_u(sd), a), smith_v(sd)) - d) % N == 0).all()
+    assert rank_mod_p(smith_u(sd), p) == rows
+    assert rank_mod_p(smith_v(sd), p) == cols
     assert list(sd.pivot_vals) == sorted(sd.pivot_vals)
 
 
@@ -674,7 +687,7 @@ def padded_expansion(p: int, m: int, n: int, seed: int) -> np.ndarray:
     spec = make_patch_ring(p, m, n, 1)
     t = RingTowerElement.variable(spec, 0)
     one, zero = RingTowerElement.one(spec), RingTowerElement.zero(spec)
-    a = expand_scalars(Matrix(spec, [[t, zero], [zero, one]])).dense()
+    a = sparse_dense(expand_scalars(Matrix(spec, [[t, zero], [zero, one]])))
     rng = np.random.default_rng(seed)
     return a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])]
 
@@ -725,8 +738,8 @@ class TestSmithTransforms:
         for given_as in (a, sparse_of(a, p**m)):
             sd = smith_transforms(given_as, rows, p, m, track_v=True)
             assert sd.pivot_vals == pivot_vals
-            assert np.array_equal(sd.U, U)
-            assert np.array_equal(sd.V, V)
+            assert np.array_equal(smith_u(sd), U)
+            assert np.array_equal(smith_v(sd), V)
         assert elementary_divisors(a, rows, p, m) == reference_divisors(a, rows, p, m)
 
     def test_padded_level_five_differential(self):
@@ -736,7 +749,7 @@ class TestSmithTransforms:
         one, zero = RingTowerElement.one(spec), RingTowerElement.zero(spec)
         a = expand_scalars(Matrix(spec, [[t, zero], [zero, one]]))
         assert (a.shape, a.vals.size) == ((486, 486), 487)
-        assert_smith_witness(a.dense(), 3, 2)
+        assert_smith_witness(sparse_dense(a), 3, 2)
 
 
 def reference_quotient(pivot_vals, U: np.ndarray, p: int, m: int):
@@ -771,15 +784,15 @@ def assert_matches_reference(a: np.ndarray, p: int, m: int) -> None:
     for track_v, given_as in itertools.product((True, False), (a, sparse_of(a, p**m))):
         sd = smith_transforms(given_as, rows, p, m, track_v=track_v)
         assert sd.pivot_vals == pivot_vals
-        assert np.array_equal(sd.U, U)
+        assert np.array_equal(smith_u(sd), U)
         qs = sd.quotient()
         assert qs.exponents == exponents
         assert np.array_equal(qs.projection, projection)
         if track_v:
-            assert np.array_equal(sd.V, V)
+            assert np.array_equal(smith_v(sd), V)
             assert np.array_equal(dense_column_kernel(sd), reference_column_kernel(pivot_vals, V, p, m))
         else:
-            assert sd.V is None
+            assert smith_v(sd) is None
 
 
 class TestSmithAtRealShapes:
@@ -805,13 +818,13 @@ class TestSmithAtRealShapes:
         assert [a.shape for a in mats] == shapes
         N = spec.modulus
         for sparse, d in zip(mats, diffs):
-            a = sparse.dense()
+            a = sparse_dense(sparse)
             assert np.array_equal(a, dense_expand_scalars(d))
             # the expansion itself, as the cohomology path hands it over
             want = smith_transforms(a, a.shape[0], spec.p, spec.m, track_v=True)
             got = smith_transforms(sparse, a.shape[0], spec.p, spec.m, track_v=True)
             assert got.pivot_vals == want.pivot_vals
-            assert np.array_equal(got.U, want.U) and np.array_equal(got.V, want.V)
+            assert np.array_equal(smith_u(got), smith_u(want)) and np.array_equal(smith_v(got), smith_v(want))
             assert_matches_reference(a, spec.p, spec.m)
             # a multiple of p puts every pivot past layer 0
             assert_matches_reference(a * spec.p % N, spec.p, spec.m)
@@ -972,7 +985,7 @@ class TestSparseQuotientCoords:
                 assert np.array_equal(embed_dense(qs, x), reference_embed(qs, x))
 
     def test_rows_without_terms(self):
-        qs = QuotientStructure(3, 2, (2, 1, 2), SparseMatrix.of_rows([{}, {1: 4}, {}], 3, 9))
+        qs = QuotientStructure(3, 2, 3, (2, 1, 2), [{}, {1: 4}, {}])
         x = np.array([[5, -1], [7, 20], [8, 9]], dtype=np.int64)
         assert np.array_equal(qs.coords(x), reference_coords(qs, x))
         assert np.array_equal(embed_dense(qs, x), reference_embed(qs, x))
@@ -988,7 +1001,7 @@ class TestSparseQuotientCoords:
         assert width * (N - 17) ** 2 > INT64_MAX
         rows = [{j: N - 1 - (i + j) % 5 for j in range(width)} for i in range(3)]
         exponents = (m, 1, m)
-        qs = QuotientStructure(p, m, exponents, SparseMatrix.of_rows(rows, width, N))
+        qs = QuotientStructure(p, m, width, exponents, rows)
         # the last column keeps each reduced term near N, and so the sum
         x = np.array([[N - 1 - (j * k) % 7 for k in range(3)] + [1 + j % 2] for j in range(width)], dtype=np.int64)
         exact = (qs.projection.astype(object) @ x.astype(object)) % N

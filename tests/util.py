@@ -21,6 +21,7 @@ from patchtower.linalg import (
     HowellCore,
     Matrix,
     QuotientStructure,
+    SmithData,
     SparseMatrix,
     _as_array,
     _dense_rows,
@@ -44,6 +45,29 @@ def monomial_basis(spec: RingSpec) -> list[tuple[int, ...]]:
 def int_matrix(spec: RingSpec, rows) -> Matrix:
     """The matrix of constant ring elements with the given integer rows."""
     return Matrix(spec, [[RingTowerElement.constant(spec, int(x)) for x in row] for row in rows])
+
+
+def identity_matrix(spec: RingSpec, size: int) -> Matrix:
+    """The size x size identity matrix over ``spec``."""
+    z, o = RingTowerElement.zero(spec), RingTowerElement.one(spec)
+    return Matrix(spec, [[o if i == j else z for j in range(size)] for i in range(size)])
+
+
+def sparse_dense(a: SparseMatrix) -> np.ndarray:
+    """The dense int64 array of a ``SparseMatrix``."""
+    out = np.zeros(a.shape, dtype=np.int64)
+    out[a.rows, a.cols] = a.vals
+    return out
+
+
+def smith_u(sd: SmithData) -> np.ndarray:
+    """The dense row transform U of ``sd``."""
+    return _dense_rows(sd.u_rows, sd.rows)
+
+
+def smith_v(sd: SmithData) -> np.ndarray | None:
+    """The dense column transform V of ``sd``, or None when it was not tracked."""
+    return None if sd.v_cols is None else _dense_rows(sd.v_cols, sd.cols).T
 
 
 def euler_characteristic(c: FreeComplex) -> int:
@@ -806,7 +830,7 @@ def embed_dense(qs: QuotientStructure, x: np.ndarray) -> np.ndarray:
 
 def dense_column_kernel(sd) -> np.ndarray:
     """``SmithData.kernel_columns`` as a dense cols x kernel array."""
-    return SparseMatrix.of_rows(sd.kernel_columns(), sd.cols, sd.p**sd.m).dense().T
+    return _dense_rows(sd.kernel_columns(), sd.cols).T
 
 
 def reference_rewrite_rule(p: int, m: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -922,7 +946,7 @@ def dense_expand_scalars(a: Matrix) -> np.ndarray:
     Returns the (rows*rho) x (cols*rho) integer matrix of the same map
     on underlying free Z/p^m-modules, rho = p^(n q).  Functorial:
     expand(AB) = expand(A) @ expand(B) mod p^m.  The dense reference:
-    ``linalg.expand_scalars(a).dense()`` must give the same array.
+    ``sparse_dense(linalg.expand_scalars(a))`` must give the same array.
     """
     spec = a.spec
     if spec.kind == "graded":
