@@ -17,7 +17,7 @@ from patchtower.linalg import Matrix
 from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
 from patchtower.patcher import certify, patch
 from patchtower.scenarios import ScenarioParams, gen_scenario
-from util import run_cli_under_memory_limit
+from util import run_cli_under_memory_limit, run_under_memory_limit
 
 
 def run(capsys, argv):
@@ -1085,3 +1085,63 @@ def test_gen_keeps_a_power_series_degree_that_patch_accepts(capsys, tmp_path):
     assert run(capsys, argv)[0] == 0
     code, out = run(capsys, ["patch", str(tmp_path / "tower.json"), "--format", "json"])
     assert code == 0 and "error" not in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="no-command"),
+        pytest.param(["bogus"], id="unknown-command"),
+        pytest.param(["gen", "--r", "1", "--out-dir", "x"], id="gen-without-q"),
+        pytest.param(["gen", "--q", "1", "--r", "1", "--seed", "1.5", "--out-dir", "x"], id="seed-not-an-int"),
+        pytest.param(["patch", "t.json", "--format", "xml"], id="format-not-a-choice"),
+        pytest.param(["patch", "t.json", "u.json"], id="extra-positional"),
+        pytest.param(["patch", "t.json", "--bogus"], id="unknown-option"),
+    ],
+)
+def test_argv_usage_error_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ") and ": error: " in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]], ids=["top-level", "gen"])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
+def test_abbreviated_and_inline_options_give_the_same_bytes(capsys, tmp_path):
+    argv = ["gen", "--q", "1", "--r", "1", "--precisions", "1", "2", "2", "--seed", "5", "--out-dir", str(tmp_path)]
+    assert run(capsys, argv)[0] == 0
+    tower = str(tmp_path / "tower.json")
+    spelled = run(capsys, ["patch", tower, "--precision", "2"])
+    assert spelled[0] == 0
+    assert run(capsys, ["patch", tower, "--prec", "2"]) == spelled
+    assert run(capsys, ["patch", tower, "--precision=2"]) == spelled
+    as_json = run(capsys, ["patch", "--format", "json", tower])
+    assert as_json[0] == 0
+    assert run(capsys, ["patch", "--format=json", tower]) == as_json
+
+
+def test_commands_import_nothing_after_the_cli_module(tmp_path):
+    # the cold cost of a command is its work: parsing the command line
+    # pulls in no module (argparse's gettext calls loaded locale)
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        "import patchtower.cli as cli",
+        "before = set(sys.modules)",
+        f"d = {str(tmp_path)!r}",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    gen = cli.main(['gen', '--q', '1', '--r', '1', '--precisions', '1', '2', '2', '--seed', '5', '--out-dir', d])",
+        "    patch = cli.main(['patch', d + '/tower.json'])",
+        "print(json.dumps([gen, patch, sorted(set(sys.modules) - before)]))",
+    ])
+    done = run_under_memory_limit(code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, 0, []]

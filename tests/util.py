@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import os
 import random
@@ -12,6 +13,7 @@ from pathlib import Path
 
 from patchtower import groebner as gb
 from patchtower import patcher
+from patchtower.cli import cmd_gen, cmd_invariants, cmd_minimize, cmd_patch, cmd_verify_ha
 from patchtower.complexes import FiniteModuleData, FreeComplex, _nakayama_choice, _zero_module, koszul_complex, make_complex
 from patchtower.errors import ExpansionTooLarge, SpecMismatch
 from patchtower.graded import GradedModule, _constant_at, matrix_columns, module_is_zero, presentation_data
@@ -31,7 +33,7 @@ from patchtower.linalg import (
     smith_transforms,
 )
 from patchtower.rings import RingSpec, RingTowerElement, base_change, make_patch_ring
-from patchtower.scenarios import ScenarioParams, _level_data, gen_scenario
+from patchtower.scenarios import PERTURBATIONS, ScenarioParams, _level_data, gen_scenario
 
 import numpy as np
 
@@ -1351,3 +1353,50 @@ def sheared_tower(precisions):
         change = (shear_matrix(cx.spec, size, idx), shear_matrix(cx.spec, size, -idx))
         refresh_level(tower, idx, params, transform_complex(cx, {mid: change}))
     return tower
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse tree the command line was parsed with before
+    ``cli.parse_args``; the differential tests read it as the reference."""
+    parser = argparse.ArgumentParser(
+        prog="patchtower",
+        description="exact verification of minimal complexes, graded invariants, and patching towers",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "text"), default="text")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_parser(name: str, **kw):
+        return sub.add_parser(name, parents=[common], **kw)
+
+    g = add_parser("gen", help="generate a scenario tower with its oracle sidecar")
+    g.add_argument("--p", type=int, default=3)
+    g.add_argument("--q", type=int, required=True)
+    g.add_argument("--r", type=int, required=True)
+    g.add_argument("--d", type=int, default=None)
+    g.add_argument("--precisions", type=int, nargs="*", default=None)
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--rank", type=int, default=1)
+    g.add_argument("--rinf-degree", type=int, default=2)
+    g.add_argument("--perturbation", choices=PERTURBATIONS, default=None)
+    g.add_argument("--out-dir", required=True)
+    g.set_defaults(func=cmd_gen)
+
+    v = add_parser("verify-ha", help="height-amplitude checks on a graded complex file")
+    v.add_argument("complex")
+    v.set_defaults(func=cmd_verify_ha)
+
+    i = add_parser("invariants", help="homological invariants of a graded module file")
+    i.add_argument("module")
+    i.set_defaults(func=cmd_invariants)
+
+    m = add_parser("minimize", help="canonical minimal form of a complex file")
+    m.add_argument("complex")
+    m.set_defaults(func=cmd_minimize)
+
+    pt = add_parser("patch", help="validate, patch and certify a tower file")
+    pt.add_argument("tower")
+    pt.add_argument("--precision", type=int, default=None)
+    pt.set_defaults(func=cmd_patch)
+
+    return parser
