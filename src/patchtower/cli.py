@@ -304,6 +304,11 @@ def _parse_command(cmd: str, argv: list[str]) -> SimpleNamespace:
         values = [_convert(cmd, name, spec, token) for token in tokens]
         args[_dest(name)] = values if spec.get("nargs") == "*" or not values else values[0]
         seen.add(name)
+    # an inline "--" leaves a one-value option no value, unless a later
+    # use of the option gives it one
+    for name, spec in options.items():
+        if spec.get("nargs") != "*" and args[_dest(name)] == []:
+            _fail(cmd, f"argument {name}: expected one argument")
     missing = [name for name, spec in options.items() if spec.get("required") and name not in seen]
     if pending:
         missing.append(pending)

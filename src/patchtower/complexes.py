@@ -17,13 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    ExpansionTooLarge,
-    NotAComplex,
-    ShapeMismatch,
-    SpecMismatch,
-    UnsupportedRing,
-)
+from .errors import NotAComplex, ShapeMismatch, SpecMismatch, UnsupportedRing
 from .linalg import (
     MAX_EXPANDED_CELLS,
     HowellCore,
@@ -32,6 +26,7 @@ from .linalg import (
     SparseMatrix,
     _echelon,
     _variable_expansions,
+    check_cells,
     expand_scalars,
     smith_quotient,
     smith_transforms,
@@ -120,31 +115,31 @@ def empty_complex(spec: RingSpec) -> FreeComplex:
     return FreeComplex(spec, 0, (), ())
 
 
-def direct_sum(a: FreeComplex, b: FreeComplex) -> FreeComplex:
-    if a.spec != b.spec:
+def direct_sum(*parts: FreeComplex) -> FreeComplex:
+    """The direct sum of one or more complexes over one ring, their blocks
+    in the order given: each differential is written block diagonal in
+    one pass, with no intermediate sums."""
+    spec = parts[0].spec
+    if any(c.spec != spec for c in parts):
         raise SpecMismatch("direct sum across different rings")
-    if a.is_empty():
-        return b
-    if b.is_empty():
-        return a
-    lo = min(a.lo, b.lo)
-    hi = max(a.hi, b.hi)
-    ranks = [a.rank(d) + b.rank(d) for d in range(lo, hi + 1)]
-    zero = RingTowerElement.zero(a.spec)
+    parts = [c for c in parts if not c.is_empty()] or parts[-1:]
+    if len(parts) == 1:
+        return parts[0]
+    lo = min(c.lo for c in parts)
+    hi = max(c.hi for c in parts)
+    ranks = [sum(c.rank(d) for c in parts) for d in range(lo, hi + 1)]
+    zero = RingTowerElement.zero(spec)
     diffs = []
     for d in range(lo, hi):
-        da, db = a.differential(d), b.differential(d)
-        rows = ranks[d - lo + 1]
-        cols = ranks[d - lo]
-        ent = [[zero] * cols for _ in range(rows)]
-        for i in range(da.rows):
-            for j in range(da.cols):
-                ent[i][j] = da.entries[i][j]
-        for i in range(db.rows):
-            for j in range(db.cols):
-                ent[da.rows + i][da.cols + j] = db.entries[i][j]
-        diffs.append(Matrix(a.spec, ent, cols))
-    return FreeComplex(a.spec, lo, ranks, diffs, _checked=True)
+        ent = [[zero] * ranks[d - lo] for _ in range(ranks[d - lo + 1])]
+        i = j = 0
+        for c in parts:
+            if c.lo <= d < c.hi:
+                for k, row in enumerate(c.diffs[d - c.lo].entries, i):
+                    ent[k][j : j + len(row)] = row
+            i, j = i + c.rank(d + 1), j + c.rank(d)
+        diffs.append(Matrix(spec, ent, ranks[d - lo]))
+    return FreeComplex(spec, lo, ranks, diffs, _checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +496,15 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
             qs = sm_in.quotient()
             width, embed = qs.summands, qs.embed_rows
         if sm_out is None:
-            # the kernel is the whole ambient module, on unit columns;
-            # the identity is its own transpose
-            _check_top_degree(rk, amb, width)
+            # the kernel is the whole ambient module, on unit columns; the
+            # identity is its own transpose.  The count is larger than the
+            # relations and the q g x g actions, g <= width, that are dense
+            check_cells(
+                2 * width * (amb + width), 4 * MAX_EXPANDED_CELLS,
+                "the cohomology of a top degree of rank {rk} ({amb} coordinates, {summands} summands,"
+                " {cells} cells) exceeds {limit} cells",
+                rk=rk, amb=amb, summands=width,
+            )
             kernel = [{k: 1} for k in range(amb)]
             krows = dict(enumerate(kernel))
         else:
@@ -540,22 +541,6 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
     return out
 
 
-def _check_top_degree(rk: int, amb: int, summands: int) -> None:
-    """Refuse a degree with no differential out whose count, 2 summands
-    (amb + summands) cells, passes 4 x ``MAX_EXPANDED_CELLS``, before
-    anything is allocated.  Only its relations and its q g x g actions,
-    g at most ``summands``, are dense; the generators, the embedded
-    kernel and the Howell work stay in row dicts, so the count is larger
-    than what is allocated.  It is kept as it is, since a bound fitted to
-    the dense arrays moves an exit code (ROADMAP item 5)."""
-    cells = 2 * summands * (amb + summands)
-    if cells > 4 * MAX_EXPANDED_CELLS:
-        raise ExpansionTooLarge(
-            f"the cohomology of a top degree of rank {rk} ({amb} coordinates, {summands} summands,"
-            f" {cells} cells) exceeds {4 * MAX_EXPANDED_CELLS} cells"
-        )
-
-
 def _free_module(spec: RingSpec, rk: int, mults: tuple[SparseMatrix, ...]) -> FiniteModuleData:
     """A degree with no differential in or out: its cohomology is the
     free module itself, on the standard basis with no relations, and
@@ -564,12 +549,11 @@ def _free_module(spec: RingSpec, rk: int, mults: tuple[SparseMatrix, ...]) -> Fi
     q amb^2 action cells, plus rk^2, are counted before anything is
     allocated."""
     amb = rk * spec.coefficient_rank
-    cells = len(mults) * amb * amb + rk * rk
-    if cells > 4 * MAX_EXPANDED_CELLS:
-        raise ExpansionTooLarge(
-            f"the actions on a free degree of rank {rk} ({len(mults)} x {amb}^2 cells)"
-            f" exceed {4 * MAX_EXPANDED_CELLS} cells"
-        )
+    check_cells(
+        len(mults) * amb * amb + rk * rk, 4 * MAX_EXPANDED_CELLS,
+        "the actions on a free degree of rank {rk} ({q} x {amb}^2 cells) exceed {limit} cells",
+        rk=rk, q=len(mults), amb=amb,
+    )
     actions = tuple(mult.block_diagonal(rk) for mult in mults)
     return FiniteModuleData(spec.p, spec.m, amb, np.zeros((amb, 0), dtype=np.int64), actions)
 

@@ -51,10 +51,16 @@ from .rings import RingSpec, RingTowerElement, _rewrite_rule
 
 # int64 cells (128 MiB) past which a scalar expansion is refused; q=2,
 # r=2 at level 3 needs 2187 x 1458, q=3 at level 3 would need 39366^2.
-# The q action matrices of a free degree of a complex (cohomology with
-# no differential in or out) may hold 4 times this many cells together
-# (512 MiB): rank 60 over the q=2 level-2 ring needs 2 x 4860^2.
+# The counts of a complex's free degrees (rank 60 over the q=2 level-2
+# ring needs 2 x 4860^2 action cells) and top degrees may reach 4 times it.
 MAX_EXPANDED_CELLS = 2**24
+
+
+def check_cells(cells: int | float, limit: int, detail: str, **fields) -> None:
+    """The one size refusal: ``ExpansionTooLarge`` past ``limit`` cells,
+    with ``detail`` formatted by ``cells``, ``limit`` and ``fields``."""
+    if cells > limit:
+        raise ExpansionTooLarge(detail.format(cells=cells, limit=limit, **fields))
 
 
 class Matrix:
@@ -704,12 +710,7 @@ def smith_quotient(rel_cols: np.ndarray, ambient: int, p: int, m: int) -> Quotie
 # ---------------------------------------------------------------------------
 
 
-def _dense_shape(rows: int, cols: int) -> tuple[int, int]:
-    if rows * cols > MAX_EXPANDED_CELLS:
-        raise ExpansionTooLarge(f"a dense {rows}x{cols} expansion exceeds {MAX_EXPANDED_CELLS} cells")
-    return rows, cols
-
-
+_DENSE = "a dense {rows}x{cols} expansion exceeds {limit} cells"
 _NONE = np.zeros(0, dtype=np.int64)
 
 
@@ -747,7 +748,7 @@ def _monomial_expansion(spec: RingSpec, exps: tuple[int, ...]) -> SparseMatrix:
     so no cell repeats, and only the products that vanish are dropped.
     Its rho x rho cells are counted against ``MAX_EXPANDED_CELLS``."""
     rho, N = spec.coefficient_rank, _modulus(spec.p, spec.m)
-    _dense_shape(rho, rho)
+    check_cells(rho * rho, MAX_EXPANDED_CELLS, _DENSE, rows=rho, cols=rho)
     B = spec.exponent_bound
     rows = cols = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=np.int64)
@@ -781,7 +782,8 @@ def expand_scalars(a: Matrix) -> SparseMatrix:
     if spec.kind == "graded":
         raise SpecMismatch("graded matrices have no finite expansion")
     rho, N = spec.coefficient_rank, spec.modulus
-    shape = _dense_shape(a.rows * rho, a.cols * rho)
+    shape = (a.rows * rho, a.cols * rho)
+    check_cells(shape[0] * shape[1], MAX_EXPANDED_CELLS, _DENSE, rows=shape[0], cols=shape[1])
     monomials: dict[tuple[int, ...], SparseMatrix] = {}
     rows, cols, vals = [_NONE], [_NONE], [_NONE]
     for i, row in enumerate(a.entries):

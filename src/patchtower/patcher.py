@@ -35,7 +35,6 @@ from .errors import (
     AugmentationNotKilled,
     BaseMismatch,
     ConcentrationFailed,
-    ExpansionTooLarge,
     HeightAmplitudeViolated,
     InsufficientTower,
     InvalidParameter,
@@ -47,7 +46,7 @@ from .errors import (
     TauOutOfRange,
 )
 from .graded import verify_height_amplitude
-from .linalg import MAX_EXPANDED_CELLS, Matrix, matmul_mod
+from .linalg import MAX_EXPANDED_CELLS, Matrix, check_cells, matmul_mod
 from .rings import base_change, coefficient_ring, graded_ring, make_patch_ring
 
 Exps = tuple[int, ...]
@@ -162,12 +161,12 @@ class RInfinityModel:
         relation array, at least one square of the basis, would pass
         ``MAX_EXPANDED_CELLS`` cells; the basis is counted, not built."""
         size = comb(self.degree + self.g, self.g)
-        cells = size * max(generators, 1) * size
-        if cells > MAX_EXPANDED_CELLS:
-            raise ExpansionTooLarge(
-                f"the degree-{self.degree} model has {size} monomials, and its quotient by"
-                f" {generators} generators {cells} cells, past {MAX_EXPANDED_CELLS}"
-            )
+        check_cells(
+            size * max(generators, 1) * size, MAX_EXPANDED_CELLS,
+            "the degree-{degree} model has {size} monomials, and its quotient by {generators} generators"
+            " {cells} cells, past {limit}",
+            degree=self.degree, size=size, generators=generators,
+        )
 
     def quotient(self, ideal: list[RinfElem]) -> FiniteModuleData:
         """The model modulo an ideal, as a Z/p^m-module on the monomial basis.

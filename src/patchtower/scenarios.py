@@ -11,6 +11,7 @@ exactly one hypothesis each and record the designated error.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -24,8 +25,8 @@ from .complexes import (
     koszul_complex,
     make_complex,
 )
-from .errors import ExpansionTooLarge, InvalidParams
-from .linalg import MAX_EXPANDED_CELLS, Matrix, _modulus
+from .errors import InvalidParams
+from .linalg import MAX_EXPANDED_CELLS, Matrix, _modulus, check_cells
 from .patcher import PatchingTower, RInfinityModel, RinfElem, TowerBase, TowerLevel, chain_covers
 from .rings import RingTowerElement, make_patch_ring
 
@@ -85,11 +86,11 @@ class ScenarioParams:
         # matrices; with p >= 2 a huge e is refused without computing p^e
         n = len(self.precisions)
         e = n * self.q
-        if e >= MAX_EXPANDED_CELLS.bit_length() or (self.p**e) ** 2 > MAX_EXPANDED_CELLS:
-            raise ExpansionTooLarge(
-                f"the level-{n} ring's {self.p}^{e} x {self.p}^{e} multiplication matrix"
-                f" exceeds {MAX_EXPANDED_CELLS} cells"
-            )
+        check_cells(
+            math.inf if e >= MAX_EXPANDED_CELLS.bit_length() else (self.p**e) ** 2, MAX_EXPANDED_CELLS,
+            "the level-{n} ring's {p}^{e} x {p}^{e} multiplication matrix exceeds {limit} cells",
+            n=n, p=self.p, e=e,
+        )
         # every level's ring computes p^m; a huge m is refused before it is
         for m in self.precisions:
             _modulus(self.p, m)
@@ -106,10 +107,7 @@ def _limit_complex(params: ScenarioParams, level: int, precision: int) -> FreeCo
         base = koszul_complex(spec, seq, lo=params.d - params.r)
     else:
         base = make_complex(spec, params.d, [1], [])
-    out = base
-    for _ in range(params.rank - 1):
-        out = direct_sum(out, base)
-    return out
+    return direct_sum(*[base] * params.rank)
 
 
 def _pad_contractible(cx: FreeComplex, degree: int) -> FreeComplex:

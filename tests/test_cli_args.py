@@ -1,6 +1,8 @@
 """The table parser of ``patchtower.cli`` against the argparse tree it
 replaced (``util.reference_parser``): on every command line both return
-the same values and handler, or both exit with the same status."""
+the same values and handler, or both exit with the same status, except
+that where argparse keeps an inline "--" as the value [] of a one-value
+option, the table parser exits 2."""
 
 import contextlib
 import io
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patchtower.cli import COMMANDS as TABLE
 from patchtower.cli import parse_args
 from patchtower.scenarios import PERTURBATIONS
 from util import reference_parser
@@ -52,8 +55,17 @@ def outcome(parse, argv):
     return "ok", values, values.pop("func")
 
 
+def expected(argv):
+    """The reference's outcome, but exit 2 where it returns [] for a
+    one-value option (every option but --precisions)."""
+    got = outcome(REFERENCE.parse_args, argv)
+    if got[0] == "ok" and any(v == [] for k, v in got[1].items() if k != "precisions"):
+        return "exit", 2
+    return got
+
+
 def assert_same(argv):
-    assert outcome(parse_args, argv) == outcome(REFERENCE.parse_args, argv), argv
+    assert outcome(parse_args, argv) == expected(argv), argv
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -86,7 +98,7 @@ GEN = ["gen", "--q", "1", "--r", "1", "--out-dir", "o"]
         ([*GEN, "--precisions"], "ok"),
         ([*GEN, "--precisions", "1", "--precisions", "1", "2"], "ok"),
         ([*GEN, "--precisions", "1", "--"], 2),
-        ([*GEN, "--out-dir=--"], "ok"),
+        ([*GEN, "--out-dir=--"], 2),
         (["patch", "--", "-t.json"], "ok"),
         (["patch", "t.json", "--"], "ok"),
         (["patch", "t.json", "--format", "json", "--"], 2),
@@ -100,9 +112,31 @@ GEN = ["gen", "--q", "1", "--r", "1", "--out-dir", "o"]
         (["--bogus", "patch", "t.json"], 2),
         (["--he"], 0),
         (["--", "gen"], 2),
+        ([*GEN, "--precisions=--"], "ok"),
+        ([*GEN, "--format=--"], 2),
+        (["patch", "t.json", "--precision=--"], 2),
+        ([*GEN, "--seed=--", "-h"], 0),
+        ([*GEN, "--seed=--", "--seed", "2"], "ok"),
     ],
 )
 def test_corners_match_the_reference(argv, status):
     assert_same(argv)
     got = outcome(parse_args, argv)
     assert got[0] == "ok" if status == "ok" else got == ("exit", status)
+
+
+ONE_VALUE = [
+    (cmd, name) for cmd in ("gen", "patch") for name, spec in TABLE[cmd][3].items() if spec.get("nargs") != "*"
+]
+
+
+@pytest.mark.parametrize("cmd, name", ONE_VALUE)
+def test_inline_separator_is_not_a_value(capsys, cmd, name):
+    # argparse stored [] here: gen --out-dir=-- and --seed=-- and patch
+    # --precision=-- died with a TypeError, and gen --format=-- wrote text
+    argv = [*GEN, f"{name}=--"] if cmd == "gen" else ["patch", "t.json", f"{name}=--"]
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"patchtower {cmd}: error: argument {name}: expected one argument\n")
+    assert parse_args([*GEN, "--precisions=--"]).precisions == []

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import itertools
 import math
 import random
@@ -23,7 +24,7 @@ from patchtower.complexes import (
     tau_profile,
     tensor_along,
 )
-from patchtower.errors import ExpansionTooLarge, NotAComplex, ShapeMismatch, UnsupportedRing
+from patchtower.errors import ExpansionTooLarge, NotAComplex, ShapeMismatch, SpecMismatch, UnsupportedRing
 from patchtower.linalg import MAX_EXPANDED_CELLS, Matrix, _dense_rows, smith_quotient
 from patchtower.rings import (
     RingTowerElement,
@@ -35,6 +36,7 @@ from patchtower.scenarios import ScenarioParams, _level_data, _limit_complex, _p
 from patchtower.serialize import complex_from_obj, complex_to_obj
 from util import (
     SMALL_PATCH_SPECS,
+    Admitted,
     dense_solve,
     dense_variable_actions,
     euler_characteristic,
@@ -43,9 +45,12 @@ from util import (
     howell_reduce,
     random_patch_complex,
     reference_all_cohomology,
+    reference_direct_sum,
     reference_solve,
     row_dicts,
+    size_checks,
     sparse_dense,
+    tall_complex,
 )
 
 F3T = make_patch_ring(3, 1, 1, 1)
@@ -131,6 +136,7 @@ class TestEmptyShapes:
         s = direct_sum(a, b)
         assert s.lo == -1 and s.ranks == (1, cols, rows)
         assert [shape(d) for d in s.diffs] == [(cols, 1), (rows, cols)]
+        assert direct_sum(a, b, empty_complex(F3T), a) == reference_direct_sum(reference_direct_sum(a, b), a)
 
     def test_minimize_leaves_rank_zero_inner_degree(self, rows, cols):
         # one unit pivot in the middle cancels a rank from degrees 1 and
@@ -489,13 +495,6 @@ class TestSparseQuotientsInCohomology:
         assert_same_modules(got, reference_all_cohomology(c))
 
 
-def tall_complex(spec, rank: int):
-    """Ranks [1, rank] with d = (T, 0, ..., 0)^T: a top degree whose
-    kernel is its whole ambient module, rank * rho coordinates."""
-    t, zero = RingTowerElement.variable(spec, 0), RingTowerElement.zero(spec)
-    return make_complex(spec, 0, [1, rank], [Matrix(spec, [[t]] + [[zero]] * (rank - 1))])
-
-
 class TestTopDegrees:
     """A degree with a differential in and none out: its kernel is the
     whole ambient module on unit columns, kept as row dicts and embedded
@@ -516,21 +515,21 @@ class TestTopDegrees:
         # 4 x MAX_EXPANDED_CELLS; rank 456 counts 67,174,400, past it
         spec = make_patch_ring(3, 2, 2, 1)
         assert 2 * 4087 * (4095 + 4087) <= 4 * MAX_EXPANDED_CELLS < 2 * 4096 * (4104 + 4096)
-        real = complexes._check_top_degree
-        counted = []
 
-        def check(rk, amb, summands):
-            counted.append((rk, amb, summands))
-            return real(rk, amb, summands)
+        def top_degree(calls):
+            return [(f["rk"], f["amb"], f["summands"]) for _, _, f in calls]
 
         with (
-            mock.patch.object(complexes, "_check_top_degree", check),
+            size_checks(complexes) as counted,
             identity_sizes() as eyes,
             pytest.raises(ExpansionTooLarge, match="top degree of rank 456 "),
         ):
             complexes._all_cohomology(tall_complex(spec, 456))
-        assert counted == [(456, 4104, 4096)] and 4104 not in eyes
-        real(455, 4095, 4087)
+        assert top_degree(counted) == [(456, 4104, 4096)] and 4104 not in eyes
+        # rank 455 passes the check, and stops there
+        with size_checks(complexes, stop=True) as counted, pytest.raises(Admitted):
+            complexes._all_cohomology(tall_complex(spec, 455))
+        assert top_degree(counted) == [(455, 4095, 4087)]
 
 
 class TestCohomologyMemory:
@@ -574,19 +573,12 @@ class TestCohomologyMemory:
 
     @pytest.mark.parametrize("rank, bound_mib", [(100, 36.6), (200, 147.3)])
     def test_tall_top_degree_within_its_counted_cells(self, rank, bound_mib):
-        # the peak stays within 1.5 x the int64 cells that
-        # _check_top_degree counts for the degree: 61.2 and 246 MiB with
-        # the dense embedded basis, Nakayama coordinates and Howell work
-        counted = []
-        real = complexes._check_top_degree
-
-        def check(rk, amb, summands):
-            counted.append(2 * summands * (amb + summands))
-            return real(rk, amb, summands)
-
-        with mock.patch.object(complexes, "_check_top_degree", check):
+        # the peak stays within 1.5 x the int64 cells that the top
+        # degree's size check counts: 61.2 and 246 MiB with the dense
+        # embedded basis, Nakayama coordinates and Howell work
+        with size_checks(complexes) as counted:
             peak = self.peak_mib(tall_complex(make_patch_ring(3, 2, 2, 1), rank))
-        bound = 1.5 * counted[0] * 8 / 2**20
+        bound = 1.5 * counted[0][0] * 8 / 2**20
         assert round(bound, 1) == bound_mib
         assert peak <= bound
 
@@ -749,6 +741,20 @@ class TestBaseChangeAndDual:
             c = random_patch_complex(rng, SMALL_PATCH_SPECS[0])
             assert dual(dual(c)) == c
         assert dual(empty_complex(F3T)).is_empty()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_direct_sum_of_many_is_the_folded_binary_sum(seed):
+    rng = random.Random(seed)
+    spec = SMALL_PATCH_SPECS[seed % len(SMALL_PATCH_SPECS)]
+    parts = []
+    for _ in range(rng.randrange(1, 6)):
+        c = random_patch_complex(rng, spec, max_rank=3) if rng.random() < 0.8 else empty_complex(spec)
+        parts.append(make_complex(spec, rng.randrange(-2, 3), c.ranks, c.diffs))
+    assert direct_sum(*parts) == functools.reduce(reference_direct_sum, parts)
+    other = SMALL_PATCH_SPECS[(seed + 1) % len(SMALL_PATCH_SPECS)]
+    with pytest.raises(SpecMismatch):
+        direct_sum(*parts, empty_complex(other))
 
 
 def test_koszul_complex_squares_to_zero_and_direct_sum():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import random
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 from patchtower import groebner as gb
 from patchtower import patcher
@@ -28,6 +30,7 @@ from patchtower.linalg import (
     _as_array,
     _dense_rows,
     _modulus,
+    check_cells,
     matmul_mod,
     smith_quotient,
     smith_transforms,
@@ -1102,6 +1105,61 @@ def run_cli_under_memory_limit(argv: list[str], timeout: float = 30) -> subproce
     """``patchtower.cli.main(argv)`` in a ``run_under_memory_limit`` child,
     whose exit status is main's return value."""
     return run_under_memory_limit(f"import sys\nfrom patchtower.cli import main\nsys.exit(main({argv!r}))", timeout=timeout)
+
+
+class Admitted(Exception):
+    """Raised by ``size_checks`` in place of the work a count admits."""
+
+
+@contextlib.contextmanager
+def size_checks(module, stop: bool = False):
+    """Record ``(cells, limit, fields)`` for every ``check_cells`` call
+    that ``module`` makes inside the block, each still checked by the
+    real function; with ``stop``, a count that passes raises
+    ``Admitted``, so that nothing it admits is allocated."""
+    calls = []
+
+    def check(cells, limit, detail, **fields):
+        calls.append((cells, limit, fields))
+        check_cells(cells, limit, detail, **fields)
+        if stop:
+            raise Admitted
+
+    with mock.patch.object(module, "check_cells", check):
+        yield calls
+
+
+def tall_complex(spec, rank: int):
+    """Ranks [1, rank] with d = (T, 0, ..., 0)^T: a top degree whose
+    kernel is its whole ambient module, rank * rho coordinates."""
+    t, zero = RingTowerElement.variable(spec, 0), RingTowerElement.zero(spec)
+    return make_complex(spec, 0, [1, rank], [Matrix(spec, [[t]] + [[zero]] * (rank - 1))])
+
+
+def reference_direct_sum(a: FreeComplex, b: FreeComplex) -> FreeComplex:
+    """The binary direct sum that ``complexes.direct_sum`` folded before
+    it took any number of complexes, entry by entry."""
+    if a.spec != b.spec:
+        raise SpecMismatch("direct sum across different rings")
+    if a.is_empty():
+        return b
+    if b.is_empty():
+        return a
+    lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
+    ranks = [a.rank(d) + b.rank(d) for d in range(lo, hi + 1)]
+    zero = RingTowerElement.zero(a.spec)
+    diffs = []
+    for d in range(lo, hi):
+        da, db = a.differential(d), b.differential(d)
+        ent = [[zero] * ranks[d - lo] for _ in range(ranks[d - lo + 1])]
+        for i in range(da.rows):
+            for j in range(da.cols):
+                ent[i][j] = da.entries[i][j]
+        for i in range(db.rows):
+            for j in range(db.cols):
+                ent[da.rows + i][da.cols + j] = db.entries[i][j]
+        diffs.append(Matrix(a.spec, ent, ranks[d - lo]))
+    return FreeComplex(a.spec, lo, ranks, diffs)
 
 
 def reference_solve(core: HowellCore, b: np.ndarray) -> np.ndarray | None:
