@@ -20,9 +20,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "patchtower"
 
 def constructions(node) -> list[ast.Call]:
     """The calls of ``ExpansionTooLarge`` or ``<module>.ExpansionTooLarge`` under ``node``."""
+    names = ("id", "attr")
     return [
         n for n in ast.walk(node)
-        if isinstance(n, ast.Call) and "ExpansionTooLarge" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        if isinstance(n, ast.Call) and "ExpansionTooLarge" in (getattr(n.func, name, None) for name in names)
     ]
 
 
