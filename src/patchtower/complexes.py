@@ -35,9 +35,10 @@ from .rings import RingSpec, RingTowerElement, _check_base_change, base_change
 
 
 class FreeComplex:
-    """A validated bounded cochain complex of free modules."""
+    """A validated bounded cochain complex of free modules.  It is
+    immutable, so its hash is computed on first use and kept."""
 
-    __slots__ = ("spec", "lo", "ranks", "diffs")
+    __slots__ = ("spec", "lo", "ranks", "diffs", "_hash")
 
     def __init__(self, spec: RingSpec, lo: int, ranks, diffs, *, _checked: bool = False):
         ranks = tuple(int(r) for r in ranks)
@@ -63,6 +64,7 @@ class FreeComplex:
         object.__setattr__(self, "lo", lo if ranks else 0)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "diffs", diffs)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
         raise AttributeError("FreeComplex is immutable")
@@ -100,7 +102,9 @@ class FreeComplex:
         )
 
     def __hash__(self):
-        return hash((self.spec, self.lo, self.ranks, self.diffs))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.spec, self.lo, self.ranks, self.diffs)))
+        return self._hash
 
     def __repr__(self):
         return f"FreeComplex(degrees [{self.lo},{self.hi}], ranks {self.ranks})"
@@ -401,9 +405,10 @@ def cohomology(c: FreeComplex, degree: int) -> FiniteModuleData:
     with no elimination; one whose actions would pass 4 x
     ``MAX_EXPANDED_CELLS`` cells is refused with ``ExpansionTooLarge``.
     A top degree, with a differential in and none out, has its whole
-    ambient module as kernel, on unit columns kept as row dicts with no
-    identity matrix, and is refused the same way when its dense work
-    would pass that bound.
+    ambient module as kernel, on unit columns of which only those that
+    its quotient coordinates read and the chosen generators are built,
+    and is refused the same way when its dense work would pass that
+    bound.
     """
     spec = c.spec
     if spec.kind == "graded":
@@ -496,24 +501,26 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
             qs = sm_in.quotient()
             width, embed = qs.summands, qs.embed_rows
         if sm_out is None:
-            # the kernel is the whole ambient module, on unit columns; the
-            # identity is its own transpose.  The count is larger than the
-            # relations and the q g x g actions, g <= width, that are dense
+            # the kernel is the whole ambient module, on amb unit columns,
+            # and the identity is its own transpose: only the rows that the
+            # kept U rows of qs read, and the chosen generators, are built.
+            # The count is larger than the relations and the q g x g
+            # actions, g <= width, that are dense
             check_cells(
                 2 * width * (amb + width), 4 * MAX_EXPANDED_CELLS,
                 "the cohomology of a top degree of rank {rk} ({amb} coordinates, {summands} summands,"
                 " {cells} cells) exceeds {limit} cells",
                 rk=rk, amb=amb, summands=width,
             )
-            kernel = [{k: 1} for k in range(amb)]
-            krows = dict(enumerate(kernel))
+            count = amb
+            krows = {i: {i: 1} for row in qs.rows for i in row}
         else:
             kernel = sm_out.kernel_columns()
+            count = len(kernel)
             krows = {}
             for k, col in enumerate(kernel):
                 for i, x in col.items():
                     krows.setdefault(i, {})[k] = x
-        count = len(kernel)
         ek = embed(krows)
 
         # residue coordinates modulo p * span(kernel) as well, so that
@@ -530,7 +537,7 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         else:
             ek2 = sub
         chosen = _nakayama_choice(ek2, count, p, m)
-        gens = [kernel[k] for k in chosen]
+        gens = [{k: 1} if sm_out is None else kernel[k] for k in chosen]
         at = {k: g for g, k in enumerate(chosen)}
         picked = ((i, {at[k]: x for k, x in row.items() if k in at}) for i, row in ek.items())
         solver = HowellCore(_transpose(picked, len(chosen)), width, p, m)

@@ -69,10 +69,11 @@ class Matrix:
     Column-action convention throughout the package: a matrix of shape
     (rows, cols) maps column vectors of length ``cols`` to column
     vectors of length ``rows``.  A matrix without rows keeps its width:
-    ``cols`` is read only when ``entries`` has no rows.
+    ``cols`` is read only when ``entries`` has no rows.  It is immutable,
+    so its hash is computed on first use and kept.
     """
 
-    __slots__ = ("spec", "rows", "cols", "entries")
+    __slots__ = ("spec", "rows", "cols", "entries", "_hash")
 
     def __init__(self, spec: RingSpec, entries, cols: int = 0):
         rows = tuple(tuple(row) for row in entries)
@@ -87,6 +88,7 @@ class Matrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", widths.pop() if widths else cols)
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
@@ -114,7 +116,9 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.spec, self.rows, self.cols, self.entries))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.spec, self.rows, self.cols, self.entries)))
+        return self._hash
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.spec.kind})"
@@ -542,13 +546,19 @@ class QuotientStructure:
 
 @dataclass(frozen=True)
 class SmithData:
-    """U A V = D with D diagonal of prime powers; pivot_vals lists the exponents.
+    """U A V = D with D diagonal of prime powers; pivot_vals lists the
+    exponents, in non-decreasing order.
 
-    The transforms are kept as the kernel left them: ``u_rows[i]`` is row
-    i of U and ``v_cols[j]`` column j of V (None when V was not tracked),
-    each a ``{index: residue}`` dict of its nonzero entries.  ``quotient``
-    hands on the kept rows of U as they are, and ``kernel_columns``
-    reads only the columns of V that it returns.
+    The transforms are kept as the kernel left them, by original index
+    and only where it touched them: ``u_by_id[i]`` is the row of U that
+    started as row i, ``v_by_id[j]`` the column of V that started as
+    column j (``v_by_id`` is None when V was not tracked), each a
+    ``{index: residue}`` dict of its nonzero entries, and an index absent
+    from the map still holds its unit vector.  Position k of the diagonal
+    holds original row ``row_at[k]`` (k itself past the input's rows) and
+    original column ``col_at.get(k, k)``.  ``u_row`` and ``v_col`` read
+    one row or column at a position, so ``quotient`` and
+    ``kernel_columns`` build dicts only for those they return.
     """
 
     p: int
@@ -556,34 +566,49 @@ class SmithData:
     rows: int
     cols: int
     pivot_vals: tuple[int, ...]
-    u_rows: list[dict[int, int]] = field(repr=False)
-    v_cols: list[dict[int, int]] | None = field(repr=False)
+    u_by_id: dict[int, dict[int, int]] = field(repr=False)
+    v_by_id: dict[int, dict[int, int]] | None = field(repr=False)
+    row_at: list[int] = field(repr=False)
+    col_at: dict[int, int] = field(repr=False)
 
-    def _kept(self, n: int) -> tuple[list[int], tuple[int, ...]]:
+    def u_row(self, k: int) -> dict[int, int]:
+        """Row k of U, as the kernel left it."""
+        i = self.row_at[k] if k < len(self.row_at) else k
+        row = self.u_by_id.get(i)
+        return {i: 1} if row is None else row
+
+    def v_col(self, k: int) -> dict[int, int]:
+        """Column k of V, as the kernel left it; V must be tracked."""
+        j = self.col_at.get(k, k)
+        col = self.v_by_id.get(j)
+        return {j: 1} if col is None else col
+
+    def _kept(self, n: int) -> tuple[range, tuple[int, ...]]:
         """The pivots of positive exponent and every index past the pivots
-        up to n, with their exponents (m past the pivots)."""
-        k = len(self.pivot_vals)
-        kept = [i for i, v in enumerate(self.pivot_vals) if v > 0] + list(range(k, n))
-        return kept, tuple(self.pivot_vals[i] if i < k else self.m for i in kept)
+        up to n, with their exponents (m past the pivots).  The exponents
+        do not decrease, so the kept indices are one range from the first
+        positive pivot."""
+        z = self.pivot_vals.count(0)
+        return range(z, n), self.pivot_vals[z:] + (self.m,) * (n - len(self.pivot_vals))
 
     def quotient(self) -> QuotientStructure:
         """Canonical coordinates of (Z/p^m)^rows modulo the column span:
         the kept rows of U, each with the exponent of its summand."""
         kept, exponents = self._kept(self.rows)
-        return QuotientStructure(self.p, self.m, self.rows, exponents, [self.u_rows[i] for i in kept])
+        return QuotientStructure(self.p, self.m, self.rows, exponents, [self.u_row(k) for k in kept])
 
     def kernel_columns(self) -> list[dict[int, int]]:
         """Columns generating {v : A v = 0}, from the diagonal form: the
         kept columns of V, each times p^(m - e) for its exponent e, as
         ``{index: residue}`` dicts of their nonzero entries."""
-        if self.v_cols is None:
+        if self.v_by_id is None:
             raise ValueError("column transform was not tracked")
         p, m = self.p, self.m
         N = p**m
         kept, exponents = self._kept(self.cols)
         return [
-            {c: y for c, x in self.v_cols[i].items() if (y := x * p ** (m - e) % N)}
-            for i, e in zip(kept, exponents)
+            {c: y for c, x in self.v_col(k).items() if (y := x * p ** (m - e) % N)}
+            for k, e in zip(kept, exponents)
         ]
 
 
@@ -607,13 +632,19 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
     p^v, the rows below are cleared with it, and the column clear, which
     leaves only a[k, k] in row k, is recorded in V alone.
 
-    The elimination is sparse.  Each row is a ``{column id: residue}``
-    dict keyed by its original row id, and position <-> id maps emulate
-    the row and column swaps.  A column index lists, for each column, the
-    rows that have or once had a nonzero there, so a row clear visits only
-    those rows.  U is kept by row id and V by column id, both sparse.  A
-    pivot row is emptied once it is used, so the dicts hold only the
-    trailing block.
+    The elimination is sparse, and its work follows the nonzeros.  Each
+    nonempty row is a ``{column id: residue}`` dict kept by its original
+    row id, and position <-> id maps emulate the row and column swaps: a
+    list for the rows, which the cursor walks, and maps for the columns
+    that hold only the columns a swap has moved.  A column index lists,
+    for each column with a nonzero, the rows that have or once had one
+    there, so a row clear visits only those rows; a pivot's column is
+    zero once it is cleared, and its entry is dropped.  U is kept by row
+    id and V by column id, both sparse and both filled on first touch:
+    a row of U is written when its row is scaled or cleared, a column of
+    V when a column clear updates it, and every other row or column is
+    still its unit vector.  A pivot row is dropped once it is used, so
+    the dicts hold only the trailing block.
 
     The live rows of layer v are those with an entry that p^(v+1) does
     not divide.  A row that is not live stays so for the rest of the
@@ -622,12 +653,14 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
     pivot row, so a row clear subtracts multiples of p^(v+1) from it.
     (A live row may stop being live; that only skips it.)  The positions
     passed over, and the row swapped out of position k into the pivot's
-    place, are thus never live again, so the pivot row is found by one
-    cursor per layer that only moves forward, instead of a scan of every
-    row at every step.  A pivot row with one entry, the shape of almost
-    every row of a padded expansion, needs no column scan: the cursor
-    has already found that p^(v+1) does not divide that entry, so it is
-    the pivot, and its row clears touch no other column.
+    place, are thus never live again, so the pivot rows of a layer are
+    found by one cursor that visits each position once, instead of a
+    scan of every row at every step.  One plain loop over a row's values
+    tests whether it is live and finds its pivot column, the live entry
+    first in the current column order.  A row with one entry, the shape
+    of almost every row of a padded expansion, needs no loop: that entry
+    is the pivot when p^(v+1) does not divide it, and its row clears
+    touch no other column.
 
     ``rel_cols`` is a ``SparseMatrix`` or a dense array, which is first
     made one; its nonzeros fill the row dicts and the column index
@@ -643,61 +676,90 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
         a = _as_array(rel_cols)
         rel_cols = SparseMatrix.of_dense(a if a.ndim == 2 and a.shape[1] else np.zeros((ambient, 0), dtype=np.int64), N)
     nrows, ncols = rel_cols.shape
-    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
-    in_col: list[set[int]] = [set() for _ in range(ncols)]
+    rows: dict[int, dict[int, int]] = {}
+    in_col: dict[int, set[int]] = {}
     for i, j, x in zip(rel_cols.rows.tolist(), rel_cols.cols.tolist(), rel_cols.vals.tolist()):
-        rows[i][j] = x
-        in_col[j].add(i)
-    U = [{i: 1} for i in range(ambient)]
-    V = [{j: 1} for j in range(ncols)] if track_v else None
+        row = rows.get(i)
+        if row is None:
+            rows[i] = {j: x}
+        else:
+            row[j] = x
+        col = in_col.get(j)
+        if col is None:
+            in_col[j] = {i}
+        else:
+            col.add(i)
+    U: dict[int, dict[int, int]] = {}
+    V: dict[int, dict[int, int]] | None = {} if track_v else None
     row_at = list(range(nrows))
-    col_at = list(range(ncols))
-    col_pos = list(range(ncols))
+    col_at: dict[int, int] = {}
+    col_pos: dict[int, int] = {}
     pivot_vals: list[int] = []
     k = 0
     for v in range(m):
         pv = p**v
         pmod = p ** (v + 1)
-        cursor = k
-        while True:
-            while cursor < nrows and not any(x % pmod for x in rows[row_at[cursor]].values()):
-                cursor += 1
-            if cursor == nrows:
-                break
+        for cursor in range(k, nrows):
             i = row_at[cursor]
-            prow = rows[i]
-            single = len(prow) == 1
-            j = next(iter(prow)) if single else col_at[min(col_pos[c] for c, x in prow.items() if x % pmod)]
+            prow = rows.get(i)
+            if not prow:
+                continue
+            if len(prow) == 1:
+                ((j, x),) = prow.items()
+                if not x % pmod:
+                    continue
+                rest = ()
+            else:
+                j, first = None, ncols
+                for c, x in prow.items():
+                    if x % pmod:
+                        at = col_pos.get(c, c)
+                        if at < first:
+                            j, first = c, at
+                if j is None:
+                    continue
+                rest = [(c, x) for c, x in prow.items() if c != j]
             row_at[k], row_at[cursor] = i, row_at[k]
-            other = col_at[k]
-            col_at[k], col_at[col_pos[j]] = j, other
-            col_pos[other], col_pos[j] = col_pos[j], k
+            at = col_pos.get(j, j)
+            if at != k:
+                other = col_at.get(k, k)
+                col_at[k], col_at[at] = j, other
+                col_pos[other], col_pos[j] = at, k
             unit = prow[j] // pv
             if unit != 1:
                 uinv = pow(unit, -1, N)
-                for c in prow:
-                    prow[c] = prow[c] * uinv % N
-                U[i] = {c: x * uinv % N for c, x in U[i].items()}
-            rest = [] if single else [(c, x) for c, x in prow.items() if c != j]
-            rows[i] = {}
-            for r in in_col[j]:
-                row = rows[r]
-                if j not in row:
-                    continue  # the entry has cancelled since r was indexed
-                t = row.pop(j) // pv
-                _axpy(row, t, rest, N)
-                _axpy(U[r], t, U[i].items(), N)
-                for c, _ in rest:
-                    in_col[c].add(r)
-            if V is not None:
+                rest = [(c, x * uinv % N) for c, x in rest]
+                ui = U.get(i)
+                U[i] = {i: uinv} if ui is None else {c: x * uinv % N for c, x in ui.items()}
+            del rows[i]
+            col = in_col.pop(j)
+            if len(col) > 1:
+                ui = U.get(i)
+                u_items = ((i, 1),) if ui is None else ui.items()
+                for r in col:
+                    row = rows.get(r)
+                    if row is None or j not in row:
+                        continue  # r is the pivot row, or its entry has cancelled
+                    t = row.pop(j) // pv
+                    if rest:
+                        _axpy(row, t, rest, N)
+                        for c, _ in rest:
+                            in_col[c].add(r)
+                    ur = U.get(r)
+                    if ur is None:
+                        U[r] = ur = {r: 1}
+                    _axpy(ur, t, u_items, N)
+            if V is not None and rest:
+                vj = V.get(j)
+                v_items = ((j, 1),) if vj is None else vj.items()
                 for c, x in rest:
-                    _axpy(V[c], x // pv, V[j].items(), N)
+                    vc = V.get(c)
+                    if vc is None:
+                        V[c] = vc = {c: 1}
+                    _axpy(vc, x // pv, v_items, N)
             pivot_vals.append(v)
             k += 1
-            cursor += 1
-    u_rows = [U[i] for i in row_at] + U[nrows:]
-    v_cols = None if V is None else [V[j] for j in col_at]
-    return SmithData(p, m, ambient, ncols, tuple(pivot_vals), u_rows, v_cols)
+    return SmithData(p, m, ambient, ncols, tuple(pivot_vals), U, V, row_at, col_at)
 
 
 def smith_quotient(rel_cols: np.ndarray, ambient: int, p: int, m: int) -> QuotientStructure:

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -731,6 +732,10 @@ class TestSmithTransforms:
     @example((np.array([[0, 5, 0], [1, 2, 3], [0, 0, 10], [5, 0, 0]]), 5, 2))
     @example((np.array([[6]]), 2, 3))
     @example((np.zeros((3, 0), dtype=np.int64), 3, 2))
+    # 1 x 486 rows, the shape of a padded Nakayama base: one entry p, whose
+    # pivot comes at v = 1, and one unit other than 1, which scales U
+    @example((np.eye(1, 486, 17, dtype=np.int64) * 3, 3, 2))
+    @example((np.eye(1, 486, 485, dtype=np.int64) * 5, 3, 2))
     def test_matches_reference_loop(self, case):
         a, p, m = case
         rows = a.shape[0]
@@ -741,6 +746,20 @@ class TestSmithTransforms:
             assert np.array_equal(smith_u(sd), U)
             assert np.array_equal(smith_v(sd), V)
         assert elementary_divisors(a, rows, p, m) == reference_divisors(a, rows, p, m)
+
+    def test_bookkeeping_follows_the_nonzeros(self):
+        # one nonzero in a 1 x 100,000 row: U, V and the column index
+        # hold only what the one pivot touches, not a dict or set per index
+        a = SparseMatrix((1, 100_000), np.array([0]), np.array([99_998]), np.array([5]))
+        tracemalloc.start()
+        try:
+            sd = smith_transforms(a, 1, 3, 2, track_v=True)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0, f"{peak:.1f} MiB"
+        assert sd.pivot_vals == (0,) and sd.u_row(0) == {0: 2}
+        assert sd.v_col(0) == {99_998: 1} and sd.v_col(99_998) == {0: 1} and sd.v_col(5) == {5: 1}
 
     def test_padded_level_five_differential(self):
         # diag(T, 1) over (Z/9)[T]/((1+T)^243 - 1) expands to 486 x 486

@@ -67,12 +67,14 @@ def sparse_dense(a: SparseMatrix) -> np.ndarray:
 
 def smith_u(sd: SmithData) -> np.ndarray:
     """The dense row transform U of ``sd``."""
-    return _dense_rows(sd.u_rows, sd.rows)
+    return _dense_rows([sd.u_row(k) for k in range(sd.rows)], sd.rows)
 
 
 def smith_v(sd: SmithData) -> np.ndarray | None:
     """The dense column transform V of ``sd``, or None when it was not tracked."""
-    return None if sd.v_cols is None else _dense_rows(sd.v_cols, sd.cols).T
+    if sd.v_by_id is None:
+        return None
+    return _dense_rows([sd.v_col(k) for k in range(sd.cols)], sd.cols).T
 
 
 def euler_characteristic(c: FreeComplex) -> int:
