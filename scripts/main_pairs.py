@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of ``cli.main`` time on the benchmark's towers.
+"""Alternating parent/change pairs of ``cli.main`` time on the benchmark's towers and deep ones.
 
 Each side is a git ref, exported with ``bench_pairs.export`` into its
 own temporary directory.  For every tower item of a workload in
@@ -12,8 +12,12 @@ pairs and the change on even ones.  An item's time is gen plus patch,
 with no import and no calibration scaling, so it is the program time
 that ``item_s`` estimates.
 
+Three deep towers, past the benchmark's rings, are timed the same way
+(``DEEP`` below): each is its own workload of one tower, run
+``DEEP_PAIRS`` times per round.
+
     python3 scripts/main_pairs.py --parent HEAD~1 --change HEAD \\
-        --workload tower-dense tower-reject --rounds 2
+        --workload tower-dense tower-reject deep-q3r1 --rounds 2
 
 Per workload it prints, for gen, patch and their sum, each side's
 median and quartiles in ms (``statistics.quantiles``, inclusive) and the
@@ -36,6 +40,14 @@ from bench_pairs import ROOT, export
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import TOWERS, gen_argv  # noqa: E402
+
+# name: (gen parameters, seed); rho is 729 at the top level of q=2 r=2
+DEEP = {
+    "deep-q2r2": ({"q": 2, "r": 2, "precisions": [1, 2, 2], "rank": 1}, 7),
+    "deep-q2r1": ({"q": 2, "r": 1, "precisions": [1, 2, 2], "rank": 1}, 7),
+    "deep-q3r1": ({"q": 3, "r": 1, "precisions": [1, 2], "rank": 1}, 3),
+}
+DEEP_PAIRS = 8
 
 CHILD = """
 import contextlib, io, json, sys, time
@@ -76,7 +88,7 @@ def describe(values: dict[str, list[float]]) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--workload", nargs="+", default=list(TOWERS), choices=list(TOWERS))
+    ap.add_argument("--workload", nargs="+", default=[*TOWERS, *DEEP], choices=[*TOWERS, *DEEP])
     ap.add_argument("--parent", default="HEAD~1", help="git ref of the parent side")
     ap.add_argument("--change", default="HEAD", help="git ref of the change side")
     ap.add_argument("--rounds", type=int, default=1, help="passes over each workload's items")
@@ -88,7 +100,12 @@ def main(argv=None) -> int:
         shas = {side: export(getattr(args, side), path)[:12] for side, path in dirs.items()}
         print(f"parent {shas['parent']}, change {shas['change']}")
         for workload in args.workload:
-            items = sorted(towers[workload], key=lambda key: (int(key.split(":")[0]), key))
+            if workload in DEEP:
+                params, seed = DEEP[workload]
+                items = [f"{seed}:none"] * DEEP_PAIRS
+            else:
+                params = TOWERS[workload]
+                items = sorted(towers[workload], key=lambda key: (int(key.split(":")[0]), key))
             times = {stage: {"parent": [], "change": []} for stage in ("gen", "patch", "gen+patch")}
             pair = 0
             for _ in range(args.rounds):
@@ -96,8 +113,8 @@ def main(argv=None) -> int:
                     seed, pert = key.split(":")
                     pair += 1
                     order = ("parent", "change") if pair % 2 else ("change", "parent")
-                    res = {side: time_item(dirs[side], TOWERS[workload], int(seed), None if pert == "none" else pert,
-                                           Path(tmp)) for side in order}
+                    res = {side: time_item(dirs[side], params, int(seed), None if pert == "none" else pert, Path(tmp))
+                           for side in order}
                     if res["parent"]["exits"] != res["change"]["exits"]:
                         print(f"{workload} {key}: exits differ {res['parent']['exits']} vs {res['change']['exits']}")
                         continue

@@ -24,6 +24,7 @@ from .linalg import (
     Matrix,
     QuotientStructure,
     SparseMatrix,
+    Table,
     _echelon,
     _variable_expansions,
     check_cells,
@@ -480,7 +481,7 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         deg = c.lo + idx
         if d.rows and d.cols:
             smiths[deg] = smith_transforms(expand_scalars(d), d.rows * rho, p, m, track_v=True)
-    mults = _variable_expansions(spec)
+    tables = _variable_expansions(spec)
 
     out: dict[int, FiniteModuleData] = {}
     for degree in c.degrees:
@@ -493,7 +494,7 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         sm_out = smiths.get(degree)
         sm_in = smiths.get(degree - 1)
         if sm_out is None and sm_in is None:
-            out[degree] = _free_module(spec, rk, mults)
+            out[degree] = _free_module(spec, rk, tables)
             continue
         if sm_in is None:
             width, embed = amb, (lambda rows: rows)
@@ -542,54 +543,58 @@ def _all_cohomology(c: FreeComplex) -> dict[int, FiniteModuleData]:
         picked = ((i, {at[k]: x for k, x in row.items() if k in at}) for i, row in ek.items())
         solver = HowellCore(_transpose(picked, len(chosen)), width, p, m)
         relations = solver.kernel_rows().T
-        actions = _variable_actions(mults, gens, embed, solver)
+        actions = _variable_actions(tables, gens, embed, solver)
 
         out[degree] = FiniteModuleData(p, m, len(chosen), relations, actions)
     return out
 
 
-def _free_module(spec: RingSpec, rk: int, mults: tuple[SparseMatrix, ...]) -> FiniteModuleData:
+def _free_module(spec: RingSpec, rk: int, tables: tuple[Table, ...]) -> FiniteModuleData:
     """A degree with no differential in or out: its cohomology is the
     free module itself, on the standard basis with no relations, and
     variable j acts on its rk blocks of rho monomial coordinates as
-    I_rk (x) ``mults[j]``, scattered dense from its sparse entries.  The
-    q amb^2 action cells, plus rk^2, are counted before anything is
-    allocated."""
-    amb = rk * spec.coefficient_rank
+    I_rk (x) ``tables[j]``: the table's cells, read once, are scattered
+    dense into every block at once.  The q amb^2 action cells, plus
+    rk^2, are counted before anything is allocated."""
+    rho = spec.coefficient_rank
+    amb = rk * rho
     check_cells(
-        len(mults) * amb * amb + rk * rk, 4 * MAX_EXPANDED_CELLS,
+        len(tables) * amb * amb + rk * rk, 4 * MAX_EXPANDED_CELLS,
         "the actions on a free degree of rank {rk} ({q} x {amb}^2 cells) exceed {limit} cells",
-        rk=rk, q=len(mults), amb=amb,
+        rk=rk, q=len(tables), amb=amb,
     )
-    actions = tuple(mult.block_diagonal(rk) for mult in mults)
-    return FiniteModuleData(spec.p, spec.m, amb, np.zeros((amb, 0), dtype=np.int64), actions)
+    at = np.arange(rk, dtype=np.int64)[:, None] * rho
+    actions = []
+    for table in tables:
+        cells = [(r, j, u) for j, col in enumerate(table) for r, u in col]
+        rows, cols, vals = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+        out = np.zeros((amb, amb), dtype=np.int64)
+        out[(at + rows).ravel(), (at + cols).ravel()] = np.tile(vals, rk)
+        actions.append(out)
+    return FiniteModuleData(spec.p, spec.m, amb, np.zeros((amb, 0), dtype=np.int64), tuple(actions))
 
 
-def _variable_actions(mults: tuple[SparseMatrix, ...], gens: list[dict[int, int]], embed, solver) -> tuple[np.ndarray, ...]:
+def _variable_actions(tables: tuple[Table, ...], gens: list[dict[int, int]], embed, solver) -> tuple[np.ndarray, ...]:
     """Matrix of each variable on the cohomology generators ``gens``.
 
     ``gens`` holds each generator as a ``{coordinate: residue}`` dict,
     and their ambient free module is blocks of rho monomial coordinates,
-    on each of which ``mults[j]`` multiplies by variable j.  So a
+    on each of which ``tables[j]`` multiplies by variable j.  So a
     generator's entry at (block b, coordinate i) moves to column i of
-    ``mults[j]`` in block b: an index gather, with only the columns that
-    the generators meet read off the sparse entries.  ``embed`` takes the moved rows to quotient
+    ``tables[j]`` in block b: each (row, residue) pair of that column
+    adds one product.  ``embed`` takes the moved rows to quotient
     coordinates, and one solve against ``solver`` (the embedded
     generators, one per row) writes all g images in the generators.
     """
     N = solver.N
     entries = [(c, k, x) for k, col in enumerate(gens) for c, x in col.items()]
     actions = []
-    for mult in mults:
-        rho = mult.shape[0]
-        columns = {}
-        for i in {c % rho for c, _, _ in entries}:
-            at = np.flatnonzero(mult.cols == i)
-            columns[i] = list(zip(mult.rows[at].tolist(), mult.vals[at].tolist()))
+    for table in tables:
+        rho = len(table)
         moved: dict[int, dict[int, int]] = {}
         for c, k, x in entries:
             b, i = divmod(c, rho)
-            for r, u in columns[i]:
+            for r, u in table[i]:
                 row = moved.setdefault(b * rho + r, {})
                 row[k] = row.get(k, 0) + u * x
         moved = {c: kept for c, row in moved.items() if (kept := {k: y for k, x in row.items() if (y := x % N)})}

@@ -248,11 +248,13 @@ def buchberger(gens, p: int, order: ModuleOrder | None = None) -> list[Vec]:
 
 
 def _reduce_basis(basis: _Basis) -> list[Vec]:
-    """Minimal leads, tails reduced against them, largest lead first."""
+    """Minimal leads, tails reduced against them, largest lead first.
+    A lead is tested only against the kept leads at its own position:
+    ``_divides`` is false across positions."""
     order = basis.order
     kept = _Basis(order, basis.p)
     for lt, vec in sorted(basis.items, key=lambda it: order.key(it[0])):
-        if not any(_divides(klt, lt) for klt, _ in kept.items):
+        if not any(_divides(klt, lt) for klt, _ in kept.by_pos.get(lt[0], ())):
             kept.add(vec)
     out = []
     for lt, vec in kept.items:

@@ -9,31 +9,32 @@ Two layers:
   and cardinality question about a finite module, and Howell forms,
   which give cohomology its relation kernel and batched solve.
   Patch-ring matrices enter this layer through ``expand_scalars`` (the
-  regular representation on the monomial basis), which is sparse from
-  the ring entries on: the matrix of T^a is the nonzero columns of a
-  companion-matrix power per variable, joined across the variables by
-  Kronecker index arithmetic, and no dense rho x rho or expanded array
-  is built unless a caller asks for it.
+  regular representation on the monomial basis), in Python integers
+  from the ring entries on: the matrix of T^a is a table of its columns,
+  each the (row, residue) pairs of its nonzeros, built from the
+  companion-matrix powers of each variable, joined across the
+  variables, and kept in a bounded memo; no dense rho x rho or expanded
+  array is built unless a caller asks for it.
 
-One sparse type, ``SparseMatrix`` (a matrix over Z/N by its nonzero
-entries), carries a sparse matrix into this layer: the scalar
-expansions and other inputs of the Smith kernel, and the variable
-matrices that cohomology gathers columns from or writes block diagonal.
-The Smith kernel is a sparse-row elimination in Python integers: the
-scalar expansions it diagonalizes are almost empty (a padded 486 x 486
-differential has 487 nonzeros), so it fills its row dicts straight
-from the nonzeros of its input, keeps each row as a dict of its
-nonzero residues, visits only the rows that meet the pivot column, and
-finds pivots with one forward-only cursor per valuation layer.  Howell
-forms run the same way, on ``{column: residue}`` row dicts in Python
-integers with a column index of the rows, and take their input rows
-and their right-hand sides as such dicts.  A Smith quotient keeps the
-kept rows of U as the kernel leaves them, as such dicts: the quotient
-coordinates of a dense vector or matrix are sums over them in Python
-integers, and those of a matrix kept by its nonempty row dicts are
-``QuotientStructure.embed_rows``.  Only what a caller reads itself
-(the quotient projection, the Howell and kernel rows, a solve's
-result) is made dense.  Every dense matrix
+One sparse type, ``SparseMatrix`` (a matrix over Z/N as its shape and
+the ``{column: residue}`` dicts of its nonempty rows), carries a sparse
+matrix into the Smith kernel: the scalar expansions, the Nakayama base
+and dense relations, which are made one first.  Cohomology reads the
+variables' actions from the monomial tables themselves.  The Smith
+kernel is a sparse-row elimination in Python integers: the scalar
+expansions it diagonalizes are almost empty (a padded 486 x 486
+differential has 487 nonzeros), so it copies its input's row dicts,
+keeps each row as a dict of its nonzero residues, visits only the rows
+that meet the pivot column, and finds pivots with one forward-only
+cursor per valuation layer.  Howell forms run the same way, on
+``{column: residue}`` row dicts in Python integers with a column index
+of the rows, and take their input rows and their right-hand sides as
+such dicts.  A Smith quotient keeps the kept rows of U as the kernel
+leaves them, as such dicts: the quotient coordinates of a dense vector
+or matrix are sums over them in Python integers, and those of a matrix
+kept by its nonempty row dicts are ``QuotientStructure.embed_rows``.
+Only what a caller reads itself (the quotient projection, the Howell and
+kernel rows, a solve's result) is made dense.  Every dense matrix
 product over Z/p^m goes through ``matmul_mod``, which picks one of two
 exact paths by the largest partial sum the product can reach: float32
 BLAS below 2^24, Python integers past it.
@@ -210,60 +211,42 @@ def matmul_mod(a, b, N: int) -> np.ndarray:
 class SparseMatrix:
     """A matrix over Z/N by its nonzero entries.
 
-    Entry (rows[k], cols[k]) is vals[k], a residue in (0, N), and each
-    cell is listed once, in no set order.  ``size`` counts the dense
-    cells, which are written only by ``block_diagonal``, for a caller
-    that reads them.
+    ``rows[i]`` is the ``{column: residue}`` dict of row i's nonzero
+    residues, each in (0, N), and a row with no entry is absent: the
+    input form of the Smith kernel, which copies the dicts before it
+    works on them.  ``size`` counts the dense cells.
     """
 
     shape: tuple[int, int]
-    rows: np.ndarray = field(repr=False)
-    cols: np.ndarray = field(repr=False)
-    vals: np.ndarray = field(repr=False)
-
-    @classmethod
-    def of_entries(cls, shape, N: int, rows, cols, vals) -> "SparseMatrix":
-        """The entries, each a residue mod N, summed per cell mod N,
-        with the cells that cancel dropped, in row-major order (the
-        order in which a dense scan meets them)."""
-        width = max(shape[1], 1)
-        keys = rows * width + cols
-        order = np.argsort(keys, kind="stable")
-        keys, vals = keys[order], vals[order]
-        if keys.size:
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            keys, vals = keys[starts], np.add.reduceat(vals, starts) % N
-        keep = vals != 0
-        rows, cols = np.divmod(keys[keep], width)
-        return cls(tuple(shape), rows, cols, vals[keep])
+    rows: dict[int, dict[int, int]] = field(repr=False)
 
     @classmethod
     def of_rows(cls, vectors: list[dict[int, int]], width: int) -> "SparseMatrix":
         """The len(vectors) x width matrix whose row i is the dict
-        ``vectors[i]`` of {column: residue}, as the Smith kernel keeps it."""
-        rows = [i for i, row in enumerate(vectors) for _ in row]
-        cols = [c for row in vectors for c in row]
-        vals = [x for row in vectors for x in row.values()]
-        return cls((len(vectors), width), *(np.array(x, dtype=np.int64) for x in (rows, cols, vals)))
+        ``vectors[i]`` of {column: residue}, wrapped, not copied."""
+        return cls((len(vectors), width), {i: row for i, row in enumerate(vectors) if row})
 
     @classmethod
     def of_dense(cls, a: np.ndarray, N: int) -> "SparseMatrix":
-        """The nonzero residues mod N of a 2-d int64 array, row-major."""
-        flat = _residues(a, N).ravel()
-        at = np.flatnonzero(flat != 0)  # several times faster than np.nonzero(a)
-        rows, cols = np.divmod(at, max(a.shape[1], 1))
-        return cls(a.shape, rows, cols, flat[at])
+        """The nonzero residues mod N of a 2-d int64 array; one with no
+        cells is read no further."""
+        rows: dict[int, dict[int, int]] = {}
+        if a.size:
+            flat = _residues(a, N).ravel()
+            at = np.flatnonzero(flat)  # several times faster than np.nonzero(a)
+            width = a.shape[1]
+            for k, x in zip(at.tolist(), flat[at].tolist()):
+                i, j = divmod(k, width)
+                row = rows.get(i)
+                if row is None:
+                    rows[i] = {j: x}
+                else:
+                    row[j] = x
+        return cls(a.shape, rows)
 
     @property
     def size(self) -> int:
         return self.shape[0] * self.shape[1]
-
-    def block_diagonal(self, blocks: int) -> np.ndarray:
-        """The dense I_blocks (x) self, written in one scatter."""
-        (r, c), at = self.shape, np.arange(blocks, dtype=np.int64)[:, None]
-        out = np.zeros((blocks * r, blocks * c), dtype=np.int64)
-        out[(at * r + self.rows).ravel(), (at * c + self.cols).ravel()] = np.tile(self.vals, blocks)
-        return out
 
 
 def _valuation(x: int, p: int) -> int:
@@ -663,9 +646,10 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
     touch no other column.
 
     ``rel_cols`` is a ``SparseMatrix`` or a dense array, which is first
-    made one; its nonzeros fill the row dicts and the column index
-    directly, and each row is cleared by its own arithmetic, so the
-    order of the entries moves no residue.
+    made one.  Its row dicts are copied as the kernel's rows, so the
+    input is never changed, and only the column index is built from
+    them; each row is cleared by its own arithmetic, so the order of the
+    entries moves no residue.
 
     Every step is the same arithmetic on the same residues as the dense
     loop it replaced (``tests/test_linalg.py::reference_smith``); only the
@@ -674,21 +658,18 @@ def smith_transforms(rel_cols: np.ndarray, ambient: int, p: int, m: int, track_v
     N = _modulus(p, m)
     if not isinstance(rel_cols, SparseMatrix):
         a = _as_array(rel_cols)
-        rel_cols = SparseMatrix.of_dense(a if a.ndim == 2 and a.shape[1] else np.zeros((ambient, 0), dtype=np.int64), N)
+        rel_cols = SparseMatrix.of_dense(a, N) if a.ndim == 2 and a.shape[1] else SparseMatrix((ambient, 0), {})
     nrows, ncols = rel_cols.shape
     rows: dict[int, dict[int, int]] = {}
     in_col: dict[int, set[int]] = {}
-    for i, j, x in zip(rel_cols.rows.tolist(), rel_cols.cols.tolist(), rel_cols.vals.tolist()):
-        row = rows.get(i)
-        if row is None:
-            rows[i] = {j: x}
-        else:
-            row[j] = x
-        col = in_col.get(j)
-        if col is None:
-            in_col[j] = {i}
-        else:
-            col.add(i)
+    for i, src in rel_cols.rows.items():
+        rows[i] = dict(src)
+        for j in src:
+            col = in_col.get(j)
+            if col is None:
+                in_col[j] = {i}
+            else:
+                col.add(i)
     U: dict[int, dict[int, int]] = {}
     V: dict[int, dict[int, int]] | None = {} if track_v else None
     row_at = list(range(nrows))
@@ -773,60 +754,70 @@ def smith_quotient(rel_cols: np.ndarray, ambient: int, p: int, m: int) -> Quotie
 
 
 _DENSE = "a dense {rows}x{cols} expansion exceeds {limit} cells"
-_NONE = np.zeros(0, dtype=np.int64)
+
+# A table is the matrix of one monomial on the monomial basis, kept as
+# its columns, each the (row, residue) pairs of its nonzero entries.
+Table = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def _power(p: int, m: int, n: int, a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, columns, residues) of the nonzero entries of C^a over Z/p^m,
-    each cell once, where C multiplies 1, T, ..., T^(B-1), B = p^n, by T.
-    Column j is T^(j+a): e_(j+a) while j + a < B, and past that
+@lru_cache(maxsize=256)
+def _power(p: int, m: int, n: int, a: int) -> Table:
+    """The columns of C^a over Z/p^m, a < B = p^n, where C multiplies 1,
+    T, ..., T^(B-1) by T, kept for the last 256 (ring, a).  Column j is
+    T^(j+a): e_(j+a) while j + a < B, shared with C^0, and past that
     C^(j+a-B+1) e_(B-1), each step of C being a shift plus the top entry
-    times the rewrite column of T^B: O(a B), keeping only the nonzeros.
-    Entries stay below N(N-1), which ``_modulus`` keeps inside int64."""
+    times the rewrite column of T^B: a steps, each touching only the
+    nonzeros."""
     B, N = p**n, _modulus(p, m)
-    rows, cols = [np.arange(a, B)], [np.arange(B - a)]
-    vals = [np.ones(B - a, dtype=np.int64)]
-    if a:
-        rewrite = np.zeros(B, dtype=np.int64)
-        for k, c in _rewrite_rule(p, m, n):
-            rewrite[k] = c
-        col = np.zeros(B, dtype=np.int64)
-        col[-1] = 1  # T^(B-1)
-        for j in range(B - a, B):
-            col = np.concatenate(([0], col[:-1])) + col[-1] * rewrite
-            col %= N
-            at = np.flatnonzero(col)
-            rows.append(at)
-            cols.append(np.full(at.size, j))
-            vals.append(col[at])
-    return tuple(np.concatenate(x) for x in (rows, cols, vals))
+    if not a:
+        return tuple(((k, 1),) for k in range(B))
+    out = list(_power(p, m, n, 0)[a:])
+    rewrite = _rewrite_rule(p, m, n)
+    col = {B - 1: 1}  # T^(B-1)
+    for _ in range(a):
+        top = col.pop(B - 1, 0)
+        col = {r + 1: x for r, x in col.items()}
+        if top:
+            for k, c in rewrite:
+                y = (col.get(k, 0) + top * c) % N
+                if y:
+                    col[k] = y
+                else:
+                    col.pop(k, None)
+        out.append(tuple(sorted(col.items())))
+    return tuple(out)
 
 
-def _monomial_expansion(spec: RingSpec, exps: tuple[int, ...]) -> SparseMatrix:
-    """Multiplication by T^exps on the monomial basis: the Kronecker
-    product over the variables of C^(a_i), the first variable outermost,
-    joined by index arithmetic: each pair of nonzeros gives the cell
-    (r B + r', c B + c') and the residue of the product of the entries,
-    so no cell repeats, and only the products that vanish are dropped.
-    Its rho x rho cells are counted against ``MAX_EXPANDED_CELLS``."""
+@lru_cache(maxsize=128)
+def _monomial_expansion(spec: RingSpec, exps: tuple[int, ...]) -> Table:
+    """Multiplication by T^exps on the monomial basis, as the table of
+    its rho columns, kept for the last 128 monomials: every differential
+    entry with a term T^exps, and the action of a variable, reads it.
+    It is the Kronecker product over the variables of C^(a_i), the first
+    variable outermost: column c B + c' joins column c of the first
+    factor with column c' of the second, each pair of nonzeros giving
+    the row r B + r' and the residue of their product, so no cell
+    repeats, and only the products that vanish are dropped.  Its
+    rho x rho cells are counted against ``MAX_EXPANDED_CELLS`` before
+    anything is built.  A table is shared: no caller may change it."""
     rho, N = spec.coefficient_rank, _modulus(spec.p, spec.m)
     check_cells(rho * rho, MAX_EXPANDED_CELLS, _DENSE, rows=rho, cols=rho)
+    if not exps:
+        return (((0, 1),),)
     B = spec.exponent_bound
-    rows = cols = np.zeros(1, dtype=np.int64)
-    vals = np.ones(1, dtype=np.int64)
-    for a in exps:
-        r, c, v = _power(spec.p, spec.m, spec.n, a)
-        rows = (rows[:, None] * B + r).ravel()
-        cols = (cols[:, None] * B + c).ravel()
-        vals = (vals[:, None] * v % N).ravel()
-    keep = vals != 0
-    return SparseMatrix((rho, rho), rows[keep], cols[keep], vals[keep])
+    table = _power(spec.p, spec.m, spec.n, exps[0])
+    for a in exps[1:]:
+        power = _power(spec.p, spec.m, spec.n, a)
+        table = tuple([
+            tuple([(r * B + s, z) for r, x in col for s, y in factor if (z := x * y % N)])
+            for col in table
+            for factor in power
+        ])
+    return table
 
 
-@lru_cache(maxsize=64)
-def _variable_expansions(spec: RingSpec) -> tuple[SparseMatrix, ...]:
-    """Multiplication by each variable of ``spec``, kept for the last 64
-    rings: every cohomology computation over a ring reads them."""
+def _variable_expansions(spec: RingSpec) -> tuple[Table, ...]:
+    """The table of each variable of ``spec``, from the monomial memo."""
     return tuple(_monomial_expansion(spec, tuple(int(i == j) for i in range(spec.q))) for j in range(spec.q))
 
 
@@ -834,11 +825,12 @@ def expand_scalars(a: Matrix) -> SparseMatrix:
     """Regular representation of a patch-ring matrix over Z/p^m.
 
     Returns the (rows*rho) x (cols*rho) matrix of the same map on the
-    underlying free Z/p^m-modules, rho = p^(n q), sparse: block (i, j)
-    is the sum of c times the matrix of T^e over the terms c T^e of
-    entry (i, j), each term reduced mod p^m before the sum.  Its dense
-    cells are counted against ``MAX_EXPANDED_CELLS`` before anything is
-    built.  Functorial: expand(AB) = expand(A) @ expand(B) mod p^m.
+    underlying free Z/p^m-modules, rho = p^(n q), as row dicts: block
+    (i, j) is the sum of c times the table of T^e over the terms c T^e
+    of entry (i, j), scattered cell by cell in Python integers, each
+    cell summed mod p^m and dropped when it cancels.  Its dense cells
+    are counted against ``MAX_EXPANDED_CELLS`` before anything is built.
+    Functorial: expand(AB) = expand(A) @ expand(B) mod p^m.
     """
     spec = a.spec
     if spec.kind == "graded":
@@ -846,15 +838,22 @@ def expand_scalars(a: Matrix) -> SparseMatrix:
     rho, N = spec.coefficient_rank, spec.modulus
     shape = (a.rows * rho, a.cols * rho)
     check_cells(shape[0] * shape[1], MAX_EXPANDED_CELLS, _DENSE, rows=shape[0], cols=shape[1])
-    monomials: dict[tuple[int, ...], SparseMatrix] = {}
-    rows, cols, vals = [_NONE], [_NONE], [_NONE]
-    for i, row in enumerate(a.entries):
-        for j, x in enumerate(row):
+    rows: dict[int, dict[int, int]] = {}
+    for i, entries in enumerate(a.entries):
+        top = i * rho
+        for j, x in enumerate(entries):
             for exps, c in x.coeffs.items():
-                if exps not in monomials:
-                    monomials[exps] = _monomial_expansion(spec, exps)
-                mono = monomials[exps]
-                rows.append(mono.rows + i * rho)
-                cols.append(mono.cols + j * rho)
-                vals.append(mono.vals * c % N)
-    return SparseMatrix.of_entries(shape, N, *map(np.concatenate, (rows, cols, vals)))
+                for col, pairs in enumerate(_monomial_expansion(spec, exps), j * rho):
+                    for r, u in pairs:
+                        r += top
+                        row = rows.get(r)
+                        if row is None:
+                            if y := c * u % N:
+                                rows[r] = {col: y}
+                        elif y := (row.get(col, 0) + c * u) % N:
+                            row[col] = y
+                        else:
+                            row.pop(col, None)
+                            if not row:
+                                del rows[r]
+    return SparseMatrix(shape, rows)

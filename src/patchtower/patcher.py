@@ -46,7 +46,7 @@ from .errors import (
     TauOutOfRange,
 )
 from .graded import verify_height_amplitude
-from .linalg import MAX_EXPANDED_CELLS, Matrix, check_cells, matmul_mod
+from .linalg import MAX_EXPANDED_CELLS, Matrix, _residues, check_cells, matmul_mod
 from .rings import base_change, coefficient_ring, graded_ring, make_patch_ring
 
 Exps = tuple[int, ...]
@@ -188,21 +188,23 @@ class RInfinityModel:
         return FiniteModuleData(self.p, self.m, len(basis), rel)
 
     def evaluate_at_matrices(self, a: RinfElem, mats: list[np.ndarray], size: int, modulus: int) -> np.ndarray:
-        """Value of the polynomial on commuting matrices, mod ``modulus``."""
+        """Value of the polynomial on commuting matrices, mod ``modulus``.
+        Each term starts from c times the first power it meets, not from
+        c times the identity, which only a constant term is."""
         out = np.zeros((size, size), dtype=np.int64)
-        eye = np.eye(size, dtype=np.int64)
         for e, c in a.items():
-            term = (c % modulus) * eye
+            c %= modulus
+            term = None
             for j, k in enumerate(e):
                 # square-and-multiply: about 2 log2(k) exact products
                 base = mats[j]
                 while k:
                     if k & 1:
-                        term = matmul_mod(term, base, modulus)
+                        term = _residues(base, modulus) * c % modulus if term is None else matmul_mod(term, base, modulus)
                     k >>= 1
                     if k:
                         base = matmul_mod(base, base, modulus)
-            out = (out + term) % modulus
+            out = (out + (c * np.eye(size, dtype=np.int64) if term is None else term)) % modulus
         return out
 
 

@@ -25,7 +25,7 @@ from patchtower.complexes import (
     tensor_along,
 )
 from patchtower.errors import ExpansionTooLarge, NotAComplex, ShapeMismatch, SpecMismatch, UnsupportedRing
-from patchtower.linalg import MAX_EXPANDED_CELLS, Matrix, _dense_rows, smith_quotient
+from patchtower.linalg import MAX_EXPANDED_CELLS, Matrix, _dense_rows, _monomial_expansion, smith_quotient
 from patchtower.rings import (
     RingTowerElement,
     coefficient_ring,
@@ -49,7 +49,7 @@ from util import (
     reference_solve,
     row_dicts,
     size_checks,
-    sparse_dense,
+    table_dense,
     tall_complex,
 )
 
@@ -355,7 +355,7 @@ class TestVariableActions:
                     out[i, list(row)] = list(row.values())
                 return out
 
-            dense = [sparse_dense(mult) for mult in mults]
+            dense = [table_dense(table) for table in mults]
             embed_, gens = dense_embed, _dense_rows(gens, rk * spec.coefficient_rank).T
             want = reference_variable_actions(dense, gens, rk, embed_, solver, spec.modulus)
             assert len(got) == len(want) == spec.q
@@ -379,6 +379,33 @@ class TestVariableActions:
                 assert not ranks
         # blocks are reshaped only when a degree has rank >= 2
         assert any(rk >= 2 and g for rk, g in seen)
+
+
+def test_cohomology_leaves_the_memo_tables_unchanged():
+    # the table of T is read by the expansion of a differential entry T and
+    # by the action of T; neither the Smith kernel nor the actions may
+    # change it, so a second run gives the same modules
+    spec = make_patch_ring(3, 2, 2, 1)
+    t, one, zero = (RingTowerElement.variable(spec, 0), RingTowerElement.one(spec), RingTowerElement.zero(spec))
+    table = _monomial_expansion(spec, (1,))
+    before = table_dense(table)
+    complexes_ = [
+        make_complex(spec, 0, [1, 1], [Matrix(spec, [[t]])]),
+        make_complex(spec, 0, [2, 2], [Matrix(spec, [[t, zero], [zero, one]])]),
+    ]
+    first = [complexes._all_cohomology(c) for c in complexes_]
+    assert _monomial_expansion(spec, (1,)) is table and np.array_equal(table_dense(table), before)
+    second = [complexes._all_cohomology(c) for c in complexes_]
+    assert np.array_equal(table_dense(table), before)
+    for a, b in zip(first, second):
+        assert a.keys() == b.keys()
+        for deg in a:
+            x, y = a[deg], b[deg]
+            assert (x.p, x.m, x.gens) == (y.p, y.m, y.gens)
+            assert np.array_equal(x.relations, y.relations)
+            assert len(x.actions) == len(y.actions) and all(map(np.array_equal, x.actions, y.actions))
+    # T on the 9 coordinates of one block: H^1 of [[T]] is (Z/9)[T]/(T), one generator
+    assert first[0][1].gens == 1
 
 
 class TestSparseQuotientsInCohomology:

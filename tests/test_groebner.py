@@ -341,3 +341,24 @@ class TestTermArithmeticAgainstVerbatimCopies:
         gb.vec_sub_shifted(got, b, c, shift, p)
         util.reference_vec_sub_shifted(want, b, c, shift, p)
         assert list(got.items()) == list(want.items())
+
+
+@given(term_data(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_reduce_basis_matches_the_full_scan(terms, data):
+    # the minimal-lead filter reads the kept leads at the lead's own
+    # position only; the full scan over every kept lead keeps the same
+    q, t, _ = terms
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    order, _ = data.draw(order_pairs(t))
+    basis = gb._Basis(order, p)
+    for _ in range(data.draw(st.integers(0, 8))):
+        vec = vectors(data.draw, q, t, p)
+        if vec:
+            lt = gb.lead(vec, order)
+            basis.add({lt: vec.pop(lt), **vec})
+    items = list(basis.items)
+    got, want = gb._reduce_basis(basis), util.reference_reduce_basis(basis)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+    assert basis.items == items
+

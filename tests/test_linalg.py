@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from patchtower.complexes import _free_module
 from patchtower.errors import InvalidParameter, SpecMismatch, UnsupportedRing
 from patchtower.linalg import (
     HowellCore,
@@ -20,17 +21,19 @@ from patchtower.linalg import (
     _dense_rows,
     _echelon,
     _monomial_expansion,
+    _variable_expansions,
     expand_scalars,
     matmul_mod,
     smith_quotient,
     smith_transforms,
 )
-from patchtower.rings import RingTowerElement, graded_ring, make_patch_ring
+from patchtower.rings import RingTowerElement, coefficient_ring, graded_ring, make_patch_ring
 from util import (
     SMALL_PATCH_SPECS,
     DenseHowell,
     dense_column_kernel,
     dense_expand_scalars,
+    dense_monomial_matrix,
     dense_solve,
     embed_dense,
     dense_work,
@@ -49,6 +52,7 @@ from util import (
     run_under_memory_limit,
     smith_u,
     smith_v,
+    sparse_cells,
     sparse_dense,
     transform_rows,
 )
@@ -452,18 +456,12 @@ def sparse_cases(draw):
 
 
 def sparse_forms(a: np.ndarray, N: int) -> list[SparseMatrix]:
-    """The residue matrix ``a`` through each constructor: ``of_dense``;
-    ``of_entries`` on every cell given twice, as a - 1 and 1 in reverse
-    order, so that cells are summed and the zero cells cancel; and
-    ``of_rows`` on one ``{column: residue}`` dict per row."""
-    ii, jj = np.indices(a.shape).reshape(2, -1)
-    twice = [np.concatenate(pair)[::-1] for pair in ((ii, ii), (jj, jj), ((a.ravel() - 1) % N, np.ones_like(ii)))]
+    """The residue matrix ``a`` through each constructor: ``of_dense``,
+    and ``of_rows`` on one ``{column: residue}`` dict per row.  Cells
+    that are summed and cancel are ``expand_scalars``' own work, tested
+    on it below."""
     by_rows = [{j: int(x) for j, x in enumerate(row) if x} for row in a]
-    return [
-        SparseMatrix.of_dense(a, N),
-        SparseMatrix.of_entries(a.shape, N, *twice),
-        SparseMatrix.of_rows(by_rows, a.shape[1]),
-    ]
+    return [SparseMatrix.of_dense(a, N), SparseMatrix.of_rows(by_rows, a.shape[1])]
 
 
 class TestSparseExpansion:
@@ -487,9 +485,10 @@ class TestSparseExpansion:
         for sparse in sparse_forms(a, N):
             assert (sparse.shape, sparse.size) == (a.shape, a.size)
             assert np.array_equal(sparse_dense(sparse), a)
-            # each nonzero cell once, a residue
-            assert sparse.vals.size == np.count_nonzero(a) and ((sparse.vals > 0) & (sparse.vals < N)).all()
-            assert np.array_equal(sparse.block_diagonal(2), np.kron(np.eye(2, dtype=np.int64), a))
+            # each nonzero cell once, a residue, and no empty row
+            cells = sparse_cells(sparse)
+            assert len(cells) == np.count_nonzero(a) and all(0 < x < N for x in cells.values())
+            assert all(sparse.rows.values())
         # the product, as the coordinates of a quotient whose kept rows are
         # the rows of a, each a summand of order N
         by_rows = [{j: int(y) for j, y in enumerate(row) if y} for row in a]
@@ -507,11 +506,11 @@ class TestSparseExpansion:
                 got, want = expand_scalars(d), dense_expand_scalars(d)
                 assert got.shape == want.shape and got.size == want.size
                 assert np.array_equal(sparse_dense(got), want)
-                # each nonzero cell once, a residue, in row-major order
-                keys = got.rows * got.shape[1] + got.cols
-                assert (np.diff(keys) > 0).all()
-                assert ((got.vals > 0) & (got.vals < N)).all()
-                assert got.vals.size == np.count_nonzero(want)
+                # each nonzero cell once, keyed by its cell, a residue, and no empty row
+                cells = sparse_cells(got)
+                assert set(cells) == set(zip(*map(np.ndarray.tolist, np.nonzero(want))))
+                assert all(0 < x < N for x in cells.values())
+                assert len(cells) == np.count_nonzero(want) and all(got.rows.values())
                 seen += 1
         assert seen
 
@@ -528,8 +527,44 @@ class TestSparseExpansion:
         x = RingTowerElement(spec, {(2,): 1, (1,): 3})
         got = expand_scalars(Matrix(spec, [[x]]))
         assert np.array_equal(sparse_dense(got), reference_multiplication_matrix(x))
-        assert sparse_dense(got)[2, 1] == 0 and (2, 1) not in set(zip(got.rows.tolist(), got.cols.tolist()))
+        assert sparse_dense(got)[2, 1] == 0 and (2, 1) not in sparse_cells(got)
         assert sparse_dense(got)[1, 1] == 6
+
+    def test_terms_that_vanish_at_their_first_cell(self):
+        # over Z/9 with T^9 = 6T^3 + 6T^6, 3T sends T^8 to 18T^3 + 18T^6 = 0:
+        # cell (6, 8) gets its only term, 0, and cell (3, 8) a 0 beside the
+        # 3 that cell (3, 2) already holds in row 3
+        spec = make_patch_ring(3, 2, 2, 1)
+        three_t = RingTowerElement(spec, {(1,): 3})
+        d = Matrix(spec, [[three_t]])
+        got = expand_scalars(d)
+        assert np.array_equal(sparse_dense(got), dense_expand_scalars(d))
+        assert sparse_cells(got) == {(r + 1, r): 3 for r in range(8)}
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_reference(self, data):
+        spec = data.draw(st.one_of(small_rings(qs=range(1, 4), max_rank=81), st.builds(
+            coefficient_ring, st.sampled_from([2, 3, 5]), st.integers(1, 3))))
+        rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        d = Matrix(spec, [[data.draw(ring_elements(spec)) for _ in range(cols)] for _ in range(rows)], cols)
+        got, want = expand_scalars(d), dense_expand_scalars(d)
+        assert got.shape == want.shape
+        assert np.array_equal(sparse_dense(got), want)
+        cells = sparse_cells(got)
+        assert len(cells) == np.count_nonzero(want) and all(0 < x < spec.modulus for x in cells.values())
+        assert all(got.rows.values())
+
+    @pytest.mark.parametrize("spec", EXPANSION_SPECS, ids=lambda s: f"p{s.p}-m{s.m}-n{s.n}-q{s.q}")
+    def test_free_module_actions_are_block_diagonal(self, spec):
+        # ``_free_module`` writes I_rk (x) the table of each variable
+        for rk in (1, 2, 3):
+            module = _free_module(spec, rk, _variable_expansions(spec))
+            assert len(module.actions) == spec.q
+            for j, action in enumerate(module.actions):
+                unit = tuple(int(i == j) for i in range(spec.q))
+                want = np.kron(np.eye(rk, dtype=np.int64), dense_monomial_matrix(spec, unit))
+                assert action.dtype == np.int64 and np.array_equal(action, want)
 
     def test_product_reduces_each_term(self):
         # int64 products of residues near 3^19 would wrap if summed unreduced
@@ -537,7 +572,7 @@ class TestSparseExpansion:
         N = spec.modulus
         x = RingTowerElement(spec, {(0,): N - 1, (1,): N - 2, (2,): N - 1})
         a = expand_scalars(Matrix(spec, [[x]]))
-        assert ((a.vals > 0) & (a.vals < N)).all()
+        assert all(0 < y < N for y in sparse_cells(a).values())
         # and its product, as the coordinates of a quotient whose kept rows
         # are its rows, each a summand of order N
         vec = np.full((3, 2), N - 1, dtype=np.int64)
@@ -750,7 +785,7 @@ class TestSmithTransforms:
     def test_bookkeeping_follows_the_nonzeros(self):
         # one nonzero in a 1 x 100,000 row: U, V and the column index
         # hold only what the one pivot touches, not a dict or set per index
-        a = SparseMatrix((1, 100_000), np.array([0]), np.array([99_998]), np.array([5]))
+        a = SparseMatrix((1, 100_000), {0: {99_998: 5}})
         tracemalloc.start()
         try:
             sd = smith_transforms(a, 1, 3, 2, track_v=True)
@@ -767,7 +802,7 @@ class TestSmithTransforms:
         t = RingTowerElement.variable(spec, 0)
         one, zero = RingTowerElement.one(spec), RingTowerElement.zero(spec)
         a = expand_scalars(Matrix(spec, [[t, zero], [zero, one]]))
-        assert (a.shape, a.vals.size) == ((486, 486), 487)
+        assert (a.shape, len(sparse_cells(a))) == ((486, 486), 487)
         assert_smith_witness(sparse_dense(a), 3, 2)
 
 
@@ -789,9 +824,8 @@ def reference_column_kernel(pivot_vals, V: np.ndarray, p: int, m: int) -> np.nda
 
 
 def sparse_of(a: np.ndarray, N: int) -> SparseMatrix:
-    """The nonzero entries of a dense array, as a ``SparseMatrix``."""
-    rows, cols = np.nonzero(a % N)
-    return SparseMatrix.of_entries(a.shape, N, rows, cols, a[rows, cols] % N)
+    """The nonzero entries of a dense array, as a ``SparseMatrix`` of row dicts."""
+    return SparseMatrix.of_rows(row_dicts(a, N), a.shape[1])
 
 
 def assert_matches_reference(a: np.ndarray, p: int, m: int) -> None:
@@ -800,8 +834,12 @@ def assert_matches_reference(a: np.ndarray, p: int, m: int) -> None:
     rows = a.shape[0]
     pivot_vals, U, V = reference_smith(a, rows, p, m)
     exponents, projection = reference_quotient(pivot_vals, U, p, m)
-    for track_v, given_as in itertools.product((True, False), (a, sparse_of(a, p**m))):
+    sparse = sparse_of(a, p**m)
+    before = sparse_cells(sparse)
+    for track_v, given_as in itertools.product((True, False), (a, sparse)):
         sd = smith_transforms(given_as, rows, p, m, track_v=track_v)
+        # the kernel works on copies of its input's row dicts
+        assert sparse_cells(sparse) == before
         assert sd.pivot_vals == pivot_vals
         assert np.array_equal(smith_u(sd), U)
         qs = sd.quotient()

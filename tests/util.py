@@ -61,7 +61,23 @@ def identity_matrix(spec: RingSpec, size: int) -> Matrix:
 def sparse_dense(a: SparseMatrix) -> np.ndarray:
     """The dense int64 array of a ``SparseMatrix``."""
     out = np.zeros(a.shape, dtype=np.int64)
-    out[a.rows, a.cols] = a.vals
+    for i, row in a.rows.items():
+        out[i, list(row)] = list(row.values())
+    return out
+
+
+def sparse_cells(a: SparseMatrix) -> dict[tuple[int, int], int]:
+    """The entries of a ``SparseMatrix`` by (row, column)."""
+    return {(i, j): x for i, row in a.rows.items() for j, x in row.items()}
+
+
+def table_dense(table) -> np.ndarray:
+    """The dense rho x rho int64 array of a ``linalg._monomial_expansion``
+    table, given by its columns of (row, residue) pairs."""
+    out = np.zeros((len(table), len(table)), dtype=np.int64)
+    for j, col in enumerate(table):
+        for r, u in col:
+            out[r, j] = u
     return out
 
 
@@ -545,6 +561,24 @@ def reference_vec_sub_shifted(target: Vec, src: Vec, c: int, shift: tuple[int, .
 
 def reference_divides(a, b) -> bool:
     return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+
+
+def reference_reduce_basis(basis: gb._Basis) -> list[Vec]:
+    """``groebner._reduce_basis`` with the minimal-lead filter scanning
+    every kept lead, at every position, as the engine did before it read
+    only the kept leads at the lead's own position."""
+    order = basis.order
+    kept = gb._Basis(order, basis.p)
+    for lt, vec in sorted(basis.items, key=lambda it: order.key(it[0])):
+        if not any(_divides(klt, lt) for klt, _ in kept.items):
+            kept.add(vec)
+    out = []
+    for lt, vec in kept.items:
+        tail = dict(vec)
+        red = {lt: tail.pop(lt)}
+        red.update(gb.normal_form(tail, kept))
+        out.append(red)
+    return out[::-1]
 
 
 class _ReferenceBasis:
