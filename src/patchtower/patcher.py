@@ -199,8 +199,11 @@ class RInfinityModel:
                 # square-and-multiply: about 2 log2(k) exact products
                 base = mats[j]
                 while k:
-                    if k & 1:
-                        term = _residues(base, modulus) * c % modulus if term is None else matmul_mod(term, base, modulus)
+                    if k & 1 and term is None:
+                        # both factors are below modulus, whose square `_modulus` keeps inside int64
+                        term = _residues(base, modulus) * c % modulus
+                    elif k & 1:
+                        term = matmul_mod(term, base, modulus)
                     k >>= 1
                     if k:
                         base = matmul_mod(base, base, modulus)

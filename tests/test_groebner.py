@@ -361,4 +361,3 @@ def test_reduce_basis_matches_the_full_scan(terms, data):
     got, want = gb._reduce_basis(basis), util.reference_reduce_basis(basis)
     assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
     assert basis.items == items
-

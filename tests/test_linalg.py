@@ -532,14 +532,16 @@ class TestSparseExpansion:
 
     def test_terms_that_vanish_at_their_first_cell(self):
         # over Z/9 with T^9 = 6T^3 + 6T^6, 3T sends T^8 to 18T^3 + 18T^6 = 0:
-        # cell (6, 8) gets its only term, 0, and cell (3, 8) a 0 beside the
-        # 3 that cell (3, 2) already holds in row 3
+        # cells (3, 8) and (6, 8) get a first term of 0 in rows that already
+        # hold the 3 of cells (3, 2) and (6, 5); 3T^8 sends T to 3T^9 = 0,
+        # a first term of 0 in rows 3 and 6 before they hold anything
         spec = make_patch_ring(3, 2, 2, 1)
-        three_t = RingTowerElement(spec, {(1,): 3})
-        d = Matrix(spec, [[three_t]])
-        got = expand_scalars(d)
-        assert np.array_equal(sparse_dense(got), dense_expand_scalars(d))
-        assert sparse_cells(got) == {(r + 1, r): 3 for r in range(8)}
+        want_cells = {(r + 1, r): 3 for r in range(8)}, {(8, 0): 3}
+        for exps, want in zip(((1,), (8,)), want_cells):
+            d = Matrix(spec, [[RingTowerElement(spec, {exps: 3})]])
+            got = expand_scalars(d)
+            assert np.array_equal(sparse_dense(got), dense_expand_scalars(d))
+            assert sparse_cells(got) == want and all(got.rows.values())
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
